@@ -37,12 +37,24 @@ def _load_hopf_arg(value):
 
 
 def _character_of(H, name):
-    if name is None or name == "counit":
-        return H.counit_character()
     try:
+        if name is None or name == "counit":
+            return H.counit_character()
         return H.character(name)
     except CharacterError as exc:
         raise PresentationError(str(exc))
+
+
+def _fails_hopf_axioms(H, output):
+    """Check H against the Hopf axioms; on failure emit that report.
+
+    Every number derived from H assumes it is a Hopf algebra, so the
+    commands that compute from a finite H call this first.
+    """
+    report = check_hopf_axioms(H)
+    if not report.ok:
+        _emit(report.render(), output)
+    return not report.ok
 
 
 def cmd_check_hopf(args):
@@ -76,6 +88,8 @@ def cmd_cyclic_relations(args):
         report.meta["seed"] = args.seed
     else:
         H = _load_hopf_arg(args.input)
+        if _fails_hopf_axioms(H, args.output):
+            return 1
         delta = _character_of(H, args.character)
         module = HopfCyclicModule(H, delta)
         report = relation_suite(module, args.max_degree,
@@ -89,6 +103,8 @@ def cmd_cyclic_relations(args):
 
 def cmd_cohomology(args):
     H = _load_hopf_arg(args.input)
+    if _fails_hopf_axioms(H, args.output):
+        return 1
     delta = _character_of(H, args.character)
     try:
         report = cohomology_report(H, delta, args.max_degree,
@@ -119,6 +135,8 @@ def cmd_pair(args):
 
 def cmd_gamma_check(args):
     H, delta, A, action, trace = load_gamma_input(args.input)
+    if _fails_hopf_axioms(H, args.output):
+        return 1
     report = actions.check_action(H, A, action)
     report.merge(actions.check_delta_invariance(H, delta, A, action, trace))
     if report.ok:

