@@ -3,9 +3,21 @@
 The differentials follow the standard mixed-complex conventions:
 b is the alternating sum of faces, lambda_n = (-1)^n tau_n, the norm is
 N = sum of powers of lambda, the extra degeneracy is s = sigma_n tau_{n+1},
-and B = N s (1 - lambda).  The defining identities b^2 = 0, B^2 = 0 and
-bB + Bb = 0 are enforced by the test suite, so a sign slip cannot pass
-silently.
+and B = N s (1 - lambda).
+
+Two forms of each operator are kept.  The elementwise ones (hochschild_b,
+B_operator, ...) act on single tensors; they serve symbolic modules and are
+the oracle the tests compare the matrices with.  On a finite module the
+matrices are matrix algebra on the face, degeneracy and cyclic matrices
+that the module assembles from the structure constants: b_matrix sums the
+signed faces, one_minus_lambda_matrix comes from tau_n, and B_matrix is
+composed column by column from the columns of tau_n, tau_{n+1} and
+sigma_n.  Each matrix is built where it is used and dropped after, which
+keeps memory at the size of the largest few matrices.
+
+The identities b^2 = 0, B^2 = 0 and bB + Bb = 0 are checked as sparse
+matrix products by check_mixed_complex, which the command line runs on the
+matrices of every report before printing it.
 
 Cyclic cohomology is computed two ways: from the lambda-invariant
 subcomplex (valid in characteristic 0) and from the total complex of the
@@ -16,7 +28,7 @@ flagged boundary-unreliable and excluded from cross-method assertions.
 
 from __future__ import annotations
 
-from .hopf import check_involution, vec_add, vec_scale
+from .hopf import check_involution, vec_add, vec_add_into, vec_scale
 from .linalg import SparseMatrix
 from .reports import CheckReport
 
@@ -72,18 +84,58 @@ def B_operator(module, n, t):
 
 
 def b_matrix(module, n):
-    return module.operator_matrix(lambda t: hochschild_b(module, n, t), n - 1, n)
+    """b_n = sum_i (-1)^i face_i, from degree n-1 to degree n."""
+    entries = {}
+    for i in range(n + 1):
+        vec_add_into(entries, module.face_matrix(i, n).entries,
+                     1 if i % 2 == 0 else -1)
+    return SparseMatrix(module.space_dim(n), module.space_dim(n - 1), entries)
 
 
 def B_matrix(module, n):
-    return module.operator_matrix(lambda t: B_operator(module, n, t), n + 1, n)
+    """B_n = N_n sigma_n tau_(n+1) (1 - lambda_(n+1)), from degree n+1 to n.
+
+    s = sigma_n tau_(n+1) is formed once per column of tau_(n+1); column j
+    of B is then N_n applied to s e_j - (-1)^(n+1) s tau_(n+1) e_j, with
+    N_n = 1 + lambda_n + ... + lambda_n^n applied through the columns of
+    tau_n.  Columns are produced one at a time, so only the finished
+    matrix and the columns of tau and s are held.
+    """
+    tau_up = module.cyclic_matrix(n + 1).column_dicts()
+    sigma = module.degeneracy_matrix(n, n).column_dicts()
+    s_cols = [_combine(sigma, col) for col in tau_up]
+    del sigma
+    tau = module.cyclic_matrix(n).column_dicts()
+    lam_sign = 1 if n % 2 == 0 else -1
+
+    def columns():
+        for j, col in enumerate(tau_up):
+            vec = dict(s_cols[j])
+            vec_add_into(vec, _combine(s_cols, col), lam_sign)
+            out = dict(vec)
+            for _ in range(n):
+                vec = _combine(tau, vec, lam_sign)
+                vec_add_into(out, vec)
+            yield out
+
+    return SparseMatrix.from_columns(columns(), module.space_dim(n))
 
 
 def one_minus_lambda_matrix(module, n):
-    lam = module.operator_matrix(
-        lambda t: signed_cyclic(module, n, t), n, n)
-    ident = SparseMatrix.identity(module.space_dim(n), module.field.one())
-    return ident - lam
+    """1 - lambda_n = 1 - (-1)^n tau_n."""
+    one = module.field.one()
+    entries = {(i, i): one for i in range(module.space_dim(n))}
+    vec_add_into(entries, module.cyclic_matrix(n).entries,
+                 -1 if n % 2 == 0 else 1)
+    return SparseMatrix(module.space_dim(n), module.space_dim(n), entries)
+
+
+def _combine(cols, vec, c=1):
+    """c * sum_j vec[j] cols[j]: a matrix, given by its columns, times vec."""
+    out = {}
+    for j, x in vec.items():
+        vec_add_into(out, cols[j], x if c == 1 else c * x)
+    return out
 
 
 def require_involution(hopf, delta):
@@ -139,6 +191,19 @@ class ComplexReport:
             lines.append(f"stabilization: {stab}")
         return "\n".join(lines)
 
+    def negative_entries(self):
+        """Printed numbers that are negative, as 'COLUMN=value at degree n';
+        a dimension or rank never is, so any entry here is a defect."""
+        out = []
+        for row in self.rows:
+            for key, label in (("dim", "dim"), ("rank_b", "rank_b"),
+                               ("hh", "HH"), ("hc_lambda", "HC_lambda"),
+                               ("hc_bB", "HC_bB")):
+                v = row.get(key)
+                if v is not None and v < 0:
+                    out.append(f"{label}={v} at degree {row['degree']}")
+        return out
+
     def stabilization(self):
         """Compare HC^n with HC^(n+2) where both are reliable; observational
         only (the periodicity map itself is not implemented)."""
@@ -166,17 +231,16 @@ def hochschild_dimensions(module, N_max):
 
 def lambda_complex_dimensions(module, N_max):
     """HC^n from the lambda-invariant subcomplex with differential b."""
+    one = module.field.one()
     kernel_dims = []
     image_ranks = []
     for n in range(N_max + 1):
-        kernel = one_minus_lambda_matrix(module, n).kernel_basis()
+        kernel = one_minus_lambda_matrix(module, n).kernel_basis(one)
         kernel_dims.append(len(kernel))
-        cols = []
-        for vec in kernel:
-            t = {module.key_of_index(idx, n): c for idx, c in vec.items()}
-            img = hochschild_b(module, n + 1, t)
-            cols.append({module.key_index(k): v for k, v in img.items()})
-        mat = SparseMatrix.from_columns(cols, module.space_dim(n + 1))
+        b_cols = b_matrix(module, n + 1).column_dicts()
+        mat = SparseMatrix.from_columns(
+            [_combine(b_cols, vec) for vec in kernel], module.space_dim(n + 1))
+        del b_cols, kernel
         image_ranks.append(mat.rank())
     dims = []
     for n in range(N_max + 1):
@@ -283,16 +347,18 @@ def methods_agree(report):
 def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
     """b^2 = 0, B^2 = 0 and bB + Bb = 0 on all basis tensors, degrees <= N_max.
 
-    Works elementwise, so it runs on symbolic modules when ``samples`` (a map
-    degree -> list of tensors) is supplied.
+    On a finite module these are checked as matrix products (see
+    check_mixed_complex).  With ``samples`` (a map degree -> list of tensors)
+    they are checked elementwise on those tensors, which is how symbolic
+    modules are checked.
     """
-    def sample(n):
-        return samples[n] if samples is not None else module.samples(n)
-
+    if samples is None:
+        return check_mixed_complex(module, N_max + 2, N_max - 1, title=title,
+                                   meta={"max-degree": N_max})
     report = CheckReport(title, meta={"max-degree": N_max})
     for n in range(N_max + 1):
         ok, witness = True, None
-        for t in sample(n):
+        for t in samples[n]:
             bb = hochschild_b(module, n + 2, hochschild_b(module, n + 1, t))
             if bb:
                 ok, witness = False, ("b.b", sorted(t))
@@ -300,7 +366,7 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
         report.add(f"b2 n={n}", ok, witness)
     for n in range(N_max - 1):
         ok, witness = True, None
-        for t in sample(n + 2):
+        for t in samples[n + 2]:
             BB = B_operator(module, n, B_operator(module, n + 1, t))
             if BB:
                 ok, witness = False, ("B.B", sorted(t))
@@ -308,7 +374,7 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
         report.add(f"B2 n={n}", ok, witness)
     for n in range(N_max):
         ok, witness = True, None
-        for t in sample(n):
+        for t in samples[n]:
             anti = vec_add(
                 hochschild_b(module, n, B_operator(module, n - 1, t))
                 if n >= 1 else {},
@@ -317,4 +383,64 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
                 ok, witness = False, ("bB+Bb", sorted(t))
                 break
         report.add(f"bB+Bb n={n}", ok, witness)
+    return report
+
+
+def check_mixed_complex(module, b_top, B_top=None, title="mixed-complex",
+                        meta=None):
+    """The mixed-complex identities among b_1..b_(b_top) and, when B_top is
+    given, B_0..B_(B_top), as exact sparse matrix products.
+
+    Checks b_(n+2) b_(n+1) = 0, B_n B_(n+1) = 0 and b_n B_(n-1) + B_n b_(n+1)
+    = 0 for every n whose matrices are in range, under the names and with
+    the witnesses of the elementwise mixed_complex_report: the first basis
+    tuple of the source degree on which the product is not zero.  Matrices
+    are built when first needed and dropped once no later check uses them:
+    the b^2 pass holds two b's, the pass over B at most three B's and two
+    b's, so the largest B is never alive next to the largest b.
+    """
+    def first_failure(name, product, degree):
+        if not product.entries:
+            return None
+        col = min(c for _, c in product.entries)
+        return (name, [module.key_of_index(col, degree)])
+
+    report = CheckReport(title, meta=meta)
+    lower = None
+    for m in range(1, b_top + 1):
+        upper = b_matrix(module, m)
+        if lower is not None:
+            found = first_failure("b.b", upper @ lower, m - 2)
+            report.add(f"b2 n={m - 2}", found is None, found)
+        lower = upper
+    lower = upper = None  # release b_(b_top) before any B is built
+    if B_top is None:
+        return report
+
+    b_mats, B_mats = {}, {}
+
+    def b(m):
+        if m not in b_mats:
+            b_mats[m] = b_matrix(module, m)
+        return b_mats[m]
+
+    def B(m):
+        if m not in B_mats:
+            B_mats[m] = B_matrix(module, m)
+        return B_mats[m]
+
+    squares, anticommutators = [], []
+    for n in range(B_top + 1):
+        if n + 1 <= b_top:
+            anti = B(n) @ b(n + 1)
+            if n >= 1:
+                anti = anti + b(n) @ B(n - 1)
+            anticommutators.append((n, first_failure("bB+Bb", anti, n)))
+        b_mats.pop(n, None)
+        B_mats.pop(n - 1, None)
+        if n + 1 <= B_top:
+            squares.append((n, first_failure("B.B", B(n) @ B(n + 1), n + 2)))
+    for name, results in (("B2", squares), ("bB+Bb", anticommutators)):
+        for n, found in results:
+            report.add(f"{name} n={n}", found is None, found)
     return report

@@ -4,6 +4,17 @@ cochain spaces, and the relation suites tying them together.
 Tensor elements are sparse maps from tuples of basis keys to scalars;
 degree 0 is the ground field with the single basis key ().
 
+The elementwise operators (face, degeneracy, cyclic) are the specification:
+they act on any tensor, so they serve the symbolic U(g) modules, the
+relation suites and the checkers, and ``operator_matrix`` turns any of them
+into a matrix one basis tensor at a time, which makes them the test oracle.
+For a finite H, ``face_matrix``, ``degeneracy_matrix`` and ``cyclic_matrix``
+are assembled straight from the structure constants instead: index
+arithmetic for the unit, coproduct and counit slots, and for tau_n the
+iterated coproduct of S~(e_k) computed once per first factor k and
+multiplied slotwise against the remaining factors.  The cohomology
+matrices are built from these.
+
 Degree-0 conventions: both faces out of degree 0 are the unit map, the
 degeneracy into degree 0 is the counit, and the cyclic operator in degree 0
 is the identity.  These are exactly what the (b, B)-machinery needs.
@@ -13,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import vec_add, vec_scale, vec_eq
+from .hopf import vec_add, vec_add_into, vec_scale, vec_eq
 from .linalg import SparseMatrix
 from .reports import CheckReport
 
@@ -144,14 +155,90 @@ class HopfCyclicModule:
             cols.append({self.key_index(k): v for k, v in image.items()})
         return SparseMatrix.from_columns(cols, self.space_dim(tgt_degree))
 
+    # -- matrices assembled from the structure constants (finite H only);
+    # columns are generated one at a time, basis tuples in lexicographic
+    # order, and a tuple's index has its first factor most significant
+
     def face_matrix(self, i, n):
-        return self.operator_matrix(lambda t: self.face(i, n, t), n - 1, n)
+        """Matrix of face i from degree n-1 to degree n: the unit inserted
+        in front (i = 0) or at the end (i = n), or the coproduct of factor
+        i-1 spliced in, as index offsets of the new slots."""
+        if not 1 <= n or not 0 <= i <= n:
+            raise IndexError(f"face index {i} out of range at degree {n}")
+        H = self.hopf
+        d = H.dim
+        unit = list(H.unit_element().items())
+        size = d ** (n - 1)
+        if i == 0:
+            cols = ({u * size + j: c for u, c in unit} for j in range(size))
+        elif i == n:
+            cols = ({j * d + u: c for u, c in unit} for j in range(size))
+        else:
+            low = d ** (n - 1 - i)
+            split = [[((a * d + b) * low, c)
+                      for (a, b), c in H.comul_basis(k).items()]
+                     for k in range(d)]
+
+            def col_of(j):
+                head, tail = divmod(j, low)
+                prefix, k = divmod(head, d)
+                base = prefix * d * d * low + tail
+                return {base + off: c for off, c in split[k]}
+
+            cols = map(col_of, range(size))
+        return SparseMatrix.from_columns(cols, d ** n)
 
     def degeneracy_matrix(self, i, n):
-        return self.operator_matrix(lambda t: self.degeneracy(i, n, t), n + 1, n)
+        """Matrix of degeneracy i from degree n+1 to degree n: the counit
+        applied to factor i of each basis tuple."""
+        if not 0 <= i <= n:
+            raise IndexError(f"degeneracy index {i} out of range at degree {n}")
+        H = self.hopf
+        d = H.dim
+        low = d ** (n - i)
+        counit = [H.counit_basis(k) for k in range(d)]
+
+        def col_of(j):
+            head, tail = divmod(j, low)
+            prefix, k = divmod(head, d)
+            return {prefix * low + tail: counit[k]}
+
+        return SparseMatrix.from_columns(map(col_of, range(d ** (n + 1))),
+                                         d ** n)
 
     def cyclic_matrix(self, n):
-        return self.operator_matrix(lambda t: self.cyclic(n, t), n, n)
+        """Matrix of tau_n.  Delta^(n-1) S~(e_k) is computed once per first
+        factor k; the column of (k, k_2, ..., k_n) multiplies its legs
+        slotwise by e_k2, ..., e_kn and 1, one structure constant at a time."""
+        H = self.hopf
+        d = H.dim
+        one = H.field.one()
+        if n == 0:
+            return SparseMatrix.identity(1, one)
+        times = [[list(H.mul_basis(a, b).items()) for b in range(d)]
+                 for a in range(d)]
+        unit = H.unit_element()
+        times_unit = [list(H.mul({a: one}, unit).items()) for a in range(d)]
+
+        def columns():
+            for k in range(d):
+                legs = iterated_comul(
+                    H, H.twisted_antipode(self.delta, {k: one}), n).items()
+                for rest in itertools.product(range(d), repeat=n - 1):
+                    col = {}
+                    for leg, c in legs:
+                        partial = [(0, c)]
+                        for a, b in zip(leg, rest):
+                            partial = [(idx * d + m, pc * mc)
+                                       for idx, pc in partial
+                                       for m, mc in times[a][b]]
+                        last = times_unit[leg[-1]]
+                        for idx, pc in partial:
+                            vec_add_into(
+                                col, {idx * d + m: mc for m, mc in last}, pc)
+                    yield col
+
+        return SparseMatrix.from_columns(columns(), d ** n)
 
 
 def iterated_comul(H, elem, n):
@@ -160,8 +247,9 @@ def iterated_comul(H, elem, n):
     for _ in range(n - 1):
         out = {}
         for key, c in t.items():
-            for (a, b), d in H.comul_basis(key[-1]).items():
-                out = vec_add(out, {key[:-1] + (a, b): c * d})
+            head = key[:-1]
+            vec_add_into(out, {head + pair: d for pair, d
+                               in H.comul_basis(key[-1]).items()}, c)
         t = out
     return t
 
@@ -178,7 +266,7 @@ def slotwise_product(H, tensor, factors):
             if not partial:
                 break
         for pk, pc in partial:
-            out = vec_add(out, {pk: pc})
+            vec_add_into(out, {pk: pc})
     return out
 
 

@@ -33,6 +33,24 @@ def vec_add(a, b):
     return out
 
 
+def vec_add_into(out, vec, c=1):
+    """out += c * vec in place, dropping entries that cancel; returns out."""
+    if not c:
+        return out
+    items = vec.items() if c == 1 else ((k, c * v) for k, v in vec.items())
+    for k, v in items:
+        w = out.get(k)
+        if w is None:
+            out[k] = v
+        else:
+            w = w + v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+    return out
+
+
 def vec_scale(c, a):
     if not c:
         return {}

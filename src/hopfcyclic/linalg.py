@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import scalar_inv
+from .hopf import vec_add_into
 
 
 class SparseMatrix:
@@ -37,13 +38,20 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, cols, nrows):
-        """Build from a list of sparse column dicts (row -> scalar)."""
+        """Build from sparse column dicts (row -> scalar), taken one at a time
+        from a list or any other iterable, such as a generator."""
         entries = {}
+        ncols = 0
         for c, col in enumerate(cols):
+            ncols = c + 1
             for r, v in col.items():
+                if not 0 <= r < nrows:
+                    raise ValueError(f"entry ({r},{c}) out of bounds")
                 if v:
                     entries[(r, c)] = v
-        return cls(nrows, len(cols), entries)
+        matrix = cls(nrows, ncols)
+        matrix.entries = entries
+        return matrix
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
@@ -61,6 +69,12 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
+
+    def column_dicts(self):
+        cols = [dict() for _ in range(self.ncols)]
+        for (r, c), v in self.entries.items():
+            cols[c][r] = v
+        return cols
 
     def __add__(self, other):
         self._check_shape(other)
@@ -89,55 +103,36 @@ class SparseMatrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        cols_of_other = [dict() for _ in range(other.ncols)]
-        for (r, c), v in other.entries.items():
-            cols_of_other[c][r] = v
+        by_mid = self.column_dicts()
         entries = {}
-        by_mid = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            by_mid[c][r] = v
-        for c in range(other.ncols):
+        for c, col in enumerate(other.column_dicts()):
             acc = {}
-            for mid, v in cols_of_other[c].items():
-                for r, w in by_mid[mid].items():
-                    s = acc.get(r, 0) + w * v
-                    if s:
-                        acc[r] = s
-                    else:
-                        acc.pop(r, None)
+            for mid, v in col.items():
+                vec_add_into(acc, by_mid[mid], v)
             for r, s in acc.items():
                 entries[(r, c)] = s
         return SparseMatrix(self.nrows, other.ncols, entries)
 
     def apply(self, vec):
         """Apply to a sparse vector (dict col -> scalar); returns dict row -> scalar."""
+        cols = self.column_dicts()
         out = {}
-        by_col = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
         for c, x in vec.items():
-            if not x:
-                continue
-            for r, v in by_col.get(c, ()):
-                s = out.get(r, 0) + v * x
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+            vec_add_into(out, cols[c], x)
         return out
 
     def rank(self):
         return len(_echelon(self.row_dicts()))
 
-    def kernel_basis(self):
+    def kernel_basis(self, one):
         """Exact basis of the right kernel, as sparse column dicts.
 
         One basis vector per free column of the reduced row echelon form.
+        ``one`` is the field's 1, the value each vector takes at its free
+        column; the matrix carries no field, and may have no entry to take
+        the scalar type from.
         """
         pivots = _echelon(self.row_dicts(), reduced=True)
-        # the field's 1, so kernel vectors have the matrix's scalar type
-        sample = next(iter(self.entries.values()), None)
-        one = Fraction(1) if sample is None else sample / sample
         basis = {free: {free: one} for free in range(self.ncols)
                  if free not in pivots}
         for col in sorted(pivots):

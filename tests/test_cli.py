@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hopfcyclic import cohomology
 from hopfcyclic.cli import main
 
 
@@ -173,3 +174,39 @@ def test_non_multiplicative_counit_exit_2(capsys, tmp_path, data_dir):
     assert code == 2
     assert out.out == ""
     assert out.err.startswith("error: character not multiplicative")
+
+
+def test_cohomology_refuses_broken_mixed_complex(capsys, monkeypatch):
+    # one entry of B_1 with its sign flipped breaks B^2 = 0 and bB + Bb = 0
+    assembled = cohomology.B_matrix
+
+    def flipped(module, n):
+        matrix = assembled(module, n)
+        if n == 1:
+            key = min(matrix.entries)
+            matrix.entries[key] = -matrix.entries[key]
+        return matrix
+
+    monkeypatch.setattr(cohomology, "B_matrix", flipped)
+    code, out = run(capsys, "cohomology", "--input", "sweedler",
+                    "--character", "delta", "--max-degree", "3")
+    assert code == 1
+    assert out.startswith("report: mixed-complex\n")
+    assert "check B2 n=1 status=FAIL witness=('B.B', [(0, 0, 1)])" in out
+    assert "check bB+Bb n=1 status=FAIL witness=('bB+Bb', [(1,)])" in out
+    assert not any(line.startswith("degree ") for line in out.splitlines())
+    # the lambda method builds no B, so only b^2 = 0 is checked
+    code, out = run(capsys, "cohomology", "--input", "sweedler",
+                    "--character", "delta", "--max-degree", "3",
+                    "--method", "lambda")
+    assert code == 0
+    assert "degree 3:" in out
+
+
+def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
+    monkeypatch.setattr(cohomology, "lambda_complex_dimensions",
+                        lambda module, N_max: [1, -1] + [0] * (N_max - 1))
+    code, out = run(capsys, "cohomology", "--input", "qz2",
+                    "--max-degree", "3", "--method", "lambda")
+    assert code == 1
+    assert out == "error: negative dimension HC_lambda=-1 at degree 1\n"

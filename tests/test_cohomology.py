@@ -93,7 +93,8 @@ def test_b_image_is_cyclic_invariant():
     _, _, module = module_of(sweedler_h4, "delta")
     for n in range(3):
         proj = one_minus_lambda_matrix(module, n + 1)
-        for vec in one_minus_lambda_matrix(module, n).kernel_basis():
+        for vec in one_minus_lambda_matrix(module, n).kernel_basis(
+                module.field.one()):
             t = {module.key_of_index(i, n): c for i, c in vec.items()}
             img = hochschild_b(module, n + 1, t)
             coords = {module.key_index(k): v for k, v in img.items()}
