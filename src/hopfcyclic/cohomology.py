@@ -192,12 +192,11 @@ class ComplexReport:
         return "\n".join(lines)
 
     def negative_entries(self):
-        """Printed numbers that are negative, as 'COLUMN=value at degree n';
-        a dimension or rank never is, so any entry here is a defect."""
+        """Computed dimensions that are negative, as 'COLUMN=value at degree
+        n'; a dimension never is, so any entry here is a defect."""
         out = []
         for row in self.rows:
-            for key, label in (("dim", "dim"), ("rank_b", "rank_b"),
-                               ("hh", "HH"), ("hc_lambda", "HC_lambda"),
+            for key, label in (("hh", "HH"), ("hc_lambda", "HC_lambda"),
                                ("hc_bB", "HC_bB")):
                 v = row.get(key)
                 if v is not None and v < 0:

@@ -23,14 +23,7 @@ class CharacterError(Exception):
 # sparse linear-combination helpers (shared by elements and tensors)
 
 def vec_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return vec_add_into(dict(a), b)
 
 
 def vec_add_into(out, vec, c=1):
@@ -40,14 +33,11 @@ def vec_add_into(out, vec, c=1):
     items = vec.items() if c == 1 else ((k, c * v) for k, v in vec.items())
     for k, v in items:
         w = out.get(k)
-        if w is None:
-            out[k] = v
+        s = v if w is None else w + v
+        if s:
+            out[k] = s
         else:
-            w = w + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
+            out.pop(k, None)
     return out
 
 

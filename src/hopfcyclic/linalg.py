@@ -77,28 +77,10 @@ class SparseMatrix:
         return cols
 
     def __add__(self, other):
-        self._check_shape(other)
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            w = entries.get(k, 0) + v
-            if w:
-                entries[k] = w
-            else:
-                entries.pop(k, None)
-        return SparseMatrix(self.nrows, self.ncols, entries)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if not c:
-            return SparseMatrix(self.nrows, self.ncols)
-        return SparseMatrix(self.nrows, self.ncols,
-                            {k: c * v for k, v in self.entries.items()})
-
-    def _check_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
+        return SparseMatrix(self.nrows, self.ncols,
+                            vec_add_into(dict(self.entries), other.entries))
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
