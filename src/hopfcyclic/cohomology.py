@@ -238,7 +238,7 @@ def lambda_complex_dimensions(module, N_max):
         kernel_dims.append(len(kernel))
         b_cols = b_matrix(module, n + 1).column_dicts()
         mat = SparseMatrix.from_columns(
-            [_combine(b_cols, vec) for vec in kernel], module.space_dim(n + 1))
+            (_combine(b_cols, vec) for vec in kernel), module.space_dim(n + 1))
         del b_cols, kernel
         image_ranks.append(mat.rank())
     dims = []
