@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hopfcyclic import actions as act
-from hopfcyclic.algebras import algebra_of_hopf, matrix_algebra
+from hopfcyclic.algebras import (FiniteAlgebra, algebra_of_hopf,
+                                 matrix_algebra)
+from hopfcyclic.fields import RationalField
 from hopfcyclic.hopf import cyclic_group_algebra, trivial_hopf
 
 ONE = Fraction(1)
@@ -51,6 +53,22 @@ def test_corrupted_action_fails_with_witness():
     report = act.check_action(H, A, bad)
     assert not report.ok
     assert all(w is not None for _, w in report.failures())
+
+
+def test_algebra_validation_names_first_failure():
+    Q = RationalField()
+    # e_0 is the unit on the left only: e_1 e_0 = 0
+    with pytest.raises(ValueError, match=r"^A: unit law fails at basis 1$"):
+        FiniteAlgebra("A", Q, ["e", "g"], {0: ONE},
+                      {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 1): {0: ONE}})
+    # e_0 is the unit, a b = a, b a = b and a a = b b = 0, so
+    # (a b) a = 0 but a (b a) = a
+    product = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE},
+               (0, 2): {2: ONE}, (2, 0): {2: ONE}, (1, 2): {1: ONE},
+               (2, 1): {2: ONE}}
+    with pytest.raises(ValueError,
+                       match=r"^D: associativity fails at \(1,2,1\)$"):
+        FiniteAlgebra("D", Q, ["e", "a", "b"], {0: ONE}, product)
 
 
 def test_summation_trace_invariant():

@@ -78,7 +78,9 @@ def test_counit_after_twist_is_character():
 
 def test_character_validation():
     H = sweedler_h4()
-    with pytest.raises(CharacterError):
+    with pytest.raises(CharacterError,
+                       match=r"^character not multiplicative at basis pair "
+                             r"\(1,1\)$"):
         # delta(g) = 2 is not multiplicative: delta(g)^2 must equal delta(1)=1
         Character(H, [Fraction(1), Fraction(2), Fraction(0), Fraction(0)])
     with pytest.raises(CharacterError):

@@ -62,7 +62,8 @@ def test_antipode_convolution_identity():
 
 def test_jacobi_rejected():
     # [X,Y]=X, [Y,Z]=Y, [X,Z]=0: the Jacobi cyclic sum equals -X, not 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^Jacobi identity fails at \(0,1,2\)$"):
         LieAlgebra(3, {(0, 1): {0: ONE}, (1, 2): {1: ONE}})
 
 
