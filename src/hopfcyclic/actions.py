@@ -13,10 +13,11 @@ with every face, degeneracy and cyclic operator of the two cyclic modules.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .hopf import vec_add, vec_scale, vec_eq
-from .reports import CheckReport
+from .hopf import vec_add_into, vec_eq, vec_scale, vec_sub
+from .reports import CheckReport, first_failure
 
 
 class ActionError(Exception):
@@ -51,7 +52,7 @@ class HopfAction:
         out = {}
         for i, ch in h.items():
             for j, ca in a.items():
-                out = vec_add(out, vec_scale(ch * ca, self.act_basis(i, j)))
+                vec_add_into(out, self.act_basis(i, j), ch * ca)
         return out
 
     @classmethod
@@ -83,11 +84,13 @@ class Trace:
     def is_trace(self):
         """tau(ab) = tau(ba) on all basis pairs; returns (ok, witness)."""
         A = self.algebra
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if self.of(A.mul_basis(i, j)) != self.of(A.mul_basis(j, i)):
-                    return False, (i, j)
-        return True, None
+
+        def commutes(ij):
+            i, j = ij
+            return self.of(A.mul_basis(i, j)) == self.of(A.mul_basis(j, i))
+
+        return first_failure(itertools.product(range(A.dim), repeat=2),
+                             commutes)
 
     def as_cochain(self):
         return {(i,): v for i, v in enumerate(self.values) if v}
@@ -97,60 +100,40 @@ def check_action(hopf, algebra, action):
     """Unit action, module axiom and multiplicativity of the action."""
     report = CheckReport("hopf-action",
                          meta={"hopf": hopf.name, "algebra": algebra.name})
-    unit_ok, witness = True, None
-    one_h = hopf.unit_element()
-    for a in range(algebra.dim):
-        basis_a = {a: algebra.field.one()}
-        if not vec_eq(action.act(one_h, basis_a), basis_a):
-            unit_ok, witness = False, a
-            break
-    report.add("unit-acts-as-identity", unit_ok, witness)
+    one = hopf.field.one()
+    one_a = algebra.field.one()
+    unit_h = hopf.unit_element()
+    unit_a = algebra.unit_element()
 
-    mod_ok, witness = True, None
-    for i in range(hopf.dim):
-        for j in range(hopf.dim):
-            prod = hopf.mul_basis(i, j)
-            for a in range(algebra.dim):
-                lhs = action.act({i: hopf.field.one()}, action.act_basis(j, a))
-                rhs = action.act(prod, {a: algebra.field.one()})
-                if not vec_eq(lhs, rhs):
-                    mod_ok, witness = False, (i, j, a)
-                    break
-            if not mod_ok:
-                break
-        if not mod_ok:
-            break
-    report.add("module-axiom", mod_ok, witness)
+    def unit_acts(a):
+        basis_a = {a: one_a}
+        return vec_eq(action.act(unit_h, basis_a), basis_a)
 
-    mult_ok, witness = True, None
-    for i in range(hopf.dim):
-        comul = hopf.comul_basis(i)
-        for a in range(algebra.dim):
-            for b in range(algebra.dim):
-                lhs = action.act({i: hopf.field.one()}, algebra.mul_basis(a, b))
-                rhs = {}
-                for (j, k), c in comul.items():
-                    piece = algebra.mul(action.act_basis(j, a),
-                                        action.act_basis(k, b))
-                    rhs = vec_add(rhs, vec_scale(c, piece))
-                if not vec_eq(lhs, rhs):
-                    mult_ok, witness = False, (i, a, b)
-                    break
-            if not mult_ok:
-                break
-        if not mult_ok:
-            break
-    report.add("action-multiplicative", mult_ok, witness)
+    def module_axiom(case):
+        i, j, a = case
+        return vec_eq(action.act({i: one}, action.act_basis(j, a)),
+                      action.act(hopf.mul_basis(i, j), {a: one_a}))
 
-    unit_a_ok, witness = True, None
-    one_a = algebra.unit_element()
-    for i in range(hopf.dim):
-        lhs = action.act({i: hopf.field.one()}, one_a)
-        rhs = vec_scale(hopf.counit_basis(i), one_a)
-        if not vec_eq(lhs, rhs):
-            unit_a_ok, witness = False, i
-            break
-    report.add("acts-on-unit-by-counit", unit_a_ok, witness)
+    def multiplicative(case):
+        i, a, b = case
+        rhs = {}
+        for (j, k), c in hopf.comul_basis(i).items():
+            vec_add_into(rhs, algebra.mul(action.act_basis(j, a),
+                                          action.act_basis(k, b)), c)
+        return vec_eq(action.act({i: one}, algebra.mul_basis(a, b)), rhs)
+
+    def unit_by_counit(i):
+        return vec_eq(action.act({i: one}, unit_a),
+                      vec_scale(hopf.counit_basis(i), unit_a))
+
+    h_basis, a_basis = range(hopf.dim), range(algebra.dim)
+    report.add("unit-acts-as-identity", *first_failure(a_basis, unit_acts))
+    report.add("module-axiom", *first_failure(
+        itertools.product(h_basis, h_basis, a_basis), module_axiom))
+    report.add("action-multiplicative", *first_failure(
+        itertools.product(h_basis, a_basis, a_basis), multiplicative))
+    report.add("acts-on-unit-by-counit",
+               *first_failure(h_basis, unit_by_counit))
     return report
 
 
@@ -159,27 +142,23 @@ def check_delta_invariance(hopf, delta, algebra, action, trace):
     report = CheckReport("trace-invariance",
                          meta={"hopf": hopf.name, "algebra": algebra.name,
                                "character": delta.name, "trace": trace.name})
-    ok, witness = trace.is_trace()
-    report.add("trace-property", ok, witness)
-    inv_ok, witness = True, None
+    report.add("trace-property", *trace.is_trace())
     one = hopf.field.one()
-    for i in range(hopf.dim):
-        twisted = hopf.twisted_antipode(delta, {i: one})
-        for a in range(algebra.dim):
-            ha = action.act_basis(i, a)
-            for b in range(algebra.dim):
-                basis_b = {b: one}
-                lhs = trace.of(algebra.mul(ha, basis_b))
-                rhs = trace.of(algebra.mul({a: one},
-                                           action.act(twisted, basis_b)))
-                if lhs != rhs:
-                    inv_ok, witness = False, (i, a, b)
-                    break
-            if not inv_ok:
-                break
-        if not inv_ok:
-            break
-    report.add("integration-by-parts", inv_ok, witness)
+    # S~(e_i) and e_i(e_a) are computed once each, not once per case
+    twisted = [hopf.twisted_antipode(delta, {i: one})
+               for i in range(hopf.dim)]
+    acted = {(i, a): action.act_basis(i, a)
+             for i in range(hopf.dim) for a in range(algebra.dim)}
+
+    def invariant(case):
+        i, a, b = case
+        basis_b = {b: one}
+        return trace.of(algebra.mul(acted[i, a], basis_b)) == trace.of(
+            algebra.mul({a: one}, action.act(twisted[i], basis_b)))
+
+    report.add("integration-by-parts", *first_failure(
+        itertools.product(range(hopf.dim), range(algebra.dim),
+                          range(algebra.dim)), invariant))
     return report
 
 
@@ -188,7 +167,6 @@ def characteristic_map(hopf, algebra, action, trace, t, n):
     over (n+1)-tuples of A-basis indices.  Degree 0 recovers the trace."""
     one = algebra.field.one()
     out = {}
-    import itertools
     for xs in itertools.product(range(algebra.dim), repeat=n + 1):
         total = algebra.field.zero()
         for key, c in t.items():
@@ -217,13 +195,10 @@ def check_gamma_morphism(hopf, delta, algebra, action, trace, N_max):
         return characteristic_map(hopf, algebra, action, trace, t, n)
 
     def compare(name, op_h, op_a, src_deg, tgt_deg):
-        for t in hside.samples(src_deg):
-            lhs = gamma(op_h(t), tgt_deg)
-            rhs = op_a(gamma(t, src_deg))
-            if not vec_eq(lhs, rhs):
-                report.add(name, False, sorted(t))
-                return
-        report.add(name, True, None)
+        report.add(name, *first_failure(
+            hside.samples(src_deg),
+            lambda t: vec_eq(gamma(op_h(t), tgt_deg), op_a(gamma(t, src_deg))),
+            sorted))
 
     for n in range(1, N_max + 1):
         for i in range(n + 1):
@@ -251,7 +226,6 @@ def check_gamma_morphism(hopf, delta, algebra, action, trace, N_max):
 
 def cochain_from_function(algebra, n, fn):
     """Coefficient dict of the (n+1)-linear form fn on basis tuples."""
-    import itertools
     out = {}
     for key in itertools.product(range(algebra.dim), repeat=n + 1):
         v = fn(*key)
@@ -272,9 +246,8 @@ def check_cyclic_cocycle(algebra, phi, n=None):
                          meta={"algebra": algebra.name, "degree": n})
     lam = signed_cyclic(cmod, n, phi)
     cyc_ok = vec_eq(lam, phi)
-    diff = vec_add(lam, vec_scale(-1, phi))
     report.add("cyclicity", cyc_ok,
-               None if cyc_ok else sorted(diff)[0])
+               None if cyc_ok else sorted(vec_sub(lam, phi))[0])
     bphi = hochschild_b(cmod, n + 1, phi)
     b_ok = not bphi
     report.add("hochschild-cocycle", b_ok,
@@ -294,7 +267,7 @@ def mat_over_mul(algebra, X, Y, q):
                 continue
             prod = algebra.mul(x, y)
             if prod:
-                out[(r, c)] = vec_add(out.get((r, c), {}), prod)
+                vec_add_into(out.setdefault((r, c), {}), prod)
     return {k: v for k, v in out.items() if v}
 
 
@@ -349,6 +322,9 @@ def pair_idempotent(algebra, phi, E, q):
 def random_conjugate(algebra, E, q, rng, steps=3):
     """Conjugate E by a product of elementary matrices I + a e_rs (r != s),
     whose inverses are I - a e_rs, so invertibility is exact by design."""
+    if q < 2:
+        raise ValueError(f"random_conjugate needs q >= 2, got {q}: M_{q}(A) "
+                         f"has no off-diagonal elementary matrix")
     out = E
     for _ in range(steps):
         r = rng.randrange(q)
@@ -357,10 +333,11 @@ def random_conjugate(algebra, E, q, rng, steps=3):
             s = rng.randrange(q)
         a = {rng.randrange(algebra.dim):
              algebra.field.parse(str(Fraction(rng.randrange(-3, 4) or 1)))}
+        # r != s, so (r, s) is not a diagonal entry of the identity
         u = mat_over_identity(algebra, q)
-        u[(r, s)] = vec_add(u.get((r, s), {}), a)
+        u[(r, s)] = a
         uinv = mat_over_identity(algebra, q)
-        uinv[(r, s)] = vec_add(uinv.get((r, s), {}), vec_scale(-1, a))
+        uinv[(r, s)] = vec_scale(-1, a)
         out = mat_over_mul(algebra, mat_over_mul(algebra, u, out, q), uinv, q)
     return out
 

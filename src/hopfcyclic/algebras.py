@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 from .fields import RationalField
-from .hopf import vec_add, vec_scale, vec_eq
+from .hopf import vec_add_into, vec_eq
+from .reports import first_failure
 
 
 class FiniteAlgebra:
@@ -39,27 +42,30 @@ class FiniteAlgebra:
         out = {}
         for i, ca in a.items():
             for j, cb in b.items():
-                out = vec_add(out, vec_scale(ca * cb, self.mul_basis(i, j)))
+                vec_add_into(out, self.mul_basis(i, j), ca * cb)
         return out
 
     def _validate(self):
         one = self.unit_element()
-        for i in range(self.dim):
-            e = self.basis_element(i)
-            if not (vec_eq(self.mul(one, e), e) and vec_eq(self.mul(e, one), e)):
-                raise ValueError(f"{self.name}: unit law fails at basis {i}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mul(self.mul(self.basis_element(i),
-                                            self.basis_element(j)),
-                                   self.basis_element(k))
-                    rhs = self.mul(self.basis_element(i),
-                                   self.mul(self.basis_element(j),
-                                            self.basis_element(k)))
-                    if not vec_eq(lhs, rhs):
-                        raise ValueError(
-                            f"{self.name}: associativity fails at ({i},{j},{k})")
+        basis = self.basis_element
+
+        def unital(i):
+            e = basis(i)
+            return vec_eq(self.mul(one, e), e) and vec_eq(self.mul(e, one), e)
+
+        def associative(ijk):
+            i, j, k = map(basis, ijk)
+            return vec_eq(self.mul(self.mul(i, j), k),
+                          self.mul(i, self.mul(j, k)))
+
+        ok, i = first_failure(range(self.dim), unital)
+        if not ok:
+            raise ValueError(f"{self.name}: unit law fails at basis {i}")
+        ok, ijk = first_failure(
+            itertools.product(range(self.dim), repeat=3), associative)
+        if not ok:
+            raise ValueError(
+                "{}: associativity fails at ({},{},{})".format(self.name, *ijk))
 
     def reverse_product_table(self):
         """k -> list of (i, j, c) with e_i e_j containing c * e_k."""

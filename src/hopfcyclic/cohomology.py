@@ -28,9 +28,9 @@ flagged boundary-unreliable and excluded from cross-method assertions.
 
 from __future__ import annotations
 
-from .hopf import check_involution, vec_add, vec_add_into, vec_scale
+from .hopf import check_involution, vec_add_into, vec_scale, vec_sub
 from .linalg import SparseMatrix
-from .reports import CheckReport
+from .reports import CheckReport, first_failure
 
 
 class NotCyclicError(Exception):
@@ -45,10 +45,8 @@ class NotCyclicError(Exception):
 def hochschild_b(module, n, t):
     """b = sum_i (-1)^i face_i, from degree n-1 to degree n."""
     out = {}
-    sign = 1
     for i in range(n + 1):
-        out = vec_add(out, vec_scale(sign, module.face(i, n, t)))
-        sign = -sign
+        vec_add_into(out, module.face(i, n, t), 1 if i % 2 == 0 else -1)
     return out
 
 
@@ -64,7 +62,7 @@ def norm_operator(module, n, t):
     acc = t
     for _ in range(n):
         acc = signed_cyclic(module, n, acc)
-        out = vec_add(out, acc)
+        vec_add_into(out, acc)
     return out
 
 
@@ -75,7 +73,7 @@ def extra_degeneracy(module, n, t):
 
 def B_operator(module, n, t):
     """B = N s (1 - lambda), from degree n+1 to degree n."""
-    t1 = vec_add(t, vec_scale(-1, signed_cyclic(module, n + 1, t)))
+    t1 = vec_sub(t, signed_cyclic(module, n + 1, t))
     return norm_operator(module, n, extra_degeneracy(module, n, t1))
 
 
@@ -355,33 +353,29 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
         return check_mixed_complex(module, N_max + 2, N_max - 1, title=title,
                                    meta={"max-degree": N_max})
     report = CheckReport(title, meta={"max-degree": N_max})
+
+    def b(n, t):
+        return hochschild_b(module, n, t)
+
+    def B(n, t):
+        return B_operator(module, n, t)
+
+    def anticommutes(n, t):
+        anti = b(n, B(n - 1, t)) if n >= 1 else {}
+        return not vec_add_into(anti, B(n, b(n + 1, t)))
+
     for n in range(N_max + 1):
-        ok, witness = True, None
-        for t in samples[n]:
-            bb = hochschild_b(module, n + 2, hochschild_b(module, n + 1, t))
-            if bb:
-                ok, witness = False, ("b.b", sorted(t))
-                break
-        report.add(f"b2 n={n}", ok, witness)
+        report.add(f"b2 n={n}", *first_failure(
+            samples[n], lambda t: not b(n + 2, b(n + 1, t)),
+            lambda t: ("b.b", sorted(t))))
     for n in range(N_max - 1):
-        ok, witness = True, None
-        for t in samples[n + 2]:
-            BB = B_operator(module, n, B_operator(module, n + 1, t))
-            if BB:
-                ok, witness = False, ("B.B", sorted(t))
-                break
-        report.add(f"B2 n={n}", ok, witness)
+        report.add(f"B2 n={n}", *first_failure(
+            samples[n + 2], lambda t: not B(n, B(n + 1, t)),
+            lambda t: ("B.B", sorted(t))))
     for n in range(N_max):
-        ok, witness = True, None
-        for t in samples[n]:
-            anti = vec_add(
-                hochschild_b(module, n, B_operator(module, n - 1, t))
-                if n >= 1 else {},
-                B_operator(module, n, hochschild_b(module, n + 1, t)))
-            if anti:
-                ok, witness = False, ("bB+Bb", sorted(t))
-                break
-        report.add(f"bB+Bb n={n}", ok, witness)
+        report.add(f"bB+Bb n={n}", *first_failure(
+            samples[n], lambda t: anticommutes(n, t),
+            lambda t: ("bB+Bb", sorted(t))))
     return report
 
 
@@ -398,7 +392,7 @@ def check_mixed_complex(module, b_top, B_top=None, title="mixed-complex",
     the b^2 pass holds two b's, the pass over B at most three B's and two
     b's, so the largest B is never alive next to the largest b.
     """
-    def first_failure(name, product, degree):
+    def nonzero_column(name, product, degree):
         if not product.entries:
             return None
         col = min(c for _, c in product.entries)
@@ -409,7 +403,7 @@ def check_mixed_complex(module, b_top, B_top=None, title="mixed-complex",
     for m in range(1, b_top + 1):
         upper = b_matrix(module, m)
         if lower is not None:
-            found = first_failure("b.b", upper @ lower, m - 2)
+            found = nonzero_column("b.b", upper @ lower, m - 2)
             report.add(f"b2 n={m - 2}", found is None, found)
         lower = upper
     lower = upper = None  # release b_(b_top) before any B is built
@@ -434,11 +428,11 @@ def check_mixed_complex(module, b_top, B_top=None, title="mixed-complex",
             anti = B(n) @ b(n + 1)
             if n >= 1:
                 anti = anti + b(n) @ B(n - 1)
-            anticommutators.append((n, first_failure("bB+Bb", anti, n)))
+            anticommutators.append((n, nonzero_column("bB+Bb", anti, n)))
         b_mats.pop(n, None)
         B_mats.pop(n - 1, None)
         if n + 1 <= B_top:
-            squares.append((n, first_failure("B.B", B(n) @ B(n + 1), n + 2)))
+            squares.append((n, nonzero_column("B.B", B(n) @ B(n + 1), n + 2)))
     for name, results in (("B2", squares), ("bB+Bb", anticommutators)):
         for n, found in results:
             report.add(f"{name} n={n}", found is None, found)

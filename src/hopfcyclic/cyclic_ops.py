@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import vec_add, vec_add_into, vec_scale, vec_eq
+from .hopf import vec_add_into, vec_eq
 from .linalg import SparseMatrix
-from .reports import CheckReport
+from .reports import CheckReport, first_failure
 
 
 class HopfCyclicModule:
@@ -54,19 +54,15 @@ class HopfCyclicModule:
         for key, c in t.items():
             if n == 1:
                 # both faces out of degree 0 send 1 to 1_H
-                for u, cu in unit.items():
-                    out = vec_add(out, {(u,): c * cu})
-                continue
-            if i == 0:
-                for u, cu in unit.items():
-                    out = vec_add(out, {(u,) + key: c * cu})
+                image = {(u,): cu for u, cu in unit.items()}
+            elif i == 0:
+                image = {(u,) + key: cu for u, cu in unit.items()}
             elif i == n:
-                for u, cu in unit.items():
-                    out = vec_add(out, {key + (u,): c * cu})
+                image = {key + (u,): cu for u, cu in unit.items()}
             else:
-                for (a, b), d in H.comul_basis(key[i - 1]).items():
-                    out = vec_add(
-                        out, {key[:i - 1] + (a, b) + key[i:]: c * d})
+                image = {key[:i - 1] + pair + key[i:]: d
+                         for pair, d in H.comul_basis(key[i - 1]).items()}
+            vec_add_into(out, image, c)
         return out
 
     def degeneracy(self, i, n, t):
@@ -78,7 +74,7 @@ class HopfCyclicModule:
         for key, c in t.items():
             d = c * H.counit_basis(key[i])
             if d:
-                out = vec_add(out, {key[:i] + key[i + 1:]: d})
+                vec_add_into(out, {key[:i] + key[i + 1:]: d})
         return out
 
     def cyclic(self, n, t):
@@ -93,7 +89,7 @@ class HopfCyclicModule:
             st = H.twisted_antipode(self.delta, {key[0]: H.field.one()})
             legs = iterated_comul(H, st, n)
             shifted = [{k: H.field.one()} for k in key[1:]] + [unit]
-            out = vec_add(out, vec_scale(c, slotwise_product(H, legs, shifted)))
+            vec_add_into(out, slotwise_product(H, legs, shifted), c)
         return out
 
     def cyclic_power_formula(self, j, n, t):
@@ -116,7 +112,7 @@ class HopfCyclicModule:
                 shifted = ([{k: H.field.one()} for k in key[j:]]
                            + [unit]
                            + [{k: H.field.one()} for k in key[:j - 1]])
-            out = vec_add(out, vec_scale(c, slotwise_product(H, legs, shifted)))
+            vec_add_into(out, slotwise_product(H, legs, shifted), c)
         return out
 
     # -- finite-dimensional extras
@@ -291,12 +287,12 @@ class CochainCyclicModule:
         out = {}
         for key, c in phi.items():
             if i < n:
-                for (a, b, d) in self._rev[key[i]]:
-                    out = vec_add(
-                        out, {key[:i] + (a, b) + key[i + 1:]: c * d})
+                image = {key[:i] + (a, b) + key[i + 1:]: d
+                         for a, b, d in self._rev[key[i]]}
             else:
-                for (a, b, d) in self._rev[key[0]]:
-                    out = vec_add(out, {(b,) + key[1:] + (a,): c * d})
+                image = {(b,) + key[1:] + (a,): d
+                         for a, b, d in self._rev[key[0]]}
+            vec_add_into(out, image, c)
         return out
 
     def degeneracy(self, i, n, phi):
@@ -308,7 +304,7 @@ class CochainCyclicModule:
         for key, c in phi.items():
             cu = unit.get(key[i + 1])
             if cu:
-                out = vec_add(out, {key[:i + 1] + key[i + 2:]: c * cu})
+                vec_add_into(out, {key[:i + 1] + key[i + 2:]: c * cu})
         return out
 
     def cyclic(self, n, phi):
@@ -446,30 +442,23 @@ def relation_suite(module, N_max, samples=None, title=None):
     for rel, n, idx, lhs, rhs in instances:
         grouped.setdefault((rel, n), []).append((idx, lhs, rhs))
     for (rel, n), items in sorted(grouped.items()):
-        ok, witness = True, None
-        for idx, lhs, rhs in items:
-            src = word_source_degree(lhs, n)
-            for t in get_samples(src):
-                left = apply_word(module, lhs, t)
-                right = apply_word(module, rhs, t)
-                if not vec_eq(left, right):
-                    ok = False
-                    witness = (idx, sorted(t), sorted(left.items()),
-                               sorted(right.items()))
-                    break
-            if not ok:
-                break
-        report.add(f"{rel} n={n}", ok, witness)
+        cases = ((idx, t, apply_word(module, lhs, t),
+                  apply_word(module, rhs, t))
+                 for idx, lhs, rhs in items
+                 for t in get_samples(word_source_degree(lhs, n)))
+        report.add(f"{rel} n={n}", *first_failure(
+            cases, lambda case: vec_eq(case[2], case[3]),
+            lambda case: (case[0], sorted(case[1]), sorted(case[2].items()),
+                          sorted(case[3].items()))))
     return report
 
 
 def check_cyclic_power_formula(module, n, j, tensors):
     """tau_n^j computed by iteration equals the closed rotation formula."""
-    for t in tensors:
-        lhs = dict(t)
+    def agrees(t):
+        lhs = t
         for _ in range(j):
             lhs = module.cyclic(n, lhs)
-        rhs = module.cyclic_power_formula(j, n, t)
-        if not vec_eq(lhs, rhs):
-            return False, (n, j, sorted(t))
-    return True, None
+        return vec_eq(lhs, module.cyclic_power_formula(j, n, t))
+
+    return first_failure(tensors, agrees, lambda t: (n, j, sorted(t)))

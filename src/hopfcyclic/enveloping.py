@@ -12,10 +12,12 @@ The canonical character is the trace of the adjoint representation.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .fields import RationalField
-from .hopf import vec_add, vec_scale, vec_eq
+from .hopf import vec_add_into, vec_eq, vec_scale
+from .reports import first_failure
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,21 +63,22 @@ class LieAlgebra:
         out = {}
         for i, ca in a.items():
             for j, cb in b.items():
-                out = vec_add(out, vec_scale(ca * cb, self.bracket(i, j)))
+                vec_add_into(out, self.bracket(i, j), ca * cb)
         return out
 
     def _check_jacobi(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    total = self._bracket_elem(self.bracket(i, j), {k: ONE})
-                    total = vec_add(total, self._bracket_elem(
-                        self.bracket(j, k), {i: ONE}))
-                    total = vec_add(total, self._bracket_elem(
-                        self.bracket(k, i), {j: ONE}))
-                    if total:
-                        raise ValueError(
-                            f"Jacobi identity fails at ({i},{j},{k})")
+        def jacobi(ijk):
+            i, j, k = ijk
+            total = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                vec_add_into(total, self._bracket_elem(self.bracket(a, b),
+                                                       {c: ONE}))
+            return not total
+
+        ok, ijk = first_failure(itertools.product(range(self.dim), repeat=3),
+                                jacobi)
+        if not ok:
+            raise ValueError("Jacobi identity fails at ({},{},{})".format(*ijk))
 
     def adjoint_trace_character(self):
         """delta(X_i) = trace(ad X_i) = sum_j c^j_ij, as generator values."""
@@ -110,9 +113,6 @@ class SymbolicCharacter:
             if a:
                 out *= self.gen_values[i] ** a
         return out
-
-    def of_element(self, elem):
-        return sum((c * self.value(m) for m, c in elem.items()), ZERO)
 
 
 class EnvelopingAlgebra:
@@ -171,31 +171,30 @@ class EnvelopingAlgebra:
             head = list(mono)
             head[j] -= 1
             head = tuple(head)
-            swapped = self._mono_times_gen(head, i)
             result = {}
-            for m, c in swapped.items():
+            for m, c in self._mono_times_gen(head, i).items():
                 lifted = list(m)
                 lifted[j] += 1
-                result = vec_add(result, {tuple(lifted): c})
+                result[tuple(lifted)] = c
             for k, c in self.lie.bracket(j, i).items():
-                result = vec_add(result, vec_scale(c, self._mono_times_gen(head, k)))
+                vec_add_into(result, self._mono_times_gen(head, k), c)
         self._gen_mul_cache[(mono, i)] = result
         return result
 
     def _elem_times_gen(self, a, i):
         out = {}
         for m, c in a.items():
-            out = vec_add(out, vec_scale(c, self._mono_times_gen(m, i)))
+            vec_add_into(out, self._mono_times_gen(m, i), c)
         return out
 
     def mul(self, a, b):
         out = {}
         for m, c in b.items():
-            part = vec_scale(c, a)
+            part = a
             for i, power in enumerate(m):
                 for _ in range(power):
                     part = self._elem_times_gen(part, i)
-            out = vec_add(out, part)
+            vec_add_into(out, part, c)
         return out
 
     # -- coproduct: generators primitive, extended multiplicatively
@@ -207,19 +206,17 @@ class EnvelopingAlgebra:
                 gen = self.generator(i)
                 step = {}
                 for (l, r), c in out.items():
-                    left = self.mul({l: ONE}, gen)
-                    for m, d in left.items():
-                        step = vec_add(step, {(m, r): c * d})
-                    right = self.mul({r: ONE}, gen)
-                    for m, d in right.items():
-                        step = vec_add(step, {(l, m): c * d})
+                    vec_add_into(step, {(m, r): d for m, d
+                                        in self.mul({l: ONE}, gen).items()}, c)
+                    vec_add_into(step, {(l, m): d for m, d
+                                        in self.mul({r: ONE}, gen).items()}, c)
                 out = step
         return out
 
     def comul(self, a):
         out = {}
         for key, c in a.items():
-            out = vec_add(out, vec_scale(c, self.comul_basis(key)))
+            vec_add_into(out, self.comul_basis(key), c)
         return out
 
     # -- antipode: S(X_i) = -X_i, extended antimultiplicatively
@@ -236,22 +233,22 @@ class EnvelopingAlgebra:
     def antipode_of(self, a):
         out = {}
         for key, c in a.items():
-            out = vec_add(out, vec_scale(c, self.antipode_basis(key)))
+            vec_add_into(out, self.antipode_basis(key), c)
         return out
 
     def twist_automorphism(self, delta, a):
         out = {}
         for key, c in a.items():
             for (l, r), d in self.comul_basis(key).items():
-                out = vec_add(out, {r: c * d * delta.value(l)})
+                vec_add_into(out, {r: c * d * delta.value(l)})
         return out
 
     def twisted_antipode(self, delta, a):
         out = {}
         for key, c in a.items():
             for (l, r), d in self.comul_basis(key).items():
-                out = vec_add(out, vec_scale(
-                    c * d * delta.value(l), self.antipode_basis(r)))
+                vec_add_into(out, self.antipode_basis(r),
+                             c * d * delta.value(l))
         return out
 
     def modular_character(self, name="delta"):
@@ -276,8 +273,6 @@ def tensor_samples(algebra, N_max, max_degree=2, rng=None, random_count=3):
     """Sample tensors for relation checks on a rule-based algebra: all
     monomial tensors whose total degree stays within the bound, plus a few
     seeded random linear combinations per degree."""
-    import itertools
-
     monos = algebra.monomials_up_to_degree(max_degree)
     one = algebra.field.one()
     samples = {}

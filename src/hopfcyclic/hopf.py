@@ -9,10 +9,10 @@ settles them everywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 
-from .fields import RationalField, scalar_inv
-from .reports import CheckReport
+from .fields import RationalField
+from .reports import CheckReport, first_failure
 
 
 class CharacterError(Exception):
@@ -27,7 +27,14 @@ def vec_add(a, b):
 
 
 def vec_add_into(out, vec, c=1):
-    """out += c * vec in place, dropping entries that cancel; returns out."""
+    """out += c * vec in place, dropping entries that cancel; returns out.
+
+    ``out`` must be a dict the caller owns: a fresh accumulator, never a
+    structure table's own dict (``mul_basis``, ``comul_basis`` and
+    ``antipode_basis`` return those), a cached product or an argument that
+    belongs to the caller's caller.  ``vec`` is only read.  With c = 1 the
+    entries of ``vec`` are added as they are, without a multiplication.
+    """
     if not c:
         return out
     items = vec.items() if c == 1 else ((k, c * v) for k, v in vec.items())
@@ -48,11 +55,13 @@ def vec_scale(c, a):
 
 
 def vec_sub(a, b):
-    return vec_add(a, vec_scale(-1, b))
+    return vec_add_into(dict(a), b, -1)
 
 
 def vec_eq(a, b):
-    return vec_sub(a, b) == {}
+    """a == b as linear combinations, an absent key counting as 0."""
+    return (all(b.get(k, 0) == v for k, v in a.items())
+            and all(k in a or not v for k, v in b.items()))
 
 
 class Character:
@@ -72,25 +81,22 @@ class Character:
                   hopf.field.zero())
         if one != hopf.field.one():
             raise CharacterError("character does not send 1 to 1")
-        for i in range(hopf.dim):
-            for j in range(hopf.dim):
-                lhs = sum((c * self.values[k]
-                           for k, c in hopf.mul_basis(i, j).items()),
-                          hopf.field.zero())
-                if lhs != self.values[i] * self.values[j]:
-                    raise CharacterError(
-                        f"character not multiplicative at basis pair ({i},{j})")
+
+        def multiplicative(pair):
+            lhs = sum((c * self.values[k]
+                       for k, c in hopf.mul_basis(*pair).items()),
+                      hopf.field.zero())
+            return lhs == self.values[pair[0]] * self.values[pair[1]]
+
+        ok, pair = first_failure(
+            itertools.product(range(hopf.dim), repeat=2), multiplicative)
+        if not ok:
+            raise CharacterError(
+                "character not multiplicative at basis pair ({},{})".format(
+                    *pair))
 
     def value(self, key):
         return self.values[key]
-
-    def of_element(self, elem):
-        return sum((c * self.values[i] for i, c in elem.items()),
-                   self.hopf.field.zero())
-
-    def is_counit(self):
-        return all(self.values[i] == self.hopf.counit[i]
-                   for i in range(self.hopf.dim))
 
 
 class FiniteHopf:
@@ -174,7 +180,7 @@ class FiniteHopf:
     def antipode_of(self, a):
         out = {}
         for i, c in a.items():
-            out = vec_add(out, vec_scale(c, self.antipode_basis(i)))
+            vec_add_into(out, self.antipode_basis(i), c)
         return out
 
     def twist_automorphism(self, delta, a):
@@ -196,15 +202,6 @@ class FiniteHopf:
     def basis_element(self, i):
         return {i: self.field.one()}
 
-    # -- matrix views (columns indexed by basis)
-
-    def map_matrix(self, fn):
-        """Column dicts of the linear map taking e_i to fn(e_i)."""
-        return [fn(self.basis_element(i)) for i in range(self.dim)]
-
-    def twisted_antipode_matrix(self, delta):
-        return self.map_matrix(lambda e: self.twisted_antipode(delta, e))
-
     def character(self, name):
         try:
             return self.characters[name]
@@ -220,110 +217,80 @@ class FiniteHopf:
 # axiom checkers
 
 
+def _basis_cases(H, arity):
+    """All basis index tuples of the given length, lazily, in lex order."""
+    return itertools.product(range(H.dim), repeat=arity)
+
+
 def check_hopf_axioms(H):
     """Verify all Hopf axioms on basis elements; returns a CheckReport."""
     report = CheckReport(f"hopf-axioms[{H.name}]")
     one = H.unit_element()
-    dim = H.dim
+    basis = H.basis_element
 
-    def basis(i):
-        return H.basis_element(i)
+    def associative(ijk):
+        i, j, k = map(basis, ijk)
+        return vec_eq(H.mul(H.mul(i, j), k), H.mul(i, H.mul(j, k)))
 
-    ok, witness = True, None
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = H.mul(H.mul(basis(i), basis(j)), basis(k))
-                rhs = H.mul(basis(i), H.mul(basis(j), basis(k)))
-                if not vec_eq(lhs, rhs):
-                    ok, witness = False, (i, j, k)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("associativity", ok, witness)
+    def unital(case):
+        e = basis(case[0])
+        return vec_eq(H.mul(one, e), e) and vec_eq(H.mul(e, one), e)
 
-    ok, witness = True, None
-    for i in range(dim):
-        e = basis(i)
-        if not (vec_eq(H.mul(one, e), e) and vec_eq(H.mul(e, one), e)):
-            ok, witness = False, (i,)
-            break
-    report.add("unit", ok, witness)
+    def coassociative(case):
+        lhs, rhs = {}, {}
+        for (j, k), c in H.comul_basis(case[0]).items():
+            vec_add_into(lhs, {(a, b, k): d for (a, b), d
+                               in H.comul_basis(j).items()}, c)
+            vec_add_into(rhs, {(j, a, b): d for (a, b), d
+                               in H.comul_basis(k).items()}, c)
+        return vec_eq(lhs, rhs)
 
-    ok, witness = True, None
-    for i in range(dim):
-        lhs = {}
+    def counital(case):
+        left, right = {}, {}
+        for (j, k), c in H.comul_basis(case[0]).items():
+            vec_add_into(left, {k: c * H.counit[j]})
+            vec_add_into(right, {j: c * H.counit[k]})
+        e = basis(case[0])
+        return vec_eq(left, e) and vec_eq(right, e)
+
+    def comul_multiplicative(ij):
+        i, j = ij
         rhs = {}
+        for (a, b), c in H.comul_basis(i).items():
+            for (p, q), d in H.comul_basis(j).items():
+                for r1, c1 in H.mul_basis(a, p).items():
+                    vec_add_into(rhs, {(r1, r2): c1 * c2 for r2, c2
+                                       in H.mul_basis(b, q).items()}, c * d)
+        return vec_eq(H.comul(H.mul(basis(i), basis(j))), rhs)
+
+    def counit_multiplicative(ij):
+        i, j = ij
+        return H.counit_of(H.mul(basis(i), basis(j))) == \
+            H.counit[i] * H.counit[j]
+
+    def convolution(case):
+        i = case[0]
+        left, right = {}, {}
         for (j, k), c in H.comul_basis(i).items():
-            for (a, b), d in H.comul_basis(j).items():
-                lhs = vec_add(lhs, {(a, b, k): c * d})
-            for (a, b), d in H.comul_basis(k).items():
-                rhs = vec_add(rhs, {(j, a, b): c * d})
-        if not vec_eq(lhs, rhs):
-            ok, witness = False, (i,)
-            break
-    report.add("coassociativity", ok, witness)
-
-    ok, witness = True, None
-    for i in range(dim):
-        left = {}
-        right = {}
-        for (j, k), c in H.comul_basis(i).items():
-            left = vec_add(left, {k: c * H.counit[j]})
-            right = vec_add(right, {j: c * H.counit[k]})
-        if not (vec_eq(left, basis(i)) and vec_eq(right, basis(i))):
-            ok, witness = False, (i,)
-            break
-    report.add("counit", ok, witness)
-
-    ok, witness = True, None
-    for i in range(dim):
-        for j in range(dim):
-            lhs = H.comul(H.mul(basis(i), basis(j)))
-            rhs = {}
-            for (a, b), c in H.comul_basis(i).items():
-                for (p, q), d in H.comul_basis(j).items():
-                    for r1, c1 in H.mul_basis(a, p).items():
-                        for r2, c2 in H.mul_basis(b, q).items():
-                            rhs = vec_add(rhs, {(r1, r2): c * d * c1 * c2})
-            if not vec_eq(lhs, rhs):
-                ok, witness = False, (i, j)
-                break
-        if not ok:
-            break
-    report.add("coproduct-multiplicative", ok, witness)
-
-    ok, witness = True, None
-    if H.counit_of(one) != H.field.one():
-        ok, witness = False, ("1",)
-    else:
-        for i in range(dim):
-            for j in range(dim):
-                if H.counit_of(H.mul(basis(i), basis(j))) != \
-                        H.counit[i] * H.counit[j]:
-                    ok, witness = False, (i, j)
-                    break
-            if not ok:
-                break
-    report.add("counit-multiplicative", ok, witness)
-
-    ok, witness = True, None
-    for i in range(dim):
-        conv_left = {}
-        conv_right = {}
-        for (j, k), c in H.comul_basis(i).items():
-            conv_left = vec_add(
-                conv_left, vec_scale(c, H.mul(H.antipode_basis(j), basis(k))))
-            conv_right = vec_add(
-                conv_right, vec_scale(c, H.mul(basis(j), H.antipode_basis(k))))
+            vec_add_into(left, H.mul(H.antipode_basis(j), basis(k)), c)
+            vec_add_into(right, H.mul(basis(j), H.antipode_basis(k)), c)
         expected = vec_scale(H.counit[i], one)
-        if not (vec_eq(conv_left, expected) and vec_eq(conv_right, expected)):
-            ok, witness = False, (i,)
-            break
-    report.add("antipode-convolution", ok, witness)
+        return vec_eq(left, expected) and vec_eq(right, expected)
 
+    for name, arity, holds in (("associativity", 3, associative),
+                               ("unit", 1, unital),
+                               ("coassociativity", 1, coassociative),
+                               ("counit", 1, counital),
+                               ("coproduct-multiplicative", 2,
+                                comul_multiplicative)):
+        report.add(name, *first_failure(_basis_cases(H, arity), holds))
+    if H.counit_of(one) != H.field.one():
+        report.add("counit-multiplicative", False, ("1",))
+    else:
+        report.add("counit-multiplicative", *first_failure(
+            _basis_cases(H, 2), counit_multiplicative))
+    report.add("antipode-convolution",
+               *first_failure(_basis_cases(H, 1), convolution))
     return report
 
 
@@ -331,58 +298,47 @@ def check_twisted_properties(H, delta):
     """Antihomomorphism, twisted coalgebra antimorphism, and counit identity
     of the twisted antipode, verified on all basis pairs/elements."""
     report = CheckReport(f"twisted-antipode[{H.name}/{delta.name}]")
+    basis = H.basis_element
 
     def st(e):
         return H.twisted_antipode(delta, e)
 
-    ok, witness = True, None
-    one = H.unit_element()
-    if not vec_eq(st(one), one):
-        ok, witness = False, ("1",)
-    else:
-        for i in range(H.dim):
-            for j in range(H.dim):
-                lhs = st(H.mul(H.basis_element(i), H.basis_element(j)))
-                rhs = H.mul(st(H.basis_element(j)), st(H.basis_element(i)))
-                if not vec_eq(lhs, rhs):
-                    ok, witness = False, (i, j)
-                    break
-            if not ok:
-                break
-    report.add("antihomomorphism", ok, witness)
+    def antimultiplicative(ij):
+        i, j = map(basis, ij)
+        return vec_eq(st(H.mul(i, j)), H.mul(st(j), st(i)))
 
-    ok, witness = True, None
-    for i in range(H.dim):
-        lhs = H.comul(st(H.basis_element(i)))
+    def coalgebra_antimorphism(case):
+        i = case[0]
         rhs = {}
         for (j, k), c in H.comul_basis(i).items():
-            sk = H.antipode_basis(k)
-            sj = st(H.basis_element(j))
-            for a, ca in sk.items():
-                for b, cb in sj.items():
-                    rhs = vec_add(rhs, {(a, b): c * ca * cb})
-        if not vec_eq(lhs, rhs):
-            ok, witness = False, (i,)
-            break
-    report.add("coalgebra-antimorphism", ok, witness)
+            sj = st(basis(j))
+            for a, ca in H.antipode_basis(k).items():
+                vec_add_into(rhs, {(a, b): cb for b, cb in sj.items()},
+                             c * ca)
+        return vec_eq(H.comul(st(basis(i))), rhs)
 
-    ok, witness = True, None
-    for i in range(H.dim):
-        if H.counit_of(st(H.basis_element(i))) != delta.value(i):
-            ok, witness = False, (i,)
-            break
-    report.add("counit-composition", ok, witness)
-
+    one = H.unit_element()
+    if not vec_eq(st(one), one):
+        report.add("antihomomorphism", False, ("1",))
+    else:
+        report.add("antihomomorphism", *first_failure(
+            _basis_cases(H, 2), antimultiplicative))
+    report.add("coalgebra-antimorphism", *first_failure(
+        _basis_cases(H, 1), coalgebra_antimorphism))
+    report.add("counit-composition", *first_failure(
+        _basis_cases(H, 1),
+        lambda case: H.counit_of(st(basis(case[0]))) == delta.value(case[0])))
     return report
 
 
 def check_involution(H, delta):
     """True iff the twisted antipode squares to the identity; else a witness."""
-    for i in range(H.dim):
+    def involutive(i):
         e = H.basis_element(i)
-        if not vec_eq(H.twisted_antipode(delta, H.twisted_antipode(delta, e)), e):
-            return False, H.basis[i]
-    return True, None
+        return vec_eq(H.twisted_antipode(delta, H.twisted_antipode(delta, e)),
+                      e)
+
+    return first_failure(range(H.dim), involutive, lambda i: H.basis[i])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ so the word problem reduces to comparing value lists.
 from __future__ import annotations
 
 from .cyclic_ops import apply_word
-from .reports import CheckReport
+from .reports import CheckReport, first_failure
 
 
 class LambdaMorphism:
@@ -162,16 +162,17 @@ def morphism_relation_suite(N_max):
     grouped = {}
     for rel, n, idx, lhs, rhs in _relation_instances(N_max):
         grouped.setdefault((rel, n), []).append((idx, lhs, rhs))
+
+    def normal_forms(n, idx, lhs, rhs):
+        src = word_source_degree(lhs, n)
+        return (idx, compose_word(lhs, source_degree=src),
+                compose_word(rhs, source_degree=src))
+
     for (rel, n), items in sorted(grouped.items()):
-        ok, witness = True, None
-        for idx, lhs, rhs in items:
-            src = word_source_degree(lhs, n)
-            left = compose_word(lhs, source_degree=src)
-            right = compose_word(rhs, source_degree=src)
-            if left != right:
-                ok, witness = False, (idx, left.values, right.values)
-                break
-        report.add(f"{rel} n={n}", ok, witness)
+        report.add(f"{rel} n={n}", *first_failure(
+            (normal_forms(n, *item) for item in items),
+            lambda case: case[1] == case[2],
+            lambda case: (case[0], case[1].values, case[2].values)))
     return report
 
 
@@ -210,16 +211,20 @@ def check_functoriality(module, rng, max_degree, words_per_degree=200):
     canonical decomposition of its normal form; words whose normal forms
     collide are thereby compared with each other too.
     """
-    tested = 0
-    for start in range(max_degree + 1):
-        for _ in range(words_per_degree):
-            degree, word = random_word(rng, max_degree, degree=start)
-            normal = compose_word(word, source_degree=degree)
-            canon = decompose(normal)
-            for t in module.samples(degree):
-                a = apply_word(module, word, t)
-                b = apply_word(module, canon, t)
-                if a != b:
-                    return False, (word, canon, sorted(t))
-            tested += 1
-    return True, tested
+    def cases():
+        for start in range(max_degree + 1):
+            for _ in range(words_per_degree):
+                degree, word = random_word(rng, max_degree, degree=start)
+                canon = decompose(compose_word(word, source_degree=degree))
+                for t in module.samples(degree):
+                    yield word, canon, t
+
+    def agree(case):
+        word, canon, t = case
+        return apply_word(module, word, t) == apply_word(module, canon, t)
+
+    ok, witness = first_failure(
+        cases(), agree, lambda case: (case[0], case[1], sorted(case[2])))
+    if not ok:
+        return False, witness
+    return True, (max_degree + 1) * words_per_degree

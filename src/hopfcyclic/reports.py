@@ -3,6 +3,21 @@
 from __future__ import annotations
 
 
+def first_failure(cases, holds, witness=None):
+    """Check an identity case by case, stopping at the first case where
+    ``holds(case)`` is false.
+
+    Returns ``(True, None)`` when every case holds, else ``(False, w)`` with
+    ``w`` that case, or ``witness(case)`` when ``witness`` is given.  Cases
+    are taken one at a time from any iterable, so a generator such as
+    ``itertools.product(range(dim), repeat=3)`` is never materialised.
+    """
+    for case in cases:
+        if not holds(case):
+            return False, case if witness is None else witness(case)
+    return True, None
+
+
 class CheckReport:
     """Ordered list of named checks with optional failure witnesses."""
 

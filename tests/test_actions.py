@@ -71,6 +71,14 @@ def test_algebra_validation_names_first_failure():
         FiniteAlgebra("D", Q, ["e", "a", "b"], {0: ONE}, product)
 
 
+def test_random_conjugate_needs_an_off_diagonal_entry():
+    # M_1(A) has no elementary matrix I + a e_rs with r != s
+    A, _ = matrix_trace_cochain()
+    E = {(0, 0): A.unit_element()}
+    with pytest.raises(ValueError, match="q >= 2"):
+        act.random_conjugate(A, E, 1, random.Random(0))
+
+
 def test_summation_trace_invariant():
     H, A, action, eps = translation_setup()
     trace = act.summation_trace(A)
