@@ -1,6 +1,9 @@
 """Cohomology dimensions and the mixed-complex identities."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
 
 from conftest import load_golden
 from dense_oracle import oracle_dimensions
@@ -12,8 +15,9 @@ from hopfcyclic.cohomology import (NotCyclicError, b_matrix, B_matrix,
                                    mixed_complex_report,
                                    one_minus_lambda_matrix, require_involution)
 from hopfcyclic.cyclic_ops import HopfCyclicModule
-from hopfcyclic.hopf import (cyclic_group_algebra, sweedler_h4, trivial_hopf,
-                             vec_eq)
+from hopfcyclic.hopf import (cyclic_group_algebra, function_algebra,
+                             group_algebra, sweedler_h4, trivial_hopf, vec_eq)
+from test_assembly import abelian_hopf_modules
 
 CASES = [
     ("trivial", trivial_hopf, "counit"),
@@ -120,3 +124,40 @@ def test_matrix_and_elementwise_b_agree():
         img = hochschild_b(module, n, t)
         want = {module.key_index(k): v for k, v in img.items()}
         assert mat.apply(coords) == want
+
+
+# S_3 as permutations of (0, 1, 2), the identity first; (p q)(x) = p(q(x))
+S3 = list(itertools.permutations(range(3)))
+S3_TABLE = [[S3.index(tuple(p[q[x]] for x in range(3))) for q in S3]
+            for p in S3]
+S3_LABELS = ["".join(map(str, p)) for p in S3]
+
+
+def assert_semisimple_dual_closed_form(module, top=3):
+    """k[G] and k^G are coalgebras whose duals k^G and k[G] are semisimple,
+    so the cobar complex computing HH is exact above degree 0:
+    HH = (1, 0, 0, ...).  The SBI sequence then forces HC = (1, 0, 1, 0, ...)
+    for every character.  Both methods, every degree the truncation
+    determines."""
+    report = cohomology_report(module.hopf, module.delta, top, method="both",
+                               module=module)
+    for row in report.rows:
+        n = row["degree"]
+        assert row["hh"] == (1 if n == 0 else 0), (n, report.render())
+        assert row["hc_lambda"] == (1 - n % 2), (n, report.render())
+        if not row["flag"]:
+            assert row["hc_bB"] == (1 - n % 2), (n, report.render())
+
+
+@settings(max_examples=10, deadline=None)
+@given(abelian_hopf_modules())
+def test_abelian_group_closed_form(module):
+    assert_semisimple_dual_closed_form(module)
+
+
+@pytest.mark.parametrize("builder", [group_algebra, function_algebra],
+                         ids=["k[S3]", "k^S3"])
+def test_s3_closed_form(builder):
+    H = builder(S3_LABELS, S3_TABLE)
+    assert_semisimple_dual_closed_form(
+        HopfCyclicModule(H, H.counit_character()))
