@@ -5,7 +5,8 @@ idempotent pairing."""
 
 __version__ = "0.1.0"
 
-from .cohomology import NotCyclicError, cohomology_report, mixed_complex_report
+from .cohomology import (NotCyclicError, NotMixedComplexError,
+                         cohomology_report, mixed_complex_report)
 from .cyclic_ops import CochainCyclicModule, HopfCyclicModule, relation_suite
 from .fields import CyclotomicField, RationalField
 from .hopf import (BUILTIN_BUILDERS, Character, FiniteHopf, check_hopf_axioms,
@@ -15,7 +16,8 @@ from .hopf import (BUILTIN_BUILDERS, Character, FiniteHopf, check_hopf_axioms,
 
 __all__ = [
     "BUILTIN_BUILDERS", "Character", "CochainCyclicModule", "CyclotomicField",
-    "FiniteHopf", "HopfCyclicModule", "NotCyclicError", "RationalField",
+    "FiniteHopf", "HopfCyclicModule", "NotCyclicError",
+    "NotMixedComplexError", "RationalField",
     "check_hopf_axioms", "check_involution", "check_twisted_properties",
     "cohomology_report", "cyclic_group_algebra", "function_algebra",
     "group_algebra", "mixed_complex_report", "relation_suite", "sweedler_h4",

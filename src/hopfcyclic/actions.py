@@ -190,33 +190,41 @@ def check_gamma_morphism(hopf, delta, algebra, action, trace, N_max):
                          meta={"hopf": hopf.name, "algebra": algebra.name,
                                "character": delta.name, "trace": trace.name,
                                "max-degree": N_max})
+    one = hopf.field.one()
+    basis_gamma = {}  # basis tuple (of degree len(key)) -> its gamma
 
-    def gamma(t, n):
-        return characteristic_map(hopf, algebra, action, trace, t, n)
+    def gamma(t):
+        """gamma is linear, so it is computed once per basis tensor."""
+        out = {}
+        for key, c in t.items():
+            if key not in basis_gamma:
+                basis_gamma[key] = characteristic_map(
+                    hopf, algebra, action, trace, {key: one}, len(key))
+            vec_add_into(out, basis_gamma[key], c)
+        return out
 
-    def compare(name, op_h, op_a, src_deg, tgt_deg):
+    def compare(name, op_h, op_a, src_deg):
         report.add(name, *first_failure(
             hside.samples(src_deg),
-            lambda t: vec_eq(gamma(op_h(t), tgt_deg), op_a(gamma(t, src_deg))),
-            sorted))
+            lambda t: vec_eq(gamma(op_h(t)), op_a(gamma(t))), sorted))
 
     for n in range(1, N_max + 1):
         for i in range(n + 1):
             compare(f"face i={i} n={n}",
                     lambda t, i=i, n=n: hside.face(i, n, t),
                     lambda p, i=i, n=n: aside.face(i, n, p),
-                    n - 1, n)
+                    n - 1)
     for n in range(N_max):
         for i in range(n + 1):
             compare(f"degeneracy i={i} n={n}",
                     lambda t, i=i, n=n: hside.degeneracy(i, n, t),
                     lambda p, i=i, n=n: aside.degeneracy(i, n, p),
-                    n + 1, n)
+                    n + 1)
     for n in range(1, N_max + 1):
         compare(f"cyclic n={n}",
                 lambda t, n=n: hside.cyclic(n, t),
                 lambda p, n=n: aside.cyclic(n, p),
-                n, n)
+                n)
     return report
 
 

@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import actions
-from .cohomology import (NotCyclicError, check_mixed_complex,
+from .cohomology import (NotCyclicError, NotMixedComplexError,
                          cohomology_report, methods_agree, require_involution)
 from .cyclic_ops import HopfCyclicModule, relation_suite
 from .hopf import (BUILTIN_BUILDERS, CharacterError, check_hopf_axioms,
@@ -106,21 +106,14 @@ def cmd_cohomology(args):
     if _fails_hopf_axioms(H, args.output):
         return 1
     delta = _character_of(H, args.character)
-    module = HopfCyclicModule(H, delta)
     try:
         report = cohomology_report(H, delta, args.max_degree,
-                                   method=args.method, module=module)
+                                   method=args.method)
     except NotCyclicError as exc:
         _emit(f"error: {exc}", args.output)
         return 1
-    # the dimensions mean something only on a mixed complex: check b^2 = 0
-    # on every b the report used, and B^2 = 0, bB + Bb = 0 when it used B
-    gate = check_mixed_complex(
-        module, args.max_degree + 1,
-        None if args.method == "lambda" else args.max_degree - 1,
-        meta={"max-degree": args.max_degree})
-    if not gate.ok:
-        _emit(gate.render(), args.output)
+    except NotMixedComplexError as exc:
+        _emit(exc.report.render(), args.output)
         return 1
     negative = report.negative_entries()
     if negative:

@@ -12,12 +12,15 @@ matrices are matrix algebra on the face, degeneracy and cyclic matrices
 that the module assembles from the structure constants: b_matrix sums the
 signed faces, one_minus_lambda_matrix comes from tau_n, and B_matrix is
 composed column by column from the columns of tau_n, tau_{n+1} and
-sigma_n.  Each matrix is built where it is used and dropped after, which
-keeps memory at the size of the largest few matrices.
+sigma_n.
 
-The identities b^2 = 0, B^2 = 0 and bB + Bb = 0 are checked as sparse
-matrix products by check_mixed_complex, which the command line runs on the
-matrices of every report before printing it.
+cohomology_report builds each b_n and B_n once and passes the same
+matrices to the mixed-complex checks (exact sparse products) and to every
+dimension function.  It builds every b and checks b^2 = 0, computes HH and
+the lambda-method HC, and drops b_(N+1), the largest b, before it builds
+any B; then it checks B^2 = 0 and bB + Bb = 0 and computes the bicomplex
+dimensions.  It raises NotMixedComplexError rather than return a table
+for a complex that fails an identity.
 
 Cyclic cohomology is computed two ways: from the lambda-invariant
 subcomplex (valid in characteristic 0) and from the total complex of the
@@ -36,6 +39,16 @@ from .reports import CheckReport, first_failure
 class NotCyclicError(Exception):
     """Raised when the twisted antipode is not an involution, so the
     cyclic operator machinery would be unsound."""
+
+
+class NotMixedComplexError(Exception):
+    """Raised when the assembled b and B fail b^2 = 0, B^2 = 0 or
+    bB + Bb = 0, so no dimension computed from them means anything.
+    ``report`` is the failed 'mixed-complex' check report."""
+
+    def __init__(self, report):
+        super().__init__(report.render())
+        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -214,113 +227,101 @@ class ComplexReport:
         return " ".join(pairs) if pairs else None
 
 
-def hochschild_dimensions(module, N_max):
-    """HH^n = ker(b: C^n -> C^n+1) / im(b: C^n-1 -> C^n), n <= N_max."""
-    ranks = [b_matrix(module, n).rank() for n in range(1, N_max + 2)]
-    dims = []
-    for n in range(N_max + 1):
-        dim_cn = module.space_dim(n)
-        rank_out = ranks[n]           # b: C^n -> C^(n+1)
-        rank_in = ranks[n - 1] if n >= 1 else 0
-        dims.append(dim_cn - rank_out - rank_in)
-    return dims, ranks
+def _homology_dims(sizes, ranks):
+    """dim ker d_n - dim im d_(n-1) = size_n - rank d_n - rank d_(n-1)."""
+    return [size - ranks[n] - (ranks[n - 1] if n else 0)
+            for n, size in enumerate(sizes)]
 
 
-def lambda_complex_dimensions(module, N_max):
-    """HC^n from the lambda-invariant subcomplex with differential b."""
+def hochschild_dimensions(module, b):
+    """HH^n = ker(b: C^n -> C^n+1) / im(b: C^n-1 -> C^n) for n <= N, given
+    b = {n: b_n} for 1 <= n <= N+1."""
+    ranks = [b[n + 1].rank() for n in range(len(b))]
+    sizes = [module.space_dim(n) for n in range(len(b))]
+    return _homology_dims(sizes, ranks), ranks
+
+
+def lambda_complex_dimensions(module, b):
+    """HC^n from the lambda-invariant subcomplex with differential b, for
+    n <= N, given b = {n: b_n} for 1 <= n <= N+1."""
     one = module.field.one()
-    kernel_dims = []
-    image_ranks = []
-    for n in range(N_max + 1):
+    kernel_dims, image_ranks = [], []
+    for n in range(len(b)):
         kernel = one_minus_lambda_matrix(module, n).kernel_basis(one)
         kernel_dims.append(len(kernel))
-        b_cols = b_matrix(module, n + 1).column_dicts()
+        b_cols = b[n + 1].column_dicts()
         mat = SparseMatrix.from_columns(
             (_combine(b_cols, vec) for vec in kernel), module.space_dim(n + 1))
         del b_cols, kernel
         image_ranks.append(mat.rank())
-    dims = []
-    for n in range(N_max + 1):
-        rank_in = image_ranks[n - 1] if n >= 1 else 0
-        dims.append(kernel_dims[n] - image_ranks[n] - rank_in)
-    return dims
+    return _homology_dims(kernel_dims, image_ranks)
 
 
-def bicomplex_dimensions(module, N_max):
+def bicomplex_dimensions(module, b, B):
     """HC^n from the total complex of the (b, B)-bicomplex truncated at
-    column degree N_max.  Returns (dims, flags): dims[n] is None when the
+    column degree N, given b = {n: b_n} for 1 <= n <= N and B = {n: B_n}
+    for 0 <= n < N.  Returns (dims, flags): dims[n] is None when the
     truncation cannot determine it; flags marks the top two degrees."""
-    b_mats = {m: b_matrix(module, m) for m in range(1, N_max + 1)}
-    B_mats = {m: B_matrix(module, m) for m in range(0, N_max)}
-    space = [module.space_dim(m) for m in range(N_max + 1)]
+    N_max = len(B)
 
-    def components(n):
-        return [n - 2 * p for p in range((n // 2) + 1)]
-
-    def total_dim(n):
-        return sum(space[m] for m in components(n))
+    def offsets(n):
+        """Row or column offset of each block C^m (m = n, n-2, ...) in the
+        total space T^n, and the dimension of T^n."""
+        off, size = {}, 0
+        for m in range(n, -1, -2):
+            off[m] = size
+            size += module.space_dim(m)
+        return off, size
 
     def total_matrix(n):
-        """D = b + B from T^n to T^(n+1)."""
-        src = components(n)
-        tgt = components(n + 1)
-        col_off = {}
-        off = 0
-        for m in src:
-            col_off[m] = off
-            off += space[m]
-        row_off = {}
-        off = 0
-        for m in tgt:
-            row_off[m] = off
-            off += space[m]
+        """D = b + B from T^n to T^(n+1).  b sends block C^m to C^(m+1) and
+        B sends it to C^(m-1), so the two never share an entry, and
+        different m are different column blocks."""
+        col_off, ncols = offsets(n)
+        row_off, nrows = offsets(n + 1)
         entries = {}
-        for m in src:
-            up = b_mats.get(m + 1)
-            if up is not None and (m + 1) in row_off:
-                for (r, c), v in up.entries.items():
-                    entries[(row_off[m + 1] + r, col_off[m] + c)] = v
-            if m >= 1 and (m - 1) in row_off:
-                down = B_mats[m - 1]
-                for (r, c), v in down.entries.items():
-                    key = (row_off[m - 1] + r, col_off[m] + c)
-                    s = entries.get(key, 0) + v
-                    if s:
-                        entries[key] = s
-                    else:
-                        entries.pop(key, None)
-        nrows = sum(space[m] for m in tgt)
-        ncols = sum(space[m] for m in src)
+        for m, c0 in col_off.items():
+            r0 = row_off[m + 1]
+            for (r, c), v in b[m + 1].entries.items():
+                entries[(r0 + r, c0 + c)] = v
+            if m >= 1:
+                r0 = row_off[m - 1]
+                for (r, c), v in B[m - 1].entries.items():
+                    entries[(r0 + r, c0 + c)] = v
         return SparseMatrix(nrows, ncols, entries)
 
-    ranks = {}
-    for n in range(N_max):
-        ranks[n] = total_matrix(n).rank()
-    dims = []
-    flags = []
-    for n in range(N_max + 1):
-        flagged = n >= N_max - 1
-        if n < N_max:
-            rank_in = ranks[n - 1] if n >= 1 else 0
-            dims.append(total_dim(n) - ranks[n] - rank_in)
-        else:
-            dims.append(None)
-        flags.append(flagged)
+    ranks = [total_matrix(n).rank() for n in range(N_max)]
+    sizes = [offsets(n)[1] for n in range(N_max)]
+    dims = _homology_dims(sizes, ranks) + [None]
+    flags = [n >= N_max - 1 for n in range(N_max + 1)]
     return dims, flags
 
 
 def cohomology_report(hopf, delta, N_max, method="both", module=None):
-    """Full dimension table.  method: 'lambda', 'bB' or 'both'."""
+    """Full dimension table.  method: 'lambda', 'bB' or 'both'.
+
+    Raises NotMixedComplexError, carrying the failed 'mixed-complex'
+    report, instead of returning the table of a complex that fails an
+    identity.  The module docstring gives the order matrices are built in.
+    """
     from .cyclic_ops import HopfCyclicModule
     require_involution(hopf, delta)
     module = module or HopfCyclicModule(hopf, delta)
-    hh, b_ranks = hochschild_dimensions(module, N_max)
-    hc_lambda = lambda_complex_dimensions(module, N_max) \
+    gate = CheckReport("mixed-complex", meta={"max-degree": N_max})
+    b = {n: b_matrix(module, n) for n in range(1, N_max + 2)}
+    check_b_square(gate, module, b)
+    hh, b_ranks = hochschild_dimensions(module, b)
+    hc_lambda = lambda_complex_dimensions(module, b) \
         if method in ("lambda", "both") else [None] * (N_max + 1)
     if method in ("bB", "both"):
-        hc_bB, flags = bicomplex_dimensions(module, N_max)
+        del b[N_max + 1]  # served HH and HC(lambda) only
+        B = {n: B_matrix(module, n) for n in range(N_max)}
+        check_B_relations(gate, module, b, B)
+        hc_bB, flags = bicomplex_dimensions(module, b, B)
     else:
         hc_bB, flags = [None] * (N_max + 1), [False] * (N_max + 1)
+    if not gate.ok:
+        raise NotMixedComplexError(gate)
     report = ComplexReport(hopf.name, delta.name, N_max, method)
     for n in range(N_max + 1):
         report.add_row(degree=n, dim=module.space_dim(n),
@@ -344,15 +345,18 @@ def methods_agree(report):
 def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
     """b^2 = 0, B^2 = 0 and bB + Bb = 0 on all basis tensors, degrees <= N_max.
 
-    On a finite module these are checked as matrix products (see
-    check_mixed_complex).  With ``samples`` (a map degree -> list of tensors)
-    they are checked elementwise on those tensors, which is how symbolic
-    modules are checked.
+    On a finite module these are sparse products of b_1..b_(N+2) and
+    B_0..B_(N-1), by the checks cohomology_report runs.  With ``samples`` (a
+    map degree -> list of tensors) they are checked elementwise on those
+    tensors, which is how symbolic modules are checked.
     """
-    if samples is None:
-        return check_mixed_complex(module, N_max + 2, N_max - 1, title=title,
-                                   meta={"max-degree": N_max})
     report = CheckReport(title, meta={"max-degree": N_max})
+    if samples is None:
+        b = {n: b_matrix(module, n) for n in range(1, N_max + 3)}
+        check_b_square(report, module, b)
+        B = {n: B_matrix(module, n) for n in range(N_max)}
+        check_B_relations(report, module, b, B)
+        return report
 
     def b(n, t):
         return hochschild_b(module, n, t)
@@ -379,61 +383,33 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
     return report
 
 
-def check_mixed_complex(module, b_top, B_top=None, title="mixed-complex",
-                        meta=None):
-    """The mixed-complex identities among b_1..b_(b_top) and, when B_top is
-    given, B_0..B_(B_top), as exact sparse matrix products.
+def _nonzero_column(module, name, product, degree):
+    """None when the product is zero, else the witness: the first basis
+    tuple of the source degree on which it is not."""
+    if not product.entries:
+        return None
+    col = min(c for _, c in product.entries)
+    return (name, [module.key_of_index(col, degree)])
 
-    Checks b_(n+2) b_(n+1) = 0, B_n B_(n+1) = 0 and b_n B_(n-1) + B_n b_(n+1)
-    = 0 for every n whose matrices are in range, under the names and with
-    the witnesses of the elementwise mixed_complex_report: the first basis
-    tuple of the source degree on which the product is not zero.  Matrices
-    are built when first needed and dropped once no later check uses them:
-    the b^2 pass holds two b's, the pass over B at most three B's and two
-    b's, so the largest B is never alive next to the largest b.
-    """
-    def nonzero_column(name, product, degree):
-        if not product.entries:
-            return None
-        col = min(c for _, c in product.entries)
-        return (name, [module.key_of_index(col, degree)])
 
-    report = CheckReport(title, meta=meta)
-    lower = None
-    for m in range(1, b_top + 1):
-        upper = b_matrix(module, m)
-        if lower is not None:
-            found = nonzero_column("b.b", upper @ lower, m - 2)
-            report.add(f"b2 n={m - 2}", found is None, found)
-        lower = upper
-    lower = upper = None  # release b_(b_top) before any B is built
-    if B_top is None:
-        return report
+def check_b_square(report, module, b):
+    """Add 'b2 n=...' checks of b_(n+2) b_(n+1) = 0 to report, for every
+    consecutive pair in b = {n: b_n}, 1 <= n <= top."""
+    for n in range(len(b) - 1):
+        found = _nonzero_column(module, "b.b", b[n + 2] @ b[n + 1], n)
+        report.add(f"b2 n={n}", found is None, found)
 
-    b_mats, B_mats = {}, {}
 
-    def b(m):
-        if m not in b_mats:
-            b_mats[m] = b_matrix(module, m)
-        return b_mats[m]
-
-    def B(m):
-        if m not in B_mats:
-            B_mats[m] = B_matrix(module, m)
-        return B_mats[m]
-
-    squares, anticommutators = [], []
-    for n in range(B_top + 1):
-        if n + 1 <= b_top:
-            anti = B(n) @ b(n + 1)
-            if n >= 1:
-                anti = anti + b(n) @ B(n - 1)
-            anticommutators.append((n, nonzero_column("bB+Bb", anti, n)))
-        b_mats.pop(n, None)
-        B_mats.pop(n - 1, None)
-        if n + 1 <= B_top:
-            squares.append((n, nonzero_column("B.B", B(n) @ B(n + 1), n + 2)))
-    for name, results in (("B2", squares), ("bB+Bb", anticommutators)):
-        for n, found in results:
-            report.add(f"{name} n={n}", found is None, found)
-    return report
+def check_B_relations(report, module, b, B):
+    """Add 'B2 n=...' checks of B_n B_(n+1) = 0 and 'bB+Bb n=...' checks of
+    b_n B_(n-1) + B_n b_(n+1) = 0 to report, for B = {n: B_n}, 0 <= n < N,
+    and b = {n: b_n} for 1 <= n <= N at least."""
+    for n in range(len(B) - 1):
+        found = _nonzero_column(module, "B.B", B[n] @ B[n + 1], n + 2)
+        report.add(f"B2 n={n}", found is None, found)
+    for n in range(len(B)):
+        anti = B[n] @ b[n + 1]
+        if n >= 1:
+            anti = anti + b[n] @ B[n - 1]
+        found = _nonzero_column(module, "bB+Bb", anti, n)
+        report.add(f"bB+Bb n={n}", found is None, found)

@@ -2,6 +2,9 @@ import pathlib
 
 import pytest
 
+from hopfcyclic import cohomology
+from hopfcyclic.cohomology import B_matrix, b_matrix
+
 PKG_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = PKG_ROOT / "data"
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
@@ -25,3 +28,24 @@ def load_golden(name):
             key, *vals = line.split()
             out[key] = [int(v) for v in vals]
     return out
+
+
+def differentials(module, N_max):
+    """The matrices the dimension functions take for max degree N_max:
+    {n: b_n} for 1 <= n <= N_max + 1 and {n: B_n} for 0 <= n < N_max."""
+    return ({n: b_matrix(module, n) for n in range(1, N_max + 2)},
+            {n: B_matrix(module, n) for n in range(N_max)})
+
+
+@pytest.fixture
+def flipped_B1(monkeypatch):
+    """cohomology.B_matrix with the sign of one entry of B_1 flipped, which
+    breaks B^2 = 0 and bB + Bb = 0."""
+    def flipped(module, n):
+        matrix = B_matrix(module, n)
+        if n == 1:
+            key = min(matrix.entries)
+            matrix.entries[key] = -matrix.entries[key]
+        return matrix
+
+    monkeypatch.setattr(cohomology, "B_matrix", flipped)

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import load_golden
+from conftest import differentials, load_golden
 from hopfcyclic import actions as act
 from hopfcyclic.algebras import algebra_of_hopf
 from hopfcyclic.cohomology import (bicomplex_dimensions,
@@ -134,8 +134,9 @@ def test_criterion_6_trivial_dimensions():
     start = time.time()
     H = trivial_hopf()
     module = HopfCyclicModule(H, H.counit_character())
-    hh, _ = hochschild_dimensions(module, 4)
-    hc = lambda_complex_dimensions(module, 4)
+    b, _ = differentials(module, 4)
+    hh, _ = hochschild_dimensions(module, b)
+    hc = lambda_complex_dimensions(module, b)
     took = time.time() - start
     ok = hh == [1, 0, 0, 0, 0] and hc == [1, 0, 1, 0, 1] and took < 1.0
     verdict(6, ok, f"ground field: HH = {hh}, HC = {hc} in {took:.3f}s")
@@ -153,8 +154,9 @@ def test_criterion_7_method_agreement():
             else H.character(cname)
         module = HopfCyclicModule(H, delta)
         golden = load_golden(name)
-        hc_lambda = lambda_complex_dimensions(module, 4)
-        dims, flags = bicomplex_dimensions(module, 6)
+        hc_lambda = lambda_complex_dimensions(module,
+                                              differentials(module, 4)[0])
+        dims, flags = bicomplex_dimensions(module, *differentials(module, 6))
         agree = all(hc_lambda[n] == dims[n] == golden["HC"][n]
                     for n in range(5) if not flags[n])
         ok = ok and agree and hc_lambda == golden["HC"]

@@ -10,6 +10,7 @@ from hopfcyclic.algebras import (FiniteAlgebra, algebra_of_hopf,
                                  matrix_algebra)
 from hopfcyclic.fields import RationalField
 from hopfcyclic.hopf import cyclic_group_algebra, trivial_hopf
+from hopfcyclic.presentations import load_gamma_input
 
 ONE = Fraction(1)
 Z2_LABELS = ["e", "g"]
@@ -124,6 +125,23 @@ def test_gamma_commutes_with_all_operators():
     trace = act.summation_trace(A)
     report = act.check_gamma_morphism(H, eps, A, action, trace, 3)
     assert report.ok, report.render()
+
+
+def test_gamma_computed_once_per_basis_tensor(monkeypatch, data_dir):
+    H, delta, A, action, trace = load_gamma_input(
+        str(data_dir / "gamma-translation.json"))
+    calls = []
+    characteristic_map = act.characteristic_map
+
+    def counted(hopf, algebra, action, trace, t, n):
+        calls.append((tuple(t), n))
+        return characteristic_map(hopf, algebra, action, trace, t, n)
+
+    monkeypatch.setattr(act, "characteristic_map", counted)
+    report = act.check_gamma_morphism(H, delta, A, action, trace, 4)
+    assert report.ok, report.render()
+    # one call per basis tensor of degrees 0..4 over the 2-dimensional QZ2
+    assert H.dim == 2 and len(calls) == len(set(calls)) == 31
 
 
 def test_gamma_fails_for_point_trace():

@@ -17,7 +17,8 @@ from hopfcyclic.cohomology import (B_matrix, B_operator, b_matrix,
 from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.fields import Cyclotomic
 from hopfcyclic.hopf import (BUILTIN_BUILDERS, check_involution,
-                             function_algebra, group_algebra, vec_sub)
+                             function_algebra, group_algebra, vec_add_into,
+                             vec_sub)
 from hopfcyclic.linalg import SparseMatrix
 from hopfcyclic.presentations import load_hopf
 
@@ -65,6 +66,16 @@ def test_differentials_match_elementwise(module):
         if n >= 1:
             assert b_matrix(module, n) == module.operator_matrix(
                 lambda t: hochschild_b(module, n, t), n - 1, n), n
+            # the lambda method rests on (1 - lambda) b = b' (1 - lambda),
+            # with b' = sum_(i<n) (-1)^i face_i
+            b_prime = {}
+            for i in range(n):
+                vec_add_into(b_prime, module.face_matrix(i, n).entries,
+                             1 if i % 2 == 0 else -1)
+            b_prime = SparseMatrix(module.space_dim(n),
+                                   module.space_dim(n - 1), b_prime)
+            assert one_minus_lambda_matrix(module, n) @ b_matrix(module, n) \
+                == b_prime @ one_minus_lambda_matrix(module, n - 1), n
         assert one_minus_lambda_matrix(module, n) == module.operator_matrix(
             lambda t: vec_sub(t, signed_cyclic(module, n, t)), n, n), n
         assert B_matrix(module, n) == module.operator_matrix(

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, report output."""
 
+import collections
 import json
 
 import pytest
@@ -176,18 +177,7 @@ def test_non_multiplicative_counit_exit_2(capsys, tmp_path, data_dir):
     assert out.err.startswith("error: character not multiplicative")
 
 
-def test_cohomology_refuses_broken_mixed_complex(capsys, monkeypatch):
-    # one entry of B_1 with its sign flipped breaks B^2 = 0 and bB + Bb = 0
-    assembled = cohomology.B_matrix
-
-    def flipped(module, n):
-        matrix = assembled(module, n)
-        if n == 1:
-            key = min(matrix.entries)
-            matrix.entries[key] = -matrix.entries[key]
-        return matrix
-
-    monkeypatch.setattr(cohomology, "B_matrix", flipped)
+def test_cohomology_refuses_broken_mixed_complex(capsys, flipped_B1):
     code, out = run(capsys, "cohomology", "--input", "sweedler",
                     "--character", "delta", "--max-degree", "3")
     assert code == 1
@@ -205,8 +195,27 @@ def test_cohomology_refuses_broken_mixed_complex(capsys, monkeypatch):
 
 def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "lambda_complex_dimensions",
-                        lambda module, N_max: [1, -1] + [0] * (N_max - 1))
+                        lambda module, b: [1, -1] + [0] * (len(b) - 2))
     code, out = run(capsys, "cohomology", "--input", "qz2",
                     "--max-degree", "3", "--method", "lambda")
     assert code == 1
     assert out == "error: negative dimension HC_lambda=-1 at degree 1\n"
+
+
+@pytest.mark.parametrize("method", ["both", "lambda"])
+def test_cohomology_builds_each_matrix_once(capsys, monkeypatch, method):
+    calls = collections.Counter()
+    for name in ("b_matrix", "B_matrix", "one_minus_lambda_matrix"):
+        def counted(module, n, name=name, build=getattr(cohomology, name)):
+            calls[name, n] += 1
+            return build(module, n)
+        monkeypatch.setattr(cohomology, name, counted)
+    code, _ = run(capsys, "cohomology", "--input", "sweedler",
+                  "--character", "delta", "--max-degree", "4",
+                  "--method", method)
+    assert code == 0
+    built = {("b_matrix", n): 1 for n in range(1, 6)}
+    built.update({("one_minus_lambda_matrix", n): 1 for n in range(5)})
+    if method == "both":
+        built.update({("B_matrix", n): 1 for n in range(4)})
+    assert dict(calls) == built

@@ -5,11 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import load_golden
+from conftest import differentials, load_golden
 from dense_oracle import oracle_dimensions
-from hopfcyclic.cohomology import (NotCyclicError, b_matrix, B_matrix,
-                                   bicomplex_dimensions, cohomology_report,
-                                   B_operator, hochschild_b,
+from hopfcyclic.cli import main
+from hopfcyclic.cohomology import (NotCyclicError, NotMixedComplexError,
+                                   b_matrix, bicomplex_dimensions,
+                                   cohomology_report, B_operator, hochschild_b,
                                    hochschild_dimensions,
                                    lambda_complex_dimensions, methods_agree,
                                    mixed_complex_report,
@@ -35,25 +36,27 @@ def module_of(builder, cname):
 
 def test_trivial_dimensions():
     H, delta, module = module_of(trivial_hopf, "counit")
-    hh, _ = hochschild_dimensions(module, 4)
+    b, _ = differentials(module, 4)
+    hh, _ = hochschild_dimensions(module, b)
     assert hh == [1, 0, 0, 0, 0]
-    assert lambda_complex_dimensions(module, 4) == [1, 0, 1, 0, 1]
+    assert lambda_complex_dimensions(module, b) == [1, 0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("name,builder,cname", CASES)
 def test_lambda_dimensions_match_goldens(name, builder, cname):
     _, _, module = module_of(builder, cname)
     golden = load_golden(name)
-    hh, _ = hochschild_dimensions(module, 4)
+    b, _ = differentials(module, 4)
+    hh, _ = hochschild_dimensions(module, b)
     assert hh == golden["HH"]
-    assert lambda_complex_dimensions(module, 4) == golden["HC"]
+    assert lambda_complex_dimensions(module, b) == golden["HC"]
 
 
 @pytest.mark.parametrize("name,builder,cname", CASES[:3])
 def test_bicomplex_matches_goldens_below_boundary(name, builder, cname):
     _, _, module = module_of(builder, cname)
     golden = load_golden(name)
-    dims, flags = bicomplex_dimensions(module, 4)
+    dims, flags = bicomplex_dimensions(module, *differentials(module, 4))
     for n in range(4):
         if not flags[n]:
             assert dims[n] == golden["HC"][n], n
@@ -62,9 +65,10 @@ def test_bicomplex_matches_goldens_below_boundary(name, builder, cname):
 def test_oracle_agrees_with_package_on_sweedler():
     H, delta, module = module_of(sweedler_h4, "delta")
     hh_oracle, hc_oracle = oracle_dimensions(H, list(delta.values), 3)
-    hh, _ = hochschild_dimensions(module, 3)
+    b, _ = differentials(module, 3)
+    hh, _ = hochschild_dimensions(module, b)
     assert hh == hh_oracle
-    assert lambda_complex_dimensions(module, 3) == hc_oracle
+    assert lambda_complex_dimensions(module, b) == hc_oracle
 
 
 @pytest.mark.parametrize("name,builder,cname", CASES)
@@ -90,6 +94,18 @@ def test_involution_refusal():
         require_involution(H, H.counit_character())
     with pytest.raises(NotCyclicError):
         cohomology_report(H, H.counit_character(), 2)
+
+
+def test_report_refuses_broken_mixed_complex(capsys, flipped_B1):
+    H = sweedler_h4()
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(H, H.character("delta"), 3)
+    report = caught.value.report
+    assert not report.ok
+    # the command line prints the library's report and nothing else
+    assert main(["cohomology", "--input", "sweedler", "--character", "delta",
+                 "--max-degree", "3"]) == 1
+    assert capsys.readouterr().out == report.render() + "\n"
 
 
 def test_b_image_is_cyclic_invariant():
