@@ -267,7 +267,7 @@ def check_cyclic_cocycle(algebra, phi, n=None):
 # matrices over A and the idempotent pairing
 
 
-def mat_over_mul(algebra, X, Y, q):
+def mat_over_mul(algebra, X, Y):
     out = {}
     for (r, k1), x in X.items():
         for (k2, c), y in Y.items():
@@ -289,7 +289,7 @@ def mat_over_eq(X, Y):
 
 
 def is_idempotent(algebra, E, q):
-    return mat_over_eq(mat_over_mul(algebra, E, E, q), E)
+    return mat_over_eq(mat_over_mul(algebra, E, E), E)
 
 
 def eval_cochain(algebra, phi, elems):
@@ -346,7 +346,7 @@ def random_conjugate(algebra, E, q, rng, steps=3):
         u[(r, s)] = a
         uinv = mat_over_identity(algebra, q)
         uinv[(r, s)] = vec_scale(-1, a)
-        out = mat_over_mul(algebra, mat_over_mul(algebra, u, out, q), uinv, q)
+        out = mat_over_mul(algebra, mat_over_mul(algebra, u, out), uinv)
     return out
 
 
@@ -357,16 +357,12 @@ def random_conjugate(algebra, E, q, rng, steps=3):
 def translation_action(labels, table):
     """Group algebra of G acting on functions on G by right translation of
     the argument: (g . f)(s) = f(s g).  Returns (H, A, action)."""
-    from .hopf import group_algebra, function_algebra
+    from .hopf import cayley_inverses, group_algebra, function_algebra
     from .algebras import algebra_of_hopf
     H = group_algebra(labels, table)
     A = algebra_of_hopf(function_algebra(labels, table))
     n = len(labels)
-    inv = {}
-    for g in range(n):
-        for h in range(n):
-            if table[g][h] == 0:
-                inv[g] = h
+    inv = cayley_inverses(table)
     one = H.field.one()
     matrices = {}
     for g in range(n):

@@ -15,7 +15,7 @@ class FiniteAlgebra:
     Associativity and unitality are verified at construction.
     """
 
-    def __init__(self, name, field, basis, unit, product, check=True):
+    def __init__(self, name, field, basis, unit, product):
         self.name = name
         self.field = field
         self.basis = list(basis)
@@ -23,8 +23,7 @@ class FiniteAlgebra:
         self.unit = {k: v for k, v in unit.items() if v}
         self.product = {k: {i: c for i, c in v.items() if c}
                         for k, v in product.items()}
-        if check:
-            self._validate()
+        self._validate()
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, dim={self.dim})"
@@ -81,7 +80,7 @@ class FiniteAlgebra:
 def algebra_of_hopf(H):
     """The underlying associative algebra of a FiniteHopf."""
     return FiniteAlgebra(H.name, H.field, H.basis, dict(H.unit),
-                         {k: dict(v) for k, v in H.product.items()}, check=False)
+                         {k: dict(v) for k, v in H.product.items()})
 
 
 def matrix_algebra(n, field=None):

@@ -74,7 +74,7 @@ def cmd_check_hopf(args):
 def cmd_cyclic_relations(args):
     data = _load_json(args.input) if args.input not in BUILTIN_BUILDERS \
         else None
-    if data is not None and "brackets" in data:
+    if isinstance(data, dict) and "brackets" in data:
         from .enveloping import tensor_samples
         U = load_lie(args.input)
         delta = U.modular_character()

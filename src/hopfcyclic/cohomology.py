@@ -19,8 +19,9 @@ matrices to the mixed-complex checks (exact sparse products) and to every
 dimension function.  It builds every b and checks b^2 = 0, computes HH and
 the lambda-method HC, and drops b_(N+1), the largest b, before it builds
 any B; then it checks B^2 = 0 and bB + Bb = 0 and computes the bicomplex
-dimensions.  It raises NotMixedComplexError rather than return a table
-for a complex that fails an identity.
+dimensions.  No rank is computed after a failed check: the report still
+runs every check, then raises NotMixedComplexError rather than return a
+table for a complex that fails an identity.
 
 Cyclic cohomology is computed two ways: from the lambda-invariant
 subcomplex (valid in characteristic 0) and from the total complex of the
@@ -175,10 +176,6 @@ class ComplexReport:
     def add_row(self, **kw):
         self.rows.append(kw)
 
-    def hc_column(self, method):
-        key = "hc_lambda" if method == "lambda" else "hc_bB"
-        return [row.get(key) for row in self.rows]
-
     def render(self):
         lines = [
             "report: cohomology",
@@ -310,16 +307,17 @@ def cohomology_report(hopf, delta, N_max, method="both", module=None):
     gate = CheckReport("mixed-complex", meta={"max-degree": N_max})
     b = {n: b_matrix(module, n) for n in range(1, N_max + 2)}
     check_b_square(gate, module, b)
-    hh, b_ranks = hochschild_dimensions(module, b)
-    hc_lambda = lambda_complex_dimensions(module, b) \
-        if method in ("lambda", "both") else [None] * (N_max + 1)
+    if gate.ok:  # no rank of a complex whose b^2 is not 0
+        hh, b_ranks = hochschild_dimensions(module, b)
+        hc_lambda = lambda_complex_dimensions(module, b) \
+            if method in ("lambda", "both") else [None] * (N_max + 1)
+    hc_bB, flags = [None] * (N_max + 1), [False] * (N_max + 1)
     if method in ("bB", "both"):
         del b[N_max + 1]  # served HH and HC(lambda) only
         B = {n: B_matrix(module, n) for n in range(N_max)}
         check_B_relations(gate, module, b, B)
-        hc_bB, flags = bicomplex_dimensions(module, b, B)
-    else:
-        hc_bB, flags = [None] * (N_max + 1), [False] * (N_max + 1)
+        if gate.ok:
+            hc_bB, flags = bicomplex_dimensions(module, b, B)
     if not gate.ok:
         raise NotMixedComplexError(gate)
     report = ComplexReport(hopf.name, delta.name, N_max, method)

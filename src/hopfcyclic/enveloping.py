@@ -237,6 +237,7 @@ class EnvelopingAlgebra:
         return out
 
     def twist_automorphism(self, delta, a):
+        """sigma(h) = sum delta(h_(1)) h_(2); an algebra automorphism."""
         out = {}
         for key, c in a.items():
             for (l, r), d in self.comul_basis(key).items():
@@ -244,12 +245,8 @@ class EnvelopingAlgebra:
         return out
 
     def twisted_antipode(self, delta, a):
-        out = {}
-        for key, c in a.items():
-            for (l, r), d in self.comul_basis(key).items():
-                vec_add_into(out, self.antipode_basis(r),
-                             c * d * delta.value(l))
-        return out
+        """S~(h) = sum delta(h_(1)) S(h_(2))."""
+        return self.antipode_of(self.twist_automorphism(delta, a))
 
     def modular_character(self, name="delta"):
         return SymbolicCharacter(self.lie.adjoint_trace_character(), name=name)

@@ -249,9 +249,6 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n):
-        return Fraction(n)
-
     def parse(self, text):
         return parse_rational(text)
 
@@ -285,9 +282,6 @@ class CyclotomicField:
     def one(self):
         return Cyclotomic(self.order, [1])
 
-    def from_int(self, n):
-        return Cyclotomic(self.order, [n])
-
     def zeta(self):
         return Cyclotomic(self.order, [0, 1])
 
@@ -311,6 +305,8 @@ class CyclotomicField:
 
 
 def field_from_spec(spec):
+    if not isinstance(spec, dict):
+        raise ScalarFormatError(f"field spec must be a mapping, not {spec!r}")
     kind = spec.get("kind")
     if kind == "rational":
         return RationalField()

@@ -345,6 +345,15 @@ def check_involution(H, delta):
 # built-in constructions
 
 
+def cayley_inverses(table):
+    """inverse[i] = j with table[i][j] = 0 (the identity sits at index 0);
+    raises ValueError when some element has no inverse."""
+    inverse = [row.index(0) if 0 in row else None for row in table]
+    if None in inverse:
+        raise ValueError("Cayley table has a non-invertible element")
+    return inverse
+
+
 def group_algebra(labels, table, name=None, field=None):
     """Group algebra k[G] from a Cayley table: table[i][j] = index of g_i g_j.
 
@@ -357,13 +366,7 @@ def group_algebra(labels, table, name=None, field=None):
         if table[0][j] != j or table[j][0] != j:
             raise ValueError("identity must sit at index 0 of the Cayley table")
     one = field.one()
-    inverse = [None] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0:
-                inverse[i] = j
-    if any(v is None for v in inverse):
-        raise ValueError("Cayley table has a non-invertible element")
+    inverse = cayley_inverses(table)
     product = {(i, j): {table[i][j]: one} for i in range(n) for j in range(n)}
     coproduct = {i: {(i, i): one} for i in range(n)}
     counit = [one] * n
@@ -403,11 +406,7 @@ def function_algebra(labels, table, name=None, field=None):
                     pairs[(a, b)] = one
         coproduct[g] = pairs
     counit = [one if g == 0 else field.zero() for g in range(n)]
-    inverse = [None] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0:
-                inverse[i] = j
+    inverse = cayley_inverses(table)
     antipode = {i: {inverse[i]: one} for i in range(n)}
     unit = {i: one for i in range(n)}
     H = FiniteHopf(name or f"function-algebra[{'.'.join(labels)}]", field,

@@ -10,6 +10,9 @@ scalar lists).  Indices are 0-based and omitted entries are zero.
 Lie presentations carry dim and brackets (rows [i, j, k, "c"]).  Pairing
 and action inputs bundle a Hopf (or plain algebra) presentation with
 matrices, trace vectors and idempotents in the same scalar syntax.
+
+Every [index..., "c"] table goes through ``_table``, so a malformed file
+raises PresentationError and nothing else.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .enveloping import EnvelopingAlgebra, LieAlgebra
-from .fields import ScalarFormatError, field_from_spec
+from .fields import field_from_spec
 from .hopf import CharacterError, FiniteHopf
 
 
@@ -39,17 +42,38 @@ def _load_json(path):
         _fail(f"{path} is not valid structured text: {exc}")
 
 
+def _require(data, keys, path):
+    """data[key] for each key; data must be a mapping that has them all."""
+    if not isinstance(data, dict):
+        _fail(f"{path}: expected a mapping with fields {', '.join(keys)}")
+    for key in keys:
+        if key not in data:
+            _fail(f"{path}: missing field {key!r}")
+    return [data[key] for key in keys]
+
+
 def _field_of(data, path):
     try:
         return field_from_spec(data.get("field", {"kind": "rational"}))
-    except (ScalarFormatError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         _fail(f"{path}: bad field spec: {exc}")
+
+
+def _positive_int(value, path, where):
+    if type(value) is not int or value < 1:
+        _fail(f"{path}: {where} must be a positive integer")
+
+
+def _string(value, path, where):
+    if not isinstance(value, str):
+        _fail(f"{path}: {where} must be a string, not {value!r}")
+    return value
 
 
 def _scalar(field, text, path, where):
     try:
-        return field.parse(text)
-    except (ScalarFormatError, ValueError, TypeError) as exc:
+        return field.parse(_string(text, path, f"scalar in {where}"))
+    except ValueError as exc:
         _fail(f"{path}: bad scalar {text!r} in {where}: {exc}")
 
 
@@ -59,74 +83,73 @@ def _scalar_list(field, rows, dim, path, where):
     return [_scalar(field, v, path, where) for v in rows]
 
 
-def _index(v, dim, path, where):
-    if not isinstance(v, int) or not 0 <= v < dim:
+def _index(v, bound, path, where):
+    if type(v) is not int or not 0 <= v < bound:
         _fail(f"{path}: index {v!r} out of range in {where}")
     return v
 
 
+def _table(field, rows, bounds, path, where, shape):
+    """{index tuple: scalar} from rows [i_1, ..., i_n, "c"] with
+    0 <= i_m < bounds[m]; repeated index tuples are summed, zeros dropped."""
+    if not isinstance(rows, list):
+        _fail(f"{path}: {where} must be a list of {shape} rows")
+    out = {}
+    for row in rows:
+        if not isinstance(row, list) or len(row) != len(bounds) + 1:
+            _fail(f"{path}: {where} rows must be {shape}")
+        key = tuple(_index(v, n, path, where) for v, n in zip(row, bounds))
+        c = _scalar(field, row[-1], path, where)
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def _nest(table, split):
+    """{outer: {inner: c}} from {index tuple: c}; outer is key[:split]."""
+    out = {}
+    for key, c in table.items():
+        outer, inner = (part[0] if len(part) == 1 else part
+                        for part in (key[:split], key[split:]))
+        out.setdefault(outer, {})[inner] = c
+    return out
+
+
+def _rows(field, nested):
+    """Inverse of _nest: sorted rows [index..., "c"] of {outer: {inner: c}}."""
+    def flat(key):
+        return key if isinstance(key, tuple) else (key,)
+    return [[*flat(outer), *flat(inner), field.format(c)]
+            for outer in sorted(nested)
+            for inner, c in sorted(nested[outer].items())]
+
+
 def hopf_from_dict(data, path="<dict>"):
-    if not isinstance(data, dict):
-        _fail(f"{path}: top level must be a mapping")
-    for key in ("name", "dim", "basis", "unit", "product",
-                "coproduct", "counit", "antipode"):
-        if key not in data:
-            _fail(f"{path}: missing field {key!r}")
+    name, dim, basis, unit, product, coproduct, counit, antipode = \
+        _require(data, ("name", "dim", "basis", "unit", "product",
+                         "coproduct", "counit", "antipode"), path)
     field = _field_of(data, path)
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        _fail(f"{path}: dim must be a positive integer")
-    basis = data["basis"]
-    if not isinstance(basis, list) or len(basis) != dim:
-        _fail(f"{path}: basis must list {dim} labels")
-
-    unit_list = _scalar_list(field, data["unit"], dim, path, "unit")
-    unit = {i: v for i, v in enumerate(unit_list) if v}
-
-    product = {}
-    for row in data["product"]:
-        if not isinstance(row, list) or len(row) != 4:
-            _fail(f"{path}: product rows must be [i, j, k, scalar]")
-        i = _index(row[0], dim, path, "product")
-        j = _index(row[1], dim, path, "product")
-        k = _index(row[2], dim, path, "product")
-        c = _scalar(field, row[3], path, "product")
-        if c:
-            slot = product.setdefault((i, j), {})
-            slot[k] = slot.get(k, field.zero()) + c
-
-    coproduct = {}
-    for row in data["coproduct"]:
-        if not isinstance(row, list) or len(row) != 4:
-            _fail(f"{path}: coproduct rows must be [i, j, k, scalar]")
-        i = _index(row[0], dim, path, "coproduct")
-        j = _index(row[1], dim, path, "coproduct")
-        k = _index(row[2], dim, path, "coproduct")
-        c = _scalar(field, row[3], path, "coproduct")
-        if c:
-            slot = coproduct.setdefault(i, {})
-            slot[(j, k)] = slot.get((j, k), field.zero()) + c
-
-    counit = _scalar_list(field, data["counit"], dim, path, "counit")
-
-    antipode = {}
-    for row in data["antipode"]:
-        if not isinstance(row, list) or len(row) != 3:
-            _fail(f"{path}: antipode rows must be [i, j, scalar]")
-        i = _index(row[0], dim, path, "antipode")
-        j = _index(row[1], dim, path, "antipode")
-        c = _scalar(field, row[2], path, "antipode")
-        if c:
-            slot = antipode.setdefault(i, {})
-            slot[j] = slot.get(j, field.zero()) + c
-
-    characters = {}
-    for cname, rows in (data.get("characters") or {}).items():
-        characters[cname] = _scalar_list(field, rows, dim, path,
-                                         f"character {cname}")
+    _string(name, path, "name")
+    _positive_int(dim, path, "dim")
+    if not isinstance(basis, list) or len(basis) != dim or not all(
+            isinstance(label, str) for label in basis):
+        _fail(f"{path}: basis must list {dim} string labels")
+    characters = data.get("characters", {})
+    if not isinstance(characters, dict):
+        _fail(f"{path}: characters must map names to scalar lists")
     try:
-        return FiniteHopf(data["name"], field, basis, unit, product,
-                          coproduct, counit, antipode, characters=characters)
+        return FiniteHopf(
+            name, field, basis,
+            dict(enumerate(_scalar_list(field, unit, dim, path, "unit"))),
+            _nest(_table(field, product, (dim,) * 3, path, "product",
+                         "[i, j, k, scalar]"), 2),
+            _nest(_table(field, coproduct, (dim,) * 3, path, "coproduct",
+                         "[i, j, k, scalar]"), 1),
+            _scalar_list(field, counit, dim, path, "counit"),
+            _nest(_table(field, antipode, (dim,) * 2, path, "antipode",
+                         "[i, j, scalar]"), 1),
+            characters={cname: _scalar_list(field, values, dim, path,
+                                            f"character {cname}")
+                        for cname, values in characters.items()})
     except CharacterError as exc:
         _fail(f"{path}: {exc}")
 
@@ -137,27 +160,20 @@ def load_hopf(path):
 
 def hopf_to_dict(H):
     field = H.field
-    data = {
+    return {
         "name": H.name,
         "field": field.to_spec(),
         "dim": H.dim,
         "basis": list(H.basis),
         "unit": [field.format(
             H.unit.get(i, field.zero())) for i in range(H.dim)],
-        "product": [[i, j, k, field.format(c)]
-                    for (i, j) in sorted(H.product)
-                    for k, c in sorted(H.product[(i, j)].items())],
-        "coproduct": [[i, j, k, field.format(c)]
-                      for i in sorted(H.coproduct)
-                      for (j, k), c in sorted(H.coproduct[i].items())],
+        "product": _rows(field, H.product),
+        "coproduct": _rows(field, H.coproduct),
         "counit": [field.format(v) for v in H.counit],
-        "antipode": [[i, j, field.format(c)]
-                     for i in sorted(H.antipode)
-                     for j, c in sorted(H.antipode[i].items())],
+        "antipode": _rows(field, H.antipode),
         "characters": {name: [field.format(v) for v in ch.values]
                        for name, ch in sorted(H.characters.items())},
     }
-    return data
 
 
 def dump_hopf(H, path):
@@ -168,40 +184,26 @@ def dump_hopf(H, path):
 
 def load_lie(path):
     data = _load_json(path)
-    if not isinstance(data, dict) or "dim" not in data or "brackets" not in data:
-        _fail(f"{path}: a Lie presentation needs dim and brackets")
+    dim, rows = _require(data, ("dim", "brackets"), path)
     field = _field_of(data, path)
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        _fail(f"{path}: dim must be a positive integer")
-    brackets = {}
-    for row in data["brackets"]:
-        if not isinstance(row, list) or len(row) != 4:
-            _fail(f"{path}: bracket rows must be [i, j, k, scalar]")
-        i = _index(row[0], dim, path, "brackets")
-        j = _index(row[1], dim, path, "brackets")
-        k = _index(row[2], dim, path, "brackets")
-        c = _scalar(field, row[3], path, "brackets")
-        if c:
-            slot = brackets.setdefault((i, j), {})
-            slot[k] = slot.get(k, field.zero()) + c
+    if field.kind != "rational":
+        _fail(f"{path}: a Lie presentation must be over the rationals")
+    _positive_int(dim, path, "dim")
+    brackets = _table(field, rows, (dim,) * 3, path, "brackets",
+                      "[i, j, k, scalar]")
     try:
-        return EnvelopingAlgebra(LieAlgebra(dim, brackets))
+        return EnvelopingAlgebra(LieAlgebra(dim, _nest(brackets, 2)))
     except ValueError as exc:
         _fail(f"{path}: {exc}")
 
 
-def _matrix_rows(field, rows, dim, path, where):
-    out = {}
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 3:
-            _fail(f"{path}: matrix rows must be [row, col, scalar]")
-        r = _index(row[0], dim, path, where)
-        c = _index(row[1], dim, path, where)
-        v = _scalar(field, row[2], path, where)
-        if v:
-            out[(r, c)] = out.get((r, c), field.zero()) + v
-    return {k: v for k, v in out.items() if v}
+def _algebra(data, path):
+    """The algebra of a Hopf presentation; FiniteAlgebra checks its laws."""
+    from .algebras import algebra_of_hopf
+    try:
+        return algebra_of_hopf(hopf_from_dict(data, path))
+    except ValueError as exc:
+        _fail(f"{path}: {exc}")
 
 
 def load_pairing_input(path):
@@ -212,44 +214,18 @@ def load_pairing_input(path):
     cochain: {"degree": 2m, "entries": [[i0, ..., i2m, "c"], ...]}
     idempotent: [[row, col, basis-index, "c"], ...] inside M_q(A).
     """
-    from .algebras import algebra_of_hopf
-    data = _load_json(path)
-    for key in ("algebra", "cochain", "idempotent", "q"):
-        if key not in data:
-            _fail(f"{path}: missing field {key!r}")
-    A = algebra_of_hopf(hopf_from_dict(data["algebra"], path))
-    field = A.field
-    q = data["q"]
-    if not isinstance(q, int) or q < 1:
-        _fail(f"{path}: q must be a positive integer")
-    spec = data["cochain"]
-    degree = spec.get("degree")
-    if degree not in (0, 2):
+    algebra, spec, rows, q = _require(
+        _load_json(path), ("algebra", "cochain", "idempotent", "q"), path)
+    A = _algebra(algebra, f"{path}: algebra")
+    _positive_int(q, path, "q")
+    degree, = _require(spec, ("degree",), f"{path}: cochain")
+    if type(degree) is not int or degree not in (0, 2):
         _fail(f"{path}: cochain degree must be 0 or 2")
-    phi = {}
-    for row in spec.get("entries", []):
-        if not isinstance(row, list) or len(row) != degree + 2:
-            _fail(f"{path}: cochain rows need {degree + 1} indices + scalar")
-        key = tuple(_index(v, A.dim, path, "cochain") for v in row[:-1])
-        c = _scalar(field, row[-1], path, "cochain")
-        if c:
-            phi[key] = phi.get(key, field.zero()) + c
-    E = {}
-    for row in data["idempotent"]:
-        if not isinstance(row, list) or len(row) != 4:
-            _fail(f"{path}: idempotent rows must be [row, col, basis, scalar]")
-        r, c = row[0], row[1]
-        if not (isinstance(r, int) and isinstance(c, int)
-                and 0 <= r < q and 0 <= c < q):
-            _fail(f"{path}: idempotent position ({r!r}, {c!r}) outside M_{q}")
-        b = _index(row[2], A.dim, path, "idempotent")
-        v = _scalar(field, row[3], path, "idempotent")
-        if v:
-            slot = E.setdefault((r, c), {})
-            slot[b] = slot.get(b, field.zero()) + v
-    E = {k: {b: v for b, v in elem.items() if v} for k, elem in E.items()}
-    E = {k: elem for k, elem in E.items() if elem}
-    return A, phi, E, q
+    phi = _table(A.field, spec.get("entries", []), (A.dim,) * (degree + 1),
+                 path, "cochain", f"[{degree + 1} indices, scalar]")
+    E = _table(A.field, rows, (q, q, A.dim), path, "idempotent",
+               "[row, col, basis, scalar]")
+    return A, phi, _nest(E, 2), q
 
 
 def load_gamma_input(path):
@@ -257,24 +233,21 @@ def load_gamma_input(path):
     character name, an algebra presentation, one action matrix per H-basis
     element ([row, col, "c"] rows) and a trace vector."""
     from .actions import HopfAction, Trace
-    from .algebras import algebra_of_hopf
-    data = _load_json(path)
-    for key in ("hopf", "character", "algebra", "action", "trace"):
-        if key not in data:
-            _fail(f"{path}: missing field {key!r}")
-    H = hopf_from_dict(data["hopf"], path)
+    hopf, character, algebra, action, trace = _require(
+        _load_json(path), ("hopf", "character", "algebra", "action", "trace"),
+        path)
+    H = hopf_from_dict(hopf, f"{path}: hopf")
     try:
-        delta = H.character(data["character"])
+        delta = H.character(_string(character, path, "character"))
     except CharacterError as exc:
         _fail(f"{path}: {exc}")
-    A = algebra_of_hopf(hopf_from_dict(data["algebra"], path))
+    A = _algebra(algebra, f"{path}: algebra")
     if A.field.to_spec() != H.field.to_spec():
         _fail(f"{path}: hopf and algebra must share a field")
-    action_rows = data["action"]
-    if not isinstance(action_rows, list) or len(action_rows) != H.dim:
+    if not isinstance(action, list) or len(action) != H.dim:
         _fail(f"{path}: action must list one matrix per Hopf basis element")
-    matrices = {i: _matrix_rows(A.field, rows, A.dim, path, f"action[{i}]")
-                for i, rows in enumerate(action_rows)}
-    trace = Trace(A, _scalar_list(A.field, data["trace"], A.dim, path,
-                                  "trace"))
+    matrices = {i: _table(A.field, rows, (A.dim, A.dim), path, f"action[{i}]",
+                          "[row, col, scalar]")
+                for i, rows in enumerate(action)}
+    trace = Trace(A, _scalar_list(A.field, trace, A.dim, path, "trace"))
     return H, delta, A, HopfAction(H, A, matrices), trace

@@ -49,3 +49,17 @@ def flipped_B1(monkeypatch):
         return matrix
 
     monkeypatch.setattr(cohomology, "B_matrix", flipped)
+
+
+@pytest.fixture
+def corrupted_b2(monkeypatch):
+    """cohomology.b_matrix with the sign of the last entry of b_2 flipped,
+    which breaks b^2 = 0 (and bB + Bb = 0) on Sweedler's H4."""
+    def corrupted(module, n):
+        matrix = b_matrix(module, n)
+        if n == 2:
+            key = max(matrix.entries)
+            matrix.entries[key] = -matrix.entries[key]
+        return matrix
+
+    monkeypatch.setattr(cohomology, "b_matrix", corrupted)

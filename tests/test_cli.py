@@ -2,11 +2,14 @@
 
 import collections
 import json
+import shlex
 
 import pytest
 
+from conftest import PKG_ROOT
 from hopfcyclic import cohomology
 from hopfcyclic.cli import main
+from hopfcyclic.linalg import SparseMatrix
 
 
 def run(capsys, *argv):
@@ -193,6 +196,41 @@ def test_cohomology_refuses_broken_mixed_complex(capsys, flipped_B1):
     assert "degree 3:" in out
 
 
+B_SQUARE_FAILS = """\
+report: mixed-complex
+max-degree: 3
+check b2 n=0 status=pass
+check b2 n=1 status=FAIL witness=('b.b', [(3,)])
+check b2 n=2 status=pass
+"""
+B_RELATIONS_AFTER_B_SQUARE_FAILS = """\
+check B2 n=0 status=pass
+check B2 n=1 status=pass
+check bB+Bb n=0 status=pass
+check bB+Bb n=1 status=FAIL witness=('bB+Bb', [(3,)])
+check bB+Bb n=2 status=FAIL witness=('bB+Bb', [(0, 2)])
+summary: pass=5 fail=3
+"""
+
+
+@pytest.mark.parametrize("method", ["both", "bB", "lambda"])
+def test_cohomology_computes_no_rank_when_b_square_fails(
+        capsys, monkeypatch, corrupted_b2, method):
+    ranks = []
+    rank = SparseMatrix.rank
+    monkeypatch.setattr(SparseMatrix, "rank",
+                        lambda self: ranks.append(self) or rank(self))
+    code, out = run(capsys, "cohomology", "--input", "sweedler",
+                    "--character", "delta", "--max-degree", "3",
+                    "--method", method)
+    assert code == 1
+    assert ranks == []
+    if method == "lambda":
+        assert out == B_SQUARE_FAILS + "summary: pass=2 fail=1\n"
+    else:
+        assert out == B_SQUARE_FAILS + B_RELATIONS_AFTER_B_SQUARE_FAILS
+
+
 def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "lambda_complex_dimensions",
                         lambda module, b: [1, -1] + [0] * (len(b) - 2))
@@ -219,3 +257,25 @@ def test_cohomology_builds_each_matrix_once(capsys, monkeypatch, method):
     if method == "both":
         built.update({("B_matrix", n): 1 for n in range(4)})
     assert dict(calls) == built
+
+
+def _readme_commands():
+    text = (PKG_ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("hopfcyclic ")]
+    assert commands, "README.md has no hopfcyclic command-line examples"
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS,
+                         ids=[" ".join(a[:3]) for a in README_COMMANDS])
+def test_readme_command_line_examples_run(capsys, monkeypatch, argv):
+    monkeypatch.chdir(PKG_ROOT)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("report: ")

@@ -95,6 +95,13 @@ def test_group_algebra_inverse_antipode():
     assert check_hopf_axioms(H).ok
 
 
+@pytest.mark.parametrize("build", [group_algebra, function_algebra])
+def test_non_invertible_cayley_table_rejected(build):
+    # g g = g: the identity row and column are right, but g has no inverse
+    with pytest.raises(ValueError, match="non-invertible"):
+        build(["e", "g"], [[0, 1], [1, 1]])
+
+
 def test_function_algebra_characters():
     labels = ["e", "g"]
     table = [[0, 1], [1, 0]]

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from conftest import DATA, GOLDENS
+from hopfcyclic.cli import main
 from hopfcyclic.hopf import check_hopf_axioms, cyclic_group_algebra, sweedler_h4
 from hopfcyclic.presentations import (PresentationError, dump_hopf,
                                       hopf_from_dict, hopf_to_dict,
@@ -104,3 +106,92 @@ def test_cyclotomic_field_round_trip(tmp_path):
     H2 = load_hopf(str(path))
     assert H2.field.to_spec() == {"kind": "cyclotomic", "order": 4}
     assert check_hopf_axioms(H2).ok
+
+
+def test_dump_reproduces_shipped_presentation_bytes(tmp_path):
+    golden = GOLDENS / "cli" / "qz4-zeta4.json"
+    out = tmp_path / "qz4.json"
+    dump_hopf(load_hopf(str(golden)), out)
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def _with(source, **fields):
+    def build():
+        data = json.loads((DATA / source).read_text())
+        data.update(fields)
+        return data
+    return build
+
+
+def _nonassociative_block():
+    # a a = b, b a = a, a b = 0: (a a) a = a but a (a a) = 0
+    product = [[0, i, i, "1"] for i in range(3)] + \
+        [[i, 0, i, "1"] for i in (1, 2)] + [[1, 1, 2, "1"], [2, 1, 1, "1"]]
+    return {"name": "nonassoc", "dim": 3, "basis": ["e", "a", "b"],
+            "unit": ["1", "0", "0"], "product": product, "coproduct": [],
+            "counit": ["1", "0", "0"], "antipode": []}
+
+
+def _numeric_scalar():
+    data = json.loads((DATA / "qz2.json").read_text())
+    data["product"][0][3] = 1
+    return data
+
+
+# (case id, command, top-level JSON value of the --input file, message)
+MALFORMED = [
+    ("product-int", "check-hopf", _with("qz2.json", product=5),
+     "product must be a list of [i, j, k, scalar] rows"),
+    ("antipode-null", "check-hopf", _with("qz2.json", antipode=None),
+     "antipode must be a list"),
+    ("characters-list", "check-hopf",
+     _with("qz2.json", characters=[["1", "1"]]), "characters must map"),
+    ("numeric-scalar", "check-hopf", _numeric_scalar,
+     "scalar in product must be a string, not 1"),
+    ("name-list", "check-hopf", _with("qz2.json", name=["x"]),
+     "name must be a string"),
+    ("dim-true", "check-hopf", _with("qz2.json", dim=True),
+     "dim must be a positive integer"),
+    ("field-int", "check-hopf", _with("qz2.json", field=5), "bad field spec"),
+    ("top-string", "check-hopf", lambda: "qz2", "expected a mapping"),
+    ("brackets-int", "cyclic-relations", _with("axb-lie.json", brackets=4),
+     "brackets must be a list"),
+    ("lie-cyclotomic", "cyclic-relations",
+     _with("axb-lie.json", field={"kind": "cyclotomic", "order": 4}),
+     "over the rationals"),
+    ("relations-top-int", "cyclic-relations", lambda: 5,
+     "expected a mapping"),
+    ("relations-top-string", "cyclic-relations", lambda: "brackets",
+     "expected a mapping"),
+    ("cochain-list", "pair", _with("pair-qz2.json", cochain=[1]),
+     "cochain: expected a mapping"),
+    ("idempotent-int", "pair", _with("pair-qz2.json", idempotent=5),
+     "idempotent must be a list"),
+    ("q-true", "pair", _with("pair-qz2.json", q=True),
+     "q must be a positive integer"),
+    ("pair-top-int", "pair", lambda: 5, "expected a mapping"),
+    ("pair-nonassociative", "pair",
+     _with("pair-qz2.json", algebra=_nonassociative_block(), q=1),
+     "algebra: nonassoc: associativity fails at (1,1,1)"),
+    ("action-rows-int", "gamma-check",
+     _with("gamma-translation.json", action=[5, 5]),
+     "action[0] must be a list"),
+    ("character-list", "gamma-check",
+     _with("gamma-translation.json", character=["counit"]),
+     "character must be a string"),
+    ("gamma-top-int", "gamma-check", lambda: 5, "expected a mapping"),
+]
+
+
+@pytest.mark.parametrize("command,build,message", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
+                                                     command, build, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(build()))
+    assert main([command, "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert message in lines[0]
