@@ -23,6 +23,14 @@ dimensions.  No rank is computed after a failed check: the report still
 runs every check, then raises NotMixedComplexError rather than return a
 table for a complex that fails an identity.
 
+Scalars: the matrices come from the module's integral copy of the
+structure tables (see cyclic_ops), 1 - lambda has the int 1 on its
+diagonal and the lambda method takes kernel vectors with the int 1, so on
+an integral presentation b, 1 - lambda, B, the gate's products and the
+elimination all run on int; a Fraction or Cyclotomic appears only where a
+non-integral value occurs, such as a pivot of 2 or delta(g) = zeta_4.
+The elementwise operators keep the field's own scalars.
+
 Cyclic cohomology is computed two ways: from the lambda-invariant
 subcomplex (valid in characteristic 0) and from the total complex of the
 first-quadrant (b, B)-bicomplex.  For a truncation at max degree N the
@@ -134,9 +142,8 @@ def B_matrix(module, n):
 
 
 def one_minus_lambda_matrix(module, n):
-    """1 - lambda_n = 1 - (-1)^n tau_n."""
-    one = module.field.one()
-    entries = {(i, i): one for i in range(module.space_dim(n))}
+    """1 - lambda_n = 1 - (-1)^n tau_n, with the int 1 on the diagonal."""
+    entries = {(i, i): 1 for i in range(module.space_dim(n))}
     vec_add_into(entries, module.cyclic_matrix(n).entries,
                  -1 if n % 2 == 0 else 1)
     return SparseMatrix(module.space_dim(n), module.space_dim(n), entries)
@@ -240,17 +247,32 @@ def hochschild_dimensions(module, b):
 
 def lambda_complex_dimensions(module, b):
     """HC^n from the lambda-invariant subcomplex with differential b, for
-    n <= N, given b = {n: b_n} for 1 <= n <= N+1."""
-    one = module.field.one()
+    n <= N, given b = {n: b_n} for 1 <= n <= N+1.
+
+    b_(n+1) K, for K the kernel vectors of 1 - lambda_n, is accumulated in
+    one pass over the entries of b_(n+1) against an index from each column
+    to the kernel vectors that use it, so b is never copied."""
     kernel_dims, image_ranks = [], []
     for n in range(len(b)):
-        kernel = one_minus_lambda_matrix(module, n).kernel_basis(one)
+        kernel = one_minus_lambda_matrix(module, n).kernel_basis(1)
         kernel_dims.append(len(kernel))
-        b_cols = b[n + 1].column_dicts()
-        mat = SparseMatrix.from_columns(
-            (_combine(b_cols, vec) for vec in kernel), module.space_dim(n + 1))
-        del b_cols, kernel
-        image_ranks.append(mat.rank())
+        users = {}
+        for j, vec in enumerate(kernel):
+            for c, x in vec.items():
+                users.setdefault(c, []).append((j, x))
+        del kernel
+        image = SparseMatrix(module.space_dim(n + 1), kernel_dims[-1])
+        entries = image.entries
+        for (r, c), v in b[n + 1].entries.items():
+            for j, x in users.get(c, ()):
+                w = entries.get((r, j))
+                s = v * x if w is None else w + v * x
+                if s:
+                    entries[(r, j)] = s
+                else:
+                    del entries[(r, j)]
+        del users
+        image_ranks.append(image.rank())
     return _homology_dims(kernel_dims, image_ranks)
 
 

@@ -15,6 +15,15 @@ iterated coproduct of S~(e_k) computed once per first factor k and
 multiplied slotwise against the remaining factors.  The cohomology
 matrices are built from these.
 
+Scalar contract.  The matrices are assembled from one integral copy of
+the structure tables and of delta, made once per module: there every
+scalar whose value is a rational integer is an ``int`` (``fields.integral``),
+so on an integral presentation every matrix entry is an ``int``, and a
+``Fraction`` or ``Cyclotomic`` appears only where a non-integral value
+occurs (over Q(zeta_4) with delta(g) = zeta_4, tau_n but not b).  The
+matrices equal the elementwise oracle by value.  The elementwise operators,
+the relation suites and every checker witness keep the field's own scalars.
+
 Degree-0 conventions: both faces out of degree 0 are the unit map, the
 degeneracy into degree 0 is the counit, and the cyclic operator in degree 0
 is the identity.  These are exactly what the (b, B)-machinery needs.
@@ -23,8 +32,10 @@ is the identity.  These are exactly what the (b, B)-machinery needs.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
-from .hopf import vec_add_into, vec_eq
+from .fields import integral
+from .hopf import Character, FiniteHopf, vec_add_into, vec_eq
 from .linalg import SparseMatrix
 from .reports import CheckReport, first_failure
 
@@ -155,13 +166,30 @@ class HopfCyclicModule:
     # columns are generated one at a time, basis tuples in lexicographic
     # order, and a tuple's index has its first factor most significant
 
+    @cached_property
+    def _integral(self):
+        """(H, delta) copied with every scalar whose value is a rational
+        integer turned into an int; the matrices are assembled from it."""
+        H = self.hopf
+
+        def table(rows):
+            return {k: {i: integral(c) for i, c in row.items()}
+                    for k, row in rows.items()}
+
+        copy = FiniteHopf(H.name, H.field, H.basis,
+                          {k: integral(c) for k, c in H.unit.items()},
+                          table(H.product), table(H.coproduct),
+                          [integral(c) for c in H.counit], table(H.antipode))
+        return copy, Character(copy, [integral(v) for v in self.delta.values],
+                               name=self.delta.name)
+
     def face_matrix(self, i, n):
         """Matrix of face i from degree n-1 to degree n: the unit inserted
         in front (i = 0) or at the end (i = n), or the coproduct of factor
         i-1 spliced in, as index offsets of the new slots."""
         if not 1 <= n or not 0 <= i <= n:
             raise IndexError(f"face index {i} out of range at degree {n}")
-        H = self.hopf
+        H = self._integral[0]
         d = H.dim
         unit = list(H.unit_element().items())
         size = d ** (n - 1)
@@ -189,7 +217,7 @@ class HopfCyclicModule:
         applied to factor i of each basis tuple."""
         if not 0 <= i <= n:
             raise IndexError(f"degeneracy index {i} out of range at degree {n}")
-        H = self.hopf
+        H = self._integral[0]
         d = H.dim
         low = d ** (n - i)
         counit = [H.counit_basis(k) for k in range(d)]
@@ -206,20 +234,19 @@ class HopfCyclicModule:
         """Matrix of tau_n.  Delta^(n-1) S~(e_k) is computed once per first
         factor k; the column of (k, k_2, ..., k_n) multiplies its legs
         slotwise by e_k2, ..., e_kn and 1, one structure constant at a time."""
-        H = self.hopf
-        d = H.dim
-        one = H.field.one()
         if n == 0:
-            return SparseMatrix.identity(1, one)
+            return SparseMatrix.identity(1, 1)
+        H, delta = self._integral
+        d = H.dim
         times = [[list(H.mul_basis(a, b).items()) for b in range(d)]
                  for a in range(d)]
         unit = H.unit_element()
-        times_unit = [list(H.mul({a: one}, unit).items()) for a in range(d)]
+        times_unit = [list(H.mul({a: 1}, unit).items()) for a in range(d)]
 
         def columns():
             for k in range(d):
                 legs = iterated_comul(
-                    H, H.twisted_antipode(self.delta, {k: one}), n).items()
+                    H, H.twisted_antipode(delta, {k: 1}), n).items()
                 for rest in itertools.product(range(d), repeat=n - 1):
                     col = {}
                     for leg, c in legs:

@@ -3,6 +3,12 @@
 Rational scalars are plain ``fractions.Fraction`` (already canonical).
 Cyclotomic scalars are polynomials in zeta_m of degree < phi(m), reduced
 modulo the m-th cyclotomic polynomial.
+
+A plain ``int`` is also an exact scalar of either field, since
+Z < Q < Q(zeta_m).  ``integral`` turns a scalar whose value is a rational
+integer into one, so that matrix assembly and elimination can run on
+``int`` while the presentation is integral; ``scalar_inv`` keeps an ``int``
+unit an ``int``.  No code divides one ``int`` by another.
 """
 
 from __future__ import annotations
@@ -232,12 +238,28 @@ def _poly_sub(a, b):
 
 
 def scalar_inv(a):
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
+    """Multiplicative inverse; raises ZeroDivisionError on zero.  An ``int``
+    1 or -1 is its own inverse and is returned unchanged; any other
+    rational inverse is a ``Fraction``."""
     if isinstance(a, Cyclotomic):
         return a.inverse()
     if a == 0:
         raise ZeroDivisionError("inverse of zero scalar")
+    if isinstance(a, int) and a in (1, -1):
+        return a
     return Fraction(1) / Fraction(a)
+
+
+def integral(a):
+    """``a`` as an ``int`` when its value is a rational integer (a
+    ``Fraction`` with denominator 1, or a ``Cyclotomic`` whose only
+    coefficient is an integral constant); otherwise ``a`` itself."""
+    value = a
+    if isinstance(a, Cyclotomic):
+        if len(a.coeffs) > 1:
+            return a
+        value = a.coeffs[0] if a.coeffs else 0
+    return int(value) if value.denominator == 1 else a
 
 
 class RationalField:

@@ -4,6 +4,18 @@ Matrices store only nonzero entries.  Rank and kernel share one exact
 sparse Gaussian elimination, _echelon.  The kernel basis is read off the
 reduced row echelon form, which is unique, so it does not depend on the
 order in which the elimination finds its pivots.
+
+Entries may be ``int``, ``Fraction`` or ``Cyclotomic``, mixed; the
+cohomology matrices of an integral presentation are all ``int``.  The only
+division is ``scalar_inv`` of a pivot, which leaves an ``int`` unit pivot
+an ``int``, so a row stays integral until a pivot other than 1 or -1 is
+met, and ``_echelon`` sets aside a row whose leading entry is not a unit
+until the other rows are in.  ``rank`` sorts the rows by leading column
+and length first (a static Markowitz row order), which cuts fill-in; the
+rank does not depend on the order.  ``kernel_basis`` keeps the rows and
+columns in their given order, and the pivot is always the lowest column,
+so its vectors are those of the reduced row echelon form in the given
+column order.
 """
 
 from __future__ import annotations
@@ -104,15 +116,20 @@ class SparseMatrix:
         return out
 
     def rank(self):
-        return len(_echelon(self.row_dicts()))
+        """Rank.  Rows are eliminated in a static order, by leading column
+        and, among rows that share it, shortest first, so each pivot comes
+        from the sparsest candidate row (Markowitz's row count)."""
+        rows = [row for row in self.row_dicts() if row]
+        rows.sort(key=lambda row: (min(row), len(row)))
+        return len(_echelon(rows))
 
     def kernel_basis(self, one):
         """Exact basis of the right kernel, as sparse column dicts.
 
         One basis vector per free column of the reduced row echelon form.
-        ``one`` is the field's 1, the value each vector takes at its free
-        column; the matrix carries no field, and may have no entry to take
-        the scalar type from.
+        ``one`` is the value each vector takes at its free column: the
+        field's 1, or the int 1 for integral work; the matrix carries no
+        field, and may have no entry to take the scalar type from.
         """
         pivots = _echelon(self.row_dicts(), reduced=True)
         basis = {free: {free: one} for free in range(self.ncols)
@@ -129,20 +146,20 @@ def _echelon(rows, reduced=False):
     Returns {pivot column: rest of its row}, the row scaled so that its
     pivot, which is its lowest column and is not stored, is 1.  Each row in
     turn is reduced against the pivot rows found so far; what is left of it
-    becomes a new pivot row.  With reduced=True, back-substitution also
-    clears every pivot column from the other rows, giving the reduced row
-    echelon form, which the row space alone determines.
+    becomes a new pivot row.  A row left with a leading entry other than 1
+    or -1 is set aside and reduced again after all the others: by then it
+    often leads with a unit or vanishes, and a unit pivot keeps integral
+    rows integral where a pivot of 2 would put Fractions into every row
+    reduced against it.  The pivot columns, and so the rank, do not depend
+    on the order.  With reduced=True, back-substitution also clears every
+    pivot column from the other rows, giving the reduced row echelon form,
+    which the row space alone determines.
     """
-    pivots = {}
+    pivots, deferred = {}, []
     for row in rows:
-        while row:
-            col = min(row)
-            tail = pivots.get(col)
-            if tail is None:
-                inv = scalar_inv(row.pop(col))
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                break
-            _subtract(row, row.pop(col), tail)
+        _insert(row, pivots, deferred)
+    for row in deferred:
+        _insert(row, pivots, None)
     if reduced:
         # descending, so each pivot row used below is already fully reduced
         for col in sorted(pivots, reverse=True):
@@ -150,6 +167,24 @@ def _echelon(rows, reduced=False):
             for other in [c for c in tail if c in pivots]:
                 _subtract(tail, tail.pop(other), pivots[other])
     return pivots
+
+
+def _insert(row, pivots, deferred):
+    """Reduce row against the pivot rows; store what is left as a new pivot
+    row, or append it to deferred (unless that is None) when its leading
+    entry is not 1 or -1."""
+    while row:
+        col = min(row)
+        tail = pivots.get(col)
+        if tail is None:
+            lead = row[col]
+            if deferred is not None and lead != 1 and lead != -1:
+                deferred.append(row)
+                return
+            inv = scalar_inv(row.pop(col))
+            pivots[col] = {c: v * inv for c, v in row.items()}
+            return
+        _subtract(row, row.pop(col), tail)
 
 
 def _subtract(row, factor, tail):

@@ -7,6 +7,8 @@ a matrix one basis tensor at a time.  The assembled matrices must equal
 those exactly, entry for entry.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from hopfcyclic.cohomology import (B_matrix, B_operator, b_matrix,
                                    hochschild_b, mixed_complex_report,
                                    one_minus_lambda_matrix, signed_cyclic)
 from hopfcyclic.cyclic_ops import HopfCyclicModule
-from hopfcyclic.fields import Cyclotomic
+from hopfcyclic.fields import Cyclotomic, integral
 from hopfcyclic.hopf import (BUILTIN_BUILDERS, check_involution,
                              function_algebra, group_algebra, vec_add_into,
                              vec_sub)
@@ -105,16 +107,59 @@ def test_mixed_complex_witnesses_agree_on_failure():
 
 
 def test_kernel_scalars_are_cyclotomic():
-    """1 - lambda_0 is the zero 1x1 matrix; its kernel vector must still
-    carry the field's 1, not a rational 1."""
+    """Over Q(zeta_4) the kernel vectors of 1 - lambda, taken with the int 1
+    as the lambda method takes them, hold exact scalars of the field (an
+    int where the value is integral, else a Fraction or an order-4
+    Cyclotomic, never a float), and equal by value the kernel of the
+    elementwise 1 - lambda.  1 - lambda_0 is the zero 1x1 matrix."""
     H = load_hopf(str(QZ4))
     module = HopfCyclicModule(H, H.character("delta"))
     for n in range(3):
-        kernel = one_minus_lambda_matrix(module, n).kernel_basis(
-            module.field.one())
+        kernel = one_minus_lambda_matrix(module, n).kernel_basis(1)
         assert kernel
-        assert all(isinstance(v, Cyclotomic)
-                   for vec in kernel for v in vec.values()), n
+        for v in (v for vec in kernel for v in vec.values()):
+            assert type(v) in (int, Fraction) or (
+                isinstance(v, Cyclotomic) and v.order == 4), (n, v)
+        oracle = module.operator_matrix(
+            lambda t: vec_sub(t, signed_cyclic(module, n, t)), n, n)
+        assert kernel == oracle.kernel_basis(module.field.one()), n
+
+
+def _all_int(scalars):
+    return all(type(integral(c)) is int for c in scalars)
+
+
+def assembled_matrices(module, n):
+    """(matrices from the structure tables alone, matrices that also use
+    delta) in degree n: faces, degeneracies and b; tau, 1 - lambda and B."""
+    tables = [module.degeneracy_matrix(i, n) for i in range(n + 1)]
+    if n >= 1:
+        tables += [module.face_matrix(i, n) for i in range(n + 1)]
+        tables.append(b_matrix(module, n))
+    return tables, [module.cyclic_matrix(n), one_minus_lambda_matrix(module, n),
+                    B_matrix(module, n)]
+
+
+def test_assembled_scalars_are_int_when_presentation_is_integral():
+    """Every builtin and QZ4 has integral structure constants, so faces,
+    degeneracies and b are int matrices; tau, 1 - lambda and B are too
+    exactly when delta is integral (not on QZ4, where delta(g) = zeta_4).
+    Their values are pinned against the elementwise operators above."""
+    for case, module in CASES:
+        H = module.hopf
+        assert _all_int([*H.unit.values(), *H.counit] + [
+            c for table in (H.product, H.coproduct, H.antipode)
+            for row in table.values() for c in row.values()]), case
+        delta_integral = _all_int(module.delta.values)
+        assert delta_integral == (case != "qz4-zeta4-delta")
+        for n in range(TOP + 1):
+            tables, with_delta = assembled_matrices(module, n)
+            for m in tables + (with_delta if delta_integral else []):
+                assert all(type(v) is int for v in m.entries.values()), \
+                    (case, n, m)
+        if not delta_integral:
+            assert any(isinstance(v, Cyclotomic)
+                       for v in module.cyclic_matrix(1).entries.values())
 
 
 def _cyclic_product_table(orders):
@@ -174,3 +219,25 @@ def test_random_group_cyclic_matrix(module, n):
         power = tau @ power
     assert power == SparseMatrix.identity(module.space_dim(n),
                                           module.field.one())
+
+
+@settings(max_examples=25, deadline=None)
+@given(abelian_hopf_modules(), st.integers(0, 2))
+def test_random_group_matrices_are_int_and_match_elementwise(module, n):
+    """Through degree 2: the elementwise B on 6^4 basis tensors would make
+    degree 3 cost about 3 s of the suite; test_random_group_cyclic_matrix
+    covers tau there."""
+    tables, with_delta = assembled_matrices(module, n)
+    assert all(type(v) is int
+               for m in tables + with_delta for v in m.entries.values())
+    ops = [(lambda t, i=i: module.degeneracy(i, n, t), n + 1, n)
+           for i in range(n + 1)]
+    if n >= 1:
+        ops += [(lambda t, i=i: module.face(i, n, t), n - 1, n)
+                for i in range(n + 1)]
+        ops.append((lambda t: hochschild_b(module, n, t), n - 1, n))
+    ops += [(lambda t: module.cyclic(n, t), n, n),
+            (lambda t: vec_sub(t, signed_cyclic(module, n, t)), n, n),
+            (lambda t: B_operator(module, n, t), n + 1, n)]
+    for m, (op, src, tgt) in zip(tables + with_delta, ops):
+        assert m == module.operator_matrix(op, src, tgt), (n, m)

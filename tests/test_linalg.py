@@ -1,10 +1,14 @@
 """Exact sparse linear algebra, cross-checked against the dense oracle.
 
-Every test runs over Q and over Q(zeta_4).
+The random-matrix tests run over Q and over Q(zeta_4); the last two use
+the int entries the cohomology matrices carry, with pivots other than 1
+and -1.
 """
 
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_kernel, dense_rank
 from hopfcyclic.fields import CyclotomicField, RationalField
@@ -111,3 +115,42 @@ def test_deterministic():
         rng = random.Random(47)
         m = random_sparse(rng, field, 8, 8)
         assert m.kernel_basis(field.one()) == m.kernel_basis(field.one())
+
+
+def test_integer_kernel_with_non_unit_pivot_has_no_float():
+    # pivots 2 and 3: the reduced form needs Fractions, never a float
+    m = SparseMatrix(2, 3, {(0, 0): 2, (0, 1): 1, (1, 1): 3, (1, 2): -1})
+    kernel = m.kernel_basis(1)
+    assert all(type(v) in (int, Fraction)
+               for vec in kernel for v in vec.values())
+    assert kernel == [{2: 1, 0: Fraction(-1, 6), 1: Fraction(1, 3)}]
+    for vec in kernel:
+        assert not m.apply(vec)
+    dense = [[Fraction(v) for v in row] for row in to_dense(m)]
+    assert [[vec.get(c, 0) for c in range(3)] for vec in kernel] == \
+        dense_kernel(dense, 3)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse matrices of small ints, some Fractions mixed in, so pivots
+    other than 1 and -1 occur; with a row and a column permutation."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    scalar = st.one_of(st.integers(-3, 3),
+                       st.fractions(-2, 2, max_denominator=3))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+        scalar, max_size=nrows * ncols))
+    row_perm = draw(st.permutations(range(nrows)))
+    col_perm = draw(st.permutations(range(ncols)))
+    return SparseMatrix(nrows, ncols, cells), row_perm, col_perm
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices())
+def test_rank_matches_dense_oracle_under_permutations(case):
+    m, row_perm, col_perm = case
+    dense = [[Fraction(v) for v in row] for row in to_dense(m)]
+    permuted = SparseMatrix(m.nrows, m.ncols, {
+        (row_perm[r], col_perm[c]): v for (r, c), v in m.entries.items()})
+    assert m.rank() == dense_rank(dense) == permuted.rank()

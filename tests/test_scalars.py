@@ -8,7 +8,7 @@ import pytest
 from hopfcyclic.fields import (Cyclotomic, CyclotomicField, FieldMismatchError,
                                RationalField, ScalarFormatError,
                                cyclotomic_polynomial, field_from_spec,
-                               parse_rational)
+                               integral, parse_rational, scalar_inv)
 
 
 def test_cyclotomic_polynomial_small_orders():
@@ -80,3 +80,26 @@ def test_rational_field_basics():
     field = RationalField()
     assert field.one() + field.one() == field.parse("2")
     assert field.zero() == Fraction(0)
+
+
+def test_scalar_inv_keeps_int_units():
+    for unit in (1, -1):
+        assert type(scalar_inv(unit)) is int and scalar_inv(unit) == unit
+    assert scalar_inv(2) == Fraction(1, 2)
+    assert type(scalar_inv(2)) is Fraction
+    assert scalar_inv(-3) == Fraction(-1, 3)
+    # a field scalar keeps its type, even when its value is a unit
+    assert type(scalar_inv(Fraction(-1))) is Fraction
+    assert scalar_inv(Cyclotomic(4, (0, 1))) == Cyclotomic(4, (0, -1))
+    with pytest.raises(ZeroDivisionError):
+        scalar_inv(0)
+
+
+def test_integral_turns_only_rational_integers_into_int():
+    for a, want in ((Fraction(3), 3), (Fraction(-2, 1), -2), (5, 5),
+                    (Cyclotomic(4, (2,)), 2), (Cyclotomic(4, ()), 0),
+                    (Cyclotomic(6, (-1,)), -1)):
+        assert type(integral(a)) is int and integral(a) == want, a
+    for a in (Fraction(1, 2), Cyclotomic(4, (Fraction(1, 2),)),
+              Cyclotomic(4, (0, 1)), Cyclotomic(3, (1, 1))):
+        assert integral(a) is a
