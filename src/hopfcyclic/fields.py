@@ -2,7 +2,17 @@
 
 Rational scalars are plain ``fractions.Fraction`` (already canonical).
 Cyclotomic scalars are polynomials in zeta_m of degree < phi(m), reduced
-modulo the m-th cyclotomic polynomial.
+modulo the m-th cyclotomic polynomial, with ``Fraction`` coefficients.
+
+An ``int`` or ``Fraction`` operand of a ``Cyclotomic`` operator is its own
+constant coefficient: ``+``, ``-`` and ``*`` combine coefficient lists
+directly, with no promotion to a ``Cyclotomic``, and the result is the same
+canonical ``Cyclotomic`` either way.  Two ``Cyclotomic`` scalars of
+different orders never mix (``FieldMismatchError``).  The inverse is
+a^-1 = prod sigma_k(a) / N(a) over the Galois automorphisms
+sigma_k: zeta_m -> zeta_m^k with k != 1 prime to m, where the norm
+N(a) = a * prod sigma_k(a) is rational; division is multiplication by
+``scalar_inv``.
 
 A plain ``int`` is also an exact scalar of either field, since
 Z < Q < Q(zeta_m).  ``integral`` turns a scalar whose value is a rational
@@ -15,6 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
+from math import gcd
 
 
 class FieldMismatchError(Exception):
@@ -80,24 +92,25 @@ class Cyclotomic:
     def is_zero(self):
         return not self.coeffs
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """The coefficients of ``other`` in this field, or None if it is not
+        a scalar.  An ``int`` or ``Fraction`` is its own constant
+        coefficient; a ``Cyclotomic`` of another order raises."""
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
                 raise FieldMismatchError(
                     f"cannot mix Q(zeta_{self.order}) and Q(zeta_{other.order})")
-            return other
+            return other.coeffs
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [Fraction(other)])
+            return (other,) if other else ()
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [Fraction(0)] * (n - len(o.coeffs))
-        return Cyclotomic(self.order, [x + y for x, y in zip(a, b)])
+        return Cyclotomic(self.order, [
+            x + y for x, y in zip_longest(self.coeffs, o, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -105,52 +118,64 @@ class Cyclotomic:
         return Cyclotomic(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Cyclotomic(self.order, [
+            x - y for x, y in zip_longest(self.coeffs, o, fillvalue=0)])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return Cyclotomic(self.order, [
+            y - x for x, y in zip_longest(self.coeffs, o, fillvalue=0)])
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        if not self.coeffs or not o:
             return Cyclotomic(self.order, [])
-        prod = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        prod = [0] * (len(self.coeffs) + len(o) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o):
                     prod[i + j] += a * b
         return Cyclotomic(self.order, prod)
 
     __rmul__ = __mul__
 
+    def _galois(self, k):
+        """sigma_k(self) for k prime to the order: zeta_m goes to zeta_m^k."""
+        cs = [0] * self.order
+        for i, c in enumerate(self.coeffs):
+            cs[i * k % self.order] += c
+        return Cyclotomic(self.order, cs)
+
     def inverse(self):
+        """1 / a = (prod of sigma_k(a), k != 1) / N(a), where the norm
+        N(a) = a * prod sigma_k(a) is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, u = _poly_xgcd(list(self.coeffs), phi)
-        assert len(g) == 1  # Phi_m is irreducible over Q
-        c = g[0]
-        return Cyclotomic(self.order, [x / c for x in u])
+        m = self.order
+        conjugates = Cyclotomic(m, [1])
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conjugates = conjugates * self._galois(k)
+        norm = (self * conjugates).coeffs
+        assert len(norm) == 1, f"norm of {self!r} is not rational"
+        return Cyclotomic(m, [c / norm[0] for c in conjugates.coeffs])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._operand(other) is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * scalar_inv(other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._operand(other) is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n):
         if n < 0:
@@ -185,56 +210,15 @@ class Cyclotomic:
 
 
 def _reduce_mod(coeffs, phi):
-    """Reduce a Fraction coefficient list modulo the integer polynomial phi."""
+    """Reduce a coefficient list modulo the monic integer polynomial phi."""
     cs = list(coeffs)
     deg = len(phi) - 1
-    lead = phi[-1]  # = 1 for cyclotomic polynomials
     for k in range(len(cs) - 1, deg - 1, -1):
-        c = cs[k] / lead
+        c = cs[k]
         if c:
-            for i in range(len(phi)):
+            for i in range(deg):
                 cs[k - deg + i] -= c * phi[i]
     return cs[:deg]
-
-
-def _poly_xgcd(a, b):
-    """Return (g, u) with u*a = g modulo b, over Q[x]; lists lowest-first."""
-    r0, r1 = _poly_trim(a), _poly_trim(b)
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-    return r0, u0
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(out) - 1, -1, -1):
-        c = a[k + len(b) - 1] / b[-1]
-        out[k] = c
-        for i, d in enumerate(b):
-            a[k + i] -= c * d
-    return _poly_trim(out), _poly_trim(a)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
 
 
 def scalar_inv(a):

@@ -20,8 +20,6 @@ column order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fields import scalar_inv
 from .hopf import vec_add_into
 
@@ -45,7 +43,7 @@ class SparseMatrix:
                     self.entries[(r, c)] = v
 
     @classmethod
-    def identity(cls, n, one=Fraction(1)):
+    def identity(cls, n, one):
         return cls(n, n, {(i, i): one for i in range(n)})
 
     @classmethod

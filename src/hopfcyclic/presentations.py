@@ -7,8 +7,10 @@ product (rows [i, j, k, "c"]: e_i e_j gains c e_k), coproduct (rows
 antipode (rows [i, j, "c"]: S(e_i) gains c e_j) and characters (named
 scalar lists).  Indices are 0-based and omitted entries are zero.
 
-Lie presentations carry dim and brackets (rows [i, j, k, "c"]).  Pairing
-and action inputs bundle a Hopf (or plain algebra) presentation with
+An algebra block is the first half of a Hopf presentation: field, name,
+dim, basis, unit and product; other keys are ignored.  Lie presentations
+carry dim and brackets (rows [i, j, k, "c"]).  Pairing and action inputs
+bundle an algebra block (and, for actions, a Hopf presentation) with
 matrices, trace vectors and idempotents in the same scalar syntax.
 
 Every [index..., "c"] table goes through ``_table``, so a malformed file
@@ -123,25 +125,34 @@ def _rows(field, nested):
             for inner, c in sorted(nested[outer].items())]
 
 
-def hopf_from_dict(data, path="<dict>"):
-    name, dim, basis, unit, product, coproduct, counit, antipode = \
-        _require(data, ("name", "dim", "basis", "unit", "product",
-                         "coproduct", "counit", "antipode"), path)
+def _algebra_parts(data, path):
+    """(name, field, dim, basis, unit, product) of an algebra block; keys
+    other than field, name, dim, basis, unit and product are ignored."""
+    name, dim, basis, unit, product = _require(
+        data, ("name", "dim", "basis", "unit", "product"), path)
     field = _field_of(data, path)
     _string(name, path, "name")
     _positive_int(dim, path, "dim")
     if not isinstance(basis, list) or len(basis) != dim or not all(
             isinstance(label, str) for label in basis):
         _fail(f"{path}: basis must list {dim} string labels")
+    return (name, field, dim, basis,
+            dict(enumerate(_scalar_list(field, unit, dim, path, "unit"))),
+            _nest(_table(field, product, (dim,) * 3, path, "product",
+                         "[i, j, k, scalar]"), 2))
+
+
+def hopf_from_dict(data, path="<dict>"):
+    *_, coproduct, counit, antipode = _require(
+        data, ("name", "dim", "basis", "unit", "product", "coproduct",
+               "counit", "antipode"), path)
+    name, field, dim, basis, unit, product = _algebra_parts(data, path)
     characters = data.get("characters", {})
     if not isinstance(characters, dict):
         _fail(f"{path}: characters must map names to scalar lists")
     try:
         return FiniteHopf(
-            name, field, basis,
-            dict(enumerate(_scalar_list(field, unit, dim, path, "unit"))),
-            _nest(_table(field, product, (dim,) * 3, path, "product",
-                         "[i, j, k, scalar]"), 2),
+            name, field, basis, unit, product,
             _nest(_table(field, coproduct, (dim,) * 3, path, "coproduct",
                          "[i, j, k, scalar]"), 1),
             _scalar_list(field, counit, dim, path, "counit"),
@@ -198,18 +209,20 @@ def load_lie(path):
 
 
 def _algebra(data, path):
-    """The algebra of a Hopf presentation; FiniteAlgebra checks its laws."""
-    from .algebras import algebra_of_hopf
+    """The algebra of an algebra block; FiniteAlgebra checks its laws."""
+    from .algebras import FiniteAlgebra
+    name, field, _, basis, unit, product = _algebra_parts(data, path)
     try:
-        return algebra_of_hopf(hopf_from_dict(data, path))
+        return FiniteAlgebra(name, field, basis, unit, product)
     except ValueError as exc:
         _fail(f"{path}: {exc}")
 
 
 def load_pairing_input(path):
-    """Input for the idempotent pairing: an algebra (as a Hopf presentation,
-    only the algebra structure is used), a cochain of even degree, an
-    idempotent in M_q(A) and the amplification size q.
+    """Input for the idempotent pairing: an algebra block (field, name,
+    dim, basis, unit and product; a Hopf presentation also serves, its
+    other keys ignored), a cochain of even degree, an idempotent in M_q(A)
+    and the amplification size q.
 
     cochain: {"degree": 2m, "entries": [[i0, ..., i2m, "c"], ...]}
     idempotent: [[row, col, basis-index, "c"], ...] inside M_q(A).
@@ -230,7 +243,7 @@ def load_pairing_input(path):
 
 def load_gamma_input(path):
     """Input for the characteristic-map check: a Hopf presentation, a
-    character name, an algebra presentation, one action matrix per H-basis
+    character name, an algebra block, one action matrix per H-basis
     element ([row, col, "c"] rows) and a trace vector."""
     from .actions import HopfAction, Trace
     hopf, character, algebra, action, trace = _require(

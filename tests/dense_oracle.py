@@ -11,9 +11,16 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 
+def _exact_rows(rows):
+    """A copy of rows with every int entry a Fraction, so that / is exact."""
+    return [[Fraction(a) if isinstance(a, int) else a for a in r]
+            for r in rows]
+
+
 def dense_rank(rows):
-    """Row echelon rank of a dense list-of-lists matrix over Fraction."""
-    rows = [list(r) for r in rows]
+    """Row echelon rank of a dense list-of-lists matrix; int entries are
+    read as Fractions."""
+    rows = _exact_rows(rows)
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -37,8 +44,9 @@ def dense_rank(rows):
 
 
 def dense_kernel(rows, ncols):
-    """Basis of the kernel as dense column vectors."""
-    rows = [list(r) for r in rows]
+    """Basis of the kernel as dense column vectors; int entries are read
+    as Fractions."""
+    rows = _exact_rows(rows)
     pivots = {}
     rank = 0
     for col in range(ncols):

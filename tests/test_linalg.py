@@ -1,6 +1,6 @@
 """Exact sparse linear algebra, cross-checked against the dense oracle.
 
-The random-matrix tests run over Q and over Q(zeta_4); the last two use
+The random-matrix tests run over Q and over Q(zeta_4); the last three use
 the int entries the cohomology matrices carry, with pivots other than 1
 and -1.
 """
@@ -126,9 +126,16 @@ def test_integer_kernel_with_non_unit_pivot_has_no_float():
     assert kernel == [{2: 1, 0: Fraction(-1, 6), 1: Fraction(1, 3)}]
     for vec in kernel:
         assert not m.apply(vec)
-    dense = [[Fraction(v) for v in row] for row in to_dense(m)]
     assert [[vec.get(c, 0) for c in range(3)] for vec in kernel] == \
-        dense_kernel(dense, 3)
+        dense_kernel(to_dense(m), 3)
+
+
+def test_dense_oracle_divides_int_entries_exactly():
+    kernel = dense_kernel([[2, 1]], 2)
+    assert kernel == [[Fraction(-1, 2), Fraction(1)]]
+    assert all(type(v) is Fraction for vec in kernel for v in vec)
+    assert dense_rank([[2, 1], [1, 1], [3, 2]]) == 2
+    assert dense_kernel([[2, 4], [3, 1]], 2) == []
 
 
 @st.composite
@@ -150,7 +157,6 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_rank_matches_dense_oracle_under_permutations(case):
     m, row_perm, col_perm = case
-    dense = [[Fraction(v) for v in row] for row in to_dense(m)]
     permuted = SparseMatrix(m.nrows, m.ncols, {
         (row_perm[r], col_perm[c]): v for (r, c), v in m.entries.items()})
-    assert m.rank() == dense_rank(dense) == permuted.rank()
+    assert m.rank() == dense_rank(to_dense(m)) == permuted.rank()

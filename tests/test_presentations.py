@@ -128,8 +128,7 @@ def _nonassociative_block():
     product = [[0, i, i, "1"] for i in range(3)] + \
         [[i, 0, i, "1"] for i in (1, 2)] + [[1, 1, 2, "1"], [2, 1, 1, "1"]]
     return {"name": "nonassoc", "dim": 3, "basis": ["e", "a", "b"],
-            "unit": ["1", "0", "0"], "product": product, "coproduct": [],
-            "counit": ["1", "0", "0"], "antipode": []}
+            "unit": ["1", "0", "0"], "product": product}
 
 
 def _numeric_scalar():
@@ -195,3 +194,21 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("command,source,argv", [
+    ("pair", "pair-qz2.json", []),
+    ("gamma-check", "gamma-translation.json", ["--max-degree", "2"]),
+])
+def test_algebra_block_needs_no_hopf_structure(capsys, tmp_path, command,
+                                               source, argv):
+    data = json.loads((DATA / source).read_text())
+    for key in ("coproduct", "counit", "antipode", "characters"):
+        del data["algebra"][key]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--input", str(path), *argv]) == 0
+    bare = capsys.readouterr()
+    assert main([command, "--input", str(DATA / source), *argv]) == 0
+    full = capsys.readouterr()
+    assert bare.err == "" and bare.out == full.out

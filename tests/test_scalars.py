@@ -1,9 +1,12 @@
 """Exact scalar arithmetic: rationals and cyclotomic extensions."""
 
+import cmath
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.fields import (Cyclotomic, CyclotomicField, FieldMismatchError,
                                RationalField, ScalarFormatError,
@@ -103,3 +106,82 @@ def test_integral_turns_only_rational_integers_into_int():
     for a in (Fraction(1, 2), Cyclotomic(4, (Fraction(1, 2),)),
               Cyclotomic(4, (0, 1)), Cyclotomic(3, (1, 1))):
         assert integral(a) is a
+
+
+ORDERS = (1, 2, 3, 4, 5, 8, 12)
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+BINARY_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                  "__rmul__", "__truediv__", "__rtruediv__")
+RATIONALS = st.one_of(st.integers(-4, 4),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+def cyclotomics(order):
+    # up to phi(m) + 2 coefficients, so some need reducing modulo Phi_m
+    deg = len(cyclotomic_polynomial(order)) - 1
+    return st.lists(RATIONALS, max_size=deg + 2).map(
+        lambda cs: Cyclotomic(order, cs))
+
+
+@st.composite
+def mixed_operands(draw):
+    """(order, a Cyclotomic, an int, Fraction or Cyclotomic of that order)."""
+    order = draw(st.sampled_from(ORDERS))
+    a = draw(cyclotomics(order))
+    return order, a, draw(st.one_of(RATIONALS, cyclotomics(order)))
+
+
+def promoted(x, order):
+    return x if isinstance(x, Cyclotomic) else Cyclotomic(order, [x])
+
+
+def embedded(x, order):
+    """x as a complex number, with zeta_m = exp(2 pi i / m): an oracle that
+    shares no arithmetic with Cyclotomic."""
+    zeta = cmath.exp(2j * cmath.pi / order)
+    return sum(complex(c) * zeta ** i
+               for i, c in enumerate(promoted(x, order).coeffs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_operands(), st.booleans())
+def test_rational_operands_act_as_constant_coefficients(case, swap):
+    order, a, b = case
+    x, y = (b, a) if swap else (a, b)
+    for op in OPERATORS:
+        if op is operator.truediv and not y:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        got = op(x, y)
+        want = op(promoted(x, order), promoted(y, order))
+        assert isinstance(got, Cyclotomic) and got.order == order
+        assert got.coeffs == want.coeffs, (op, x, y)
+        value = op(embedded(x, order), embedded(y, order))
+        assert abs(embedded(got, order) - value) <= 1e-9 * max(1, abs(value))
+        assert all(type(c) is Fraction for c in got.coeffs)
+    if a:
+        assert a * a.inverse() == 1
+        assert all(type(c) is Fraction for c in a.inverse().coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(
+    lambda m: st.tuples(cyclotomics(m), st.sampled_from(ORDERS).filter(
+        lambda k: k != m).flatmap(cyclotomics))))
+def test_every_operator_rejects_mixed_orders(pair):
+    a, b = pair
+    for name in BINARY_DUNDERS:
+        with pytest.raises(FieldMismatchError):
+            getattr(a, name)(b)
+    for op in OPERATORS:
+        with pytest.raises(FieldMismatchError):
+            op(a, b)
+
+
+def test_inverse_fails_loudly_on_an_irrational_norm(monkeypatch):
+    # with every sigma_k replaced by the identity, the "norm" of 1 + zeta_4
+    # is (1 + zeta_4)^2 = 2 zeta_4, which is not rational
+    monkeypatch.setattr(Cyclotomic, "_galois", lambda self, k: self)
+    with pytest.raises(AssertionError):
+        Cyclotomic(4, (1, 1)).inverse()
