@@ -14,7 +14,6 @@ with every face, degeneracy and cyclic operator of the two cyclic modules.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .hopf import vec_add_into, vec_eq, vec_scale, vec_sub
 from .reports import CheckReport, first_failure
@@ -304,27 +303,20 @@ def eval_cochain(algebra, phi, elems):
 
 
 def pair_idempotent(algebra, phi, E, q):
-    """<E, phi> for an even cochain phi.  Degree 0 is the trace extension
-    sum_i phi(E_ii); degree 2 is sum_{i,j,k} phi(E_ij, E_jk, E_ki)."""
+    """<E, phi> for an even cochain phi of degree 0 or 2: the sum over
+    (i0, ..., in) of phi(E_i0i1, E_i1i2, ..., E_ini0).  Degree 0 is the
+    trace extension sum_i phi(E_ii)."""
     if not is_idempotent(algebra, E, q):
         raise ActionError("matrix is not idempotent")
     degree = len(next(iter(phi))) - 1 if phi else 0
-    if degree == 0:
-        total = algebra.field.zero()
-        for i in range(q):
-            total = total + eval_cochain(algebra, phi, (E.get((i, i), {}),))
-        return total
-    if degree == 2:
-        total = algebra.field.zero()
-        for i in range(q):
-            for j in range(q):
-                for k in range(q):
-                    total = total + eval_cochain(
-                        algebra, phi,
-                        (E.get((i, j), {}), E.get((j, k), {}),
-                         E.get((k, i), {})))
-        return total
-    raise ActionError(f"pairing implemented for degrees 0 and 2, not {degree}")
+    if degree not in (0, 2):
+        raise ActionError(
+            f"pairing implemented for degrees 0 and 2, not {degree}")
+    total = algebra.field.zero()
+    for idx in itertools.product(range(q), repeat=degree + 1):
+        total = total + eval_cochain(algebra, phi, [
+            E.get((i, j), {}) for i, j in zip(idx, idx[1:] + idx[:1])])
+    return total
 
 
 def random_conjugate(algebra, E, q, rng, steps=3):
@@ -339,8 +331,7 @@ def random_conjugate(algebra, E, q, rng, steps=3):
         s = rng.randrange(q)
         while s == r:
             s = rng.randrange(q)
-        a = {rng.randrange(algebra.dim):
-             algebra.field.parse(str(Fraction(rng.randrange(-3, 4) or 1)))}
+        a = {rng.randrange(algebra.dim): rng.randrange(-3, 4) or 1}
         # r != s, so (r, s) is not a diagonal entry of the identity
         u = mat_over_identity(algebra, q)
         u[(r, s)] = a

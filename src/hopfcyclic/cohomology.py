@@ -23,13 +23,8 @@ dimensions.  No rank is computed after a failed check: the report still
 runs every check, then raises NotMixedComplexError rather than return a
 table for a complex that fails an identity.
 
-Scalars: the matrices come from the module's integral copy of the
-structure tables (see cyclic_ops), 1 - lambda has the int 1 on its
-diagonal and the lambda method takes kernel vectors with the int 1, so on
-an integral presentation b, 1 - lambda, B, the gate's products and the
-elimination all run on int; a Fraction or Cyclotomic appears only where a
-non-integral value occurs, such as a pivot of 2 or delta(g) = zeta_4.
-The elementwise operators keep the field's own scalars.
+Scalars are canonical (see ``fields``), so on an integral presentation b,
+1 - lambda, B, the gate's products and the elimination all run on int.
 
 Cyclic cohomology is computed two ways: from the lambda-invariant
 subcomplex (valid in characteristic 0) and from the total complex of the
@@ -142,7 +137,7 @@ def B_matrix(module, n):
 
 
 def one_minus_lambda_matrix(module, n):
-    """1 - lambda_n = 1 - (-1)^n tau_n, with the int 1 on the diagonal."""
+    """1 - lambda_n = 1 - (-1)^n tau_n."""
     entries = {(i, i): 1 for i in range(module.space_dim(n))}
     vec_add_into(entries, module.cyclic_matrix(n).entries,
                  -1 if n % 2 == 0 else 1)
@@ -254,7 +249,7 @@ def lambda_complex_dimensions(module, b):
     to the kernel vectors that use it, so b is never copied."""
     kernel_dims, image_ranks = [], []
     for n in range(len(b)):
-        kernel = one_minus_lambda_matrix(module, n).kernel_basis(1)
+        kernel = one_minus_lambda_matrix(module, n).kernel_basis()
         kernel_dims.append(len(kernel))
         users = {}
         for j, vec in enumerate(kernel):
@@ -316,7 +311,7 @@ def bicomplex_dimensions(module, b, B):
     return dims, flags
 
 
-def cohomology_report(hopf, delta, N_max, method="both", module=None):
+def cohomology_report(hopf, delta, N_max, method="both"):
     """Full dimension table.  method: 'lambda', 'bB' or 'both'.
 
     Raises NotMixedComplexError, carrying the failed 'mixed-complex'
@@ -325,7 +320,7 @@ def cohomology_report(hopf, delta, N_max, method="both", module=None):
     """
     from .cyclic_ops import HopfCyclicModule
     require_involution(hopf, delta)
-    module = module or HopfCyclicModule(hopf, delta)
+    module = HopfCyclicModule(hopf, delta)
     gate = CheckReport("mixed-complex", meta={"max-degree": N_max})
     b = {n: b_matrix(module, n) for n in range(1, N_max + 2)}
     check_b_square(gate, module, b)

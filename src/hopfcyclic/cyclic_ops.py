@@ -15,14 +15,9 @@ iterated coproduct of S~(e_k) computed once per first factor k and
 multiplied slotwise against the remaining factors.  The cohomology
 matrices are built from these.
 
-Scalar contract.  The matrices are assembled from one integral copy of
-the structure tables and of delta, made once per module: there every
-scalar whose value is a rational integer is an ``int`` (``fields.integral``),
-so on an integral presentation every matrix entry is an ``int``, and a
-``Fraction`` or ``Cyclotomic`` appears only where a non-integral value
-occurs (over Q(zeta_4) with delta(g) = zeta_4, tau_n but not b).  The
-matrices equal the elementwise oracle by value.  The elementwise operators,
-the relation suites and every checker witness keep the field's own scalars.
+The matrices and the elementwise operators read the same structure tables
+and character, whose scalars are canonical (see ``fields``): on an integral
+presentation every matrix entry is an ``int``.
 
 Degree-0 conventions: both faces out of degree 0 are the unit map, the
 degeneracy into degree 0 is the counit, and the cyclic operator in degree 0
@@ -32,10 +27,8 @@ is the identity.  These are exactly what the (b, B)-machinery needs.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
-from .fields import integral
-from .hopf import Character, FiniteHopf, vec_add_into, vec_eq
+from .hopf import vec_add_into, vec_eq
 from .linalg import SparseMatrix
 from .reports import CheckReport, first_failure
 
@@ -166,30 +159,13 @@ class HopfCyclicModule:
     # columns are generated one at a time, basis tuples in lexicographic
     # order, and a tuple's index has its first factor most significant
 
-    @cached_property
-    def _integral(self):
-        """(H, delta) copied with every scalar whose value is a rational
-        integer turned into an int; the matrices are assembled from it."""
-        H = self.hopf
-
-        def table(rows):
-            return {k: {i: integral(c) for i, c in row.items()}
-                    for k, row in rows.items()}
-
-        copy = FiniteHopf(H.name, H.field, H.basis,
-                          {k: integral(c) for k, c in H.unit.items()},
-                          table(H.product), table(H.coproduct),
-                          [integral(c) for c in H.counit], table(H.antipode))
-        return copy, Character(copy, [integral(v) for v in self.delta.values],
-                               name=self.delta.name)
-
     def face_matrix(self, i, n):
         """Matrix of face i from degree n-1 to degree n: the unit inserted
         in front (i = 0) or at the end (i = n), or the coproduct of factor
         i-1 spliced in, as index offsets of the new slots."""
         if not 1 <= n or not 0 <= i <= n:
             raise IndexError(f"face index {i} out of range at degree {n}")
-        H = self._integral[0]
+        H = self.hopf
         d = H.dim
         unit = list(H.unit_element().items())
         size = d ** (n - 1)
@@ -217,7 +193,7 @@ class HopfCyclicModule:
         applied to factor i of each basis tuple."""
         if not 0 <= i <= n:
             raise IndexError(f"degeneracy index {i} out of range at degree {n}")
-        H = self._integral[0]
+        H = self.hopf
         d = H.dim
         low = d ** (n - i)
         counit = [H.counit_basis(k) for k in range(d)]
@@ -235,8 +211,8 @@ class HopfCyclicModule:
         factor k; the column of (k, k_2, ..., k_n) multiplies its legs
         slotwise by e_k2, ..., e_kn and 1, one structure constant at a time."""
         if n == 0:
-            return SparseMatrix.identity(1, 1)
-        H, delta = self._integral
+            return SparseMatrix.identity(1)
+        H, delta = self.hopf, self.delta
         d = H.dim
         times = [[list(H.mul_basis(a, b).items()) for b in range(d)]
                  for a in range(d)]
@@ -375,25 +351,30 @@ class CochainCyclicModule:
 
 
 def _relation_instances(N_max):
-    """All relation instances whose operators stay within degree N_max.
+    """All relation instances whose operators stay within degree N_max,
+    grouped by (relation_id, degree) in sorted order.
 
-    Each instance is (relation_id, degree, index_tuple, lhs_word, rhs_word)
-    where words are generator sequences applied right to left, each generator
-    a tag ('d'|'s'|'t', index, degree).
+    Each group is ((relation_id, degree), [(index_tuple, lhs_word,
+    rhs_word), ...]) where words are generator sequences applied right to
+    left, each generator a tag ('d'|'s'|'t', index, degree).
     """
-    out = []
+    grouped = {}
+
+    def add(rel, n, idx, lhs, rhs):
+        grouped.setdefault((rel, n), []).append((idx, lhs, rhs))
+
     for n in range(2, N_max + 1):
         for j in range(1, n + 1):
             for i in range(j):
-                out.append(("dd", n, (i, j),
-                            [("d", j, n), ("d", i, n - 1)],
-                            [("d", i, n), ("d", j - 1, n - 1)]))
+                add("dd", n, (i, j),
+                    [("d", j, n), ("d", i, n - 1)],
+                    [("d", i, n), ("d", j - 1, n - 1)])
     for s in range(2, N_max + 1):
         for i in range(s - 1):
             for j in range(i, s - 1):
-                out.append(("ss", s, (i, j),
-                            [("s", j, s - 2), ("s", i, s - 1)],
-                            [("s", i, s - 2), ("s", j + 1, s - 1)]))
+                add("ss", s, (i, j),
+                    [("s", j, s - 2), ("s", i, s - 1)],
+                    [("s", i, s - 2), ("s", j + 1, s - 1)])
     for s in range(0, N_max):
         for i in range(s + 2):
             for j in range(s + 1):
@@ -404,25 +385,23 @@ def _relation_instances(N_max):
                     rhs = []
                 else:
                     rhs = [("d", i - 1, s), ("s", j, s - 1)]
-                out.append(("sd", s, (i, j), lhs, rhs))
+                add("sd", s, (i, j), lhs, rhs)
     for n in range(1, N_max + 1):
         for i in range(1, n + 1):
-            out.append(("td", n, (i,),
-                        [("t", 0, n), ("d", i, n)],
-                        [("d", i - 1, n), ("t", 0, n - 1)]))
-        out.append(("td0", n, (0,), [("t", 0, n), ("d", 0, n)],
-                    [("d", n, n)]))
+            add("td", n, (i,),
+                [("t", 0, n), ("d", i, n)],
+                [("d", i - 1, n), ("t", 0, n - 1)])
+        add("td0", n, (0,), [("t", 0, n), ("d", 0, n)], [("d", n, n)])
     for n in range(0, N_max):
         for i in range(1, n + 1):
-            out.append(("ts", n, (i,),
-                        [("t", 0, n), ("s", i, n)],
-                        [("s", i - 1, n), ("t", 0, n + 1)]))
-        out.append(("ts0", n, (0,), [("t", 0, n), ("s", 0, n)],
-                    [("s", n, n), ("t", 0, n + 1), ("t", 0, n + 1)]))
+            add("ts", n, (i,),
+                [("t", 0, n), ("s", i, n)],
+                [("s", i - 1, n), ("t", 0, n + 1)])
+        add("ts0", n, (0,), [("t", 0, n), ("s", 0, n)],
+            [("s", n, n), ("t", 0, n + 1), ("t", 0, n + 1)])
     for n in range(0, N_max + 1):
-        out.append(("tpow", n, (),
-                    [("t", 0, n)] * (n + 1), []))
-    return out
+        add("tpow", n, (), [("t", 0, n)] * (n + 1), [])
+    return sorted(grouped.items())
 
 
 def word_source_degree(word, default):
@@ -464,11 +443,7 @@ def relation_suite(module, N_max, samples=None, title=None):
     report = CheckReport(title or "cyclic-relations",
                          meta={"max-degree": N_max})
     get_samples = samples or module.samples
-    instances = _relation_instances(N_max)
-    grouped = {}
-    for rel, n, idx, lhs, rhs in instances:
-        grouped.setdefault((rel, n), []).append((idx, lhs, rhs))
-    for (rel, n), items in sorted(grouped.items()):
+    for (rel, n), items in _relation_instances(N_max):
         cases = ((idx, t, apply_word(module, lhs, t),
                   apply_word(module, rhs, t))
                  for idx, lhs, rhs in items

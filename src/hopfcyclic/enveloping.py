@@ -13,14 +13,13 @@ The canonical character is the trace of the adjoint representation.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .fields import RationalField
+from .fields import RationalField, rational
 from .hopf import vec_add_into, vec_eq, vec_scale
 from .reports import first_failure
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 _RATIONAL = RationalField()
 
 
@@ -36,7 +35,7 @@ class LieAlgebra:
         self.brackets = {}  # (i, j) -> {k: c}, stored for all i != j
         table = {}
         for (i, j), comb in brackets.items():
-            comb = {k: Fraction(v) for k, v in comb.items() if v}
+            comb = {k: rational(v) for k, v in comb.items() if v}
             if i == j and comb:
                 raise ValueError(f"[X{i},X{i}] must vanish")
             table[(i, j)] = comb
@@ -104,7 +103,7 @@ class SymbolicCharacter:
     """Character of U(g) determined by its values on the generators."""
 
     def __init__(self, gen_values, name="delta"):
-        self.gen_values = [Fraction(v) for v in gen_values]
+        self.gen_values = [rational(v) for v in gen_values]
         self.name = name
 
     def value(self, key):
@@ -228,7 +227,7 @@ class EnvelopingAlgebra:
         for i in range(len(key) - 1, -1, -1):
             for _ in range(key[i]):
                 rev = self._elem_times_gen(rev, i)
-        return vec_scale(ONE if total % 2 == 0 else -ONE, rev)
+        return vec_scale(1 if total % 2 == 0 else -1, rev)
 
     def antipode_of(self, a):
         out = {}
@@ -283,7 +282,7 @@ def tensor_samples(algebra, N_max, max_degree=2, rng=None, random_count=3):
                 t = {}
                 for _ in range(2):
                     key = tuple(rng.choice(monos) for _ in range(n))
-                    c = Fraction(rng.randrange(-3, 4) or 1)
+                    c = rng.randrange(-3, 4) or 1
                     t[key] = t.get(key, algebra.field.zero()) + c
                 t = {k: v for k, v in t.items() if v}
                 if t:

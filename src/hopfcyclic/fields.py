@@ -1,24 +1,30 @@
 """Exact ground fields: the rationals and cyclotomic extensions Q(zeta_m).
 
-Rational scalars are plain ``fractions.Fraction`` (already canonical).
-Cyclotomic scalars are polynomials in zeta_m of degree < phi(m), reduced
-modulo the m-th cyclotomic polynomial, with ``Fraction`` coefficients.
+Every scalar has one canonical form, whichever field it came from:
+
+- a scalar whose value is a rational integer is an ``int``;
+- any other rational is a ``Fraction``;
+- a ``Cyclotomic`` only ever holds an irrational value: a polynomial in
+  zeta_m of degree < phi(m), reduced modulo the m-th cyclotomic
+  polynomial, with canonical rational coefficients.
+
+The field constants, ``parse``, every ``Cyclotomic`` operator, ``inverse``
+and ``scalar_inv`` return this form; ``Cyclotomic(m, coeffs)`` itself
+returns an ``int`` or ``Fraction`` when the value is rational.  The
+rationals are thus shared by Q and every Q(zeta_m), so an integral
+presentation yields ``int`` structure constants, matrices and elimination
+rows, and a ``Fraction`` or ``Cyclotomic`` appears only where a
+non-integral value occurs.  Plain ``int``/``Fraction`` arithmetic elsewhere
+stays exact and equal by value (``Fraction(1, 2) * 2 == 1``), though it may
+not be canonical in type.  No code divides one ``int`` by another: every
+``/`` has an explicit ``Fraction`` operand.
 
 An ``int`` or ``Fraction`` operand of a ``Cyclotomic`` operator is its own
-constant coefficient: ``+``, ``-`` and ``*`` combine coefficient lists
-directly, with no promotion to a ``Cyclotomic``, and the result is the same
-canonical ``Cyclotomic`` either way.  Two ``Cyclotomic`` scalars of
-different orders never mix (``FieldMismatchError``).  The inverse is
-a^-1 = prod sigma_k(a) / N(a) over the Galois automorphisms
-sigma_k: zeta_m -> zeta_m^k with k != 1 prime to m, where the norm
-N(a) = a * prod sigma_k(a) is rational; division is multiplication by
-``scalar_inv``.
-
-A plain ``int`` is also an exact scalar of either field, since
-Z < Q < Q(zeta_m).  ``integral`` turns a scalar whose value is a rational
-integer into one, so that matrix assembly and elimination can run on
-``int`` while the presentation is integral; ``scalar_inv`` keeps an ``int``
-unit an ``int``.  No code divides one ``int`` by another.
+constant coefficient.  Two ``Cyclotomic`` scalars of different orders never
+mix (``FieldMismatchError``).  The inverse is a^-1 = prod sigma_k(a) / N(a)
+over the Galois automorphisms sigma_k: zeta_m -> zeta_m^k with k != 1 prime
+to m, where the norm N(a) = a * prod sigma_k(a) is rational; division is
+multiplication by ``scalar_inv``.
 """
 
 from __future__ import annotations
@@ -72,25 +78,27 @@ def _poly_trim(coeffs):
 
 
 class Cyclotomic:
-    """Element of Q(zeta_m): polynomial in zeta_m reduced modulo Phi_m.
+    """Irrational element of Q(zeta_m), immutable.
 
-    Immutable; equality and hashing use the canonical reduced form.
+    ``Cyclotomic(m, coeffs)`` reduces the coefficients modulo Phi_m and
+    returns the canonical scalar: the rational itself when no power of
+    zeta_m is left, else a ``Cyclotomic``.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order, coeffs):
-        self.order = order
+    def __new__(cls, order, coeffs):
         phi = cyclotomic_polynomial(order)
-        deg = len(phi) - 1
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
+        cs = list(coeffs)
+        if len(cs) >= len(phi):
             cs = _reduce_mod(cs, phi)
-        cs = _poly_trim(cs)
+        cs = [rational(c) for c in _poly_trim(cs)]
+        if len(cs) <= 1:
+            return cs[0] if cs else 0
+        self = super().__new__(cls)
+        self.order = order
         self.coeffs = tuple(cs)
-
-    def is_zero(self):
-        return not self.coeffs
+        return self
 
     def _operand(self, other):
         """The coefficients of ``other`` in this field, or None if it is not
@@ -135,8 +143,8 @@ class Cyclotomic:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o:
-            return Cyclotomic(self.order, [])
+        if not o:
+            return 0
         prod = [0] * (len(self.coeffs) + len(o) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -156,16 +164,15 @@ class Cyclotomic:
     def inverse(self):
         """1 / a = (prod of sigma_k(a), k != 1) / N(a), where the norm
         N(a) = a * prod sigma_k(a) is rational."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic scalar")
         m = self.order
-        conjugates = Cyclotomic(m, [1])
+        conjugates = 1
         for k in range(2, m):
             if gcd(k, m) == 1:
                 conjugates = conjugates * self._galois(k)
-        norm = (self * conjugates).coeffs
-        assert len(norm) == 1, f"norm of {self!r} is not rational"
-        return Cyclotomic(m, [c / norm[0] for c in conjugates.coeffs])
+        norm = self * conjugates
+        assert not isinstance(norm, Cyclotomic), \
+            f"norm of {self!r} is not rational"
+        return conjugates * scalar_inv(norm)
 
     def __truediv__(self, other):
         if self._operand(other) is None:
@@ -180,7 +187,7 @@ class Cyclotomic:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = Cyclotomic(self.order, [1])
+        out = 1
         for _ in range(n):
             out = out * self
         return out
@@ -188,18 +195,9 @@ class Cyclotomic:
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
             return self.order == other.order and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
-                return other == 0
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
         return NotImplemented
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
         return hash((self.order, self.coeffs))
 
     def __repr__(self):
@@ -221,39 +219,28 @@ def _reduce_mod(coeffs, phi):
     return cs[:deg]
 
 
+def rational(q):
+    """The canonical form of the rational q: an ``int`` when its value is
+    an integer, else a ``Fraction``."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def scalar_inv(a):
-    """Multiplicative inverse; raises ZeroDivisionError on zero.  An ``int``
-    1 or -1 is its own inverse and is returned unchanged; any other
-    rational inverse is a ``Fraction``."""
+    """Multiplicative inverse, in canonical form; raises ZeroDivisionError
+    on zero."""
     if isinstance(a, Cyclotomic):
         return a.inverse()
-    if a == 0:
-        raise ZeroDivisionError("inverse of zero scalar")
-    if isinstance(a, int) and a in (1, -1):
-        return a
-    return Fraction(1) / Fraction(a)
-
-
-def integral(a):
-    """``a`` as an ``int`` when its value is a rational integer (a
-    ``Fraction`` with denominator 1, or a ``Cyclotomic`` whose only
-    coefficient is an integral constant); otherwise ``a`` itself."""
-    value = a
-    if isinstance(a, Cyclotomic):
-        if len(a.coeffs) > 1:
-            return a
-        value = a.coeffs[0] if a.coeffs else 0
-    return int(value) if value.denominator == 1 else a
+    return rational(1 / Fraction(a))
 
 
 class RationalField:
     kind = "rational"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def parse(self, text):
         return parse_rational(text)
@@ -283,10 +270,10 @@ class CyclotomicField:
         self.order = order
 
     def zero(self):
-        return Cyclotomic(self.order, [])
+        return 0
 
     def one(self):
-        return Cyclotomic(self.order, [1])
+        return 1
 
     def zeta(self):
         return Cyclotomic(self.order, [0, 1])
@@ -323,7 +310,7 @@ def field_from_spec(spec):
 
 def parse_rational(text):
     try:
-        return Fraction(text.strip())
+        return rational(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarFormatError(f"bad rational {text!r}") from exc
 
@@ -332,7 +319,7 @@ def parse_cyclotomic(text, order):
     """Parse 'c0 + c1*z + c2*z^2 + ...' (rational coefficients) in Q(zeta_m)."""
     text = text.strip()
     deg = len(cyclotomic_polynomial(order)) - 1
-    coeffs = [Fraction(0)] * max(deg, 1)
+    coeffs = [0] * max(deg, 1)
     s = text.replace("-", "+-")
     for term in s.split("+"):
         term = term.strip()
@@ -351,7 +338,7 @@ def parse_cyclotomic(text, order):
             else:
                 raise ScalarFormatError(f"bad cyclotomic term {term!r}")
             if power >= len(coeffs):
-                coeffs.extend([Fraction(0)] * (power + 1 - len(coeffs)))
+                coeffs.extend([0] * (power + 1 - len(coeffs)))
             coeffs[power] += parse_rational(head)
         else:
             coeffs[0] += parse_rational(term)
@@ -360,8 +347,6 @@ def parse_cyclotomic(text, order):
 
 def format_scalar(a):
     if isinstance(a, Cyclotomic):
-        if not a.coeffs:
-            return "0"
         parts = []
         for power, c in enumerate(a.coeffs):
             if not c:
@@ -380,4 +365,4 @@ def format_scalar(a):
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-    return str(Fraction(a))
+    return str(a)

@@ -159,16 +159,13 @@ def morphism_relation_suite(N_max):
     from .cyclic_ops import _relation_instances, word_source_degree
     report = CheckReport("lambda-normal-form-relations",
                          meta={"max-degree": N_max})
-    grouped = {}
-    for rel, n, idx, lhs, rhs in _relation_instances(N_max):
-        grouped.setdefault((rel, n), []).append((idx, lhs, rhs))
 
     def normal_forms(n, idx, lhs, rhs):
         src = word_source_degree(lhs, n)
         return (idx, compose_word(lhs, source_degree=src),
                 compose_word(rhs, source_degree=src))
 
-    for (rel, n), items in sorted(grouped.items()):
+    for (rel, n), items in _relation_instances(N_max):
         report.add(f"{rel} n={n}", *first_failure(
             (normal_forms(n, *item) for item in items),
             lambda case: case[1] == case[2],

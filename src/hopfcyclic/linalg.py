@@ -5,12 +5,12 @@ sparse Gaussian elimination, _echelon.  The kernel basis is read off the
 reduced row echelon form, which is unique, so it does not depend on the
 order in which the elimination finds its pivots.
 
-Entries may be ``int``, ``Fraction`` or ``Cyclotomic``, mixed; the
-cohomology matrices of an integral presentation are all ``int``.  The only
-division is ``scalar_inv`` of a pivot, which leaves an ``int`` unit pivot
-an ``int``, so a row stays integral until a pivot other than 1 or -1 is
-met, and ``_echelon`` sets aside a row whose leading entry is not a unit
-until the other rows are in.  ``rank`` sorts the rows by leading column
+Entries are scalars in the canonical form of ``fields``, so the cohomology
+matrices of an integral presentation are all ``int``.  The only division
+is ``scalar_inv`` of a pivot, whose inverse is an ``int`` when the pivot is
+1 or -1, so a row stays integral until a pivot other than a unit is met,
+and ``_echelon`` sets aside a row whose leading entry is not a unit until
+the other rows are in.  ``rank`` sorts the rows by leading column
 and length first (a static Markowitz row order), which cuts fill-in; the
 rank does not depend on the order.  ``kernel_basis`` keeps the rows and
 columns in their given order, and the pivot is always the lowest column,
@@ -43,8 +43,8 @@ class SparseMatrix:
                     self.entries[(r, c)] = v
 
     @classmethod
-    def identity(cls, n, one):
-        return cls(n, n, {(i, i): one for i in range(n)})
+    def identity(cls, n):
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_columns(cls, cols, nrows):
@@ -121,16 +121,12 @@ class SparseMatrix:
         rows.sort(key=lambda row: (min(row), len(row)))
         return len(_echelon(rows))
 
-    def kernel_basis(self, one):
-        """Exact basis of the right kernel, as sparse column dicts.
-
-        One basis vector per free column of the reduced row echelon form.
-        ``one`` is the value each vector takes at its free column: the
-        field's 1, or the int 1 for integral work; the matrix carries no
-        field, and may have no entry to take the scalar type from.
-        """
+    def kernel_basis(self):
+        """Exact basis of the right kernel, as sparse column dicts: one
+        vector per free column of the reduced row echelon form, which is 1
+        at that column."""
         pivots = _echelon(self.row_dicts(), reduced=True)
-        basis = {free: {free: one} for free in range(self.ncols)
+        basis = {free: {free: 1} for free in range(self.ncols)
                  if free not in pivots}
         for col in sorted(pivots):
             for free, v in pivots[col].items():

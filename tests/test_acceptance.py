@@ -69,7 +69,7 @@ def test_criterion_2_counit_negative_control():
     module = HopfCyclicModule(H, eps)
     m = module.cyclic_matrix(2)
     cube = m @ m @ m
-    eye = type(m).identity(module.space_dim(2), ONE)
+    eye = type(m).identity(module.space_dim(2))
     ok = (not inv_ok) and witness == "x" and cube.entries != eye.entries
     verdict(2, ok, "counit character on the 4-dim algebra: involution fails "
             "at witness x and the degree-2 cyclic operator has order > 3")

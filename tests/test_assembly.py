@@ -17,7 +17,7 @@ from hopfcyclic.cohomology import (B_matrix, B_operator, b_matrix,
                                    hochschild_b, mixed_complex_report,
                                    one_minus_lambda_matrix, signed_cyclic)
 from hopfcyclic.cyclic_ops import HopfCyclicModule
-from hopfcyclic.fields import Cyclotomic, integral
+from hopfcyclic.fields import Cyclotomic
 from hopfcyclic.hopf import (BUILTIN_BUILDERS, check_involution,
                              function_algebra, group_algebra, vec_add_into,
                              vec_sub)
@@ -107,26 +107,21 @@ def test_mixed_complex_witnesses_agree_on_failure():
 
 
 def test_kernel_scalars_are_cyclotomic():
-    """Over Q(zeta_4) the kernel vectors of 1 - lambda, taken with the int 1
-    as the lambda method takes them, hold exact scalars of the field (an
-    int where the value is integral, else a Fraction or an order-4
-    Cyclotomic, never a float), and equal by value the kernel of the
-    elementwise 1 - lambda.  1 - lambda_0 is the zero 1x1 matrix."""
+    """Over Q(zeta_4) the kernel vectors of 1 - lambda hold exact scalars
+    of the field (an int where the value is integral, else a Fraction or an
+    order-4 Cyclotomic, never a float), and equal by value the kernel of
+    the elementwise 1 - lambda.  1 - lambda_0 is the zero 1x1 matrix."""
     H = load_hopf(str(QZ4))
     module = HopfCyclicModule(H, H.character("delta"))
     for n in range(3):
-        kernel = one_minus_lambda_matrix(module, n).kernel_basis(1)
+        kernel = one_minus_lambda_matrix(module, n).kernel_basis()
         assert kernel
         for v in (v for vec in kernel for v in vec.values()):
             assert type(v) in (int, Fraction) or (
                 isinstance(v, Cyclotomic) and v.order == 4), (n, v)
         oracle = module.operator_matrix(
             lambda t: vec_sub(t, signed_cyclic(module, n, t)), n, n)
-        assert kernel == oracle.kernel_basis(module.field.one()), n
-
-
-def _all_int(scalars):
-    return all(type(integral(c)) is int for c in scalars)
+        assert kernel == oracle.kernel_basis(), n
 
 
 def assembled_matrices(module, n):
@@ -147,10 +142,10 @@ def test_assembled_scalars_are_int_when_presentation_is_integral():
     Their values are pinned against the elementwise operators above."""
     for case, module in CASES:
         H = module.hopf
-        assert _all_int([*H.unit.values(), *H.counit] + [
+        assert all(type(c) is int for c in [*H.unit.values(), *H.counit] + [
             c for table in (H.product, H.coproduct, H.antipode)
             for row in table.values() for c in row.values()]), case
-        delta_integral = _all_int(module.delta.values)
+        delta_integral = all(type(v) is int for v in module.delta.values)
         assert delta_integral == (case != "qz4-zeta4-delta")
         for n in range(TOP + 1):
             tables, with_delta = assembled_matrices(module, n)
@@ -217,8 +212,7 @@ def test_random_group_cyclic_matrix(module, n):
     power = tau
     for _ in range(n):
         power = tau @ power
-    assert power == SparseMatrix.identity(module.space_dim(n),
-                                          module.field.one())
+    assert power == SparseMatrix.identity(module.space_dim(n))
 
 
 @settings(max_examples=25, deadline=None)

@@ -113,8 +113,7 @@ def test_b_image_is_cyclic_invariant():
     _, _, module = module_of(sweedler_h4, "delta")
     for n in range(3):
         proj = one_minus_lambda_matrix(module, n + 1)
-        for vec in one_minus_lambda_matrix(module, n).kernel_basis(
-                module.field.one()):
+        for vec in one_minus_lambda_matrix(module, n).kernel_basis():
             t = {module.key_of_index(i, n): c for i, c in vec.items()}
             img = hochschild_b(module, n + 1, t)
             coords = {module.key_index(k): v for k, v in img.items()}
@@ -155,8 +154,7 @@ def assert_semisimple_dual_closed_form(module, top=3):
     HH = (1, 0, 0, ...).  The SBI sequence then forces HC = (1, 0, 1, 0, ...)
     for every character.  Both methods, every degree the truncation
     determines."""
-    report = cohomology_report(module.hopf, module.delta, top, method="both",
-                               module=module)
+    report = cohomology_report(module.hopf, module.delta, top, method="both")
     for row in report.rows:
         n = row["degree"]
         assert row["hh"] == (1 if n == 0 else 0), (n, report.render())

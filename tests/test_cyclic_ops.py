@@ -87,7 +87,7 @@ def test_cyclic_power_order():
         p = m
         for _ in range(n):
             p = m @ p
-        eye = type(m).identity(mod.space_dim(n), ONE)
+        eye = type(m).identity(mod.space_dim(n))
         assert p.entries == eye.entries
 
 
