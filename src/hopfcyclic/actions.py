@@ -287,7 +287,7 @@ def mat_over_eq(X, Y):
     return all(vec_eq(X.get(k, {}), Y.get(k, {})) for k in keys)
 
 
-def is_idempotent(algebra, E, q):
+def is_idempotent(algebra, E):
     return mat_over_eq(mat_over_mul(algebra, E, E), E)
 
 
@@ -306,7 +306,7 @@ def pair_idempotent(algebra, phi, E, q):
     """<E, phi> for an even cochain phi of degree 0 or 2: the sum over
     (i0, ..., in) of phi(E_i0i1, E_i1i2, ..., E_ini0).  Degree 0 is the
     trace extension sum_i phi(E_ii)."""
-    if not is_idempotent(algebra, E, q):
+    if not is_idempotent(algebra, E):
         raise ActionError("matrix is not idempotent")
     degree = len(next(iter(phi))) - 1 if phi else 0
     if degree not in (0, 2):

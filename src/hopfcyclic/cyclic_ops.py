@@ -8,12 +8,15 @@ The elementwise operators (face, degeneracy, cyclic) are the specification:
 they act on any tensor, so they serve the symbolic U(g) modules, the
 relation suites and the checkers, and ``operator_matrix`` turns any of them
 into a matrix one basis tensor at a time, which makes them the test oracle.
+tau has one elementwise construction, the closed form of tau_n^j
+(``cyclic_power_formula``); ``cyclic`` is its case j = 1.
 For a finite H, ``face_matrix``, ``degeneracy_matrix`` and ``cyclic_matrix``
 are assembled straight from the structure constants instead: index
 arithmetic for the unit, coproduct and counit slots, and for tau_n the
-iterated coproduct of S~(e_k) computed once per first factor k and
-multiplied slotwise against the remaining factors.  The cohomology
-matrices are built from these.
+legs of Delta^(n-1) S~(e_k) multiplied slotwise against the remaining
+factors.  Each module builds those legs once per (k, n), in a dict that the
+elementwise tau and ``cyclic_matrix`` both read.  The cohomology matrices
+are built from these.
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
@@ -44,7 +47,7 @@ class HopfCyclicModule:
     def __init__(self, hopf, delta):
         self.hopf = hopf
         self.delta = delta
-        self.field = hopf.field
+        self._legs = {}
 
     # -- elementwise operators
 
@@ -82,42 +85,46 @@ class HopfCyclicModule:
         return out
 
     def cyclic(self, n, t):
-        """tau_n: multiply the iterated coproduct of S~(h^1) slotwise against
-        the left-shifted tensor with 1 appended.  Identity in degree 0."""
+        """tau_n, the closed form of tau_n^j at j = 1.  Identity in degree 0."""
+        return self.cyclic_power_formula(1, n, t)
+
+    def cyclic_power_formula(self, j, n, t):
+        """tau_n^j for 1 <= j <= n+1 in closed form: Delta^(n-1) S~ of the
+        j-th factor of h^1 (x) ... (x) h^n (x) 1, multiplied slotwise against
+        the factors after it followed by those before it.  Identity in
+        degree 0."""
+        if not 1 <= j <= n + 1:
+            raise IndexError(f"power {j} out of range at degree {n}")
         if n == 0:
             return dict(t)
         H = self.hopf
         unit = H.unit_element()
         out = {}
         for key, c in t.items():
-            st = H.twisted_antipode(self.delta, {key[0]: H.field.one()})
-            legs = iterated_comul(H, st, n)
-            shifted = [{k: H.field.one()} for k in key[1:]] + [unit]
-            vec_add_into(out, slotwise_product(H, legs, shifted), c)
+            ext = [{k: 1} for k in key] + [unit]
+            factors = ext[j:] + ext[:j - 1]
+            for h, ch in ext[j - 1].items():
+                for leg, lc in self._twisted_legs(h, n).items():
+                    partial = [((), c * ch * lc)]
+                    for k, factor in zip(leg, factors):
+                        prod = H.mul({k: 1}, factor).items()
+                        partial = [(pk + (m,), pc * mc)
+                                   for pk, pc in partial for m, mc in prod]
+                        if not partial:
+                            break
+                    for pk, pc in partial:
+                        vec_add_into(out, {pk: pc})
         return out
 
-    def cyclic_power_formula(self, j, n, t):
-        """Closed form for tau_n^j: the iterated coproduct of S~ of the j-th
-        factor times the rotation with 1 in place, for 1 <= j <= n+1."""
-        if not 1 <= j <= n + 1:
-            raise IndexError(f"power {j} out of range at degree {n}")
-        H = self.hopf
-        unit = H.unit_element()
-        out = {}
-        for key, c in t.items():
-            if j == n + 1:
-                st = H.twisted_antipode(self.delta, unit)
-                legs = iterated_comul(H, st, n)
-                shifted = [{k: H.field.one()} for k in key]
-            else:
-                st = H.twisted_antipode(
-                    self.delta, {key[j - 1]: H.field.one()})
-                legs = iterated_comul(H, st, n)
-                shifted = ([{k: H.field.one()} for k in key[j:]]
-                           + [unit]
-                           + [{k: H.field.one()} for k in key[:j - 1]])
-            vec_add_into(out, slotwise_product(H, legs, shifted), c)
-        return out
+    def _twisted_legs(self, k, n):
+        """Delta^(n-1) S~(e_k) as a degree-n tensor, computed once per (k, n)
+        and shared by the elementwise tau and ``cyclic_matrix``."""
+        legs = self._legs.get((k, n))
+        if legs is None:
+            H = self.hopf
+            legs = self._legs[k, n] = iterated_comul(
+                H, H.twisted_antipode(self.delta, {k: 1}), n)
+        return legs
 
     # -- finite-dimensional extras
 
@@ -143,15 +150,14 @@ class HopfCyclicModule:
         return tuple(reversed(digits))
 
     def samples(self, n):
-        one = self.hopf.field.one()
-        return [{key: one} for key in self.basis_keys(n)]
+        return [{key: 1} for key in self.basis_keys(n)]
 
     def operator_matrix(self, op, src_degree, tgt_degree):
         """Assemble the exact matrix of an elementwise operator; columns are
         basis tuples of the source degree in lexicographic order."""
         cols = []
         for key in self.basis_keys(src_degree):
-            image = op({key: self.hopf.field.one()})
+            image = op({key: 1})
             cols.append({self.key_index(k): v for k, v in image.items()})
         return SparseMatrix.from_columns(cols, self.space_dim(tgt_degree))
 
@@ -207,12 +213,12 @@ class HopfCyclicModule:
                                          d ** n)
 
     def cyclic_matrix(self, n):
-        """Matrix of tau_n.  Delta^(n-1) S~(e_k) is computed once per first
-        factor k; the column of (k, k_2, ..., k_n) multiplies its legs
-        slotwise by e_k2, ..., e_kn and 1, one structure constant at a time."""
+        """Matrix of tau_n: the column of (k, k_2, ..., k_n) multiplies the
+        legs of Delta^(n-1) S~(e_k) slotwise by e_k2, ..., e_kn and 1, one
+        structure constant at a time."""
         if n == 0:
             return SparseMatrix.identity(1)
-        H, delta = self.hopf, self.delta
+        H = self.hopf
         d = H.dim
         times = [[list(H.mul_basis(a, b).items()) for b in range(d)]
                  for a in range(d)]
@@ -221,8 +227,7 @@ class HopfCyclicModule:
 
         def columns():
             for k in range(d):
-                legs = iterated_comul(
-                    H, H.twisted_antipode(delta, {k: 1}), n).items()
+                legs = self._twisted_legs(k, n).items()
                 for rest in itertools.product(range(d), repeat=n - 1):
                     col = {}
                     for leg, c in legs:
@@ -253,22 +258,6 @@ def iterated_comul(H, elem, n):
     return t
 
 
-def slotwise_product(H, tensor, factors):
-    """Multiply a degree-n tensor slotwise by a list of n elements."""
-    out = {}
-    for key, c in tensor.items():
-        partial = [((), c)]
-        for slot, k in enumerate(key):
-            prod = H.mul({k: H.field.one()}, factors[slot])
-            partial = [(pk + (m,), pc * mc)
-                       for pk, pc in partial for m, mc in prod.items()]
-            if not partial:
-                break
-        for pk, pc in partial:
-            vec_add_into(out, {pk: pc})
-    return out
-
-
 class CochainCyclicModule:
     """The cyclic module of multilinear forms on a finite algebra.
 
@@ -280,7 +269,6 @@ class CochainCyclicModule:
 
     def __init__(self, algebra):
         self.algebra = algebra
-        self.field = algebra.field
         self._rev = algebra.reverse_product_table()
 
     def face(self, i, n, phi):
@@ -335,13 +323,12 @@ class CochainCyclicModule:
         return tuple(reversed(digits))
 
     def samples(self, n):
-        one = self.algebra.field.one()
-        return [{key: one} for key in self.basis_keys(n)]
+        return [{key: 1} for key in self.basis_keys(n)]
 
     def operator_matrix(self, op, src_degree, tgt_degree):
         cols = []
         for key in self.basis_keys(src_degree):
-            image = op({key: self.algebra.field.one()})
+            image = op({key: 1})
             cols.append({self.key_index(k): v for k, v in image.items()})
         return SparseMatrix.from_columns(cols, self.space_dim(tgt_degree))
 

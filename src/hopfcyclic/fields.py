@@ -265,8 +265,9 @@ class CyclotomicField:
     kind = "cyclotomic"
 
     def __init__(self, order):
-        if order < 1:
-            raise ValueError("cyclotomic order must be >= 1")
+        if type(order) is not int or order < 1:
+            raise ValueError(
+                f"cyclotomic order must be a positive integer, not {order!r}")
         self.order = order
 
     def zero(self):
@@ -304,7 +305,7 @@ def field_from_spec(spec):
     if kind == "rational":
         return RationalField()
     if kind == "cyclotomic":
-        return CyclotomicField(int(spec["order"]))
+        return CyclotomicField(spec["order"])
     raise ScalarFormatError(f"unknown field kind: {kind!r}")
 
 

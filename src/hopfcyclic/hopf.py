@@ -22,10 +22,6 @@ class CharacterError(Exception):
 # ---------------------------------------------------------------------------
 # sparse linear-combination helpers (shared by elements and tensors)
 
-def vec_add(a, b):
-    return vec_add_into(dict(a), b)
-
-
 def vec_add_into(out, vec, c=1):
     """out += c * vec in place, dropping entries that cancel; returns out.
 

@@ -225,5 +225,5 @@ def test_pairing_similarity_invariance(builder, seed=37):
     rng = random.Random(seed)
     for _ in range(20):
         Ec = act.random_conjugate(A, E, 2, rng)
-        assert act.is_idempotent(A, Ec, 2)
+        assert act.is_idempotent(A, Ec)
         assert act.pair_idempotent(A, trace.as_cochain(), Ec, 2) == base

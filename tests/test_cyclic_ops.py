@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcyclic import cyclic_ops
 from hopfcyclic.algebras import algebra_of_hopf, matrix_algebra
 from hopfcyclic.cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
                                    check_cyclic_power_formula, relation_suite)
+from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
+                                   tensor_samples)
 from hopfcyclic.hopf import cyclic_group_algebra, sweedler_h4
 
 ONE = Fraction(1)
@@ -26,6 +29,7 @@ def test_degree_zero_conventions():
     assert mod.face(1, 1, scalar) == {(0,): ONE}
     assert mod.degeneracy(0, 0, {(0,): ONE}) == {(): ONE}
     assert mod.cyclic(0, scalar) == scalar
+    assert mod.cyclic_power_formula(1, 0, scalar) == scalar
 
 
 def test_face_inserts_unit_and_coproduct():
@@ -77,7 +81,34 @@ def test_cyclic_power_formula(seed=3):
                 key = tuple(rng.randrange(H.dim) for _ in range(n))
                 tensors.append({key: Fraction(rng.randrange(-3, 4) or 1)})
             for j in range(1, n + 2):
-                assert check_cyclic_power_formula(mod, n, j, tensors)
+                assert check_cyclic_power_formula(mod, n, j, tensors) \
+                    == (True, None), (n, j)
+
+
+@pytest.mark.parametrize("case", ["sweedler", "axb"])
+def test_iterated_coproduct_built_once_per_first_factor(monkeypatch, case):
+    """tau reads Delta^(n-1) S~(e_k) from the module's cache: the relation
+    suite through degree 4 builds it once per (k, n), 4 x 4 on Sweedler and
+    39 times on the ax+b samples of seed 0."""
+    calls = []
+    build = cyclic_ops.iterated_comul
+
+    def counted(H, elem, n):
+        calls.append((tuple(sorted(elem.items())), n))
+        return build(H, elem, n)
+
+    monkeypatch.setattr(cyclic_ops, "iterated_comul", counted)
+    if case == "sweedler":
+        report = relation_suite(sweedler_module(), 4)
+        expected = 16
+    else:
+        U = EnvelopingAlgebra(ax_plus_b_lie_algebra())
+        samples = tensor_samples(U, 4, rng=random.Random(0))
+        report = relation_suite(HopfCyclicModule(U, U.modular_character()),
+                                4, samples=samples.__getitem__)
+        expected = 39
+    assert report.ok
+    assert len(set(calls)) == len(calls) == expected
 
 
 def test_cyclic_power_order():

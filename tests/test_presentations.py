@@ -152,6 +152,15 @@ MALFORMED = [
     ("dim-true", "check-hopf", _with("qz2.json", dim=True),
      "dim must be a positive integer"),
     ("field-int", "check-hopf", _with("qz2.json", field=5), "bad field spec"),
+    ("order-true", "cohomology",
+     _with("sweedler-h4.json", field={"kind": "cyclotomic", "order": True}),
+     "cyclotomic order must be a positive integer, not True"),
+    ("order-float", "cohomology",
+     _with("sweedler-h4.json", field={"kind": "cyclotomic", "order": 2.5}),
+     "cyclotomic order must be a positive integer, not 2.5"),
+    ("order-string", "cohomology",
+     _with("sweedler-h4.json", field={"kind": "cyclotomic", "order": "3"}),
+     "cyclotomic order must be a positive integer, not '3'"),
     ("top-string", "check-hopf", lambda: "qz2", "expected a mapping"),
     ("brackets-int", "cyclic-relations", _with("axb-lie.json", brackets=4),
      "brackets must be a list"),

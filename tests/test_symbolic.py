@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcyclic.cyclic_ops import HopfCyclicModule, relation_suite
+from hopfcyclic.cyclic_ops import (HopfCyclicModule,
+                                   check_cyclic_power_formula, relation_suite)
 from hopfcyclic.enveloping import (EnvelopingAlgebra, LieAlgebra,
                                    abelian_lie_algebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
-from hopfcyclic.hopf import vec_add, vec_scale
+from hopfcyclic.hopf import vec_add_into
 
 ONE = Fraction(1)
 
@@ -54,8 +55,8 @@ def test_antipode_convolution_identity():
     for key in U.monomials_up_to_degree(4):
         total = {}
         for (k1, k2), c in U.comul_basis(key).items():
-            total = vec_add(total, vec_scale(
-                c, U.mul(U.antipode_basis(k1), U.monomial(k2))))
+            vec_add_into(total, U.mul(U.antipode_basis(k1), U.monomial(k2)),
+                         c)
         want = {(0, 0): U.counit_basis(key)} if U.counit_basis(key) else {}
         assert total == want, key
 
@@ -97,6 +98,18 @@ def test_relation_suite_on_samples(seed=2):
     samples = tensor_samples(U, 3, max_degree=2, rng=rng)
     report = relation_suite(module, 3, samples=samples.__getitem__)
     assert report.ok, report.render()
+
+
+def test_cyclic_power_formula_on_samples(seed=2):
+    """The closed form of tau^j, the only tau U(g) has, against tau
+    iterated j times."""
+    U = axb()
+    module = HopfCyclicModule(U, U.modular_character())
+    samples = tensor_samples(U, 3, max_degree=2, rng=random.Random(seed))
+    for n in range(1, 4):
+        for j in range(1, n + 2):
+            assert check_cyclic_power_formula(module, n, j, samples[n]) \
+                == (True, None), (n, j)
 
 
 def test_counit_is_evaluation_at_zero():
