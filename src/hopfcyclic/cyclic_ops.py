@@ -9,7 +9,10 @@ they act on any tensor, so they serve the symbolic U(g) modules, the
 relation suites and the checkers, and ``operator_matrix`` turns any of them
 into a matrix one basis tensor at a time, which makes them the test oracle.
 tau has one elementwise construction, the closed form of tau_n^j
-(``cyclic_power_formula``); ``cyclic`` is its case j = 1.
+(``cyclic_power_formula``); ``cyclic`` is its case j = 1.  It is linear in
+a cache: the image of each basis tensor is built once per (j, n, key), and
+each slot product e_k * factor (a basis element or the unit) once per
+module with ``H.mul``; a call adds the cached images into a fresh dict.
 For a finite H, ``face_matrix``, ``degeneracy_matrix`` and ``cyclic_matrix``
 are assembled straight from the structure constants instead: index
 arithmetic for the unit, coproduct and counit slots, and for tau_n the
@@ -48,6 +51,9 @@ class HopfCyclicModule:
         self.hopf = hopf
         self.delta = delta
         self._legs = {}
+        self._images = {}
+        self._slots = {}
+        self._keys = {}  # one tuple per output key, shared by the images
 
     # -- elementwise operators
 
@@ -81,7 +87,13 @@ class HopfCyclicModule:
         for key, c in t.items():
             d = c * H.counit_basis(key[i])
             if d:
-                vec_add_into(out, {key[:i] + key[i + 1:]: d})
+                short = key[:i] + key[i + 1:]
+                w = out.get(short)
+                s = d if w is None else w + d
+                if s:
+                    out[short] = s
+                else:
+                    out.pop(short, None)
         return out
 
     def cyclic(self, n, t):
@@ -92,29 +104,54 @@ class HopfCyclicModule:
         """tau_n^j for 1 <= j <= n+1 in closed form: Delta^(n-1) S~ of the
         j-th factor of h^1 (x) ... (x) h^n (x) 1, multiplied slotwise against
         the factors after it followed by those before it.  Identity in
-        degree 0."""
+        degree 0.  Linear in t: the image of each basis tensor is built once
+        per (j, n, key) and read from the module's cache."""
         if not 1 <= j <= n + 1:
             raise IndexError(f"power {j} out of range at degree {n}")
         if n == 0:
             return dict(t)
-        H = self.hopf
-        unit = H.unit_element()
         out = {}
         for key, c in t.items():
-            ext = [{k: 1} for k in key] + [unit]
-            factors = ext[j:] + ext[:j - 1]
-            for h, ch in ext[j - 1].items():
-                for leg, lc in self._twisted_legs(h, n).items():
-                    partial = [((), c * ch * lc)]
-                    for k, factor in zip(leg, factors):
-                        prod = H.mul({k: 1}, factor).items()
-                        partial = [(pk + (m,), pc * mc)
-                                   for pk, pc in partial for m, mc in prod]
-                        if not partial:
-                            break
-                    for pk, pc in partial:
-                        vec_add_into(out, {pk: pc})
+            image = self._images.get((j, n, key))
+            if image is None:
+                image = self._images[j, n, key] = self._tau_image(j, n, key)
+            vec_add_into(out, image, c)
         return out
+
+    def _tau_image(self, j, n, key):
+        """tau_n^j of the basis tensor ``key`` in closed form.  A factor is
+        given by its items: a basis key k is ((k, 1),), the unit its own."""
+        unit = tuple(self.hopf.unit_element().items())
+        ext = [((k, 1),) for k in key] + [unit]
+        factors = ext[j:] + ext[:j - 1]
+        image = {}
+        for h, ch in ext[j - 1]:
+            for leg, lc in self._twisted_legs(h, n).items():
+                partial = [((), ch * lc)]
+                for k, factor in zip(leg, factors):
+                    prod = self._slot_product(k, factor)
+                    partial = [(pk + (m,), pc * mc)
+                               for pk, pc in partial for m, mc in prod]
+                    if not partial:
+                        break
+                for pk, pc in partial:
+                    pk = self._keys.setdefault(pk, pk)
+                    w = image.get(pk)
+                    s = pc if w is None else w + pc
+                    if s:
+                        image[pk] = s
+                    else:
+                        image.pop(pk, None)
+        return image
+
+    def _slot_product(self, k, factor):
+        """e_k times a factor given by its items, as a list of items; one
+        ``H.mul`` per (k, factor) and module."""
+        prod = self._slots.get((k, factor))
+        if prod is None:
+            prod = self._slots[k, factor] = list(
+                self.hopf.mul({k: 1}, dict(factor)).items())
+        return prod
 
     def _twisted_legs(self, k, n):
         """Delta^(n-1) S~(e_k) as a degree-n tensor, computed once per (k, n)
@@ -295,7 +332,14 @@ class CochainCyclicModule:
         for key, c in phi.items():
             cu = unit.get(key[i + 1])
             if cu:
-                vec_add_into(out, {key[:i + 1] + key[i + 2:]: c * cu})
+                d = c * cu
+                short = key[:i + 1] + key[i + 2:]
+                w = out.get(short)
+                s = d if w is None else w + d
+                if s:
+                    out[short] = s
+                else:
+                    out.pop(short, None)
         return out
 
     def cyclic(self, n, phi):

@@ -129,6 +129,7 @@ class EnvelopingAlgebra:
         self.field = _RATIONAL
         self._one_key = (0,) * lie.dim
         self._gen_mul_cache = {}
+        self._comul_cache = {}
 
     def __repr__(self):
         return f"EnvelopingAlgebra({self.lie.name!r})"
@@ -199,6 +200,11 @@ class EnvelopingAlgebra:
     # -- coproduct: generators primitive, extended multiplicatively
 
     def comul_basis(self, key):
+        """Delta of a PBW monomial, computed once per key; the returned dict
+        is the memo's own and is only read."""
+        cached = self._comul_cache.get(key)
+        if cached is not None:
+            return cached
         out = {(self._one_key, self._one_key): ONE}
         for i, power in enumerate(key):
             for _ in range(power):
@@ -210,6 +216,7 @@ class EnvelopingAlgebra:
                     vec_add_into(step, {(l, m): d for m, d
                                         in self.mul({r: ONE}, gen).items()}, c)
                 out = step
+        self._comul_cache[key] = out
         return out
 
     def comul(self, a):

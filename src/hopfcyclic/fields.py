@@ -140,6 +140,12 @@ class Cyclotomic:
             y - x for x, y in zip_longest(self.coeffs, o, fillvalue=0)])
 
     def __mul__(self, other):
+        # b, 1 - lambda and elimination mostly multiply by the int 1 or -1
+        if type(other) is int:
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
         o = self._operand(other)
         if o is None:
             return NotImplemented

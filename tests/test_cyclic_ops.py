@@ -1,6 +1,8 @@
 """The cyclic module of a Hopf algebra and of an algebra's cochains."""
 
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -85,6 +87,17 @@ def test_cyclic_power_formula(seed=3):
                     == (True, None), (n, j)
 
 
+def _relation_suite_case(case):
+    """The module, samples and relation suite of the call-count tests."""
+    if case == "sweedler":
+        mod = sweedler_module()
+        return mod, lambda: relation_suite(mod, 4)
+    U = EnvelopingAlgebra(ax_plus_b_lie_algebra())
+    mod = HopfCyclicModule(U, U.modular_character())
+    samples = tensor_samples(U, 4, rng=random.Random(0))
+    return mod, lambda: relation_suite(mod, 4, samples=samples.__getitem__)
+
+
 @pytest.mark.parametrize("case", ["sweedler", "axb"])
 def test_iterated_coproduct_built_once_per_first_factor(monkeypatch, case):
     """tau reads Delta^(n-1) S~(e_k) from the module's cache: the relation
@@ -98,17 +111,70 @@ def test_iterated_coproduct_built_once_per_first_factor(monkeypatch, case):
         return build(H, elem, n)
 
     monkeypatch.setattr(cyclic_ops, "iterated_comul", counted)
-    if case == "sweedler":
-        report = relation_suite(sweedler_module(), 4)
-        expected = 16
-    else:
-        U = EnvelopingAlgebra(ax_plus_b_lie_algebra())
-        samples = tensor_samples(U, 4, rng=random.Random(0))
-        report = relation_suite(HopfCyclicModule(U, U.modular_character()),
-                                4, samples=samples.__getitem__)
-        expected = 39
-    assert report.ok
-    assert len(set(calls)) == len(calls) == expected
+    _, suite = _relation_suite_case(case)
+    assert suite().ok
+    assert len(set(calls)) == len(calls) == {"sweedler": 16, "axb": 39}[case]
+
+
+@pytest.mark.parametrize("case, products, images", [
+    ("sweedler", 16, 340), ("axb", 112, 541)])
+def test_tau_slot_products_and_images_built_once(monkeypatch, case,
+                                                  products, images):
+    """The elementwise tau is linear in cached images: the relation suite
+    through degree 4 builds each slot product e_k * factor with one
+    ``H.mul`` and each image tau_n^j(key) once."""
+    mod, suite = _relation_suite_case(case)
+    H = mod.hopf
+    mul, build = H.mul, HopfCyclicModule._tau_image
+    mul_calls, image_calls = [], []
+
+    def counted_mul(a, b):
+        if sys._getframe(1).f_globals["__name__"] == cyclic_ops.__name__:
+            mul_calls.append((tuple(sorted(a.items())),
+                              tuple(sorted(b.items()))))
+        return mul(a, b)
+
+    def counted_build(self, j, n, key):
+        image_calls.append((j, n, key))
+        return build(self, j, n, key)
+
+    monkeypatch.setattr(H, "mul", counted_mul)
+    monkeypatch.setattr(HopfCyclicModule, "_tau_image", counted_build)
+    assert suite().ok
+    assert len(set(mul_calls)) == len(mul_calls) == products
+    assert len(set(image_calls)) == len(image_calls) == images
+
+
+@pytest.mark.parametrize("case", ["sweedler", "axb"])
+def test_cached_tau_returns_fresh_dicts(case):
+    """The images are read, never handed out: every call returns a new dict
+    and mutating it leaves the next result unchanged."""
+    mod, _ = _relation_suite_case(case)
+    H = mod.hopf
+    keys = range(H.dim) if case == "sweedler" \
+        else H.monomials_up_to_degree(1)
+    for n in range(4):
+        ops = [mod.cyclic] + [
+            lambda n, t, j=j: mod.cyclic_power_formula(j, n, t)
+            for j in range(1, n + 2)]
+        for key, op in itertools.product(
+                itertools.product(keys, repeat=n), ops):
+            first = op(n, {key: 1})
+            expected = dict(first)
+            first.clear()
+            again = op(n, {key: 1})
+            assert again == expected and again is not first
+
+
+def test_enveloping_coproduct_memo_is_not_mutated():
+    """After an ax+b relation suite, every memoized coproduct of a PBW
+    monomial up to degree 3 equals the one of a fresh algebra."""
+    mod, suite = _relation_suite_case("axb")
+    assert suite().ok
+    U, fresh = mod.hopf, EnvelopingAlgebra(ax_plus_b_lie_algebra())
+    for key in U.monomials_up_to_degree(3):
+        assert U.comul_basis(key) is U.comul_basis(key)
+        assert U.comul_basis(key) == fresh.comul_basis(key)
 
 
 def test_cyclic_power_order():
