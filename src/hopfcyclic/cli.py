@@ -75,6 +75,10 @@ def cmd_cyclic_relations(args):
     data = _load_json(args.input) if args.input not in BUILTIN_BUILDERS \
         else None
     if isinstance(data, dict) and "brackets" in data:
+        if args.character is not None:
+            raise PresentationError(
+                f"{args.input}: --character does not apply to a Lie "
+                f"presentation; U(g) uses its modular character")
         from .enveloping import tensor_samples
         U = load_lie(args.input)
         delta = U.modular_character()

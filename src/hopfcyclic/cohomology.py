@@ -15,13 +15,15 @@ composed column by column from the columns of tau_n, tau_{n+1} and
 sigma_n.
 
 cohomology_report builds each b_n and B_n once and passes the same
-matrices to the mixed-complex checks (exact sparse products) and to every
-dimension function.  It builds every b and checks b^2 = 0, computes HH and
-the lambda-method HC, and drops b_(N+1), the largest b, before it builds
-any B; then it checks B^2 = 0 and bB + Bb = 0 and computes the bicomplex
-dimensions.  No rank is computed after a failed check: the report still
-runs every check, then raises NotMixedComplexError rather than return a
-table for a complex that fails an identity.
+matrices to the mixed-complex checks and to every dimension function.  The
+checks form each product exactly, one column at a time, and stop at the
+first column that is not zero; no product matrix is stored.  The report
+builds every b and checks b^2 = 0, computes HH and the lambda-method HC,
+and drops b_(N+1), the largest b, before it builds any B; then it checks
+B^2 = 0 and bB + Bb = 0 and computes the bicomplex dimensions.  No rank is
+computed after a failed check: the report still runs every check, then
+raises NotMixedComplexError rather than return a table for a complex that
+fails an identity.
 
 Scalars are canonical (see ``fields``), so on an integral presentation b,
 1 - lambda, B, the gate's products and the elimination all run on int.
@@ -36,7 +38,7 @@ flagged boundary-unreliable and excluded from cross-method assertions.
 from __future__ import annotations
 
 from .hopf import check_involution, vec_add_into, vec_scale, vec_sub
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, combine, first_nonzero_column
 from .reports import CheckReport, first_failure
 
 
@@ -118,7 +120,7 @@ def B_matrix(module, n):
     """
     tau_up = module.cyclic_matrix(n + 1).column_dicts()
     sigma = module.degeneracy_matrix(n, n).column_dicts()
-    s_cols = [_combine(sigma, col) for col in tau_up]
+    s_cols = [combine(sigma, col) for col in tau_up]
     del sigma
     tau = module.cyclic_matrix(n).column_dicts()
     lam_sign = 1 if n % 2 == 0 else -1
@@ -126,10 +128,10 @@ def B_matrix(module, n):
     def columns():
         for j, col in enumerate(tau_up):
             vec = dict(s_cols[j])
-            vec_add_into(vec, _combine(s_cols, col), lam_sign)
+            vec_add_into(vec, combine(s_cols, col), lam_sign)
             out = dict(vec)
             for _ in range(n):
-                vec = _combine(tau, vec, lam_sign)
+                vec = combine(tau, vec, lam_sign)
                 vec_add_into(out, vec)
             yield out
 
@@ -142,14 +144,6 @@ def one_minus_lambda_matrix(module, n):
     vec_add_into(entries, module.cyclic_matrix(n).entries,
                  -1 if n % 2 == 0 else 1)
     return SparseMatrix(module.space_dim(n), module.space_dim(n), entries)
-
-
-def _combine(cols, vec, c=1):
-    """c * sum_j vec[j] cols[j]: a matrix, given by its columns, times vec."""
-    out = {}
-    for j, x in vec.items():
-        vec_add_into(out, cols[j], x if c == 1 else c * x)
-    return out
 
 
 def require_involution(hopf, delta):
@@ -244,29 +238,16 @@ def lambda_complex_dimensions(module, b):
     """HC^n from the lambda-invariant subcomplex with differential b, for
     n <= N, given b = {n: b_n} for 1 <= n <= N+1.
 
-    b_(n+1) K, for K the kernel vectors of 1 - lambda_n, is accumulated in
-    one pass over the entries of b_(n+1) against an index from each column
-    to the kernel vectors that use it, so b is never copied."""
+    b_(n+1) K, for K the kernel vectors of 1 - lambda_n, is formed one
+    kernel vector at a time from the columns of b_(n+1)."""
     kernel_dims, image_ranks = [], []
     for n in range(len(b)):
         kernel = one_minus_lambda_matrix(module, n).kernel_basis()
         kernel_dims.append(len(kernel))
-        users = {}
-        for j, vec in enumerate(kernel):
-            for c, x in vec.items():
-                users.setdefault(c, []).append((j, x))
-        del kernel
-        image = SparseMatrix(module.space_dim(n + 1), kernel_dims[-1])
-        entries = image.entries
-        for (r, c), v in b[n + 1].entries.items():
-            for j, x in users.get(c, ()):
-                w = entries.get((r, j))
-                s = v * x if w is None else w + v * x
-                if s:
-                    entries[(r, j)] = s
-                else:
-                    del entries[(r, j)]
-        del users
+        b_cols = b[n + 1].column_dicts()
+        image = SparseMatrix.from_columns(
+            (combine(b_cols, vec) for vec in kernel), module.space_dim(n + 1))
+        del kernel, b_cols
         image_ranks.append(image.rank())
     return _homology_dims(kernel_dims, image_ranks)
 
@@ -360,10 +341,11 @@ def methods_agree(report):
 def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
     """b^2 = 0, B^2 = 0 and bB + Bb = 0 on all basis tensors, degrees <= N_max.
 
-    On a finite module these are sparse products of b_1..b_(N+2) and
-    B_0..B_(N-1), by the checks cohomology_report runs.  With ``samples`` (a
-    map degree -> list of tensors) they are checked elementwise on those
-    tensors, which is how symbolic modules are checked.
+    On a finite module these are products of b_1..b_(N+2) and B_0..B_(N-1),
+    formed column by column by the checks cohomology_report runs.  With
+    ``samples`` (a map degree -> list of tensors) they are checked
+    elementwise on those tensors, which is how symbolic modules are
+    checked.
     """
     report = CheckReport(title, meta={"max-degree": N_max})
     if samples is None:
@@ -398,21 +380,21 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
     return report
 
 
-def _nonzero_column(module, name, product, degree):
-    """None when the product is zero, else the witness: the first basis
-    tuple of the source degree on which it is not."""
-    if not product.entries:
-        return None
-    col = min(c for _, c in product.entries)
-    return (name, [module.key_of_index(col, degree)])
+def _check_zero(report, check, module, name, degree, *products):
+    """Add check to report: the sum of left @ right over the (left, right)
+    pairs is zero.  Its witness is (name, [the basis tuple of degree that
+    indexes the first nonzero column])."""
+    j = first_nonzero_column(*products)
+    report.add(check, j is None,
+               None if j is None else (name, [module.key_of_index(j, degree)]))
 
 
 def check_b_square(report, module, b):
     """Add 'b2 n=...' checks of b_(n+2) b_(n+1) = 0 to report, for every
     consecutive pair in b = {n: b_n}, 1 <= n <= top."""
     for n in range(len(b) - 1):
-        found = _nonzero_column(module, "b.b", b[n + 2] @ b[n + 1], n)
-        report.add(f"b2 n={n}", found is None, found)
+        _check_zero(report, f"b2 n={n}", module, "b.b", n,
+                    (b[n + 2], b[n + 1]))
 
 
 def check_B_relations(report, module, b, B):
@@ -420,11 +402,8 @@ def check_B_relations(report, module, b, B):
     b_n B_(n-1) + B_n b_(n+1) = 0 to report, for B = {n: B_n}, 0 <= n < N,
     and b = {n: b_n} for 1 <= n <= N at least."""
     for n in range(len(B) - 1):
-        found = _nonzero_column(module, "B.B", B[n] @ B[n + 1], n + 2)
-        report.add(f"B2 n={n}", found is None, found)
+        _check_zero(report, f"B2 n={n}", module, "B.B", n + 2,
+                    (B[n], B[n + 1]))
     for n in range(len(B)):
-        anti = B[n] @ b[n + 1]
-        if n >= 1:
-            anti = anti + b[n] @ B[n - 1]
-        found = _nonzero_column(module, "bB+Bb", anti, n)
-        report.add(f"bB+Bb n={n}", found is None, found)
+        products = [(B[n], b[n + 1])] + ([(b[n], B[n - 1])] if n >= 1 else [])
+        _check_zero(report, f"bB+Bb n={n}", module, "bB+Bb", n, *products)

@@ -323,15 +323,21 @@ def parse_rational(text):
 
 
 def parse_cyclotomic(text, order):
-    """Parse 'c0 + c1*z + c2*z^2 + ...' (rational coefficients) in Q(zeta_m)."""
-    text = text.strip()
+    """Parse 'c0 + c1*z + c2*z^2 + ...' (rational coefficients) in Q(zeta_m).
+
+    Terms are joined by '+' or '-' ('+ -' is '-'), and the first may lead
+    with a sign.  An empty term or an exponent that is not a nonnegative
+    integer raises ScalarFormatError naming the text."""
     deg = len(cyclotomic_polynomial(order)) - 1
     coeffs = [0] * max(deg, 1)
-    s = text.replace("-", "+-")
-    for term in s.split("+"):
+    terms = text.replace("-", "+-").split("+")
+    for i, term in enumerate(terms):
         term = term.strip()
         if not term:
-            continue
+            if i + 1 < len(terms) and (
+                    i == 0 or terms[i + 1].lstrip().startswith("-")):
+                continue  # a leading sign, or the '+' of '+ -'
+            raise ScalarFormatError(f"empty term in {text!r}")
         if "z" in term:
             head, _, tail = term.partition("z")
             head = head.strip().rstrip("*").strip()
@@ -339,7 +345,11 @@ def parse_cyclotomic(text, order):
                 head += "1"
             tail = tail.strip()
             if tail.startswith("^"):
-                power = int(tail[1:])
+                digits = tail[1:].strip()
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ScalarFormatError(
+                        f"bad exponent {tail!r} in {text!r}")
+                power = int(digits)
             elif tail == "":
                 power = 1
             else:

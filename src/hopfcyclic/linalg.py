@@ -1,9 +1,13 @@
 """Exact sparse linear algebra over Q and Q(zeta_m).
 
-Matrices store only nonzero entries.  Rank and kernel share one exact
-sparse Gaussian elimination, _echelon.  The kernel basis is read off the
-reduced row echelon form, which is unique, so it does not depend on the
-order in which the elimination finds its pivots.
+Matrices store only nonzero entries.  Every matrix product goes through
+one kernel, combine: a matrix given by its sparse columns times a sparse
+vector.  The product @, apply, first_nonzero_column (the mixed-complex
+gate) and the cohomology code's B assembly and lambda images are all built
+on it.  Rank and kernel share one exact sparse Gaussian elimination,
+_echelon.  The kernel basis is read off the reduced row echelon form, which
+is unique, so it does not depend on the order in which the elimination
+finds its pivots.
 
 Entries are scalars in the canonical form of ``fields``, so the cohomology
 matrices of an integral presentation are all ``int``.  The only division
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from .fields import scalar_inv
 from .hopf import vec_add_into
+from .reports import first_failure
 
 
 class SparseMatrix:
@@ -86,32 +91,16 @@ class SparseMatrix:
             cols[c][r] = v
         return cols
 
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-        return SparseMatrix(self.nrows, self.ncols,
-                            vec_add_into(dict(self.entries), other.entries))
-
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        by_mid = self.column_dicts()
-        entries = {}
-        for c, col in enumerate(other.column_dicts()):
-            acc = {}
-            for mid, v in col.items():
-                vec_add_into(acc, by_mid[mid], v)
-            for r, s in acc.items():
-                entries[(r, c)] = s
-        return SparseMatrix(self.nrows, other.ncols, entries)
+        cols = self.column_dicts()
+        return SparseMatrix.from_columns(
+            (combine(cols, col) for col in other.column_dicts()), self.nrows)
 
     def apply(self, vec):
         """Apply to a sparse vector (dict col -> scalar); returns dict row -> scalar."""
-        cols = self.column_dicts()
-        out = {}
-        for c, x in vec.items():
-            vec_add_into(out, cols[c], x)
-        return out
+        return combine(self.column_dicts(), vec)
 
     def rank(self):
         """Rank.  Rows are eliminated in a static order, by leading column
@@ -132,6 +121,35 @@ class SparseMatrix:
             for free, v in pivots[col].items():
                 basis[free][col] = -v
         return list(basis.values())
+
+
+def combine(cols, vec, c=1):
+    """c * sum_j vec[j] cols[j]: the matrix whose columns are the sparse
+    dicts cols, times the sparse vector vec (dict col -> scalar)."""
+    out = {}
+    for j, x in vec.items():
+        vec_add_into(out, cols[j], x if c == 1 else c * x)
+    return out
+
+
+def first_nonzero_column(*products):
+    """The first column of the sum of left @ right over the (left, right)
+    pairs that is not zero, or None when the sum is zero.  The sum is formed
+    exactly, one column at a time, and never stored."""
+    nrows, ncols = products[0][0].nrows, products[0][1].ncols
+    if any(left.ncols != right.nrows or left.nrows != nrows
+           or right.ncols != ncols for left, right in products):
+        raise ValueError("shape mismatch in product")
+    pairs = [(left.column_dicts(), right.column_dicts())
+             for left, right in products]
+
+    def vanishes(j):
+        out = {}
+        for left, right in pairs:
+            vec_add_into(out, combine(left, right[j]))
+        return not out
+
+    return first_failure(range(ncols), vanishes)[1]
 
 
 def _echelon(rows, reduced=False):

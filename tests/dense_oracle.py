@@ -77,6 +77,13 @@ def dense_kernel(rows, ncols):
     return basis
 
 
+def dense_product(a, b, ncols):
+    """a times b for dense list-of-lists matrices, b with ncols columns (so
+    that a b has a shape even when b has no rows)."""
+    return [[sum((x * row[c] for x, row in zip(a_row, b)), Fraction(0))
+             for c in range(ncols)] for a_row in a]
+
+
 # -- tensor operators rebuilt from the structure constants ------------------
 
 

@@ -70,6 +70,18 @@ def test_cyclic_relations_symbolic(capsys, data_dir):
     assert "seed: 1" in out
 
 
+@pytest.mark.parametrize("character", ["bogus", "counit"])
+def test_cyclic_relations_lie_refuses_character(capsys, data_dir, character):
+    path = data_dir / "axb-lie.json"
+    assert main(["cyclic-relations", "--input", str(path),
+                 "--character", character]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert "modular character" in lines[0]
+
+
 def test_cohomology_trivial(capsys):
     code, out = run(capsys, "cohomology", "--input", "trivial",
                     "--max-degree", "4")

@@ -1,18 +1,19 @@
 """Exact sparse linear algebra, cross-checked against the dense oracle.
 
-The random-matrix tests run over Q and over Q(zeta_4); the last three use
-the int entries the cohomology matrices carry, with pivots other than 1
+The random-matrix tests run over Q and over Q(zeta_4); the integer tests
+use the int entries the cohomology matrices carry, with pivots other than 1
 and -1.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import dense_kernel, dense_rank
+from dense_oracle import dense_kernel, dense_product, dense_rank
 from hopfcyclic.fields import CyclotomicField, RationalField
-from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.linalg import SparseMatrix, first_nonzero_column
 
 FIELDS = (RationalField(), CyclotomicField(4))
 
@@ -160,3 +161,58 @@ def test_rank_matches_dense_oracle_under_permutations(case):
     permuted = SparseMatrix(m.nrows, m.ncols, {
         (row_perm[r], col_perm[c]): v for (r, c), v in m.entries.items()})
     assert m.rank() == dense_rank(to_dense(m)) == permuted.rank()
+
+
+@st.composite
+def gate_products(draw):
+    """One or two (left, right) pairs of random sparse matrices over Q or
+    Q(zeta_4), any side possibly 0, for first_nonzero_column.  Columns of
+    right are drawn from the kernel of left and the second pair may be
+    (-left, right) with some columns of right redrawn, so that columns of
+    the product, or of the sum, cancel exactly."""
+    field = draw(st.sampled_from(FIELDS))
+    rng = draw(st.randoms(use_true_random=False))
+    nrows, mid, ncols = (draw(st.integers(0, 5)) for _ in range(3))
+    left = random_sparse(rng, field, nrows, mid)
+    kernel = left.kernel_basis()
+    right = random_sparse(rng, field, mid, ncols).column_dicts()
+    for j in range(ncols):
+        if kernel and rng.random() < 0.5:
+            scale = rng.choice([1, -2, Fraction(1, 3)] + (
+                [field.zeta()] if field.kind == "cyclotomic" else []))
+            right[j] = {r: scale * v for r, v in rng.choice(kernel).items()}
+    products = [(left, SparseMatrix.from_columns(right, mid))]
+    mode = draw(st.sampled_from(["one", "cancel", "independent"]))
+    if mode == "cancel":
+        negated = SparseMatrix(nrows, mid,
+                               {rc: -v for rc, v in left.entries.items()})
+        redrawn = random_sparse(rng, field, mid, ncols).column_dicts()
+        right = [redrawn[j] if rng.random() < 0.5 else col
+                 for j, col in enumerate(right)]
+        products.append((negated, SparseMatrix.from_columns(right, mid)))
+    elif mode == "independent":
+        other = draw(st.integers(0, 5))
+        products.append((random_sparse(rng, field, nrows, other),
+                         random_sparse(rng, field, other, ncols)))
+    return products, ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(gate_products())
+def test_first_nonzero_column_matches_dense_oracle(case):
+    products, ncols = case
+    total = [[0] * ncols for _ in range(products[0][0].nrows)]
+    for left, right in products:
+        product = dense_product(to_dense(left), to_dense(right), ncols)
+        total = [[x + y for x, y in zip(a, b)] for a, b in zip(total, product)]
+    nonzero = [c for c in range(ncols) if any(row[c] for row in total)]
+    assert first_nonzero_column(*products) == min(nonzero, default=None)
+
+
+def test_first_nonzero_column_refuses_shape_mismatch():
+    two_by_three = SparseMatrix(2, 3, {(0, 0): 1})
+    with pytest.raises(ValueError):
+        first_nonzero_column((two_by_three, SparseMatrix(2, 2)))
+    with pytest.raises(ValueError):  # the two products differ in shape
+        first_nonzero_column((two_by_three, SparseMatrix(3, 2)),
+                             (SparseMatrix(2, 2), SparseMatrix(2, 3)))

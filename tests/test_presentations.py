@@ -131,6 +131,12 @@ def _nonassociative_block():
             "unit": ["1", "0", "0"], "product": product}
 
 
+def _blank_cyclotomic_scalar():
+    data = json.loads((GOLDENS / "cli" / "qz4-zeta4.json").read_text())
+    data["product"][0][3] = ""
+    return data
+
+
 def _numeric_scalar():
     data = json.loads((DATA / "qz2.json").read_text())
     data["product"][0][3] = 1
@@ -147,6 +153,8 @@ MALFORMED = [
      _with("qz2.json", characters=[["1", "1"]]), "characters must map"),
     ("numeric-scalar", "check-hopf", _numeric_scalar,
      "scalar in product must be a string, not 1"),
+    ("blank-cyclotomic-scalar", "check-hopf", _blank_cyclotomic_scalar,
+     "bad scalar '' in product: empty term in ''"),
     ("name-list", "check-hopf", _with("qz2.json", name=["x"]),
      "name must be a string"),
     ("dim-true", "check-hopf", _with("qz2.json", dim=True),

@@ -4,6 +4,7 @@ import ast
 import cmath
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,22 @@ def test_cyclotomic_parse_format_round_trip():
     field = CyclotomicField(8)
     a = field.parse("1/2 + 3*z^2 - z^3")
     assert field.parse(field.format(a)) == a
+
+
+@pytest.mark.parametrize("text", ["", " ", "+", "1 +", "1 + + z", "z^",
+                                  "z^-1", "z^2^3"])
+def test_malformed_cyclotomic_scalar_raises_format_error(text):
+    # the same blank or dangling cell that parse_rational rejects over Q
+    with pytest.raises(ScalarFormatError, match=re.escape(repr(text))):
+        CyclotomicField(4).parse(text)
+
+
+def test_cyclotomic_parse_accepts_a_leading_sign():
+    field = CyclotomicField(4)
+    assert field.parse("-z") == -field.zeta()
+    assert field.parse("+z") == field.zeta()
+    assert field.parse("-1/2 + z^3") == Fraction(-1, 2) - field.zeta()
+    assert field.parse("1 + -z") == 1 - field.zeta()
 
 
 def test_rational_field_basics():
