@@ -3,7 +3,8 @@
 Subcommands: check-hopf, cyclic-relations, cohomology, pair, gamma-check.
 Reports are deterministic structured text (seed recorded when one is used)
 so they can serve as byte-stable regression goldens.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 unreadable or malformed input.
+checks pass, 1 a check failed, 2 unreadable or malformed input or an
+unwritable --output.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ from .presentations import (PresentationError, load_gamma_input, load_hopf,
 
 
 def _emit(text, output):
-    if output:
+    if not output:
+        print(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise PresentationError(f"cannot write {output}: {exc.strerror}")
 
 
 def _load_hopf_arg(value):

@@ -7,12 +7,14 @@ and B = N s (1 - lambda).
 
 Two forms of each operator are kept.  The elementwise ones (hochschild_b,
 B_operator, ...) act on single tensors; they serve symbolic modules and are
-the oracle the tests compare the matrices with.  On a finite module the
-matrices are matrix algebra on the face, degeneracy and cyclic matrices
-that the module assembles from the structure constants: b_matrix sums the
-signed faces, one_minus_lambda_matrix comes from tau_n, and B_matrix is
-composed column by column from the columns of tau_n, tau_{n+1} and
-sigma_n.
+the oracle the tests compare the matrices with.  On a finite module every
+matrix is built and read as its columns (``SparseMatrix.cols``), starting
+from the face, degeneracy and cyclic matrices that the module assembles
+from the structure constants: b_matrix adds the signed faces into the
+columns of face_0, one_minus_lambda_matrix comes from tau_n, B_matrix is
+composed from the columns of tau_n, tau_{n+1} and sigma_n, and the total
+bicomplex matrix stacks the columns of b and B.  from_columns keeps the
+dicts it is given, so each hands over fresh dicts, never a cache's.
 
 cohomology_report builds each b_n and B_n once and passes the same
 matrices to the mixed-complex checks and to every dimension function.  The
@@ -36,6 +38,8 @@ flagged boundary-unreliable and excluded from cross-method assertions.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .hopf import check_involution, vec_add_into, vec_scale, vec_sub
 from .linalg import SparseMatrix, combine, first_nonzero_column
@@ -101,12 +105,13 @@ def B_operator(module, n, t):
 
 
 def b_matrix(module, n):
-    """b_n = sum_i (-1)^i face_i, from degree n-1 to degree n."""
-    entries = {}
-    for i in range(n + 1):
-        vec_add_into(entries, module.face_matrix(i, n).entries,
-                     1 if i % 2 == 0 else -1)
-    return SparseMatrix(module.space_dim(n), module.space_dim(n - 1), entries)
+    """b_n = sum_i (-1)^i face_i, from degree n-1 to degree n.  The faces
+    are added into the columns of face_0 one face matrix at a time."""
+    cols = module.face_matrix(0, n).cols
+    for i in range(1, n + 1):
+        for col, face in zip(cols, module.face_matrix(i, n).cols):
+            vec_add_into(col, face, 1 if i % 2 == 0 else -1)
+    return SparseMatrix.from_columns(cols, module.space_dim(n))
 
 
 def B_matrix(module, n):
@@ -118,11 +123,11 @@ def B_matrix(module, n):
     tau_n.  Columns are produced one at a time, so only the finished
     matrix and the columns of tau and s are held.
     """
-    tau_up = module.cyclic_matrix(n + 1).column_dicts()
-    sigma = module.degeneracy_matrix(n, n).column_dicts()
+    tau_up = module.cyclic_matrix(n + 1).cols
+    sigma = module.degeneracy_matrix(n, n).cols
     s_cols = [combine(sigma, col) for col in tau_up]
     del sigma
-    tau = module.cyclic_matrix(n).column_dicts()
+    tau = module.cyclic_matrix(n).cols
     lam_sign = 1 if n % 2 == 0 else -1
 
     def columns():
@@ -140,10 +145,11 @@ def B_matrix(module, n):
 
 def one_minus_lambda_matrix(module, n):
     """1 - lambda_n = 1 - (-1)^n tau_n."""
-    entries = {(i, i): 1 for i in range(module.space_dim(n))}
-    vec_add_into(entries, module.cyclic_matrix(n).entries,
-                 -1 if n % 2 == 0 else 1)
-    return SparseMatrix(module.space_dim(n), module.space_dim(n), entries)
+    sign = -1 if n % 2 == 0 else 1
+    return SparseMatrix.from_columns(
+        (vec_add_into({j: 1}, col, sign)
+         for j, col in enumerate(module.cyclic_matrix(n).cols)),
+        module.space_dim(n))
 
 
 def require_involution(hopf, delta):
@@ -244,10 +250,9 @@ def lambda_complex_dimensions(module, b):
     for n in range(len(b)):
         kernel = one_minus_lambda_matrix(module, n).kernel_basis()
         kernel_dims.append(len(kernel))
-        b_cols = b[n + 1].column_dicts()
         image = SparseMatrix.from_columns(
-            (combine(b_cols, vec) for vec in kernel), module.space_dim(n + 1))
-        del kernel, b_cols
+            (combine(b[n + 1].cols, vec) for vec in kernel), b[n + 1].nrows)
+        del kernel
         image_ranks.append(image.rank())
     return _homology_dims(kernel_dims, image_ranks)
 
@@ -269,21 +274,19 @@ def bicomplex_dimensions(module, b, B):
         return off, size
 
     def total_matrix(n):
-        """D = b + B from T^n to T^(n+1).  b sends block C^m to C^(m+1) and
-        B sends it to C^(m-1), so the two never share an entry, and
-        different m are different column blocks."""
-        col_off, ncols = offsets(n)
+        """D = b + B from T^n to T^(n+1), column by column.  b sends block
+        C^m to C^(m+1) and B sends it to C^(m-1), so the two never share a
+        row, and the blocks C^m come in column order."""
         row_off, nrows = offsets(n + 1)
-        entries = {}
-        for m, c0 in col_off.items():
-            r0 = row_off[m + 1]
-            for (r, c), v in b[m + 1].entries.items():
-                entries[(r0 + r, c0 + c)] = v
+        cols = []
+        for m in offsets(n)[0]:
+            parts = [(row_off[m + 1], b[m + 1].cols)]
             if m >= 1:
-                r0 = row_off[m - 1]
-                for (r, c), v in B[m - 1].entries.items():
-                    entries[(r0 + r, c0 + c)] = v
-        return SparseMatrix(nrows, ncols, entries)
+                parts.append((row_off[m - 1], B[m - 1].cols))
+            cols += ({r0 + r: v for r0, block in parts
+                      for r, v in block[j].items()}
+                     for j in range(module.space_dim(m)))
+        return SparseMatrix.from_columns(cols, nrows)
 
     ranks = [total_matrix(n).rank() for n in range(N_max)]
     sizes = [offsets(n)[1] for n in range(N_max)]
@@ -355,11 +358,7 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
         check_B_relations(report, module, b, B)
         return report
 
-    def b(n, t):
-        return hochschild_b(module, n, t)
-
-    def B(n, t):
-        return B_operator(module, n, t)
+    b, B = partial(hochschild_b, module), partial(B_operator, module)
 
     def anticommutes(n, t):
         anti = b(n, B(n - 1, t)) if n >= 1 else {}

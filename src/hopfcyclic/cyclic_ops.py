@@ -8,6 +8,8 @@ The elementwise operators (face, degeneracy, cyclic) are the specification:
 they act on any tensor, so they serve the symbolic U(g) modules, the
 relation suites and the checkers, and ``operator_matrix`` turns any of them
 into a matrix one basis tensor at a time, which makes them the test oracle.
+Both modules index basis tensors through one base, ``TensorBasis``, keyed
+by the number of tensor factors: n for H^(x)n, n + 1 for cochains.
 tau has one elementwise construction, the closed form of tau_n^j
 (``cyclic_power_formula``); ``cyclic`` is its case j = 1.  It is linear in
 a cache: the image of each basis tensor is built once per (j, n, key), and
@@ -39,7 +41,49 @@ from .linalg import SparseMatrix
 from .reports import CheckReport, first_failure
 
 
-class HopfCyclicModule:
+class TensorBasis:
+    """Basis index arithmetic shared by the cyclic modules of a finite
+    algebra: a basis tensor of degree n is a tuple of n + ``extra_factors``
+    indices below ``self.base``, listed in lexicographic order, and its
+    index has the first factor most significant."""
+
+    extra_factors = 0
+
+    def space_dim(self, n):
+        return self.base ** (n + self.extra_factors)
+
+    def basis_keys(self, n):
+        """Basis tuples of degree n in lexicographic order."""
+        return itertools.product(range(self.base),
+                                 repeat=n + self.extra_factors)
+
+    def key_index(self, key):
+        idx = 0
+        for k in key:
+            idx = idx * self.base + k
+        return idx
+
+    def key_of_index(self, idx, n):
+        digits = []
+        for _ in range(n + self.extra_factors):
+            idx, r = divmod(idx, self.base)
+            digits.append(r)
+        return tuple(reversed(digits))
+
+    def samples(self, n):
+        return [{key: 1} for key in self.basis_keys(n)]
+
+    def operator_matrix(self, op, src_degree, tgt_degree):
+        """Assemble the exact matrix of an elementwise operator; columns are
+        basis tuples of the source degree in lexicographic order."""
+        cols = []
+        for key in self.basis_keys(src_degree):
+            image = op({key: 1})
+            cols.append({self.key_index(k): v for k, v in image.items()})
+        return SparseMatrix.from_columns(cols, self.space_dim(tgt_degree))
+
+
+class HopfCyclicModule(TensorBasis):
     """The cyclic module {H^(x)n} of a Hopf algebra with character delta.
 
     Works for finite-dimensional algebras (basis keys are ints, matrices
@@ -163,40 +207,14 @@ class HopfCyclicModule:
                 H, H.twisted_antipode(self.delta, {k: 1}), n)
         return legs
 
-    # -- finite-dimensional extras
+    # -- finite-dimensional extras (the index arithmetic is TensorBasis's);
+    # bench/tracing.py wraps operator_matrix in each class's own __dict__
 
-    def space_dim(self, n):
-        return self.hopf.dim ** n
+    @property
+    def base(self):
+        return self.hopf.dim
 
-    def basis_keys(self, n):
-        """Basis tuples of degree n in lexicographic order."""
-        return itertools.product(range(self.hopf.dim), repeat=n)
-
-    def key_index(self, key):
-        idx = 0
-        for k in key:
-            idx = idx * self.hopf.dim + k
-        return idx
-
-    def key_of_index(self, idx, n):
-        base = self.hopf.dim
-        digits = []
-        for _ in range(n):
-            idx, r = divmod(idx, base)
-            digits.append(r)
-        return tuple(reversed(digits))
-
-    def samples(self, n):
-        return [{key: 1} for key in self.basis_keys(n)]
-
-    def operator_matrix(self, op, src_degree, tgt_degree):
-        """Assemble the exact matrix of an elementwise operator; columns are
-        basis tuples of the source degree in lexicographic order."""
-        cols = []
-        for key in self.basis_keys(src_degree):
-            image = op({key: 1})
-            cols.append({self.key_index(k): v for k, v in image.items()})
-        return SparseMatrix.from_columns(cols, self.space_dim(tgt_degree))
+    operator_matrix = TensorBasis.operator_matrix
 
     # -- matrices assembled from the structure constants (finite H only);
     # columns are generated one at a time, basis tuples in lexicographic
@@ -295,7 +313,7 @@ def iterated_comul(H, elem, n):
     return t
 
 
-class CochainCyclicModule:
+class CochainCyclicModule(TensorBasis):
     """The cyclic module of multilinear forms on a finite algebra.
 
     Cochains of degree n are coefficient tensors on (n+1)-tuples of basis
@@ -304,8 +322,11 @@ class CochainCyclicModule:
     arguments.
     """
 
+    extra_factors = 1
+
     def __init__(self, algebra):
         self.algebra = algebra
+        self.base = algebra.dim
         self._rev = algebra.reverse_product_table()
 
     def face(self, i, n, phi):
@@ -346,35 +367,7 @@ class CochainCyclicModule:
         """Rotate arguments: the new last argument moves to the front."""
         return {key[1:] + (key[0],): c for key, c in phi.items()}
 
-    def space_dim(self, n):
-        return self.algebra.dim ** (n + 1)
-
-    def basis_keys(self, n):
-        return itertools.product(range(self.algebra.dim), repeat=n + 1)
-
-    def key_index(self, key):
-        idx = 0
-        for k in key:
-            idx = idx * self.algebra.dim + k
-        return idx
-
-    def key_of_index(self, idx, n):
-        base = self.algebra.dim
-        digits = []
-        for _ in range(n + 1):
-            idx, r = divmod(idx, base)
-            digits.append(r)
-        return tuple(reversed(digits))
-
-    def samples(self, n):
-        return [{key: 1} for key in self.basis_keys(n)]
-
-    def operator_matrix(self, op, src_degree, tgt_degree):
-        cols = []
-        for key in self.basis_keys(src_degree):
-            image = op({key: 1})
-            cols.append({self.key_index(k): v for k, v in image.items()})
-        return SparseMatrix.from_columns(cols, self.space_dim(tgt_degree))
+    operator_matrix = TensorBasis.operator_matrix  # traced per class
 
 
 # ---------------------------------------------------------------------------

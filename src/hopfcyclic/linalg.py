@@ -1,28 +1,33 @@
 """Exact sparse linear algebra over Q and Q(zeta_m).
 
-Matrices store only nonzero entries.  Every matrix product goes through
-one kernel, combine: a matrix given by its sparse columns times a sparse
-vector.  The product @, apply, first_nonzero_column (the mixed-complex
-gate) and the cohomology code's B assembly and lambda images are all built
-on it.  Rank and kernel share one exact sparse Gaussian elimination,
-_echelon.  The kernel basis is read off the reduced row echelon form, which
-is unique, so it does not depend on the order in which the elimination
-finds its pivots.
+A SparseMatrix is stored as its columns, ``cols``: a list of dicts, row ->
+nonzero scalar.  ``from_columns`` keeps the dicts it is given, so a
+producer hands over fresh dicts of its own, never a cache's, and a built
+matrix is not changed.  ``entries`` is a read-only (row, col) view made on
+demand for tests and the benchmark's tracer; no package code reads it.
+
+Every matrix product goes through one kernel, combine: a matrix's columns
+times a sparse vector.  The product @, apply, first_nonzero_column (the
+mixed-complex gate) and the cohomology code's B assembly and lambda images
+are all built on it.  Rank and kernel share one exact sparse Gaussian
+elimination on the rows, _echelon.  The kernel basis is read off the
+reduced row echelon form, which is unique, so it does not depend on the
+order in which the elimination finds its pivots.
 
 Entries are scalars in the canonical form of ``fields``, so the cohomology
 matrices of an integral presentation are all ``int``.  The only division
-is ``scalar_inv`` of a pivot, whose inverse is an ``int`` when the pivot is
-1 or -1, so a row stays integral until a pivot other than a unit is met,
-and ``_echelon`` sets aside a row whose leading entry is not a unit until
-the other rows are in.  ``rank`` sorts the rows by leading column
-and length first (a static Markowitz row order), which cuts fill-in; the
-rank does not depend on the order.  ``kernel_basis`` keeps the rows and
-columns in their given order, and the pivot is always the lowest column,
-so its vectors are those of the reduced row echelon form in the given
-column order.
+is ``scalar_inv`` of a pivot, and ``_echelon`` defers a row that does not
+lead with 1 or -1 until the other rows are in, so integral rows stay
+integral as long as they can.  ``rank`` sorts the rows by leading column
+and length (a static Markowitz order), which cuts fill-in and leaves the
+rank unchanged.  ``kernel_basis`` keeps the given order and pivots on the
+lowest column, so its vectors are those of the reduced row echelon form.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from types import MappingProxyType
 
 from .fields import scalar_inv
 from .hopf import vec_add_into
@@ -30,22 +35,22 @@ from .reports import first_failure
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix: map (row, col) -> nonzero scalar."""
+    """Sparse matrix stored as its columns: ``cols[c]`` maps row -> nonzero
+    scalar.  Immutable by convention once built."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "cols")
 
     def __init__(self, nrows, ncols, entries=None):
+        """From a (row, col) -> scalar dict; zeros are dropped."""
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    raise ValueError(f"entry ({r},{c}) out of bounds")
-                if v:
-                    self.entries[(r, c)] = v
+        self.nrows, self.ncols = nrows, ncols
+        self.cols = [{} for _ in range(ncols)]
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise ValueError(f"entry ({r},{c}) out of bounds")
+            if v:
+                self.cols[c][r] = v
 
     @classmethod
     def identity(cls, n):
@@ -53,54 +58,52 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, cols, nrows):
-        """Build from sparse column dicts (row -> scalar), taken one at a time
-        from a list or any other iterable, such as a generator."""
-        entries = {}
-        ncols = 0
-        for c, col in enumerate(cols):
-            ncols = c + 1
-            for r, v in col.items():
-                if not 0 <= r < nrows:
-                    raise ValueError(f"entry ({r},{c}) out of bounds")
-                if v:
-                    entries[(r, c)] = v
-        matrix = cls(nrows, ncols)
-        matrix.entries = entries
+        """From sparse columns (dicts row -> scalar) in any iterable.  The
+        matrix keeps the dicts; one that holds a zero is copied without it."""
+        matrix = cls(nrows, 0)
+        matrix.cols = cols = list(cols)
+        matrix.ncols = len(cols)
+        if (min(chain.from_iterable(cols), default=0) < 0
+                or max(chain.from_iterable(cols), default=-1) >= nrows):
+            raise ValueError(f"a row out of bounds in a {nrows}-row matrix")
+        if not all(chain.from_iterable(map(dict.values, cols))):
+            matrix.cols = [col if all(col.values()) else
+                           {r: v for r, v in col.items() if v} for col in cols]
         return matrix
+
+    @property
+    def entries(self):
+        """Read-only (row, col) -> scalar view of the nonzero entries."""
+        return MappingProxyType({(r, c): v for c, col in enumerate(self.cols)
+                                 for r, v in col.items()})
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
+                and self.ncols == other.ncols and self.cols == other.cols)
 
     def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
+        nnz = sum(map(len, self.cols))
+        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={nnz})"
 
     def transpose(self):
-        return SparseMatrix(self.ncols, self.nrows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
+        return SparseMatrix.from_columns(self.row_dicts(), self.ncols)
 
     def row_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                rows[r][c] = v
         return rows
-
-    def column_dicts(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        cols = self.column_dicts()
         return SparseMatrix.from_columns(
-            (combine(cols, col) for col in other.column_dicts()), self.nrows)
+            (combine(self.cols, col) for col in other.cols), self.nrows)
 
     def apply(self, vec):
         """Apply to a sparse vector (dict col -> scalar); returns dict row -> scalar."""
-        return combine(self.column_dicts(), vec)
+        return combine(self.cols, vec)
 
     def rank(self):
         """Rank.  Rows are eliminated in a static order, by leading column
@@ -140,13 +143,11 @@ def first_nonzero_column(*products):
     if any(left.ncols != right.nrows or left.nrows != nrows
            or right.ncols != ncols for left, right in products):
         raise ValueError("shape mismatch in product")
-    pairs = [(left.column_dicts(), right.column_dicts())
-             for left, right in products]
 
     def vanishes(j):
         out = {}
-        for left, right in pairs:
-            vec_add_into(out, combine(left, right[j]))
+        for left, right in products:
+            vec_add_into(out, combine(left.cols, right.cols[j]))
         return not out
 
     return first_failure(range(ncols), vanishes)[1]

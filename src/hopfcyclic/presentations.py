@@ -27,7 +27,8 @@ from .hopf import CharacterError, FiniteHopf
 
 
 class PresentationError(Exception):
-    """Malformed input file; the CLI maps this to exit code 2."""
+    """Malformed input, or an output file that cannot be written; the CLI
+    maps this to exit code 2."""
 
 
 def _fail(msg):

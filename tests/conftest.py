@@ -44,8 +44,8 @@ def flipped_B1(monkeypatch):
     def flipped(module, n):
         matrix = B_matrix(module, n)
         if n == 1:
-            key = min(matrix.entries)
-            matrix.entries[key] = -matrix.entries[key]
+            r, c = min(matrix.entries)
+            matrix.cols[c][r] = -matrix.cols[c][r]
         return matrix
 
     monkeypatch.setattr(cohomology, "B_matrix", flipped)
@@ -58,8 +58,8 @@ def corrupted_b2(monkeypatch):
     def corrupted(module, n):
         matrix = b_matrix(module, n)
         if n == 2:
-            key = max(matrix.entries)
-            matrix.entries[key] = -matrix.entries[key]
+            r, c = max(matrix.entries)
+            matrix.cols[c][r] = -matrix.cols[c][r]
         return matrix
 
     monkeypatch.setattr(cohomology, "b_matrix", corrupted)

@@ -4,7 +4,8 @@ the attributes where their callers look them up, read from each owner's own
 as a refactor moves or deletes one of those attributes, so the test suite
 catches what a later ``bench/run.py --trace 1`` run would.  One traced run
 of a command checks the rest of what the tracer assumes: that wrapping
-changes no report, and that ``len(matrix.entries)`` is a matrix's nnz."""
+changes no report, and that ``len(matrix.entries)``, which the tracer
+reads for B's nnz and for the rank's input sizes, is a matrix's nnz."""
 
 import sys
 
@@ -47,3 +48,7 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
     assert tracer.calls["cohomology.B_matrix"] == 3
     assert tracer.sizes["cohomology.B_matrix.nnz"] == sum(
         len(B_matrix(module, n).entries) for n in range(3))
+    # the rank's input sizes, read from len(matrix.entries); a change of
+    # matrix storage must leave them as they are
+    assert tracer.sizes["linalg.rank.nnz_in"] == 577
+    assert tracer.sizes["linalg.rank.cells"] == 23220

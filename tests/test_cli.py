@@ -112,6 +112,17 @@ def test_output_flag(capsys, tmp_path):
     assert "report: cohomology" in target.read_text()
 
 
+@pytest.mark.parametrize("where", ["missing-dir/x.txt", "."])
+def test_unwritable_output_exit_2(capsys, tmp_path, where):
+    target = tmp_path / where  # a missing directory, or a directory itself
+    code = main(["check-hopf", "--input", "qz2", "--output", str(target)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith(f"error: cannot write {target}")
+    assert len(out.err.splitlines()) == 1
+
+
 def test_pair_subcommand(capsys, data_dir):
     code, out = run(capsys, "pair", "--input", str(data_dir / "pair-qz2.json"))
     assert code == 0

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_kernel, dense_product, dense_rank
+from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.fields import CyclotomicField, RationalField
+from hopfcyclic.hopf import sweedler_h4
 from hopfcyclic.linalg import SparseMatrix, first_nonzero_column
 
 FIELDS = (RationalField(), CyclotomicField(4))
@@ -32,7 +34,7 @@ def random_sparse(rng, field, nrows, ncols, density=0.3):
 
 
 def to_dense(m):
-    return [[m.entries.get((r, c), Fraction(0)) for c in range(m.ncols)]
+    return [[m.cols[c].get(r, Fraction(0)) for c in range(m.ncols)]
             for r in range(m.nrows)]
 
 
@@ -118,6 +120,34 @@ def test_deterministic():
         assert m.kernel_basis() == m.kernel_basis()
 
 
+def test_column_store_rejects_a_row_out_of_range():
+    for row in (-1, 2):
+        with pytest.raises(ValueError):
+            SparseMatrix(2, 2, {(row, 0): 1})
+        with pytest.raises(ValueError):
+            SparseMatrix.from_columns([{0: 1}, {row: 1}], 2)
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, {(0, 2): 1})
+    empty = SparseMatrix.from_columns([{}, {}], 0)  # fits zero rows
+    assert (empty.nrows, empty.ncols) == (0, 2)
+
+
+def test_column_store_never_holds_a_zero():
+    assert SparseMatrix(2, 2, {(0, 0): 0, (1, 1): 3}).cols == [{}, {1: 3}]
+    col = {0: 1}
+    m = SparseMatrix.from_columns([col, {0: 0, 1: 2}], 2)
+    assert m.cols == [{0: 1}, {1: 2}] and m.cols[0] is col
+    # Sweedler's counit vanishes on x and gx, so the degeneracy's columns
+    # come out of the counit table with zeros in them
+    H = sweedler_h4()
+    module = HopfCyclicModule(H, H.character("delta"))
+    for n in range(3):
+        for i in range(n + 1):
+            m = module.degeneracy_matrix(i, n)
+            assert all(all(col.values()) for col in m.cols)
+            assert sum(map(len, m.cols)) == len(m.entries) == 2 * 4 ** n
+
+
 def test_integer_kernel_with_non_unit_pivot_has_no_float():
     # pivots 2 and 3: the reduced form needs Fractions, never a float
     m = SparseMatrix(2, 3, {(0, 0): 2, (0, 1): 1, (1, 1): 3, (1, 2): -1})
@@ -163,6 +193,18 @@ def test_rank_matches_dense_oracle_under_permutations(case):
     assert m.rank() == dense_rank(to_dense(m)) == permuted.rank()
 
 
+@settings(max_examples=50, deadline=None)
+@given(integer_matrices())
+def test_entries_round_trip(case):
+    m, _, _ = case
+    entries = m.entries
+    assert SparseMatrix(m.nrows, m.ncols, entries) == m
+    assert all(v and m.cols[c][r] == v for (r, c), v in entries.items())
+    assert len(entries) == sum(map(len, m.cols))
+    with pytest.raises(TypeError):
+        entries[0, 0] = 1
+
+
 @st.composite
 def gate_products(draw):
     """One or two (left, right) pairs of random sparse matrices over Q or
@@ -175,7 +217,7 @@ def gate_products(draw):
     nrows, mid, ncols = (draw(st.integers(0, 5)) for _ in range(3))
     left = random_sparse(rng, field, nrows, mid)
     kernel = left.kernel_basis()
-    right = random_sparse(rng, field, mid, ncols).column_dicts()
+    right = random_sparse(rng, field, mid, ncols).cols
     for j in range(ncols):
         if kernel and rng.random() < 0.5:
             scale = rng.choice([1, -2, Fraction(1, 3)] + (
@@ -186,7 +228,7 @@ def gate_products(draw):
     if mode == "cancel":
         negated = SparseMatrix(nrows, mid,
                                {rc: -v for rc, v in left.entries.items()})
-        redrawn = random_sparse(rng, field, mid, ncols).column_dicts()
+        redrawn = random_sparse(rng, field, mid, ncols).cols
         right = [redrawn[j] if rng.random() < 0.5 else col
                  for j, col in enumerate(right)]
         products.append((negated, SparseMatrix.from_columns(right, mid)))
