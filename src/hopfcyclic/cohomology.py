@@ -10,8 +10,8 @@ B_operator, ...) act on single tensors; they serve symbolic modules and are
 the oracle the tests compare the matrices with.  On a finite module every
 matrix is built and read as its columns (``SparseMatrix.cols``), starting
 from the face, degeneracy and cyclic matrices that the module assembles
-from the structure constants: b_matrix adds the signed faces into the
-columns of face_0, one_minus_lambda_matrix comes from tau_n, B_matrix is
+from the structure constants: b_matrix is the module's face_sum_matrix
+with signs (-1)^i, one_minus_lambda_matrix comes from tau_n, B_matrix is
 composed from the columns of tau_n, tau_{n+1} and sigma_n, and the total
 bicomplex matrix stacks the columns of b and B.  from_columns keeps the
 dicts it is given, so each hands over fresh dicts, never a cache's.
@@ -105,13 +105,10 @@ def B_operator(module, n, t):
 
 
 def b_matrix(module, n):
-    """b_n = sum_i (-1)^i face_i, from degree n-1 to degree n.  The faces
-    are added into the columns of face_0 one face matrix at a time."""
-    cols = module.face_matrix(0, n).cols
-    for i in range(1, n + 1):
-        for col, face in zip(cols, module.face_matrix(i, n).cols):
-            vec_add_into(col, face, 1 if i % 2 == 0 else -1)
-    return SparseMatrix.from_columns(cols, module.space_dim(n))
+    """b_n = sum_i (-1)^i face_i, from degree n-1 to degree n, each column
+    formed in one pass over its n+1 face images."""
+    return module.face_sum_matrix(
+        n, {i: 1 if i % 2 == 0 else -1 for i in range(n + 1)})
 
 
 def B_matrix(module, n):

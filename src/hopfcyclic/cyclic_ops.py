@@ -17,11 +17,14 @@ each slot product e_k * factor (a basis element or the unit) once per
 module with ``H.mul``; a call adds the cached images into a fresh dict.
 For a finite H, ``face_matrix``, ``degeneracy_matrix`` and ``cyclic_matrix``
 are assembled straight from the structure constants instead: index
-arithmetic for the unit, coproduct and counit slots, and for tau_n the
-legs of Delta^(n-1) S~(e_k) multiplied slotwise against the remaining
-factors.  Each module builds those legs once per (k, n), in a dict that the
-elementwise tau and ``cyclic_matrix`` both read.  The cohomology matrices
-are built from these.
+arithmetic for the unit, coproduct and counit slots (one
+``face_sum_matrix`` for each face and for b), and tau_n by
+recursion on the degree.  ``cyclic_matrix`` reads the legs of
+Delta^(n-1) S~(e_k) only at degree 1; from there on each tau_m comes from
+tau_(m-1) through the coproduct and product tables, since Delta^(m-1) =
+(id^(m-2) (x) Delta) Delta^(m-2).  The matrix of tau and the elementwise
+tau, the closed form over those legs, are thus two independent
+constructions.  The cohomology matrices are built from these.
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
@@ -199,7 +202,7 @@ class HopfCyclicModule(TensorBasis):
 
     def _twisted_legs(self, k, n):
         """Delta^(n-1) S~(e_k) as a degree-n tensor, computed once per (k, n)
-        and shared by the elementwise tau and ``cyclic_matrix``."""
+        for the elementwise tau; ``cyclic_matrix`` reads it at n = 1 only."""
         legs = self._legs.get((k, n))
         if legs is None:
             H = self.hopf
@@ -220,38 +223,72 @@ class HopfCyclicModule(TensorBasis):
     # columns are generated one at a time, basis tuples in lexicographic
     # order, and a tuple's index has its first factor most significant
 
-    def face_matrix(self, i, n):
-        """Matrix of face i from degree n-1 to degree n: the unit inserted
-        in front (i = 0) or at the end (i = n), or the coproduct of factor
-        i-1 spliced in, as index offsets of the new slots."""
+    def _face_slots(self, i, n):
+        """Index arithmetic of face i from degree n-1 to degree n, as
+        (low, table).  Write a column index as j = (prefix d + k) low + tail
+        with tail < low and k < d; face i sends e_j to the sum of
+        c e_(prefix d^2 low + tail + off) over the (off, c) in table[k].
+        For 0 < i < n, k is factor i-1 and table[k] lists Delta(e_k) as
+        offsets (a d + b) low of e_a (x) e_b; for i = n, k is the last
+        factor and table[k] lists e_k (x) 1; for i = 0, low = d^(n-1), so
+        k = 0 and table[0] lists 1 put in front."""
         if not 1 <= n or not 0 <= i <= n:
             raise IndexError(f"face index {i} out of range at degree {n}")
         H = self.hopf
         d = H.dim
-        unit = list(H.unit_element().items())
-        size = d ** (n - 1)
+        unit = H.unit_element().items()
         if i == 0:
-            cols = ({u * size + j: c for u, c in unit} for j in range(size))
-        elif i == n:
-            cols = ({j * d + u: c for u, c in unit} for j in range(size))
-        else:
-            low = d ** (n - 1 - i)
-            split = [[((a * d + b) * low, c)
+            low = d ** (n - 1)
+            return low, [[(u * low, c) for u, c in unit]]
+        if i == n:
+            return 1, [[(k * d + u, c) for u, c in unit] for k in range(d)]
+        low = d ** (n - 1 - i)
+        return low, [[((a * d + b) * low, c)
                       for (a, b), c in H.comul_basis(k).items()]
                      for k in range(d)]
 
-            def col_of(j):
+    def face_sum_matrix(self, n, coeffs):
+        """Matrix of sum_i coeffs[i] face_i from degree n-1 to degree n,
+        for a dict coeffs: i -> scalar.  Each column is formed in one pass
+        over its face images, with the coefficients folded into the face
+        tables; b_n is the case coeffs[i] = (-1)^i."""
+        d = self.hopf.dim
+        faces = []
+        for i, coeff in coeffs.items():
+            low, table = self._face_slots(i, n)
+            faces.append((low, d * d * low, [
+                [(off, coeff * c) for off, c in row] for row in table]))
+
+        def col_of(j):
+            out = {}
+            for low, dd_low, table in faces:
                 head, tail = divmod(j, low)
                 prefix, k = divmod(head, d)
-                base = prefix * d * d * low + tail
-                return {base + off: c for off, c in split[k]}
+                base = prefix * dd_low + tail
+                for off, c in table[k]:
+                    r = base + off
+                    w = out.get(r)
+                    if w is None:
+                        out[r] = c
+                    else:
+                        w += c
+                        if w:
+                            out[r] = w
+                        else:
+                            del out[r]
+            return out
 
-            cols = map(col_of, range(size))
-        return SparseMatrix.from_columns(cols, d ** n)
+        return SparseMatrix.from_columns(map(col_of, range(d ** (n - 1))),
+                                         d ** n)
+
+    def face_matrix(self, i, n):
+        """Matrix of face i from degree n-1 to degree n."""
+        return self.face_sum_matrix(n, {i: 1})
 
     def degeneracy_matrix(self, i, n):
         """Matrix of degeneracy i from degree n+1 to degree n: the counit
-        applied to factor i of each basis tuple."""
+        applied to factor i of each basis tuple; a column whose factor i
+        has counit 0 is empty."""
         if not 0 <= i <= n:
             raise IndexError(f"degeneracy index {i} out of range at degree {n}")
         H = self.hopf
@@ -262,42 +299,55 @@ class HopfCyclicModule(TensorBasis):
         def col_of(j):
             head, tail = divmod(j, low)
             prefix, k = divmod(head, d)
-            return {prefix * low + tail: counit[k]}
+            return {prefix * low + tail: counit[k]} if counit[k] else {}
 
         return SparseMatrix.from_columns(map(col_of, range(d ** (n + 1))),
                                          d ** n)
 
     def cyclic_matrix(self, n):
-        """Matrix of tau_n: the column of (k, k_2, ..., k_n) multiplies the
-        legs of Delta^(n-1) S~(e_k) slotwise by e_k2, ..., e_kn and 1, one
-        structure constant at a time."""
+        """Matrix of tau_n, by recursion on the degree.
+
+        tau_1 e_k = S~(e_k) 1.  Since Delta^(m-1) = (id^(m-2) (x) Delta)
+        Delta^(m-2), tau_m of the basis tuple (x, s) is tau_(m-1) e_x with
+        its last factor e_a replaced by Delta(e_a)(e_s (x) 1), which is
+        phi[s][a] = sum e_a(1) e_s (x) e_a(2); the unit axiom e_a 1 = e_a,
+        checked by ``check_hopf_axioms``, makes this exact.  Only tau_(m-1)
+        is held while tau_m is built."""
         if n == 0:
             return SparseMatrix.identity(1)
         H = self.hopf
         d = H.dim
-        times = [[list(H.mul_basis(a, b).items()) for b in range(d)]
-                 for a in range(d)]
         unit = H.unit_element()
-        times_unit = [list(H.mul({a: 1}, unit).items()) for a in range(d)]
-
-        def columns():
-            for k in range(d):
-                legs = self._twisted_legs(k, n).items()
-                for rest in itertools.product(range(d), repeat=n - 1):
-                    col = {}
-                    for leg, c in legs:
-                        partial = [(0, c)]
-                        for a, b in zip(leg, rest):
-                            partial = [(idx * d + m, pc * mc)
-                                       for idx, pc in partial
-                                       for m, mc in times[a][b]]
-                        last = times_unit[leg[-1]]
-                        for idx, pc in partial:
-                            vec_add_into(
-                                col, {idx * d + m: mc for m, mc in last}, pc)
-                    yield col
-
-        return SparseMatrix.from_columns(columns(), d ** n)
+        cols = [H.mul({a: c for (a,), c in self._twisted_legs(k, 1).items()},
+                      unit) for k in range(d)]
+        phi = []
+        for s in range(d):
+            row = []
+            for a in range(d):
+                image = {}
+                for (p, q), c in H.comul_basis(a).items():
+                    vec_add_into(image, {m * d + q: mc for m, mc
+                                         in H.mul_basis(p, s).items()}, c)
+                row.append(list(image.items()))
+            phi.append(row)
+        dd = d * d
+        for _ in range(2, n + 1):
+            prev, cols = cols, []
+            for col in prev:
+                split = [(r // d * dd, v, r % d) for r, v in col.items()]
+                for table in phi:
+                    out = {}
+                    for base, v, a in split:
+                        for off, c in table[a]:
+                            r = base + off
+                            w = out.get(r)
+                            x = v * c if w is None else w + v * c
+                            if x:
+                                out[r] = x
+                            else:
+                                del out[r]
+                    cols.append(out)
+        return SparseMatrix.from_columns(cols, d ** n)
 
 
 def iterated_comul(H, elem, n):

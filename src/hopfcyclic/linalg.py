@@ -9,7 +9,10 @@ demand for tests and the benchmark's tracer; no package code reads it.
 Every matrix product goes through one kernel, combine: a matrix's columns
 times a sparse vector.  The product @, apply, first_nonzero_column (the
 mixed-complex gate) and the cohomology code's B assembly and lambda images
-are all built on it.  Rank and kernel share one exact sparse Gaussian
+are all built on it.  combine accumulates into one dict in its own loop,
+with no helper call per column; it tests each vector entry once for the
+coefficient 1, whose column it adds without multiplying, since on
+``Cyclotomic`` scalars that test is a method call.  Rank and kernel share one exact sparse Gaussian
 elimination on the rows, _echelon.  The kernel basis is read off the
 reduced row echelon form, which is unique, so it does not depend on the
 order in which the elimination finds its pivots.
@@ -128,10 +131,41 @@ class SparseMatrix:
 
 def combine(cols, vec, c=1):
     """c * sum_j vec[j] cols[j]: the matrix whose columns are the sparse
-    dicts cols, times the sparse vector vec (dict col -> scalar)."""
+    dicts cols, times the sparse vector vec (dict col -> scalar).  Entries
+    that cancel are dropped, so no zero is ever stored.  A coefficient of 1
+    is found once per entry of vec, and then that column's scalars are
+    added without a multiplication."""
     out = {}
+    if not c:
+        return out
+    scale = c != 1
+    get = out.get
     for j, x in vec.items():
-        vec_add_into(out, cols[j], x if c == 1 else c * x)
+        if scale:
+            x = c * x
+        if x == 1:
+            for r, v in cols[j].items():
+                w = get(r)
+                if w is None:
+                    out[r] = v
+                else:
+                    w += v
+                    if w:
+                        out[r] = w
+                    else:
+                        del out[r]
+        elif x:
+            for r, v in cols[j].items():
+                v *= x
+                w = get(r)
+                if w is None:
+                    out[r] = v
+                else:
+                    w += v
+                    if w:
+                        out[r] = w
+                    else:
+                        del out[r]
     return out
 
 
@@ -143,10 +177,11 @@ def first_nonzero_column(*products):
     if any(left.ncols != right.nrows or left.nrows != nrows
            or right.ncols != ncols for left, right in products):
         raise ValueError("shape mismatch in product")
+    (first_left, first_right), *rest = products
 
     def vanishes(j):
-        out = {}
-        for left, right in products:
+        out = combine(first_left.cols, first_right.cols[j])
+        for left, right in rest:
             vec_add_into(out, combine(left.cols, right.cols[j]))
         return not out
 

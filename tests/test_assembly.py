@@ -61,6 +61,17 @@ def test_structure_matrices_match_elementwise(module):
                     lambda t: module.face(i, n, t), n - 1, n), (i, n)
 
 
+@pytest.mark.parametrize("case", ["sweedler-delta", "qz4-zeta4-delta"])
+def test_cyclic_matrix_recursion_beyond_top(case):
+    """cyclic_matrix builds tau_n from tau_(n-1); the elementwise tau is
+    the closed form over the legs of Delta^(n-1) S~, so the two agree only
+    if the recursion holds at every degree it passes through."""
+    module = dict(CASES)[case]
+    for n in (4, 5):
+        assert module.cyclic_matrix(n) == module.operator_matrix(
+            lambda t: module.cyclic(n, t), n, n), n
+
+
 @pytest.mark.parametrize("module", [m for _, m in CASES],
                          ids=[i for i, _ in CASES])
 def test_differentials_match_elementwise(module):

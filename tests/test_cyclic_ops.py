@@ -179,7 +179,7 @@ def test_enveloping_coproduct_memo_is_not_mutated():
 
 def test_cyclic_power_order():
     mod = sweedler_module()
-    for n in range(1, 4):
+    for n in range(1, 5):
         m = mod.cyclic_matrix(n)
         p = m
         for _ in range(n):

@@ -15,7 +15,7 @@ from dense_oracle import dense_kernel, dense_product, dense_rank
 from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.fields import CyclotomicField, RationalField
 from hopfcyclic.hopf import sweedler_h4
-from hopfcyclic.linalg import SparseMatrix, first_nonzero_column
+from hopfcyclic.linalg import SparseMatrix, combine, first_nonzero_column
 
 FIELDS = (RationalField(), CyclotomicField(4))
 
@@ -137,8 +137,8 @@ def test_column_store_never_holds_a_zero():
     col = {0: 1}
     m = SparseMatrix.from_columns([col, {0: 0, 1: 2}], 2)
     assert m.cols == [{0: 1}, {1: 2}] and m.cols[0] is col
-    # Sweedler's counit vanishes on x and gx, so the degeneracy's columns
-    # come out of the counit table with zeros in them
+    # Sweedler's counit vanishes on x and gx; the degeneracy emits those
+    # columns empty, so they reach from_columns with no zero to drop
     H = sweedler_h4()
     module = HopfCyclicModule(H, H.character("delta"))
     for n in range(3):
@@ -249,6 +249,46 @@ def test_first_nonzero_column_matches_dense_oracle(case):
         total = [[x + y for x, y in zip(a, b)] for a, b in zip(total, product)]
     nonzero = [c for c in range(ncols) if any(row[c] for row in total)]
     assert first_nonzero_column(*products) == min(nonzero, default=None)
+
+
+@st.composite
+def combine_cases(draw):
+    """(matrix, vec, c) for combine over Q or Q(zeta_4), c one of 1, -1, 0,
+    2, 1/2 and zeta_4.  vec is a multiple of a kernel vector of the matrix,
+    plus a few random entries (an explicit 0 among them) and, on a column
+    appended as the negative of another, the same coefficient as on that
+    column, so that the product cancels exactly in some or all rows."""
+    field = draw(st.sampled_from(FIELDS))
+    rng = draw(st.randoms(use_true_random=False))
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    cols = random_sparse(rng, field, nrows, ncols).cols
+    kernel = SparseMatrix.from_columns(cols, nrows).kernel_basis()
+    zeta = [field.zeta()] if field.kind == "cyclotomic" else []
+    vec = {}
+    if kernel:
+        scale = rng.choice([1, -1, 3, Fraction(1, 2)] + zeta)
+        vec = {j: scale * v for j, v in rng.choice(kernel).items()}
+    for j in rng.sample(range(ncols), rng.randrange(ncols + 1)):
+        vec[j] = rng.choice([0, 1, -1, Fraction(2, 3)] + zeta)
+    for j in list(vec):
+        if vec[j] and rng.random() < 0.5:
+            cols.append({r: -v for r, v in cols[j].items()})
+            vec[len(cols) - 1] = vec[j]
+    c = draw(st.sampled_from([1, -1, 0, 2, Fraction(1, 2),
+                              CyclotomicField(4).zeta()]))
+    return SparseMatrix.from_columns(cols, nrows), vec, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(combine_cases())
+def test_combine_matches_dense_oracle(case):
+    matrix, vec, c = case
+    out = combine(matrix.cols, vec, c)
+    assert all(out.values())
+    column = [[vec.get(j, 0)] for j in range(matrix.ncols)]
+    product = dense_product(to_dense(matrix), column, 1)
+    assert [out.get(r, 0) for r in range(matrix.nrows)] == \
+        [c * row[0] for row in product]
 
 
 def test_first_nonzero_column_refuses_shape_mismatch():
