@@ -12,10 +12,10 @@ mixed-complex gate) and the cohomology code's B assembly and lambda images
 are all built on it.  combine accumulates into one dict in its own loop,
 with no helper call per column; it tests each vector entry once for the
 coefficient 1, whose column it adds without multiplying, since on
-``Cyclotomic`` scalars that test is a method call.  Rank and kernel share one exact sparse Gaussian
-elimination on the rows, _echelon.  The kernel basis is read off the
-reduced row echelon form, which is unique, so it does not depend on the
-order in which the elimination finds its pivots.
+``Cyclotomic`` scalars that test is a method call.  Rank and kernel share
+one exact sparse Gaussian elimination on the rows, _echelon.  The kernel
+basis is read off the reduced row echelon form, which is unique, so it
+does not depend on the order in which the elimination finds its pivots.
 
 Entries are scalars in the canonical form of ``fields``, so the cohomology
 matrices of an integral presentation are all ``int``.  The only division
