@@ -19,7 +19,9 @@ from .cohomology import (NotCyclicError, NotMixedComplexError,
 from .cyclic_ops import HopfCyclicModule, relation_suite
 from .hopf import (BUILTIN_BUILDERS, CharacterError, check_hopf_axioms,
                    check_involution, check_twisted_properties)
-from .presentations import (PresentationError, load_gamma_input, load_hopf,
+# load_lie is not called here; bench/tracing.py wraps it as cli.load_lie
+from .presentations import (PresentationError, hopf_from_dict,
+                            lie_from_dict, load_gamma_input, load_hopf,
                             load_lie, load_pairing_input, _load_json)
 
 
@@ -76,15 +78,15 @@ def cmd_check_hopf(args):
 
 
 def cmd_cyclic_relations(args):
-    data = _load_json(args.input) if args.input not in BUILTIN_BUILDERS \
-        else None
+    """A file is parsed once; a "brackets" key marks a Lie presentation."""
+    data = None if args.input in BUILTIN_BUILDERS else _load_json(args.input)
     if isinstance(data, dict) and "brackets" in data:
         if args.character is not None:
             raise PresentationError(
                 f"{args.input}: --character does not apply to a Lie "
                 f"presentation; U(g) uses its modular character")
         from .enveloping import tensor_samples
-        U = load_lie(args.input)
+        U = lie_from_dict(data, args.input)
         delta = U.modular_character()
         module = HopfCyclicModule(U, delta)
         rng = random.Random(args.seed)
@@ -95,7 +97,8 @@ def cmd_cyclic_relations(args):
         report.meta["input"] = "enveloping-algebra"
         report.meta["seed"] = args.seed
     else:
-        H = _load_hopf_arg(args.input)
+        H = _load_hopf_arg(args.input) if data is None \
+            else hopf_from_dict(data, args.input)
         if _fails_hopf_axioms(H, args.output):
             return 1
         delta = _character_of(H, args.character)

@@ -22,8 +22,10 @@ checks form each product exactly, one column at a time, and stop at the
 first column that is not zero; no product matrix is stored.  The report
 builds every b and checks b^2 = 0, computes HH and the lambda-method HC,
 and drops b_(N+1), the largest b, before it builds any B; then it checks
-B^2 = 0 and bB + Bb = 0 and computes the bicomplex dimensions.  No rank is
-computed after a failed check: the report still runs every check, then
+B^2 = 0 and bB + Bb = 0 and computes the bicomplex dimensions.  HH and
+HC(lambda) take one elimination per degree: for A = 1 - lambda_n,
+rank(b_(n+1) on ker A) = rank [b_(n+1); A] - rank A.  No rank
+is computed after a failed check: the report still runs every check, then
 raises NotMixedComplexError rather than return a table for a complex that
 fails an identity.
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 from functools import partial
 
 from .hopf import check_involution, vec_add_into, vec_scale, vec_sub
-from .linalg import SparseMatrix, combine, first_nonzero_column
+from .linalg import SparseMatrix, combine, first_nonzero_column, stacked_ranks
 from .reports import CheckReport, first_failure
 
 
@@ -239,19 +241,29 @@ def hochschild_dimensions(module, b):
 
 def lambda_complex_dimensions(module, b):
     """HC^n from the lambda-invariant subcomplex with differential b, for
-    n <= N, given b = {n: b_n} for 1 <= n <= N+1.
+    n <= N, given b = {n: b_n} for 1 <= n <= N+1.  Returns (dims, ranks),
+    ranks[n] = rank b_(n+1) as in hochschild_dimensions.
 
-    b_(n+1) K, for K the kernel vectors of 1 - lambda_n, is formed one
-    kernel vector at a time from the columns of b_(n+1)."""
-    kernel_dims, image_ranks = [], []
-    for n in range(len(b)):
-        kernel = one_minus_lambda_matrix(module, n).kernel_basis()
-        kernel_dims.append(len(kernel))
-        image = SparseMatrix.from_columns(
-            (combine(b[n + 1].cols, vec) for vec in kernel), b[n + 1].nrows)
-        del kernel
-        image_ranks.append(image.rank())
-    return _homology_dims(kernel_dims, image_ranks)
+    For A = 1 - lambda_n and K = ker A, ker [b_(n+1); A] is ker b_(n+1)
+    meet K, so rank(b_(n+1) on K) = rank [b_(n+1); A] - rank A and
+    dim K = dim C^n - rank A.  One elimination per degree ranks b_(n+1),
+    then goes on with A's rows.  b_(N+1), which only HH and this need, is
+    taken out of b, so it is freed once its rows are copied; A is built
+    after b_(n+1) is eliminated."""
+    top = len(b)
+    kernel_dims, image_ranks, b_ranks = [], [], []
+    for n in range(top):
+        pivots = {}
+        rank_b, = stacked_ranks(
+            [b.pop(top) if n + 1 == top else b[n + 1]], pivots)
+        minus = one_minus_lambda_matrix(module, n)
+        rank_minus = minus.rank()
+        rank_stacked, = stacked_ranks([minus], pivots)
+        del minus, pivots
+        b_ranks.append(rank_b)
+        kernel_dims.append(module.space_dim(n) - rank_minus)
+        image_ranks.append(rank_stacked - rank_minus)
+    return _homology_dims(kernel_dims, image_ranks), b_ranks
 
 
 def bicomplex_dimensions(module, b, B):
@@ -305,13 +317,15 @@ def cohomology_report(hopf, delta, N_max, method="both"):
     gate = CheckReport("mixed-complex", meta={"max-degree": N_max})
     b = {n: b_matrix(module, n) for n in range(1, N_max + 2)}
     check_b_square(gate, module, b)
-    if gate.ok:  # no rank of a complex whose b^2 is not 0
+    hc_lambda = hc_bB = [None] * (N_max + 1)
+    flags = [False] * (N_max + 1)
+    if gate.ok and method == "bB":  # no rank of a complex whose b^2 is not 0
         hh, b_ranks = hochschild_dimensions(module, b)
-        hc_lambda = lambda_complex_dimensions(module, b) \
-            if method in ("lambda", "both") else [None] * (N_max + 1)
-    hc_bB, flags = [None] * (N_max + 1), [False] * (N_max + 1)
+    elif gate.ok:
+        hc_lambda, b_ranks = lambda_complex_dimensions(module, b)
+        hh = _homology_dims(map(module.space_dim, range(N_max + 1)), b_ranks)
     if method in ("bB", "both"):
-        del b[N_max + 1]  # served HH and HC(lambda) only
+        b.pop(N_max + 1, None)  # served HH and HC(lambda) only
         B = {n: B_matrix(module, n) for n in range(N_max)}
         check_B_relations(gate, module, b, B)
         if gate.ok:

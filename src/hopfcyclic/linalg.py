@@ -8,23 +8,30 @@ demand for tests and the benchmark's tracer; no package code reads it.
 
 Every matrix product goes through one kernel, combine: a matrix's columns
 times a sparse vector.  The product @, apply, first_nonzero_column (the
-mixed-complex gate) and the cohomology code's B assembly and lambda images
-are all built on it.  combine accumulates into one dict in its own loop,
+mixed-complex gate) and the cohomology code's B assembly are all built on
+it.  combine accumulates into one dict in its own loop,
 with no helper call per column; it tests each vector entry once for the
 coefficient 1, whose column it adds without multiplying, since on
 ``Cyclotomic`` scalars that test is a method call.  Rank and kernel share
-one exact sparse Gaussian elimination on the rows, _echelon.  The kernel
-basis is read off the reduced row echelon form, which is unique, so it
-does not depend on the order in which the elimination finds its pivots.
+one exact sparse Gaussian elimination on the rows, _echelon, which takes
+each row out of its list as it reduces it.  The kernel basis is read off
+the reduced row echelon form, which is unique, so it does not depend on
+the order in which the elimination finds its pivots.
+
+stacked_ranks ranks [M_1], [M_1; M_2], ... in one elimination, and rank
+is its one-matrix case.  As ker [b; A] = ker b meet ker A,
+rank(b on ker A) = rank [b; A] - rank A needs no kernel basis.
 
 Entries are scalars in the canonical form of ``fields``, so the cohomology
 matrices of an integral presentation are all ``int``.  The only division
-is ``scalar_inv`` of a pivot, and ``_echelon`` defers a row that does not
-lead with 1 or -1 until the other rows are in, so integral rows stay
-integral as long as they can.  ``rank`` sorts the rows by leading column
-and length (a static Markowitz order), which cuts fill-in and leaves the
-rank unchanged.  ``kernel_basis`` keeps the given order and pivots on the
-lowest column, so its vectors are those of the reduced row echelon form.
+is ``scalar_inv`` of a pivot that leads with neither 1 nor -1 (a row
+leading with 1 is kept as it is, one leading with -1 is negated), and
+``_echelon`` defers such a row until the other rows are in, so integral
+rows stay integral as long as they can.  ``stacked_ranks`` sorts each
+matrix's rows by leading column and length (a static Markowitz order),
+which cuts fill-in and leaves the rank unchanged.  ``kernel_basis`` keeps
+the given order and pivots on the lowest column, so its vectors are those
+of the reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -109,18 +116,14 @@ class SparseMatrix:
         return combine(self.cols, vec)
 
     def rank(self):
-        """Rank.  Rows are eliminated in a static order, by leading column
-        and, among rows that share it, shortest first, so each pivot comes
-        from the sparsest candidate row (Markowitz's row count)."""
-        rows = [row for row in self.row_dicts() if row]
-        rows.sort(key=lambda row: (min(row), len(row)))
-        return len(_echelon(rows))
+        """Rank: the one-matrix case of stacked_ranks."""
+        return stacked_ranks([self])[0]
 
     def kernel_basis(self):
         """Exact basis of the right kernel, as sparse column dicts: one
         vector per free column of the reduced row echelon form, which is 1
         at that column."""
-        pivots = _echelon(self.row_dicts(), reduced=True)
+        pivots = _echelon(self.row_dicts(), {}, reduced=True)
         basis = {free: {free: 1} for free in range(self.ncols)
                  if free not in pivots}
         for col in sorted(pivots):
@@ -188,13 +191,36 @@ def first_nonzero_column(*products):
     return first_failure(range(ncols), vanishes)[1]
 
 
-def _echelon(rows, reduced=False):
-    """Row echelon form of sparse rows (dicts col -> scalar), consumed in place.
+def stacked_ranks(blocks, pivots=None):
+    """[rank M_1, rank [M_1; M_2], ...] for the list blocks of matrices
+    with the same columns: each matrix's rows are reduced against the pivot
+    rows of those before it, in a static order, by leading column and then
+    shortest first (Markowitz's row count).  blocks is emptied as it goes,
+    so a matrix nothing else holds is freed once its rows are copied.  A
+    pivots dict, empty at first, carries the stack from one call to the
+    next; the ranks then count the rows of the earlier calls too."""
+    if len({matrix.ncols for matrix in blocks}) > 1:
+        raise ValueError("stacked matrices differ in their number of columns")
+    pivots = {} if pivots is None else pivots
+    ranks = []
+    blocks.reverse()
+    while blocks:
+        rows = [row for row in blocks.pop().row_dicts() if row]
+        rows.sort(key=lambda row: (min(row), len(row)))
+        _echelon(rows, pivots)
+        ranks.append(len(pivots))
+    return ranks
+
+
+def _echelon(rows, pivots, reduced=False):
+    """Row echelon form of the sparse rows (dicts col -> scalar) of the list
+    rows, continuing the pivot rows of the dict pivots, which it extends.
 
     Returns {pivot column: rest of its row}, the row scaled so that its
     pivot, which is its lowest column and is not stored, is 1.  Each row in
-    turn is reduced against the pivot rows found so far; what is left of it
-    becomes a new pivot row.  A row left with a leading entry other than 1
+    turn is taken out of rows and reduced against the pivot rows found so
+    far; what is left of it becomes a new pivot row, and a row that
+    vanishes is freed at once.  A row left with a leading entry other than 1
     or -1 is set aside and reduced again after all the others: by then it
     often leads with a unit or vanishes, and a unit pivot keeps integral
     rows integral where a pivot of 2 would put Fractions into every row
@@ -203,10 +229,10 @@ def _echelon(rows, reduced=False):
     pivot column from the other rows, giving the reduced row echelon form,
     which the row space alone determines.
     """
-    pivots, deferred = {}, []
-    for row in rows:
+    deferred = []
+    for row in _drain(rows):
         _insert(row, pivots, deferred)
-    for row in deferred:
+    for row in _drain(deferred):
         _insert(row, pivots, None)
     if reduced:
         # descending, so each pivot row used below is already fully reduced
@@ -217,10 +243,18 @@ def _echelon(rows, reduced=False):
     return pivots
 
 
+def _drain(rows):
+    """The items of the list rows in order, each removed as it is taken."""
+    rows.reverse()
+    while rows:
+        yield rows.pop()
+
+
 def _insert(row, pivots, deferred):
-    """Reduce row against the pivot rows; store what is left as a new pivot
-    row, or append it to deferred (unless that is None) when its leading
-    entry is not 1 or -1."""
+    """Reduce row against the pivot rows and keep what is left as a new
+    pivot row, scaled in place to lead with 1: a lead of 1 needs nothing, a
+    lead of -1 a negation, and only another lead a scalar_inv.  When
+    deferred is a list, a row that leads with neither goes there instead."""
     while row:
         col = min(row)
         tail = pivots.get(col)
@@ -229,8 +263,15 @@ def _insert(row, pivots, deferred):
             if deferred is not None and lead != 1 and lead != -1:
                 deferred.append(row)
                 return
-            inv = scalar_inv(row.pop(col))
-            pivots[col] = {c: v * inv for c, v in row.items()}
+            del row[col]
+            if lead == -1:
+                for c, v in row.items():
+                    row[c] = -v
+            elif lead != 1:
+                inv = scalar_inv(lead)
+                for c, v in row.items():
+                    row[c] = v * inv
+            pivots[col] = row
             return
         _subtract(row, row.pop(col), tail)
 

@@ -195,7 +195,10 @@ def dump_hopf(H, path):
 
 
 def load_lie(path):
-    data = _load_json(path)
+    return lie_from_dict(_load_json(path), path)
+
+
+def lie_from_dict(data, path="<dict>"):
     dim, rows = _require(data, ("dim", "brackets"), path)
     field = _field_of(data, path)
     if field.kind != "rational":

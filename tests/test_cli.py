@@ -7,7 +7,7 @@ import shlex
 import pytest
 
 from conftest import PKG_ROOT
-from hopfcyclic import cohomology
+from hopfcyclic import cohomology, linalg, presentations
 from hopfcyclic.cli import main
 from hopfcyclic.linalg import SparseMatrix
 
@@ -68,6 +68,20 @@ def test_cyclic_relations_symbolic(capsys, data_dir):
                     "--max-degree", "3", "--seed", "1")
     assert code == 0
     assert "seed: 1" in out
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("axb-lie.json", []), ("sweedler-h4.json", ["--character", "delta"])])
+def test_cyclic_relations_parses_its_input_once(capsys, monkeypatch,
+                                                data_dir, name, extra):
+    parses = []
+    load = presentations.json.load
+    monkeypatch.setattr(presentations.json, "load",
+                        lambda fh: parses.append(fh.name) or load(fh))
+    code, out = run(capsys, "cyclic-relations", "--input",
+                    str(data_dir / name), "--max-degree", "2", *extra)
+    assert code == 0 and "fail=0" in out
+    assert parses == [str(data_dir / name)]
 
 
 @pytest.mark.parametrize("character", ["bogus", "counit"])
@@ -240,9 +254,12 @@ summary: pass=5 fail=3
 def test_cohomology_computes_no_rank_when_b_square_fails(
         capsys, monkeypatch, corrupted_b2, method):
     ranks = []
-    rank = SparseMatrix.rank
+    rank, stacked = SparseMatrix.rank, cohomology.stacked_ranks
     monkeypatch.setattr(SparseMatrix, "rank",
                         lambda self: ranks.append(self) or rank(self))
+    monkeypatch.setattr(cohomology, "stacked_ranks",
+                        lambda blocks, pivots=None: ranks.append(blocks)
+                        or stacked(blocks, pivots))
     code, out = run(capsys, "cohomology", "--input", "sweedler",
                     "--character", "delta", "--max-degree", "3",
                     "--method", method)
@@ -256,7 +273,8 @@ def test_cohomology_computes_no_rank_when_b_square_fails(
 
 def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "lambda_complex_dimensions",
-                        lambda module, b: [1, -1] + [0] * (len(b) - 2))
+                        lambda module, b: ([1, -1] + [0] * (len(b) - 2),
+                                           [0] * len(b)))
     code, out = run(capsys, "cohomology", "--input", "qz2",
                     "--max-degree", "3", "--method", "lambda")
     assert code == 1
@@ -280,6 +298,22 @@ def test_cohomology_builds_each_matrix_once(capsys, monkeypatch, method):
     if method == "both":
         built.update({("B_matrix", n): 1 for n in range(4)})
     assert dict(calls) == built
+
+
+def test_cyclotomic_lambda_report_inverts_few_pivots(capsys, monkeypatch):
+    # unit pivots are stored as they are or negated; only the few other
+    # pivots of this report cost a Cyclotomic inverse (2,398 when every
+    # pivot was inverted)
+    calls = []
+    inv = linalg.scalar_inv
+    monkeypatch.setattr(linalg, "scalar_inv",
+                        lambda x: calls.append(x) or inv(x))
+    code, _ = run(capsys, "cohomology", "--input",
+                  str(PKG_ROOT / "tests/goldens/cli/qz4-zeta4.json"),
+                  "--character", "delta", "--max-degree", "5",
+                  "--method", "lambda")
+    assert code == 0
+    assert 0 < len(calls) <= 21
 
 
 def _readme_commands():

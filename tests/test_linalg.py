@@ -15,7 +15,9 @@ from dense_oracle import dense_kernel, dense_product, dense_rank
 from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.fields import CyclotomicField, RationalField
 from hopfcyclic.hopf import sweedler_h4
-from hopfcyclic.linalg import SparseMatrix, combine, first_nonzero_column
+from hopfcyclic import linalg
+from hopfcyclic.linalg import (SparseMatrix, combine, first_nonzero_column,
+                               stacked_ranks)
 
 FIELDS = (RationalField(), CyclotomicField(4))
 
@@ -298,3 +300,93 @@ def test_first_nonzero_column_refuses_shape_mismatch():
     with pytest.raises(ValueError):  # the two products differ in shape
         first_nonzero_column((two_by_three, SparseMatrix(3, 2)),
                              (SparseMatrix(2, 2), SparseMatrix(2, 3)))
+
+
+@st.composite
+def stacked_pairs(draw):
+    """(b, A) with a common number of columns, small ints over Q or ints
+    plus multiples of zeta_4 over Q(zeta_4).  A is sometimes b's rows
+    again, so that [b; A] has a large kernel."""
+    field = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 7))
+    zeta = field.zeta() if field.kind == "cyclotomic" else 0
+    scalar = st.builds(lambda a, z: a + z * zeta, st.integers(-3, 3),
+                       st.integers(-1, 1))
+
+    def matrix(nrows):
+        cells = draw(st.dictionaries(
+            st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+            scalar, max_size=nrows * ncols)) if nrows else {}
+        return SparseMatrix(nrows, ncols, cells)
+
+    b = matrix(draw(st.integers(0, 8)))
+    A = b if draw(st.booleans()) else matrix(draw(st.integers(0, 7)))
+    return b, A
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_pairs())
+def test_stacked_ranks_give_the_rank_of_b_on_ker_A(case):
+    # ker [b; A] = ker b & ker A, so rank(b on ker A) = rank [b; A] - rank A
+    b, A = case
+    dense_b, dense_A = to_dense(b), to_dense(A)
+    kernel = dense_kernel(dense_A, A.ncols)
+    on_kernel = dense_product(
+        dense_b, [list(row) for row in zip(*kernel)] or
+        [[] for _ in range(b.ncols)], len(kernel))
+    rank_b, rank_stacked = stacked_ranks([b, A])
+    assert rank_b == dense_rank(dense_b) == b.rank()
+    assert rank_stacked == dense_rank(dense_b + dense_A)
+    assert rank_stacked - A.rank() == dense_rank(on_kernel)
+    # a second call with the same pivots continues the stack
+    pivots = {}
+    assert stacked_ranks([b], pivots) + stacked_ranks([A], pivots) == \
+        [rank_b, rank_stacked]
+
+
+def test_stacked_ranks_refuse_a_column_mismatch():
+    with pytest.raises(ValueError):
+        stacked_ranks([SparseMatrix(2, 3), SparseMatrix(2, 2)])
+
+
+def _counted_scalar_inv(monkeypatch):
+    calls = []
+    inv = linalg.scalar_inv
+    monkeypatch.setattr(linalg, "scalar_inv",
+                        lambda x: calls.append(x) or inv(x))
+    return calls
+
+
+def test_unit_pivots_call_no_inverse(monkeypatch):
+    # rows that lead with 1 or -1, each of its own column, over free
+    # columns 5 and 6, then copies and negations of them that vanish
+    calls = _counted_scalar_inv(monkeypatch)
+    for field in FIELDS:
+        rng = random.Random(5)
+        zeta = field.zeta() if field.kind == "cyclotomic" else 1
+        for _ in range(20):
+            entries = {}
+            for r in range(5):
+                entries[r, r] = rng.choice([1, -1])
+                for c in range(r + 1, 7):
+                    if rng.random() < 0.5:
+                        entries[r, c] = rng.randrange(-3, 4) * \
+                            rng.choice([1, zeta])
+            for r in range(5, 8):
+                source, sign = rng.randrange(5), rng.choice([1, -1])
+                entries.update({(r, c): sign * v for (q, c), v
+                                in list(entries.items()) if q == source})
+            m = SparseMatrix(8, 7, entries)
+            assert m.rank() == dense_rank(to_dense(m)) == 5
+            kernel = [[vec.get(c, 0) for c in range(7)]
+                      for vec in m.kernel_basis()]
+            assert kernel == dense_kernel(to_dense(m), 7)
+    assert calls == []
+
+
+def test_a_pivot_of_two_is_inverted(monkeypatch):
+    calls = _counted_scalar_inv(monkeypatch)
+    m = SparseMatrix(1, 2, {(0, 0): 2, (0, 1): 1})
+    assert m.rank() == 1
+    assert m.kernel_basis() == [{1: 1, 0: Fraction(-1, 2)}]
+    assert calls == [2, 2]
