@@ -259,7 +259,7 @@ def lambda_complex_dimensions(module, b):
         minus = one_minus_lambda_matrix(module, n)
         rank_minus = minus.rank()
         rank_stacked, = stacked_ranks([minus], pivots)
-        del minus, pivots
+        del minus  # not held while the next b is eliminated
         b_ranks.append(rank_b)
         kernel_dims.append(module.space_dim(n) - rank_minus)
         image_ranks.append(rank_stacked - rank_minus)

@@ -17,6 +17,13 @@ def _exact_rows(rows):
             for r in rows]
 
 
+def _div(a, b):
+    """a / b, exactly: Q(zeta_m) arithmetic returns an int for a rational
+    integer, so entries turn int during elimination, and int / int is a
+    float."""
+    return Fraction(a) / b if isinstance(a, int) else a / b
+
+
 def dense_rank(rows):
     """Row echelon rank of a dense list-of-lists matrix; int entries are
     read as Fractions."""
@@ -37,7 +44,7 @@ def dense_rank(rows):
         pv = rows[rank][col]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
-                factor = rows[r][col] / pv
+                factor = _div(rows[r][col], pv)
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
@@ -59,7 +66,7 @@ def dense_kernel(rows, ncols):
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pv = rows[rank][col]
-        rows[rank] = [a / pv for a in rows[rank]]
+        rows[rank] = [_div(a, pv) for a in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 factor = rows[r][col]

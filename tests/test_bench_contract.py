@@ -56,7 +56,7 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
     minus = [one_minus_lambda_matrix(module, n) for n in range(4)]
     b = {n: b_matrix(module, n) for n in range(1, 4)}
     B = {n: B_matrix(module, n) for n in range(3)}
-    blocks = [(m, n) for n in range(3) for m in range(n, -1, -2)]
+    blocks = [m for n in range(3) for m in range(n, -1, -2)]
 
     def total(n):
         return sum(4 ** m for m in range(n, -1, -2))
@@ -65,7 +65,7 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
     assert tracer.sizes["linalg.rank.nnz_in"] == sum(
         len(m.entries) for m in minus) + sum(
         len(b[m + 1].entries) + (len(B[m - 1].entries) if m else 0)
-        for m, _ in blocks)
+        for m in blocks)
     assert tracer.sizes["linalg.rank.cells"] == sum(
         m.nrows * m.ncols for m in minus) + sum(
         total(n + 1) * total(n) for n in range(3))

@@ -169,6 +169,15 @@ def test_dense_oracle_divides_int_entries_exactly():
     assert all(type(v) is Fraction for vec in kernel for v in vec)
     assert dense_rank([[2, 1], [1, 1], [3, 2]]) == 2
     assert dense_kernel([[2, 4], [3, 1]], 2) == []
+    # over Q(zeta_4) the second row turns int, [0, 2, 1], on elimination
+    zeta = CyclotomicField(4).zeta()
+    m = SparseMatrix(2, 3, {(0, 0): zeta, (0, 1): 1 + zeta, (1, 0): zeta,
+                            (1, 1): 3 + zeta, (1, 2): 1})
+    kernel = dense_kernel(to_dense(m), 3)
+    assert not any(type(v) is float for vec in kernel for v in vec)
+    assert kernel == [[vec.get(c, 0) for c in range(3)]
+                      for vec in m.kernel_basis()]
+    assert dense_rank(to_dense(m) + [[0, 2, 1]]) == 2
 
 
 @st.composite
@@ -305,8 +314,8 @@ def test_first_nonzero_column_refuses_shape_mismatch():
 @st.composite
 def stacked_pairs(draw):
     """(b, A) with a common number of columns, small ints over Q or ints
-    plus multiples of zeta_4 over Q(zeta_4).  A is sometimes b's rows
-    again, so that [b; A] has a large kernel."""
+    plus multiples of zeta_4 over Q(zeta_4).  A is sometimes b itself, so
+    that b vanishes on ker A."""
     field = draw(st.sampled_from(FIELDS))
     ncols = draw(st.integers(1, 7))
     zeta = field.zeta() if field.kind == "cyclotomic" else 0
@@ -327,7 +336,8 @@ def stacked_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(stacked_pairs())
 def test_stacked_ranks_give_the_rank_of_b_on_ker_A(case):
-    # ker [b; A] = ker b & ker A, so rank(b on ker A) = rank [b; A] - rank A
+    # ker [b; A] = ker b meet ker A, so
+    # rank(b on ker A) = rank [b; A] - rank A
     b, A = case
     dense_b, dense_A = to_dense(b), to_dense(A)
     kernel = dense_kernel(dense_A, A.ncols)
