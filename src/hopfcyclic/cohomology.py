@@ -24,10 +24,10 @@ builds every b and checks b^2 = 0, computes HH and the lambda-method HC,
 and drops b_(N+1), the largest b, before it builds any B; then it checks
 B^2 = 0 and bB + Bb = 0 and computes the bicomplex dimensions.  HH and
 HC(lambda) take one elimination per degree: for A = 1 - lambda_n,
-rank(b_(n+1) on ker A) = rank [b_(n+1); A] - rank A.  No rank
-is computed after a failed check: the report still runs every check, then
-raises NotMixedComplexError rather than return a table for a complex that
-fails an identity.
+rank(b_(n+1) on ker A) = rank [b_(n+1); A] - rank A.  No rank is computed
+after a failed check: the report still runs every check, then raises
+NotMixedComplexError rather than return a table for a complex that fails
+an identity.
 
 Scalars are canonical (see ``fields``), so on an integral presentation b,
 1 - lambda, B, the gate's products and the elimination all run on int.
@@ -319,11 +319,13 @@ def cohomology_report(hopf, delta, N_max, method="both"):
     check_b_square(gate, module, b)
     hc_lambda = hc_bB = [None] * (N_max + 1)
     flags = [False] * (N_max + 1)
-    if gate.ok and method == "bB":  # no rank of a complex whose b^2 is not 0
-        hh, b_ranks = hochschild_dimensions(module, b)
-    elif gate.ok:
-        hc_lambda, b_ranks = lambda_complex_dimensions(module, b)
-        hh = _homology_dims(map(module.space_dim, range(N_max + 1)), b_ranks)
+    if gate.ok:  # no rank of a complex whose b^2 is not 0
+        if method == "bB":
+            hh, b_ranks = hochschild_dimensions(module, b)
+        else:
+            hc_lambda, b_ranks = lambda_complex_dimensions(module, b)
+            hh = _homology_dims(map(module.space_dim, range(N_max + 1)),
+                                b_ranks)
     if method in ("bB", "both"):
         b.pop(N_max + 1, None)  # served HH and HC(lambda) only
         B = {n: B_matrix(module, n) for n in range(N_max)}
