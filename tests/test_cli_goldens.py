@@ -4,7 +4,9 @@ Each ``*-both.txt``/``*-lambda.txt`` file in tests/goldens/cli/ is the
 standard output of ``hopfcyclic cohomology --input INPUT --character CHAR
 --max-degree 4 --method METHOD``, captured before the matrices were
 assembled from the structure constants, so any refactor of the pipeline
-must reproduce it exactly.  ``qz4-zeta4.json`` is QZ4 over Q(zeta_4) with
+must reproduce it exactly.  The ``*-bB.txt`` files were captured from the
+full (b, B)-bicomplex before the bB method moved to the normalized
+complex.  ``qz4-zeta4.json`` is QZ4 over Q(zeta_4) with
 delta(g^k) = zeta_4^k, written by ``presentations.dump_hopf``.
 
 The ``check-hopf-*``, ``cyclic-relations-*`` and ``gamma-check-*`` files are
@@ -40,6 +42,16 @@ CASES = [
     ("qz2-json", str(DATA / "qz2.json"), "counit", "both"),
     ("sweedler-h4-json", str(DATA / "sweedler-h4.json"), "delta", "both"),
     ("qz4-zeta4", str(CLI_GOLDENS / "qz4-zeta4.json"), "delta", "lambda"),
+    ("trivial", "trivial", "counit", "bB"),
+    ("qz2", "qz2", "counit", "bB"),
+    ("qz3", "qz3", "counit", "bB"),
+    ("sweedler", "sweedler", "delta", "bB"),
+    ("fun-z2", "fun-z2", "counit", "bB"),
+    ("fun-z2", "fun-z2", "eval_e", "bB"),
+    ("fun-z2", "fun-z2", "eval_g", "bB"),
+    ("qz2-json", str(DATA / "qz2.json"), "counit", "bB"),
+    ("sweedler-h4-json", str(DATA / "sweedler-h4.json"), "delta", "bB"),
+    ("qz4-zeta4", str(CLI_GOLDENS / "qz4-zeta4.json"), "delta", "bB"),
 ]
 
 
