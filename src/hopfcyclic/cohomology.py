@@ -16,16 +16,33 @@ composed from the columns of tau_n, tau_{n+1} and sigma_n, and the total
 bicomplex matrix stacks the columns of b and B.  from_columns keeps the
 dicts it is given, so each hands over fresh dicts, never a cache's.
 
+The (b, B) method runs on the normalized complex N^n = (ker eps)^(x)n =
+meet of the ker sigma_i (``NormalizedModule``), a sub-mixed complex with
+the same HH and HC as the whole module (Loday, Cyclic Homology, 2.1 and
+2.5).  In the rebased basis f_p = 1, f_i = e_i - eps(e_i) 1 it is spanned
+by the basis tuples with no index p, so N^n has (d-1)^n of the d^n basis
+tuples, and its b and B are formed on those columns only.  On N the
+factor 1 - lambda of B drops out: s lambda = (-1)^(n+1) sigma_n
+tau_(n+1)^2 = (-1)^(n+1) tau_n sigma_0 by the relation ts0, and sigma_0
+vanishes on N, so B = N s there.  b and B send N into N; an entry outside
+N is never dropped but fails the gate (see ``_zero_witness``), so every
+report checks that closure along with the identities.
+
 cohomology_report builds each b_n and B_n once and passes the same
 matrices to the mixed-complex checks and to every dimension function.  The
 checks form each product exactly, one column at a time, and stop at the
 first column that is not zero; no product matrix is stored.  The report
-builds every b and checks b^2 = 0, computes HH and the lambda-method HC,
-and drops b_(N+1), the largest b, before it builds any B; then it checks
-B^2 = 0 and bB + Bb = 0 and computes the bicomplex dimensions.  HH and
+builds the b it needs and checks b^2 = 0: for HH and HC(lambda) the full
+b_1..b_(N+1), for HC(bB) the normalized b_1..b_N, and under 'bB' alone the
+normalized b_(N+1) too, for HH.  It computes HH and the lambda-method HC,
+then drops the full b and the normalized b_(N+1) before it builds any B;
+then it checks B^2 = 0 and bB + Bb = 0 on the normalized b and B and
+computes the bicomplex dimensions from those same matrices.  HH and
 HC(lambda) take one elimination per degree: for A = 1 - lambda_n,
-rank(b_(n+1) on ker A) = rank [b_(n+1); A] - rank A.  No rank is computed
-after a failed check: the report still runs every check, then raises
+rank(b_(n+1) on ker A) = rank [b_(n+1); A] - rank A; under 'bB' alone,
+HH comes from the normalized b, and the printed rank b_(n+1) of the full
+complex from d^n - HH^n - rank b_n.  No rank is computed after a failed
+check: the report still runs every check, then raises
 NotMixedComplexError rather than return a table for a complex that fails
 an identity.
 
@@ -43,6 +60,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from .cyclic_ops import HopfCyclicModule, NormalizedModule
 from .hopf import check_involution, vec_add_into, vec_scale, vec_sub
 from .linalg import SparseMatrix, combine, first_nonzero_column, stacked_ranks
 from .reports import CheckReport, first_failure
@@ -114,32 +132,43 @@ def b_matrix(module, n):
 
 
 def B_matrix(module, n):
-    """B_n = N_n sigma_n tau_(n+1) (1 - lambda_(n+1)), from degree n+1 to n.
+    """B_n = N_n s (1 - lambda_(n+1)), s = sigma_n tau_(n+1), from degree
+    n+1 to n.
 
-    s = sigma_n tau_(n+1) is formed once per column of tau_(n+1); column j
-    of B is then N_n applied to s e_j - (-1)^(n+1) s tau_(n+1) e_j, with
-    N_n = 1 + lambda_n + ... + lambda_n^n applied through the columns of
-    tau_n.  Columns are produced one at a time, so only the finished
-    matrix and the columns of tau and s are held.
+    s is formed once per column of tau_(n+1); column j of B is then N_n
+    applied to s e_j - (-1)^(n+1) s tau_(n+1) e_j, with N_n = 1 + lambda_n
+    + ... + lambda_n^n applied through the columns of tau_n.  On a
+    NormalizedModule, B is formed on the columns of N only and 1 - lambda
+    drops out: s tau_(n+1) = sigma_n tau_(n+1)^2 = tau_n sigma_0 (relation
+    ts0), and sigma_0 vanishes on N, so B_n = N_n s there.  N_n then runs
+    through the rebased tau_n.  Columns are produced one at a time, so
+    only the finished matrix and the columns of tau and s are held.
     """
+    if isinstance(module, NormalizedModule):
+        return module.restricted(_norm_columns(
+            module.full.cyclic_matrix(n).cols,
+            module.extra_degeneracy_columns(n), n), n + 1, n)
     tau_up = module.cyclic_matrix(n + 1).cols
     sigma = module.degeneracy_matrix(n, n).cols
     s_cols = [combine(sigma, col) for col in tau_up]
     del sigma
-    tau = module.cyclic_matrix(n).cols
     lam_sign = 1 if n % 2 == 0 else -1
+    return SparseMatrix.from_columns(_norm_columns(
+        module.cyclic_matrix(n).cols,
+        (vec_add_into(dict(s_cols[j]), combine(s_cols, col), lam_sign)
+         for j, col in enumerate(tau_up)), n), module.space_dim(n))
 
-    def columns():
-        for j, col in enumerate(tau_up):
-            vec = dict(s_cols[j])
-            vec_add_into(vec, combine(s_cols, col), lam_sign)
-            out = dict(vec)
-            for _ in range(n):
-                vec = combine(tau, vec, lam_sign)
-                vec_add_into(out, vec)
-            yield out
 
-    return SparseMatrix.from_columns(columns(), module.space_dim(n))
+def _norm_columns(tau, vecs, n):
+    """N_n applied to each of the vectors vecs, one at a time, through the
+    columns tau of tau_n."""
+    lam_sign = 1 if n % 2 == 0 else -1
+    for vec in vecs:
+        out = dict(vec)
+        for _ in range(n):
+            vec = combine(tau, vec, lam_sign)
+            vec_add_into(out, vec)
+        yield out
 
 
 def one_minus_lambda_matrix(module, n):
@@ -311,32 +340,42 @@ def cohomology_report(hopf, delta, N_max, method="both"):
     report, instead of returning the table of a complex that fails an
     identity.  The module docstring gives the order matrices are built in.
     """
-    from .cyclic_ops import HopfCyclicModule
     require_involution(hopf, delta)
-    module = HopfCyclicModule(hopf, delta)
     gate = CheckReport("mixed-complex", meta={"max-degree": N_max})
-    b = {n: b_matrix(module, n) for n in range(1, N_max + 2)}
-    check_b_square(gate, module, b)
-    hc_lambda = hc_bB = [None] * (N_max + 1)
+    dims = [hopf.dim ** n for n in range(N_max + 1)]
+    hh = hc_lambda = hc_bB = [None] * (N_max + 1)
     flags = [False] * (N_max + 1)
+    complexes = []
+    if method != "bB":
+        full = HopfCyclicModule(hopf, delta)
+        complexes.append((full, {n: b_matrix(full, n)
+                                 for n in range(1, N_max + 2)}))
+    if method != "lambda":
+        norm = NormalizedModule(hopf, delta)
+        top = N_max + 1 if method == "bB" else N_max
+        b = {n: b_matrix(norm, n) for n in range(1, top + 1)}
+        complexes.append((norm, b))
+    check_b_square(gate, *complexes)
     if gate.ok:  # no rank of a complex whose b^2 is not 0
-        if method == "bB":
-            hh, b_ranks = hochschild_dimensions(module, b)
+        if method == "bB":  # rank b_(n+1) = dim C^n - HH^n - rank b_n
+            hh, b_ranks = hochschild_dimensions(norm, b)[0], []
+            for dim, h in zip(dims, hh):
+                b_ranks.append(dim - h - (b_ranks[-1] if b_ranks else 0))
         else:
-            hc_lambda, b_ranks = lambda_complex_dimensions(module, b)
-            hh = _homology_dims(map(module.space_dim, range(N_max + 1)),
-                                b_ranks)
-    if method in ("bB", "both"):
-        b.pop(N_max + 1, None)  # served HH and HC(lambda) only
-        B = {n: B_matrix(module, n) for n in range(N_max)}
-        check_B_relations(gate, module, b, B)
+            hc_lambda, b_ranks = lambda_complex_dimensions(*complexes[0])
+            hh = _homology_dims(dims, b_ranks)
+    del complexes  # the full b served HH and HC(lambda) only
+    if method != "lambda":
+        b.pop(N_max + 1, None)
+        B = {n: B_matrix(norm, n) for n in range(N_max)}
+        check_B_relations(gate, norm, b, B)
         if gate.ok:
-            hc_bB, flags = bicomplex_dimensions(module, b, B)
+            hc_bB, flags = bicomplex_dimensions(norm, b, B)
     if not gate.ok:
         raise NotMixedComplexError(gate)
     report = ComplexReport(hopf.name, delta.name, N_max, method)
     for n in range(N_max + 1):
-        report.add_row(degree=n, dim=module.space_dim(n),
+        report.add_row(degree=n, dim=dims[n],
                        rank_b=(b_ranks[n - 1] if n >= 1 else 0),
                        hh=hh[n], hc_lambda=hc_lambda[n], hc_bB=hc_bB[n],
                        flag=flags[n])
@@ -366,7 +405,7 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
     report = CheckReport(title, meta={"max-degree": N_max})
     if samples is None:
         b = {n: b_matrix(module, n) for n in range(1, N_max + 3)}
-        check_b_square(report, module, b)
+        check_b_square(report, (module, b))
         B = {n: B_matrix(module, n) for n in range(N_max)}
         check_B_relations(report, module, b, B)
         return report
@@ -392,21 +431,35 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
     return report
 
 
-def _check_zero(report, check, module, name, degree, *products):
-    """Add check to report: the sum of left @ right over the (left, right)
-    pairs is zero.  Its witness is (name, [the basis tuple of degree that
-    indexes the first nonzero column])."""
+def _zero_witness(module, name, degree, *products):
+    """None when the sum of left @ right over the (left, right) pairs is
+    zero, else the witness (name, [the basis tuple of degree that indexes
+    the first nonzero column]).  On the normalized complex the products are
+    formed on the rows of N only, so a factor with a column that has an
+    entry outside N gives the witness ('outside N', [that column's tuple])
+    first."""
+    outside = [m.outside for pair in products for m in pair
+               if getattr(m, "outside", None) is not None]
+    if outside:
+        return "outside N", outside[:1]
     j = first_nonzero_column(*products)
-    report.add(check, j is None,
-               None if j is None else (name, [module.key_of_index(j, degree)]))
+    return None if j is None else (name, [module.key_of_index(j, degree)])
 
 
-def check_b_square(report, module, b):
-    """Add 'b2 n=...' checks of b_(n+2) b_(n+1) = 0 to report, for every
-    consecutive pair in b = {n: b_n}, 1 <= n <= top."""
-    for n in range(len(b) - 1):
-        _check_zero(report, f"b2 n={n}", module, "b.b", n,
-                    (b[n + 2], b[n + 1]))
+def _check_zero(report, check, *args):
+    witness = _zero_witness(*args)
+    report.add(check, witness is None, witness)
+
+
+def check_b_square(report, *complexes):
+    """Add 'b2 n=...' checks of b_(n+2) b_(n+1) = 0 to report, one line for
+    each n, over the (module, b = {n: b_n}, 1 <= n <= top) in complexes
+    whose b reaches b_(n+2); the first complex to fail gives the witness."""
+    for n in range(max(len(b) for _, b in complexes) - 1):
+        witness = next(filter(None, (
+            _zero_witness(module, "b.b", n, (b[n + 2], b[n + 1]))
+            for module, b in complexes if n + 2 in b)), None)
+        report.add(f"b2 n={n}", witness is None, witness)
 
 
 def check_B_relations(report, module, b, B):

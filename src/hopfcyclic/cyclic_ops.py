@@ -25,6 +25,12 @@ tau_(m-1) through the coproduct and product tables, since Delta^(m-1) =
 (id^(m-2) (x) Delta) Delta^(m-2).  The matrix of tau and the elementwise
 tau, the closed form over those legs, are thus two independent
 constructions.  The cohomology matrices are built from these.
+``NormalizedModule`` indexes the normalized complex (ker eps)^(x)n of a
+finite H in the rebased presentation of ``hopf.rebased``, where it is
+spanned by the basis tuples that avoid one index p: its face sums come
+from the rebased module's ``face_sum_columns`` at those tuples, and its
+tau_(n+1) from ``cyclic_matrix`` with the recursion kept to the digits
+other than p.
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import vec_add_into, vec_eq
+from .hopf import rebased, vec_add_into, vec_eq
 from .linalg import SparseMatrix
 from .reports import CheckReport, first_failure
 
@@ -249,9 +255,15 @@ class HopfCyclicModule(TensorBasis):
 
     def face_sum_matrix(self, n, coeffs):
         """Matrix of sum_i coeffs[i] face_i from degree n-1 to degree n,
-        for a dict coeffs: i -> scalar.  Each column is formed in one pass
-        over its face images, with the coefficients folded into the face
-        tables; b_n is the case coeffs[i] = (-1)^i."""
+        for a dict coeffs: i -> scalar; b_n is the case coeffs[i] = (-1)^i."""
+        d = self.hopf.dim
+        return SparseMatrix.from_columns(
+            self.face_sum_columns(n, coeffs, range(d ** (n - 1))), d ** n)
+
+    def face_sum_columns(self, n, coeffs, columns):
+        """The columns of sum_i coeffs[i] face_i at the source indices in
+        columns, one at a time.  Each column is formed in one pass over its
+        face images, with the coefficients folded into the face tables."""
         d = self.hopf.dim
         faces = []
         for i, coeff in coeffs.items():
@@ -278,8 +290,7 @@ class HopfCyclicModule(TensorBasis):
                             del out[r]
             return out
 
-        return SparseMatrix.from_columns(map(col_of, range(d ** (n - 1))),
-                                         d ** n)
+        return map(col_of, columns)
 
     def face_matrix(self, i, n):
         """Matrix of face i from degree n-1 to degree n."""
@@ -304,8 +315,10 @@ class HopfCyclicModule(TensorBasis):
         return SparseMatrix.from_columns(map(col_of, range(d ** (n + 1))),
                                          d ** n)
 
-    def cyclic_matrix(self, n):
-        """Matrix of tau_n, by recursion on the degree.
+    def cyclic_matrix(self, n, digits=None):
+        """Matrix of tau_n, by recursion on the degree; given digits, an
+        increasing list of basis indices, only its columns at the tuples of
+        those indices, which the recursion builds from each other alone.
 
         tau_1 e_k = S~(e_k) 1.  Since Delta^(m-1) = (id^(m-2) (x) Delta)
         Delta^(m-2), tau_m of the basis tuple (x, s) is tau_(m-1) e_x with
@@ -317,11 +330,12 @@ class HopfCyclicModule(TensorBasis):
             return SparseMatrix.identity(1)
         H = self.hopf
         d = H.dim
+        digits = range(d) if digits is None else digits
         unit = H.unit_element()
         cols = [H.mul({a: c for (a,), c in self._twisted_legs(k, 1).items()},
-                      unit) for k in range(d)]
+                      unit) for k in digits]
         phi = []
-        for s in range(d):
+        for s in digits:
             row = []
             for a in range(d):
                 image = {}
@@ -361,6 +375,88 @@ def iterated_comul(H, elem, n):
                                in H.comul_basis(key[-1]).items()}, c)
         t = out
     return t
+
+
+class NormalizedMatrix(SparseMatrix):
+    """A matrix between degrees of the normalized complex, on the basis
+    tuples of N.  ``outside`` is the basis tuple of its first column with an
+    entry outside N, which no row can hold, or None."""
+
+    __slots__ = ("outside",)
+
+
+class NormalizedModule(TensorBasis):
+    """The normalized sub-mixed complex N^n = (ker eps)^(x)n of the cyclic
+    module of a finite H with character delta.  It has the same HH and HC
+    as the whole module (Loday, Cyclic Homology, 2.1 and 2.5).
+
+    It is read in the rebased presentation of ``hopf.rebased``, where N^n
+    is spanned by the basis tuples with no index p; ``full`` is the cyclic
+    module of that presentation.  N's own index runs over those tuples in
+    lexicographic order, in base d - 1.  Its matrices are formed on the
+    columns of N only, with the rebased rows, and ``restricted`` carries
+    each column to the rows of N, setting an entry outside N aside as the
+    matrix's ``outside`` witness rather than dropping it.
+    """
+
+    def __init__(self, hopf, delta):
+        rebased_hopf, rebased_delta, self.p = rebased(hopf, delta)
+        self.full = HopfCyclicModule(rebased_hopf, rebased_delta)
+        self.digits = [k for k in range(hopf.dim) if k != self.p]
+        self.base = len(self.digits)
+        self._full_index = {0: [0]}
+        self._rows = {}
+
+    def basis_keys(self, n):
+        return itertools.product(self.digits, repeat=n)
+
+    def key_index(self, key):
+        return super().key_index(k - (k > self.p) for k in key)
+
+    def key_of_index(self, idx, n):
+        return tuple(self.digits[k] for k in super().key_of_index(idx, n))
+
+    def full_index(self, n):
+        """The rebased index of each basis tuple of N^n, in order."""
+        full = self._full_index.get(n)
+        if full is None:
+            d = self.full.base
+            full = self._full_index[n] = [
+                j * d + k for j in self.full_index(n - 1) for k in self.digits]
+        return full
+
+    def restricted(self, cols, src, tgt):
+        """The NormalizedMatrix from N^src to N^tgt with the given columns,
+        dicts on the rebased rows of degree tgt."""
+        rows = self._rows.get(tgt)
+        if rows is None:
+            rows = self._rows[tgt] = {
+                r: i for i, r in enumerate(self.full_index(tgt))}
+        outside, kept = None, []
+        for j, col in enumerate(cols):
+            try:
+                kept.append({rows[r]: v for r, v in col.items()})
+            except KeyError:
+                kept.append({rows[r]: v for r, v in col.items() if r in rows})
+                if outside is None:
+                    outside = self.key_of_index(j, src)
+        matrix = NormalizedMatrix.from_columns(kept, self.space_dim(tgt))
+        matrix.outside = outside
+        return matrix
+
+    def face_sum_matrix(self, n, coeffs):
+        """sum_i coeffs[i] face_i from N^(n-1) to N^n."""
+        return self.restricted(self.full.face_sum_columns(
+            n, coeffs, self.full_index(n - 1)), n - 1, n)
+
+    def extra_degeneracy_columns(self, n):
+        """s = sigma_n tau_(n+1) at the basis tuples of N^(n+1), as dicts on
+        the rebased rows of degree n, one at a time.  eps(f_k) is 1 at k = p
+        and 0 elsewhere, so sigma_n keeps the tuples that end in p and drops
+        that factor."""
+        d, p = self.full.base, self.p
+        for col in self.full.cyclic_matrix(n + 1, self.digits).cols:
+            yield {r // d: v for r, v in col.items() if r % d == p}
 
 
 class CochainCyclicModule(TensorBasis):

@@ -10,8 +10,9 @@ settles them everywhere.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from .fields import RationalField
+from .fields import RationalField, rational, scalar_inv
 from .reports import CheckReport, first_failure
 
 
@@ -210,6 +211,54 @@ class FiniteHopf:
 
     def counit_character(self):
         return Character(self, list(self.counit), name="counit")
+
+
+def rebased(H, delta):
+    """(H', delta', p): H and delta in the basis f_p = 1 and f_i = e_i -
+    eps(e_i) 1 for i != p, where p is the lowest index in the support of
+    the unit.  eps(f_p) = 1 and eps(f_i) = 0 for i != p, so the f_i with
+    i != p span ker eps.  Back in the basis f, e_i = f_i + eps(e_i) f_p for
+    i != p and, as eps(1) = 1, e_p = eps(e_p) f_p - sum_(k != p) (u_k/u_p) f_k
+    for the unit 1 = sum u_k e_k.  Basis labels are kept."""
+    unit, eps = H.unit, H.counit
+    p = min(unit)
+    inv = scalar_inv(unit[p])
+    old = [dict(unit) if i == p else vec_add_into({i: 1}, unit, -eps[i])
+           for i in range(H.dim)]
+    new = [vec_add_into({i: 1}, {p: eps[i]}) for i in range(H.dim)]
+    new[p] = vec_add_into({p: eps[p]}, {k: u * inv for k, u in unit.items()
+                                        if k != p}, -1)
+
+    def canonical(x):
+        return rational(x) if isinstance(x, Fraction) else x
+
+    def to_new(vec):
+        out = {}
+        for i, c in vec.items():
+            vec_add_into(out, new[i], c)
+        return {k: canonical(v) for k, v in out.items()}
+
+    def pairs_to_new(tensor):
+        out = {}
+        for (a, b), c in tensor.items():
+            for x, cx in new[a].items():
+                vec_add_into(out, {(x, y): cy for y, cy in new[b].items()},
+                             c * cx)
+        return {k: canonical(v) for k, v in out.items()}
+
+    def value(values, vec):
+        return canonical(sum((c * values[i] for i, c in vec.items()),
+                             H.field.zero()))
+
+    Hr = FiniteHopf(
+        H.name, H.field, H.basis, {p: H.field.one()},
+        {(i, j): to_new(H.mul(old[i], old[j]))
+         for i in range(H.dim) for j in range(H.dim)},
+        {i: pairs_to_new(H.comul(old[i])) for i in range(H.dim)},
+        [value(eps, vec) for vec in old],
+        {i: to_new(H.antipode_of(old[i])) for i in range(H.dim)})
+    return Hr, Character(Hr, [value(delta.values, vec) for vec in old],
+                         name=delta.name), p
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from hopfcyclic import cohomology
 from hopfcyclic.cohomology import B_matrix, b_matrix
+from hopfcyclic.cyclic_ops import NormalizedModule
 
 PKG_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = PKG_ROOT / "data"
@@ -38,26 +39,32 @@ def differentials(module, N_max):
 
 
 @pytest.fixture
-def flipped_B1(monkeypatch):
-    """cohomology.B_matrix with the sign of one entry of B_1 flipped, which
-    breaks B^2 = 0 and bB + Bb = 0."""
-    def flipped(module, n):
+def perturbed_B1(monkeypatch):
+    """cohomology.B_matrix with 1 added to entry (1, 1) of B_1, which breaks
+    B^2 = 0 and bB + Bb = 0 on Sweedler's H4.  The report ranks the B of
+    the normalized complex, whose B_1 is zero there, so no sign flip can
+    break it."""
+    def perturbed(module, n):
         matrix = B_matrix(module, n)
         if n == 1:
-            r, c = min(matrix.entries)
-            matrix.cols[c][r] = -matrix.cols[c][r]
+            matrix.cols[1][1] = matrix.cols[1].get(1, 0) + 1
         return matrix
 
-    monkeypatch.setattr(cohomology, "B_matrix", flipped)
+    monkeypatch.setattr(cohomology, "B_matrix", perturbed)
 
 
 @pytest.fixture
 def corrupted_b2(monkeypatch):
-    """cohomology.b_matrix with the sign of the last entry of b_2 flipped,
-    which breaks b^2 = 0 (and bB + Bb = 0) on Sweedler's H4."""
+    """cohomology.b_matrix with b_2 broken so that b^2 = 0 fails on
+    Sweedler's H4.  The full b_2 has the sign of its last entry flipped.
+    The normalized b_3 vanishes at every row where the normalized b_2 has
+    an entry, so no sign flip breaks the normalized b^2 = 0; that b_2 gets
+    1 added to its entry (2, 0) instead."""
     def corrupted(module, n):
         matrix = b_matrix(module, n)
-        if n == 2:
+        if n == 2 and isinstance(module, NormalizedModule):
+            matrix.cols[0][2] = matrix.cols[0].get(2, 0) + 1
+        elif n == 2:
             r, c = max(matrix.entries)
             matrix.cols[c][r] = -matrix.cols[c][r]
         return matrix

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import PKG_ROOT
 from hopfcyclic.cohomology import B_matrix, b_matrix, one_minus_lambda_matrix
-from hopfcyclic.cyclic_ops import HopfCyclicModule
+from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
 from hopfcyclic.hopf import sweedler_h4
 
 
@@ -44,22 +44,27 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
         assert hc["cli"].main(argv) == 0
     assert capsys.readouterr().out == untraced
     H = sweedler_h4()
-    module = HopfCyclicModule(H, H.character("delta"))
+    delta = H.character("delta")
+    module = HopfCyclicModule(H, delta)
+    norm = NormalizedModule(H, delta)
+    # the report builds B on the normalized complex only, so the tracer's
+    # B_matrix counters measure those matrices
     assert tracer.calls["cohomology.B_matrix"] == 3
     assert tracer.sizes["cohomology.B_matrix.nnz"] == sum(
-        len(B_matrix(module, n).entries) for n in range(3))
+        len(B_matrix(norm, n).entries) for n in range(3))
     # the rank's input sizes, read from len(matrix.entries).  The report
     # ranks 1 - lambda_n for n <= 3 through SparseMatrix.rank (b and the
     # stacks [b_(n+1); 1 - lambda_n] go through stacked_ranks, which is not
-    # wrapped) and the total matrices T^n -> T^(n+1) for n < 3, whose
-    # blocks are b_(m+1) and B_(m-1) for m = n, n-2, ...
+    # wrapped) and the total matrices T^n -> T^(n+1) for n < 3 of the
+    # normalized complex, whose blocks are b_(m+1) and B_(m-1) for m = n,
+    # n-2, ...
     minus = [one_minus_lambda_matrix(module, n) for n in range(4)]
-    b = {n: b_matrix(module, n) for n in range(1, 4)}
-    B = {n: B_matrix(module, n) for n in range(3)}
+    b = {n: b_matrix(norm, n) for n in range(1, 4)}
+    B = {n: B_matrix(norm, n) for n in range(3)}
     blocks = [m for n in range(3) for m in range(n, -1, -2)]
 
     def total(n):
-        return sum(4 ** m for m in range(n, -1, -2))
+        return sum(norm.space_dim(m) for m in range(n, -1, -2))
 
     assert tracer.calls["linalg.rank"] == len(minus) + 3
     assert tracer.sizes["linalg.rank.nnz_in"] == sum(

@@ -9,6 +9,7 @@ import pytest
 from conftest import PKG_ROOT
 from hopfcyclic import cohomology, linalg, presentations
 from hopfcyclic.cli import main
+from hopfcyclic.cyclic_ops import NormalizedModule
 from hopfcyclic.linalg import SparseMatrix
 
 
@@ -217,13 +218,15 @@ def test_non_multiplicative_counit_exit_2(capsys, tmp_path, data_dir):
     assert out.err.startswith("error: character not multiplicative")
 
 
-def test_cohomology_refuses_broken_mixed_complex(capsys, flipped_B1):
+def test_cohomology_refuses_broken_mixed_complex(capsys, perturbed_B1):
     code, out = run(capsys, "cohomology", "--input", "sweedler",
                     "--character", "delta", "--max-degree", "3")
     assert code == 1
     assert out.startswith("report: mixed-complex\n")
-    assert "check B2 n=1 status=FAIL witness=('B.B', [(0, 0, 1)])" in out
-    assert "check bB+Bb n=1 status=FAIL witness=('bB+Bb', [(1,)])" in out
+    # witnesses are basis tuples of the rebased presentation
+    assert "check B2 n=1 status=FAIL witness=('B.B', [(1, 1, 2)])" in out
+    assert "check bB+Bb n=1 status=FAIL witness=('bB+Bb', [(2,)])" in out
+    assert "check bB+Bb n=2 status=FAIL witness=('bB+Bb', [(1, 2)])" in out
     assert not any(line.startswith("degree ") for line in out.splitlines())
     # the lambda method builds no B, so only b^2 = 0 is checked
     code, out = run(capsys, "cohomology", "--input", "sweedler",
@@ -237,16 +240,18 @@ B_SQUARE_FAILS = """\
 report: mixed-complex
 max-degree: 3
 check b2 n=0 status=pass
-check b2 n=1 status=FAIL witness=('b.b', [(3,)])
+check b2 n=1 status=FAIL witness=('b.b', [{}])
 check b2 n=2 status=pass
 """
+# the normalized b_2 enters no bB + Bb check below degree 4 on Sweedler's
+# H4: there the normalized b_1 and B_1 are zero
 B_RELATIONS_AFTER_B_SQUARE_FAILS = """\
 check B2 n=0 status=pass
 check B2 n=1 status=pass
 check bB+Bb n=0 status=pass
-check bB+Bb n=1 status=FAIL witness=('bB+Bb', [(3,)])
-check bB+Bb n=2 status=FAIL witness=('bB+Bb', [(0, 2)])
-summary: pass=5 fail=3
+check bB+Bb n=1 status=pass
+check bB+Bb n=2 status=pass
+summary: pass=7 fail=1
 """
 
 
@@ -265,10 +270,14 @@ def test_cohomology_computes_no_rank_when_b_square_fails(
                     "--method", method)
     assert code == 1
     assert ranks == []
+    # under bB, b^2 = 0 is checked on the normalized b alone, whose
+    # witness is a tuple of the rebased basis
+    b_square_fails = B_SQUARE_FAILS.format("(1,)" if method == "bB"
+                                           else "(3,)")
     if method == "lambda":
-        assert out == B_SQUARE_FAILS + "summary: pass=2 fail=1\n"
+        assert out == b_square_fails + "summary: pass=2 fail=1\n"
     else:
-        assert out == B_SQUARE_FAILS + B_RELATIONS_AFTER_B_SQUARE_FAILS
+        assert out == b_square_fails + B_RELATIONS_AFTER_B_SQUARE_FAILS
 
 
 def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
@@ -281,22 +290,28 @@ def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
     assert out == "error: negative dimension HC_lambda=-1 at degree 1\n"
 
 
-@pytest.mark.parametrize("method", ["both", "lambda"])
+@pytest.mark.parametrize("method", ["both", "bB", "lambda"])
 def test_cohomology_builds_each_matrix_once(capsys, monkeypatch, method):
     calls = collections.Counter()
     for name in ("b_matrix", "B_matrix", "one_minus_lambda_matrix"):
         def counted(module, n, name=name, build=getattr(cohomology, name)):
-            calls[name, n] += 1
+            normalized = isinstance(module, NormalizedModule)
+            calls[name, normalized, n] += 1
             return build(module, n)
         monkeypatch.setattr(cohomology, name, counted)
     code, _ = run(capsys, "cohomology", "--input", "sweedler",
                   "--character", "delta", "--max-degree", "4",
                   "--method", method)
     assert code == 0
-    built = {("b_matrix", n): 1 for n in range(1, 6)}
-    built.update({("one_minus_lambda_matrix", n): 1 for n in range(5)})
-    if method == "both":
-        built.update({("B_matrix", n): 1 for n in range(4)})
+    built = {}
+    if method != "bB":  # the full complex serves HH and HC(lambda)
+        built.update({("b_matrix", False, n): 1 for n in range(1, 6)})
+        built.update({("one_minus_lambda_matrix", False, n): 1
+                      for n in range(5)})
+    if method != "lambda":  # HC(bB), and HH under bB, on the normalized one
+        top = 5 if method == "bB" else 4
+        built.update({("b_matrix", True, n): 1 for n in range(1, top + 1)})
+        built.update({("B_matrix", True, n): 1 for n in range(4)})
     assert dict(calls) == built
 
 

@@ -96,7 +96,7 @@ def test_involution_refusal():
         cohomology_report(H, H.counit_character(), 2)
 
 
-def test_report_refuses_broken_mixed_complex(capsys, flipped_B1):
+def test_report_refuses_broken_mixed_complex(capsys, perturbed_B1):
     H = sweedler_h4()
     with pytest.raises(NotMixedComplexError) as caught:
         cohomology_report(H, H.character("delta"), 3)
