@@ -138,11 +138,10 @@ def B_matrix(module, n):
     s is formed once per column of tau_(n+1); column j of B is then N_n
     applied to s e_j - (-1)^(n+1) s tau_(n+1) e_j, with N_n = 1 + lambda_n
     + ... + lambda_n^n applied through the columns of tau_n.  On a
-    NormalizedModule, B is formed on the columns of N only and 1 - lambda
-    drops out: s tau_(n+1) = sigma_n tau_(n+1)^2 = tau_n sigma_0 (relation
-    ts0), and sigma_0 vanishes on N, so B_n = N_n s there.  N_n then runs
-    through the rebased tau_n.  Columns are produced one at a time, so
-    only the finished matrix and the columns of tau and s are held.
+    NormalizedModule, B_n = N_n s on the columns of N, with N_n through
+    the rebased tau_n (the module docstring says why 1 - lambda drops
+    out).  Columns are produced one at a time, so only the finished matrix
+    and the columns of tau and s are held.
     """
     if isinstance(module, NormalizedModule):
         return module.restricted(_norm_columns(

@@ -25,12 +25,9 @@ tau_(m-1) through the coproduct and product tables, since Delta^(m-1) =
 (id^(m-2) (x) Delta) Delta^(m-2).  The matrix of tau and the elementwise
 tau, the closed form over those legs, are thus two independent
 constructions.  The cohomology matrices are built from these.
-``NormalizedModule`` indexes the normalized complex (ker eps)^(x)n of a
-finite H in the rebased presentation of ``hopf.rebased``, where it is
-spanned by the basis tuples that avoid one index p: its face sums come
-from the rebased module's ``face_sum_columns`` at those tuples, and its
-tau_(n+1) from ``cyclic_matrix`` with the recursion kept to the digits
-other than p.
+``NormalizedModule`` restricts the matrices of a rebased module to the
+normalized complex (ker eps)^(x)n, spanned there by the basis tuples that
+avoid one index.
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
