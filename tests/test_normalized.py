@@ -6,6 +6,8 @@ the full b_matrix and B_matrix through the change of basis, written out
 independently below, and its HH and HC against the full complex's.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import DATA, differentials
@@ -14,8 +16,9 @@ from hopfcyclic.cli import main
 from hopfcyclic.cohomology import (B_matrix, b_matrix, bicomplex_dimensions,
                                    cohomology_report, hochschild_dimensions)
 from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
-from hopfcyclic.hopf import (check_hopf_axioms, check_involution, rebased,
-                             vec_add_into)
+from hopfcyclic.fields import rational
+from hopfcyclic.hopf import (FiniteHopf, check_hopf_axioms, check_involution,
+                             rebased, sweedler_h4, vec_add_into)
 from hopfcyclic.presentations import load_hopf
 from test_assembly import CASES as BUILTIN_CASES
 
@@ -97,6 +100,45 @@ def test_normalized_dimensions_equal_the_full_ones(H, delta):
         hochschild_dimensions(module, b)[0]
     assert bicomplex_dimensions(norm, b_bar, B_bar) == \
         bicomplex_dimensions(module, b, B)
+
+
+def relabelled(H, delta, order, scale):
+    """H and delta in the basis e'_i = scale[i] e_(order[i])."""
+    new = {k: i for i, k in enumerate(order)}
+
+    def to_new(vec, c=1):
+        return {new[k]: rational(Fraction(c * v) / scale[new[k]])
+                for k, v in vec.items()}
+
+    H2 = FiniteHopf(
+        H.name, H.field, [H.basis[k] for k in order], to_new(H.unit),
+        {(i, j): to_new(H.mul_basis(a, b), scale[i] * scale[j])
+         for i, a in enumerate(order) for j, b in enumerate(order)},
+        {i: {(new[x], new[y]): rational(Fraction(scale[i] * v)
+                                        / (scale[new[x]] * scale[new[y]]))
+             for (x, y), v in H.comul_basis(a).items()}
+         for i, a in enumerate(order)},
+        [scale[i] * H.counit[a] for i, a in enumerate(order)],
+        {i: to_new(H.antipode_basis(a), scale[i])
+         for i, a in enumerate(order)},
+        {delta.name: [scale[i] * delta.values[a]
+                      for i, a in enumerate(order)]})
+    return H2, H2.character(delta.name)
+
+
+@pytest.mark.parametrize("order,scale", [((2, 3, 0, 1), (1, 1, 2, 1)),
+                                         ((3, 0, 2, 1), (1, -1, 1, 3))])
+def test_unit_off_index_zero(order, scale):
+    """Sweedler's H4 with the unit at index 2 and 1 = e'_2 / 2, or at
+    index 1 with 1 = -e'_1: p, the digits of N and the rebasing move, and
+    every report stays the same."""
+    H = sweedler_h4()
+    H2, delta2 = relabelled(H, H.character("delta"), order, scale)
+    assert check_hopf_axioms(H2).ok
+    assert NormalizedModule(H2, delta2).p == order.index(0)
+    for method in ("both", "bB"):
+        assert cohomology_report(H2, delta2, 4, method).render() == \
+            cohomology_report(H, H.character("delta"), 4, method).render()
 
 
 def test_normalized_index_skips_the_unit():
