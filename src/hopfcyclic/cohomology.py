@@ -8,11 +8,10 @@ and B = N s (1 - lambda).
 Two forms of each operator are kept.  The elementwise ones (hochschild_b,
 B_operator, ...) act on single tensors; they serve symbolic modules and are
 the oracle the tests compare the matrices with.  On a finite module every
-matrix is built and read as its columns (``SparseMatrix.cols``), starting
-from the face, degeneracy and cyclic matrices that the module assembles
-from the structure constants: b_matrix is the module's face_sum_matrix
-with signs (-1)^i, one_minus_lambda_matrix comes from tau_n, B_matrix is
-composed from the columns of tau_n, tau_{n+1} and sigma_n, and the total
+matrix is built and read as its columns (``SparseMatrix.cols``) from the
+module's recursions on the degree: b_matrix is the cobar recursion,
+one_minus_lambda_matrix comes from tau_n, B_matrix from the columns of
+tau_n and of s, the counit contraction of tau_{n+1}, and the total
 bicomplex matrix stacks the columns of b and B.  from_columns keeps the
 dicts it is given, so each hands over fresh dicts, never a cache's.
 
@@ -21,12 +20,12 @@ meet of the ker sigma_i (``NormalizedModule``), a sub-mixed complex with
 the same HH and HC as the whole module (Loday, Cyclic Homology, 2.1 and
 2.5).  In the rebased basis f_p = 1, f_i = e_i - eps(e_i) 1 it is spanned
 by the basis tuples with no index p, so N^n has (d-1)^n of the d^n basis
-tuples, and its b and B are formed on those columns only.  On N the
-factor 1 - lambda of B drops out: s lambda = (-1)^(n+1) sigma_n
-tau_(n+1)^2 = (-1)^(n+1) tau_n sigma_0 by the relation ts0, and sigma_0
-vanishes on N, so B = N s there.  b and B send N into N; an entry outside
-N is never dropped but fails the gate (see ``_zero_witness``), so every
-report checks that closure along with the identities.
+tuples, and its b (inside N by the counit axiom) and B are formed on
+those columns only.  On N the factor 1 - lambda of B drops out: s lambda
+= (-1)^(n+1) sigma_n tau_(n+1)^2 = (-1)^(n+1) tau_n sigma_0 by the
+relation ts0, and sigma_0 vanishes on N, so B = N s there.  B sends N
+into N; an entry outside N is never dropped but fails the gate (see
+``_zero_witness``), so every report checks that closure too.
 
 cohomology_report builds each b_n and B_n once and passes the same
 matrices to the mixed-complex checks and to every dimension function.  The
@@ -125,32 +124,31 @@ def B_operator(module, n, t):
 
 
 def b_matrix(module, n):
-    """b_n = sum_i (-1)^i face_i, from degree n-1 to degree n, each column
-    formed in one pass over its n+1 face images."""
-    return module.face_sum_matrix(
-        n, {i: 1 if i % 2 == 0 else -1 for i in range(n + 1)})
+    """b_n = sum_i (-1)^i face_i, from degree n-1 to degree n, by the
+    module's cobar recursion (``TensorBasis.cobar_matrix``)."""
+    return module.cobar_matrix(n)
 
 
 def B_matrix(module, n):
     """B_n = N_n s (1 - lambda_(n+1)), s = sigma_n tau_(n+1), from degree
     n+1 to n.
 
-    s is formed once per column of tau_(n+1); column j of B is then N_n
-    applied to s e_j - (-1)^(n+1) s tau_(n+1) e_j, with N_n = 1 + lambda_n
-    + ... + lambda_n^n applied through the columns of tau_n.  On a
-    NormalizedModule, B_n = N_n s on the columns of N, with N_n through
-    the rebased tau_n (the module docstring says why 1 - lambda drops
-    out).  Columns are produced one at a time, so only the finished matrix
-    and the columns of tau and s are held.
+    s is the counit contraction of each column of tau_(n+1); column j of
+    B is then N_n applied to s e_j - (-1)^(n+1) s tau_(n+1) e_j, with
+    N_n = 1 + lambda_n + ... + lambda_n^n applied through the columns of
+    tau_n.  On a NormalizedModule, B_n = N_n s on the columns of N, through
+    the rebased tau (the module docstring says why 1 - lambda drops out).
+    Columns are produced one at a time, so only the finished matrix and
+    the columns of tau and s are held.
     """
     if isinstance(module, NormalizedModule):
+        full = module.full
+        s_cols = full.counit_contraction(
+            full.cyclic_matrix(n + 1, module.digits).cols)
         return module.restricted(_norm_columns(
-            module.full.cyclic_matrix(n).cols,
-            module.extra_degeneracy_columns(n), n), n + 1, n)
+            full.cyclic_matrix(n).cols, s_cols, n), n + 1, n)
     tau_up = module.cyclic_matrix(n + 1).cols
-    sigma = module.degeneracy_matrix(n, n).cols
-    s_cols = [combine(sigma, col) for col in tau_up]
-    del sigma
+    s_cols = list(module.counit_contraction(tau_up))
     lam_sign = 1 if n % 2 == 0 else -1
     return SparseMatrix.from_columns(_norm_columns(
         module.cyclic_matrix(n).cols,
@@ -339,6 +337,9 @@ def cohomology_report(hopf, delta, N_max, method="both"):
     report, instead of returning the table of a complex that fails an
     identity.  The module docstring gives the order matrices are built in.
     """
+    if method not in ("lambda", "bB", "both"):
+        raise ValueError(f"unknown method {method!r}; expected 'lambda', "
+                         f"'bB' or 'both'")
     require_involution(hopf, delta)
     gate = CheckReport("mixed-complex", meta={"max-degree": N_max})
     dims = [hopf.dim ** n for n in range(N_max + 1)]

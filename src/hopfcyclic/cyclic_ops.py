@@ -15,19 +15,21 @@ tau has one elementwise construction, the closed form of tau_n^j
 a cache: the image of each basis tensor is built once per (j, n, key), and
 each slot product e_k * factor (a basis element or the unit) once per
 module with ``H.mul``; a call adds the cached images into a fresh dict.
-For a finite H, ``face_matrix``, ``degeneracy_matrix`` and ``cyclic_matrix``
-are assembled straight from the structure constants instead: index
-arithmetic for the unit, coproduct and counit slots (one
-``face_sum_matrix`` for each face and for b), and tau_n by
-recursion on the degree.  ``cyclic_matrix`` reads the legs of
-Delta^(n-1) S~(e_k) only at degree 1; from there on each tau_m comes from
-tau_(m-1) through the coproduct and product tables, since Delta^(m-1) =
+For a finite H the matrices are assembled straight from the structure
+constants instead, each by recursion on the degree.  b is the cobar
+differential of the coalgebra H: ``cobar_matrix`` builds b_1 = 0 and
+b_(m+1) = b_m (x) 1 + (-1)^m 1^(x)(m-1) (x) D, where D(e_s) = Delta(e_s) -
+1 (x) e_s - e_s (x) 1 is the one d x d table a module supplies
+(``cobar_table``).  ``cyclic_matrix`` reads the legs of Delta^(n-1)
+S~(e_k) only at degree 1; from there on each tau_m comes from tau_(m-1)
+through the coproduct and product tables, since Delta^(m-1) =
 (id^(m-2) (x) Delta) Delta^(m-2).  The matrix of tau and the elementwise
 tau, the closed form over those legs, are thus two independent
-constructions.  The cohomology matrices are built from these.
-``NormalizedModule`` restricts the matrices of a rebased module to the
-normalized complex (ker eps)^(x)n, spanned there by the basis tuples that
-avoid one index.
+constructions.  ``counit_contraction`` applies sigma_n, the counit of the
+last factor, to columns of tau_(n+1), which gives s = sigma_n tau_(n+1).
+The cohomology matrices are built from these.  ``NormalizedModule`` runs
+the same recursions on the normalized complex (ker eps)^(x)n of a rebased
+module, spanned there by the basis tuples that avoid one index.
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
@@ -87,6 +89,35 @@ class TensorBasis:
             image = op({key: 1})
             cols.append({self.key_index(k): v for k, v in image.items()})
         return SparseMatrix.from_columns(cols, self.space_dim(tgt_degree))
+
+    def cobar_matrix(self, n):
+        """b_n from degree n-1 to degree n, for a module whose
+        ``cobar_table()`` lists each D(e_s) as (a base + b, c) pairs for
+        c e_a (x) e_b: b_1 = 0 and b_(m+1)(x (x) e_s) = b_m(x) (x) e_s +
+        (-1)^m x (x) D(e_s), as faces 0..m-1 act on x alone and faces m and
+        m + 1 give (-1)^m x (x) (Delta(e_s) - e_s (x) 1), while the last
+        term (-1)^m x (x) 1 (x) e_s of b_m(x) (x) e_s is cancelled in D."""
+        base = self.base
+        table = self.cobar_table()
+        cols = [{}]
+        for m in range(1, n):
+            sign = 1 if m % 2 == 0 else -1
+            rows = [[(off, sign * c) for off, c in row] for row in table]
+            prev, cols = cols, []
+            for j, col in enumerate(prev):
+                head = j * base * base
+                for s, row in enumerate(rows):
+                    out = {r * base + s: v for r, v in col.items()}
+                    for off, c in row:
+                        r = head + off
+                        w = out.get(r)
+                        x = c if w is None else w + c
+                        if x:
+                            out[r] = x
+                        else:
+                            del out[r]
+                    cols.append(out)
+        return SparseMatrix.from_columns(cols, self.space_dim(n))
 
 
 class HopfCyclicModule(TensorBasis):
@@ -218,6 +249,9 @@ class HopfCyclicModule(TensorBasis):
 
     @property
     def base(self):
+        if self.hopf.dim is None:
+            raise ValueError(f"{self.hopf.name} has no finite basis; "
+                             f"pass samples=")
         return self.hopf.dim
 
     operator_matrix = TensorBasis.operator_matrix
@@ -226,91 +260,39 @@ class HopfCyclicModule(TensorBasis):
     # columns are generated one at a time, basis tuples in lexicographic
     # order, and a tuple's index has its first factor most significant
 
-    def _face_slots(self, i, n):
-        """Index arithmetic of face i from degree n-1 to degree n, as
-        (low, table).  Write a column index as j = (prefix d + k) low + tail
-        with tail < low and k < d; face i sends e_j to the sum of
-        c e_(prefix d^2 low + tail + off) over the (off, c) in table[k].
-        For 0 < i < n, k is factor i-1 and table[k] lists Delta(e_k) as
-        offsets (a d + b) low of e_a (x) e_b; for i = n, k is the last
-        factor and table[k] lists e_k (x) 1; for i = 0, low = d^(n-1), so
-        k = 0 and table[0] lists 1 put in front."""
-        if not 1 <= n or not 0 <= i <= n:
-            raise IndexError(f"face index {i} out of range at degree {n}")
-        H = self.hopf
-        d = H.dim
-        unit = H.unit_element().items()
-        if i == 0:
-            low = d ** (n - 1)
-            return low, [[(u * low, c) for u, c in unit]]
-        if i == n:
-            return 1, [[(k * d + u, c) for u, c in unit] for k in range(d)]
-        low = d ** (n - 1 - i)
-        return low, [[((a * d + b) * low, c)
-                      for (a, b), c in H.comul_basis(k).items()]
-                     for k in range(d)]
+    def cobar_table(self):
+        """D(e_s) = Delta(e_s) - 1 (x) e_s - e_s (x) 1 for each basis index
+        s, as (a d + b, c) pairs for c e_a (x) e_b; 1 is ``unit_element()``,
+        which may be a combination."""
+        d = self.base
+        unit = self.hopf.unit_element()
+        table = []
+        for s in range(d):
+            row = {a * d + b: c
+                   for (a, b), c in self.hopf.comul_basis(s).items()}
+            vec_add_into(row, {u * d + s: c for u, c in unit.items()}, -1)
+            vec_add_into(row, {s * d + u: c for u, c in unit.items()}, -1)
+            table.append(list(row.items()))
+        return table
 
-    def face_sum_matrix(self, n, coeffs):
-        """Matrix of sum_i coeffs[i] face_i from degree n-1 to degree n,
-        for a dict coeffs: i -> scalar; b_n is the case coeffs[i] = (-1)^i."""
-        d = self.hopf.dim
-        return SparseMatrix.from_columns(
-            self.face_sum_columns(n, coeffs, range(d ** (n - 1))), d ** n)
-
-    def face_sum_columns(self, n, coeffs, columns):
-        """The columns of sum_i coeffs[i] face_i at the source indices in
-        columns, one at a time.  Each column is formed in one pass over its
-        face images, with the coefficients folded into the face tables."""
-        d = self.hopf.dim
-        faces = []
-        for i, coeff in coeffs.items():
-            low, table = self._face_slots(i, n)
-            faces.append((low, d * d * low, [
-                [(off, coeff * c) for off, c in row] for row in table]))
-
-        def col_of(j):
+    def counit_contraction(self, cols):
+        """sigma_n, the counit of the last factor, on each of the columns
+        cols of a matrix into degree n + 1, as fresh dicts: r ->
+        eps(e_(r mod d)) e_(r div d).  On tau_(n+1) it gives s."""
+        d = self.base
+        counit = [self.hopf.counit_basis(k) for k in range(d)]
+        for col in cols:
             out = {}
-            for low, dd_low, table in faces:
-                head, tail = divmod(j, low)
-                prefix, k = divmod(head, d)
-                base = prefix * dd_low + tail
-                for off, c in table[k]:
-                    r = base + off
-                    w = out.get(r)
-                    if w is None:
-                        out[r] = c
+            for r, v in col.items():
+                q, k = divmod(r, d)
+                if counit[k]:
+                    w = out.get(q)
+                    x = counit[k] * v if w is None else w + counit[k] * v
+                    if x:
+                        out[q] = x
                     else:
-                        w += c
-                        if w:
-                            out[r] = w
-                        else:
-                            del out[r]
-            return out
-
-        return map(col_of, columns)
-
-    def face_matrix(self, i, n):
-        """Matrix of face i from degree n-1 to degree n."""
-        return self.face_sum_matrix(n, {i: 1})
-
-    def degeneracy_matrix(self, i, n):
-        """Matrix of degeneracy i from degree n+1 to degree n: the counit
-        applied to factor i of each basis tuple; a column whose factor i
-        has counit 0 is empty."""
-        if not 0 <= i <= n:
-            raise IndexError(f"degeneracy index {i} out of range at degree {n}")
-        H = self.hopf
-        d = H.dim
-        low = d ** (n - i)
-        counit = [H.counit_basis(k) for k in range(d)]
-
-        def col_of(j):
-            head, tail = divmod(j, low)
-            prefix, k = divmod(head, d)
-            return {prefix * low + tail: counit[k]} if counit[k] else {}
-
-        return SparseMatrix.from_columns(map(col_of, range(d ** (n + 1))),
-                                         d ** n)
+                        del out[q]
+            yield out
 
     def cyclic_matrix(self, n, digits=None):
         """Matrix of tau_n, by recursion on the degree; given digits, an
@@ -326,7 +308,7 @@ class HopfCyclicModule(TensorBasis):
         if n == 0:
             return SparseMatrix.identity(1)
         H = self.hopf
-        d = H.dim
+        d = self.base
         digits = range(d) if digits is None else digits
         unit = H.unit_element()
         cols = [H.mul({a: c for (a,), c in self._twisted_legs(k, 1).items()},
@@ -390,10 +372,12 @@ class NormalizedModule(TensorBasis):
     It is read in the rebased presentation of ``hopf.rebased``, where N^n
     is spanned by the basis tuples with no index p; ``full`` is the cyclic
     module of that presentation.  N's own index runs over those tuples in
-    lexicographic order, in base d - 1.  Its matrices are formed on the
-    columns of N only, with the rebased rows, and ``restricted`` carries
-    each column to the rows of N, setting an entry outside N aside as the
-    matrix's ``outside`` witness rather than dropping it.
+    lexicographic order, in base d - 1.  Its b is ``cobar_matrix`` on N's
+    own index, with D(f_s) = Delta(f_s) - f_p (x) f_s - f_s (x) f_p, which
+    the counit axiom keeps inside N.  Its B is formed on the columns of N
+    with the rebased rows, and ``restricted`` carries each column to the
+    rows of N, setting an entry outside N aside as the matrix's ``outside``
+    witness rather than dropping it.
     """
 
     def __init__(self, hopf, delta):
@@ -403,6 +387,7 @@ class NormalizedModule(TensorBasis):
         self.base = len(self.digits)
         self._full_index = {0: [0]}
         self._rows = {}
+        self._table = self._reduced_coproduct()
 
     def basis_keys(self, n):
         return itertools.product(self.digits, repeat=n)
@@ -441,19 +426,24 @@ class NormalizedModule(TensorBasis):
         matrix.outside = outside
         return matrix
 
-    def face_sum_matrix(self, n, coeffs):
-        """sum_i coeffs[i] face_i from N^(n-1) to N^n."""
-        return self.restricted(self.full.face_sum_columns(
-            n, coeffs, self.full_index(n - 1)), n - 1, n)
+    def _reduced_coproduct(self):
+        """D(f_s) for each s != p, on N's own index.  As eps(f_k) = [k = p],
+        the counit axiom leaves f_p (x) f_s and f_s (x) f_p as the only
+        terms of Delta(f_s) with a factor f_p; ValueError names an s where
+        D(f_s) keeps one."""
+        d, p, table = self.full.base, self.p, []
+        rebased_table = self.full.cobar_table()
+        for s in self.digits:
+            pairs = [(divmod(off, d), c) for off, c in rebased_table[s]]
+            if any(p in ab for ab, _ in pairs):
+                raise ValueError(
+                    f"the counit axiom fails on {self.full.hopf.name} at "
+                    f"basis index {s}: D(f_{s}) has a factor f_{p}")
+            table.append([(self.key_index(ab), c) for ab, c in pairs])
+        return table
 
-    def extra_degeneracy_columns(self, n):
-        """s = sigma_n tau_(n+1) at the basis tuples of N^(n+1), as dicts on
-        the rebased rows of degree n, one at a time.  eps(f_k) is 1 at k = p
-        and 0 elsewhere, so sigma_n keeps the tuples that end in p and drops
-        that factor."""
-        d, p = self.full.base, self.p
-        for col in self.full.cyclic_matrix(n + 1, self.digits).cols:
-            yield {r // d: v for r, v in col.items() if r % d == p}
+    def cobar_table(self):
+        return self._table
 
 
 class CochainCyclicModule(TensorBasis):

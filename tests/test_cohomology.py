@@ -96,6 +96,13 @@ def test_involution_refusal():
         cohomology_report(H, H.counit_character(), 2)
 
 
+@pytest.mark.parametrize("method", ["lamda", "BB", "", None])
+def test_report_refuses_an_unknown_method(method):
+    H = sweedler_h4()
+    with pytest.raises(ValueError, match="unknown method"):
+        cohomology_report(H, H.character("delta"), 2, method=method)
+
+
 def test_report_refuses_broken_mixed_complex(capsys, perturbed_B1):
     H = sweedler_h4()
     with pytest.raises(NotMixedComplexError) as caught:

@@ -139,15 +139,16 @@ def test_column_store_never_holds_a_zero():
     col = {0: 1}
     m = SparseMatrix.from_columns([col, {0: 0, 1: 2}], 2)
     assert m.cols == [{0: 1}, {1: 2}] and m.cols[0] is col
-    # Sweedler's counit vanishes on x and gx; the degeneracy emits those
-    # columns empty, so they reach from_columns with no zero to drop
+    # Sweedler's counit vanishes on x and gx; the counit contraction emits
+    # those columns empty, so they reach from_columns with no zero to drop
     H = sweedler_h4()
     module = HopfCyclicModule(H, H.character("delta"))
     for n in range(3):
-        for i in range(n + 1):
-            m = module.degeneracy_matrix(i, n)
-            assert all(all(col.values()) for col in m.cols)
-            assert sum(map(len, m.cols)) == len(m.entries) == 2 * 4 ** n
+        cols = list(module.counit_contraction(
+            SparseMatrix.identity(4 ** (n + 1)).cols))
+        assert all(all(col.values()) for col in cols)
+        m = SparseMatrix.from_columns(cols, 4 ** n)
+        assert sum(map(len, m.cols)) == len(m.entries) == 2 * 4 ** n
 
 
 def test_integer_kernel_with_non_unit_pivot_has_no_float():

@@ -71,23 +71,56 @@ def test_rebased_presentation_is_hopf_and_reports_the_same(H, delta):
         cohomology_report(H, delta, 3).render()
 
 
+def assert_restricts(module, norm, bar, whole, src, tgt):
+    """P bar = whole P from degree src to degree tgt, for P the inclusion
+    of N in the full module through the change of basis."""
+    for j, key in enumerate(norm.basis_keys(src)):
+        x = {module.key_index(k): v
+             for k, v in old_basis(module.hopf, key).items()}
+        assert whole.apply(x) == in_old_basis(
+            module, norm, bar.cols[j], tgt), (src, key)
+
+
 @pytest.mark.parametrize("H,delta", [c[1:] for c in CASES], ids=IDS)
 def test_normalized_b_and_B_are_the_full_ones_on_N(H, delta):
     """P b_norm = b P and P B_norm = B P, for P the inclusion of N in the
-    full module through the change of basis, through degree 4."""
+    full module through the change of basis, through degree 4.  The
+    normalized b is built on N's own rows; B keeps an ``outside`` witness,
+    which is None."""
     module = HopfCyclicModule(H, delta)
     norm = NormalizedModule(H, delta)
     for n in range(5):
-        pairs = [(B_matrix(norm, n), B_matrix(module, n), n + 1, n)]
+        bar = B_matrix(norm, n)
+        assert bar.outside is None
+        assert_restricts(module, norm, bar, B_matrix(module, n), n + 1, n)
         if n >= 1:
-            pairs.append((b_matrix(norm, n), b_matrix(module, n), n - 1, n))
-        for bar, whole, src, tgt in pairs:
-            assert bar.outside is None
-            for j, key in enumerate(norm.basis_keys(src)):
-                x = {module.key_index(k): v
-                     for k, v in old_basis(H, key).items()}
-                assert whole.apply(x) == in_old_basis(
-                    module, norm, bar.cols[j], tgt), (n, key)
+            assert_restricts(module, norm, b_matrix(norm, n),
+                             b_matrix(module, n), n - 1, n)
+
+
+@pytest.mark.parametrize("case", ["sweedler-delta", "qz4-zeta4-delta"])
+def test_normalized_b_recursion_beyond_top(case):
+    """The normalized b and the full b each come from their own cobar
+    recursion; they must still agree through the change of basis at
+    degree 5."""
+    H, delta = dict((c[0], c[1:]) for c in CASES)[case]
+    module = HopfCyclicModule(H, delta)
+    norm = NormalizedModule(H, delta)
+    assert_restricts(module, norm, b_matrix(norm, 5), b_matrix(module, 5),
+                     4, 5)
+
+
+def test_normalized_module_refuses_a_broken_counit():
+    """QZ2 with eps(g) = -1: (eps (x) id) Delta(g) = -g, so the reduced
+    coproduct of f_g = g + 1 keeps a factor f_e and N is refused."""
+    H = load_hopf(str(DATA / "qz2.json"))
+    broken = FiniteHopf(
+        H.name, H.field, H.basis, H.unit, H.product, H.coproduct, [1, -1],
+        H.antipode, {})
+    assert not check_hopf_axioms(broken).ok
+    with pytest.raises(ValueError, match="counit axiom fails on .* at "
+                                         "basis index 1"):
+        NormalizedModule(broken, broken.counit_character())
 
 
 @pytest.mark.parametrize("H,delta", [c[1:] for c in CASES], ids=IDS)

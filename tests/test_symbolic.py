@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import DATA
+from hopfcyclic.cohomology import mixed_complex_report
 from hopfcyclic.cyclic_ops import (HopfCyclicModule,
                                    check_cyclic_power_formula, relation_suite)
 from hopfcyclic.enveloping import (EnvelopingAlgebra, LieAlgebra,
                                    abelian_lie_algebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
 from hopfcyclic.hopf import vec_add_into
+from hopfcyclic.presentations import load_lie
 
 ONE = Fraction(1)
 
@@ -116,3 +119,13 @@ def test_counit_is_evaluation_at_zero():
     U = axb()
     assert U.counit_basis((0, 0)) == ONE
     assert U.counit_basis((1, 2)) == Fraction(0)
+
+
+@pytest.mark.parametrize("check", [relation_suite, mixed_complex_report])
+def test_checks_without_samples_refuse_u_of_g(check):
+    """U(g) has no finite basis to default to, so a check called without
+    samples= raises one ValueError instead of a TypeError on dim None."""
+    U = load_lie(str(DATA / "axb-lie.json"))
+    module = HopfCyclicModule(U, U.modular_character())
+    with pytest.raises(ValueError, match="no finite basis; pass samples="):
+        check(module, 2)
