@@ -54,17 +54,6 @@ def sigma_last_matrix(module, n):
         module.space_dim(n))
 
 
-def face_sum(module, n, faces):
-    """The elementwise operator sum_i (-1)^i face_i over i in faces, from
-    degree n-1 to degree n."""
-    def op(t):
-        out = {}
-        for i in faces:
-            vec_add_into(out, module.face(i, n, t), 1 if i % 2 == 0 else -1)
-        return out
-    return op
-
-
 @pytest.mark.parametrize("module", [m for _, m in CASES],
                          ids=[i for i, _ in CASES])
 def test_structure_matrices_match_elementwise(module):
@@ -75,6 +64,15 @@ def test_structure_matrices_match_elementwise(module):
             lambda t: module.cyclic(n, t), n, n), n
         assert sigma_last_matrix(module, n) == module.operator_matrix(
             lambda t: module.degeneracy(n, n, t), n + 1, n), n
+        # sums of basis tensors, whose images under sigma_n add up and
+        # cancel wherever two basis elements have a nonzero counit
+        for sign in (1, -1):
+            t = {key: sign ** j
+                 for j, key in enumerate(module.basis_keys(n + 1))}
+            col = {module.key_index(k): v for k, v in t.items()}
+            assert next(module.counit_contraction([col])) == {
+                module.key_index(k): v
+                for k, v in module.degeneracy(n, n, t).items()}, (n, sign)
     minus_table = SparseMatrix.from_columns(
         ({r: -c for r, c in row} for row in module.cobar_table()),
         module.space_dim(2))
@@ -112,9 +110,11 @@ def test_differentials_match_elementwise(module):
             assert b_matrix(module, n) == module.operator_matrix(
                 lambda t: hochschild_b(module, n, t), n - 1, n), n
             # the lambda method rests on (1 - lambda) b = b' (1 - lambda),
-            # with b' = sum_(i<n) (-1)^i face_i
+            # with b' = sum_(i<n) (-1)^i face_i = b - (-1)^n face_n
             b_prime = module.operator_matrix(
-                face_sum(module, n, range(n)), n - 1, n)
+                lambda t: vec_add_into(hochschild_b(module, n, t),
+                                       module.face(n, n, t),
+                                       -1 if n % 2 == 0 else 1), n - 1, n)
             assert one_minus_lambda_matrix(module, n) @ b_matrix(module, n) \
                 == b_prime @ one_minus_lambda_matrix(module, n - 1), n
         assert one_minus_lambda_matrix(module, n) == module.operator_matrix(
