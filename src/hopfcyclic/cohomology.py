@@ -10,10 +10,10 @@ B_operator, ...) act on single tensors; they serve symbolic modules and are
 the oracle the tests compare the matrices with.  On a finite module every
 matrix is built and read as its columns (``SparseMatrix.cols``) from the
 module's recursions on the degree: b_matrix is the cobar recursion,
-one_minus_lambda_matrix comes from tau_n, B_matrix from the columns of
-tau_n and of s, the counit contraction of tau_{n+1}, and the total
-bicomplex matrix stacks the columns of b and B.  from_columns keeps the
-dicts it is given, so each hands over fresh dicts, never a cache's.
+one_minus_lambda_matrix and B_matrix from the columns of tau_n alone, and
+the total bicomplex matrix stacks the columns of b and B.  from_columns
+keeps the dicts it is given, so each hands over fresh dicts, never a
+cache's.
 
 The (b, B) method runs on the normalized complex N^n = (ker eps)^(x)n =
 meet of the ker sigma_i (``NormalizedModule``), a sub-mixed complex with
@@ -21,11 +21,11 @@ the same HH and HC as the whole module (Loday, Cyclic Homology, 2.1 and
 2.5).  In the rebased basis f_p = 1, f_i = e_i - eps(e_i) 1 it is spanned
 by the basis tuples with no index p, so N^n has (d-1)^n of the d^n basis
 tuples, and its b (inside N by the counit axiom) and B are formed on
-those columns only.  On N the factor 1 - lambda of B drops out: s lambda
-= (-1)^(n+1) sigma_n tau_(n+1)^2 = (-1)^(n+1) tau_n sigma_0 by the
-relation ts0, and sigma_0 vanishes on N, so B = N s there.  B sends N
-into N; an entry outside N is never dropped but fails the gate (see
-``_zero_witness``), so every report checks that closure too.
+those columns only.  As s lambda = (-1)^(n+1) sigma_n tau_(n+1)^2 =
+(-1)^(n+1) tau_n sigma_0 by the relation ts0, B = N (s + (-1)^n tau_n
+sigma_0), and sigma_0 vanishes on N, so the same B_matrix gives B = N s
+there.  B sends N into N; an entry outside N is never dropped but fails
+the gate (see ``_zero_witness``), so every report checks that closure.
 
 cohomology_report builds each b_n and B_n once and passes the same
 matrices to the mixed-complex checks and to every dimension function.  The
@@ -131,41 +131,32 @@ def b_matrix(module, n):
 
 def B_matrix(module, n):
     """B_n = N_n s (1 - lambda_(n+1)), s = sigma_n tau_(n+1), from degree
-    n+1 to n.
+    n+1 to n, from the columns of tau_n alone.
 
-    s is the counit contraction of each column of tau_(n+1); column j of
-    B is then N_n applied to s e_j - (-1)^(n+1) s tau_(n+1) e_j, with
-    N_n = 1 + lambda_n + ... + lambda_n^n applied through the columns of
-    tau_n.  On a NormalizedModule, B_n = N_n s on the columns of N, through
-    the rebased tau (the module docstring says why 1 - lambda drops out).
-    Columns are produced one at a time, so only the finished matrix and
-    the columns of tau and s are held.
+    By the relation ts0, s lambda_(n+1) = (-1)^(n+1) tau_n sigma_0, so
+    column J = k d^n + x of B is N_n applied to s e_J + (-1)^n eps(e_k)
+    tau_n e_x, with s from tau_n (``extra_degeneracy_columns``) and N_n =
+    1 + lambda_n + ... + lambda_n^n applied through the columns of tau_n.
+    On a NormalizedModule this runs on the columns of N in the rebased
+    module, where eps(f_k) = 0 leaves N_n s, and ``restricted`` takes the
+    result to the rows of N.  Columns are produced one at a time.
     """
-    if isinstance(module, NormalizedModule):
-        full = module.full
-        s_cols = full.counit_contraction(
-            full.cyclic_matrix(n + 1, module.digits).cols)
-        return module.restricted(_norm_columns(
-            full.cyclic_matrix(n).cols, s_cols, n), n + 1, n)
-    tau_up = module.cyclic_matrix(n + 1).cols
-    s_cols = list(module.counit_contraction(tau_up))
-    lam_sign = 1 if n % 2 == 0 else -1
-    return SparseMatrix.from_columns(_norm_columns(
-        module.cyclic_matrix(n).cols,
-        (vec_add_into(dict(s_cols[j]), combine(s_cols, col), lam_sign)
-         for j, col in enumerate(tau_up)), n), module.space_dim(n))
+    full, sources = module.full, module.full_index(n + 1)
+    tau = full.cyclic_matrix(n)
+    s_cols = full.extra_degeneracy_columns(tau, sources)
+    counit = [full.hopf.counit_basis(k) for k in range(full.base)]
+    sign = 1 if n % 2 == 0 else -1
 
+    def columns():
+        for j, out in zip(sources, s_cols):
+            k, x = divmod(j, tau.ncols)
+            vec = vec_add_into(out, tau.cols[x], sign * counit[k])
+            for _ in range(n):
+                vec = combine(tau.cols, vec, sign)
+                vec_add_into(out, vec)
+            yield out
 
-def _norm_columns(tau, vecs, n):
-    """N_n applied to each of the vectors vecs, one at a time, through the
-    columns tau of tau_n."""
-    lam_sign = 1 if n % 2 == 0 else -1
-    for vec in vecs:
-        out = dict(vec)
-        for _ in range(n):
-            vec = combine(tau, vec, lam_sign)
-            vec_add_into(out, vec)
-        yield out
+    return module.restricted(columns(), n + 1, n)
 
 
 def one_minus_lambda_matrix(module, n):
@@ -239,8 +230,9 @@ class ComplexReport:
         return out
 
     def stabilization(self):
-        """Compare HC^n with HC^(n+2) where both are reliable; observational
-        only (the periodicity map itself is not implemented)."""
+        """Compare HC^n with HC^(n+2) wherever both are printed, the flagged
+        degree N-1 of HC(bB) included; observational only (the periodicity
+        map itself is not implemented)."""
         dims = [row.get("hc_lambda") if row.get("hc_lambda") is not None
                 else row.get("hc_bB") for row in self.rows]
         pairs = []

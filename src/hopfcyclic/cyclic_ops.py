@@ -25,11 +25,12 @@ S~(e_k) only at degree 1; from there on each tau_m comes from tau_(m-1)
 through the coproduct and product tables, since Delta^(m-1) =
 (id^(m-2) (x) Delta) Delta^(m-2).  The matrix of tau and the elementwise
 tau, the closed form over those legs, are thus two independent
-constructions.  ``counit_contraction`` applies sigma_n, the counit of the
-last factor, to columns of tau_(n+1), which gives s = sigma_n tau_(n+1).
-The cohomology matrices are built from these.  ``NormalizedModule`` runs
-the same recursions on the normalized complex (ker eps)^(x)n of a rebased
-module, spanned there by the basis tuples that avoid one index.
+constructions.  ``extra_degeneracy_columns`` reads s = sigma_n tau_(n+1)
+off tau_n: a column of tau_n with its last factor multiplied by the last
+factor of the source tuple.  The cohomology matrices are built from
+these.  ``NormalizedModule`` runs the same recursions on the normalized
+complex (ker eps)^(x)n of a rebased module, spanned there by the basis
+tuples that avoid one index.
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
@@ -256,6 +257,16 @@ class HopfCyclicModule(TensorBasis):
 
     operator_matrix = TensorBasis.operator_matrix
 
+    # B_matrix reads full, full_index and restricted alike here and on a
+    # NormalizedModule
+    full = property(lambda self: self)
+
+    def full_index(self, n):
+        return range(self.space_dim(n))
+
+    def restricted(self, cols, src, tgt):
+        return SparseMatrix.from_columns(cols, self.space_dim(tgt))
+
     # -- matrices assembled from the structure constants (finite H only);
     # columns are generated one at a time, basis tuples in lexicographic
     # order, and a tuple's index has its first factor most significant
@@ -275,29 +286,36 @@ class HopfCyclicModule(TensorBasis):
             table.append(list(row.items()))
         return table
 
-    def counit_contraction(self, cols):
-        """sigma_n, the counit of the last factor, on each of the columns
-        cols of a matrix into degree n + 1, as fresh dicts: r ->
-        eps(e_(r mod d)) e_(r div d).  On tau_(n+1) it gives s."""
-        d = self.base
-        counit = [self.hopf.counit_basis(k) for k in range(d)]
-        for col in cols:
+    def extra_degeneracy_columns(self, tau, sources):
+        """s = sigma_n tau_(n+1) at the basis indices sources of degree
+        n + 1, as fresh dicts, given tau, the matrix of tau_n.  sigma_n
+        takes the counit of the last leg of Delta^n S~(h^1), so s of the
+        tuple (x, t) is tau_n e_x with its last factor e_a replaced by
+        e_a e_t (exact by the unit axiom).  At n = 0 (one row; at d = 1 the
+        two agree) s = eps S~ = delta, read here as the product e_0 e_t."""
+        H, d = self.hopf, self.base
+        if tau.nrows == 1:
+            prod = [[[(0, v)] if v else [] for v in self.delta.values]]
+        else:
+            prod = [[list(H.mul_basis(a, t).items()) for t in range(d)]
+                    for a in range(d)]
+        for j in sources:
+            x, t = divmod(j, d)
             out = {}
-            for r, v in col.items():
-                q, k = divmod(r, d)
-                if counit[k]:
-                    w = out.get(q)
-                    x = counit[k] * v if w is None else w + counit[k] * v
-                    if x:
-                        out[q] = x
+            for r, v in tau.cols[x].items():
+                a = r % d
+                for m, c in prod[a][t]:
+                    k = r - a + m
+                    w = out.get(k)
+                    y = v * c if w is None else w + v * c
+                    if y:
+                        out[k] = y
                     else:
-                        del out[q]
+                        del out[k]
             yield out
 
-    def cyclic_matrix(self, n, digits=None):
-        """Matrix of tau_n, by recursion on the degree; given digits, an
-        increasing list of basis indices, only its columns at the tuples of
-        those indices, which the recursion builds from each other alone.
+    def cyclic_matrix(self, n):
+        """Matrix of tau_n, by recursion on the degree.
 
         tau_1 e_k = S~(e_k) 1.  Since Delta^(m-1) = (id^(m-2) (x) Delta)
         Delta^(m-2), tau_m of the basis tuple (x, s) is tau_(m-1) e_x with
@@ -309,12 +327,11 @@ class HopfCyclicModule(TensorBasis):
             return SparseMatrix.identity(1)
         H = self.hopf
         d = self.base
-        digits = range(d) if digits is None else digits
         unit = H.unit_element()
         cols = [H.mul({a: c for (a,), c in self._twisted_legs(k, 1).items()},
-                      unit) for k in digits]
+                      unit) for k in range(d)]
         phi = []
-        for s in digits:
+        for s in range(d):
             row = []
             for a in range(d):
                 image = {}

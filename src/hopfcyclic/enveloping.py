@@ -151,9 +151,6 @@ class EnvelopingAlgebra:
     def counit_basis(self, key):
         return ONE if not any(key) else ZERO
 
-    def counit_of(self, a):
-        return a.get(self._one_key, ZERO)
-
     # -- product with straightening
 
     def _mono_times_gen(self, mono, i):
@@ -217,12 +214,6 @@ class EnvelopingAlgebra:
                                         in self.mul({r: ONE}, gen).items()}, c)
                 out = step
         self._comul_cache[key] = out
-        return out
-
-    def comul(self, a):
-        out = {}
-        for key, c in a.items():
-            vec_add_into(out, self.comul_basis(key), c)
         return out
 
     # -- antipode: S(X_i) = -X_i, extended antimultiplicatively

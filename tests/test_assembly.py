@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDENS
 from hopfcyclic.cohomology import (B_matrix, B_operator, b_matrix,
-                                   hochschild_b, mixed_complex_report,
+                                   extra_degeneracy, hochschild_b,
+                                   mixed_complex_report,
                                    one_minus_lambda_matrix, signed_cyclic)
-from hopfcyclic.cyclic_ops import HopfCyclicModule
+from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
 from hopfcyclic.fields import Cyclotomic
 from hopfcyclic.hopf import (BUILTIN_BUILDERS, check_involution,
                              function_algebra, group_algebra, vec_add_into,
@@ -46,38 +47,74 @@ def involutive_cases():
 CASES = involutive_cases()
 
 
-def sigma_last_matrix(module, n):
-    """sigma_n from degree n+1 to degree n: the counit contraction of the
-    identity's columns."""
-    return SparseMatrix.from_columns(module.counit_contraction(
-        SparseMatrix.identity(module.space_dim(n + 1)).cols),
+def extra_degeneracy_matrix(module, n):
+    """s from degree n+1 to degree n, every column from tau_n."""
+    return SparseMatrix.from_columns(module.extra_degeneracy_columns(
+        module.cyclic_matrix(n), range(module.space_dim(n + 1))),
         module.space_dim(n))
+
+
+def assert_extra_degeneracy_columns(module, n, sources):
+    """The columns of s at sources, and their sum and alternating sum,
+    against the elementwise s; no column holds a zero."""
+    cols = list(module.extra_degeneracy_columns(module.cyclic_matrix(n),
+                                                sources))
+    assert all(all(col.values()) for col in cols), n
+    for sign in (1, -1):
+        t, total = {}, {}
+        for j, (J, col) in enumerate(zip(sources, cols)):
+            t[module.key_of_index(J, n + 1)] = sign ** j
+            vec_add_into(total, col, sign ** j)
+            if sign == 1:
+                assert col == {module.key_index(k): v for k, v in
+                               extra_degeneracy(module, n, {
+                                   module.key_of_index(J, n + 1): 1}).items()
+                               }, (n, J)
+        # images of basis tensors add up and cancel in the sum
+        assert total == {module.key_index(k): v for k, v
+                         in extra_degeneracy(module, n, t).items()}, (n, sign)
 
 
 @pytest.mark.parametrize("module", [m for _, m in CASES],
                          ids=[i for i, _ in CASES])
 def test_structure_matrices_match_elementwise(module):
-    """tau, sigma_n and the cobar table D against the elementwise
-    operators; -D(e_s) is b_2 e_s = face_0 - face_1 + face_2 of e_s."""
+    """tau, s and the cobar table D against the elementwise operators;
+    s on every column of the full module and on the columns of N in the
+    rebased one; -D(e_s) is b_2 e_s = face_0 - face_1 + face_2 of e_s."""
+    norm = NormalizedModule(module.hopf, module.delta)
     for n in range(TOP + 1):
         assert module.cyclic_matrix(n) == module.operator_matrix(
             lambda t: module.cyclic(n, t), n, n), n
-        assert sigma_last_matrix(module, n) == module.operator_matrix(
-            lambda t: module.degeneracy(n, n, t), n + 1, n), n
-        # sums of basis tensors, whose images under sigma_n add up and
-        # cancel wherever two basis elements have a nonzero counit
-        for sign in (1, -1):
-            t = {key: sign ** j
-                 for j, key in enumerate(module.basis_keys(n + 1))}
-            col = {module.key_index(k): v for k, v in t.items()}
-            assert next(module.counit_contraction([col])) == {
-                module.key_index(k): v
-                for k, v in module.degeneracy(n, n, t).items()}, (n, sign)
+        assert extra_degeneracy_matrix(module, n) == module.operator_matrix(
+            lambda t: extra_degeneracy(module, n, t), n + 1, n), n
+        assert_extra_degeneracy_columns(
+            module, n, range(module.space_dim(n + 1)))
+        assert_extra_degeneracy_columns(norm.full, n, norm.full_index(n + 1))
     minus_table = SparseMatrix.from_columns(
         ({r: -c for r, c in row} for row in module.cobar_table()),
         module.space_dim(2))
     assert minus_table == module.operator_matrix(
         lambda t: hochschild_b(module, 2, t), 1, 2)
+
+
+@pytest.mark.parametrize("cls", [HopfCyclicModule, NormalizedModule])
+def test_B_matrix_builds_tau_n_only(cls, monkeypatch):
+    """B_n reads s, N_n and the ts0 term off tau_n: it asks
+    cyclic_matrix for degree n and for no other degree."""
+    H = BUILTIN_BUILDERS["sweedler"]()
+    module = cls(H, H.character("delta"))
+    degrees = []
+    cyclic_matrix = HopfCyclicModule.cyclic_matrix
+
+    def counted(self, n):
+        degrees.append(n)
+        return cyclic_matrix(self, n)
+
+    monkeypatch.setattr(HopfCyclicModule, "cyclic_matrix", counted)
+    for n in range(4):
+        degrees.clear()
+        B_matrix(module, n)
+        assert degrees == [n], (cls.__name__, n)
 
 
 @pytest.mark.parametrize("case", ["sweedler-delta", "qz4-zeta4-delta"])
@@ -165,17 +202,15 @@ def test_kernel_scalars_are_cyclotomic():
 
 def assembled_matrices(module, n):
     """(matrices from the structure tables alone, matrices that also use
-    delta) in degree n: sigma_n and b; tau, 1 - lambda and B."""
-    tables = [sigma_last_matrix(module, n)]
-    if n >= 1:
-        tables.append(b_matrix(module, n))
-    return tables, [module.cyclic_matrix(n), one_minus_lambda_matrix(module, n),
-                    B_matrix(module, n)]
+    delta) in degree n: b; s, tau, 1 - lambda and B."""
+    tables = [b_matrix(module, n)] if n >= 1 else []
+    return tables, [extra_degeneracy_matrix(module, n), module.cyclic_matrix(n),
+                    one_minus_lambda_matrix(module, n), B_matrix(module, n)]
 
 
 def test_assembled_scalars_are_int_when_presentation_is_integral():
     """Every builtin and QZ4 has integral structure constants, so the cobar
-    table, sigma_n and b are int matrices; tau, 1 - lambda and B are too
+    table and b are int matrices; s, tau, 1 - lambda and B are too
     exactly when delta is integral (not on QZ4, where delta(g) = zeta_4).
     Their values are pinned against the elementwise operators above."""
     for case, module in CASES:
@@ -264,10 +299,9 @@ def test_random_group_matrices_are_int_and_match_elementwise(module, n):
     tables, with_delta = assembled_matrices(module, n)
     assert all(type(v) is int
                for m in tables + with_delta for v in m.entries.values())
-    ops = [(lambda t: module.degeneracy(n, n, t), n + 1, n)]
-    if n >= 1:
-        ops.append((lambda t: hochschild_b(module, n, t), n - 1, n))
-    ops += [(lambda t: module.cyclic(n, t), n, n),
+    ops = [(lambda t: hochschild_b(module, n, t), n - 1, n)] if n >= 1 else []
+    ops += [(lambda t: extra_degeneracy(module, n, t), n + 1, n),
+            (lambda t: module.cyclic(n, t), n, n),
             (lambda t: vec_sub(t, signed_cyclic(module, n, t)), n, n),
             (lambda t: B_operator(module, n, t), n + 1, n)]
     for m, (op, src, tgt) in zip(tables + with_delta, ops):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_kernel, dense_product, dense_rank
-from hopfcyclic.cyclic_ops import HopfCyclicModule
+from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
 from hopfcyclic.fields import CyclotomicField, RationalField
 from hopfcyclic.hopf import sweedler_h4
 from hopfcyclic import linalg
@@ -139,16 +139,25 @@ def test_column_store_never_holds_a_zero():
     col = {0: 1}
     m = SparseMatrix.from_columns([col, {0: 0, 1: 2}], 2)
     assert m.cols == [{0: 1}, {1: 2}] and m.cols[0] is col
-    # Sweedler's counit vanishes on x and gx; the counit contraction emits
-    # those columns empty, so they reach from_columns with no zero to drop
+    # delta vanishes on Sweedler's x and gx, so s_0 = delta emits those
+    # columns empty; s drops what cancels in e_a e_t, on the full module
+    # and on the columns of N in the rebased one, so every column reaches
+    # from_columns with no zero to drop and is kept as it is
     H = sweedler_h4()
-    module = HopfCyclicModule(H, H.character("delta"))
-    for n in range(3):
-        cols = list(module.counit_contraction(
-            SparseMatrix.identity(4 ** (n + 1)).cols))
-        assert all(all(col.values()) for col in cols)
-        m = SparseMatrix.from_columns(cols, 4 ** n)
-        assert sum(map(len, m.cols)) == len(m.entries) == 2 * 4 ** n
+    delta = H.character("delta")
+    full = HopfCyclicModule(H, delta)
+    assert list(full.extra_degeneracy_columns(
+        SparseMatrix.identity(1), range(4))) == [{0: 1}, {0: -1}, {}, {}]
+    norm = NormalizedModule(H, delta)
+    for module, index in ((full, lambda m: range(4 ** m)),
+                          (norm.full, norm.full_index)):
+        for n in range(3):
+            cols = list(module.extra_degeneracy_columns(
+                module.cyclic_matrix(n), index(n + 1)))
+            assert all(all(col.values()) for col in cols)
+            m = SparseMatrix.from_columns(cols, 4 ** n)
+            assert all(kept is col for kept, col in zip(m.cols, cols))
+            assert sum(map(len, cols)) == len(m.entries) > 0
 
 
 def test_integer_kernel_with_non_unit_pivot_has_no_float():
