@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import vec_add_into, vec_eq, vec_scale, vec_sub
+from .hopf import (cayley_inverses, function_algebra, group_algebra,
+                   vec_add_into, vec_eq, vec_scale, vec_sub)
 from .reports import CheckReport, first_failure
 
 
@@ -347,11 +348,10 @@ def random_conjugate(algebra, E, q, rng, steps=3):
 
 def translation_action(labels, table):
     """Group algebra of G acting on functions on G by right translation of
-    the argument: (g . f)(s) = f(s g).  Returns (H, A, action)."""
-    from .hopf import cayley_inverses, group_algebra, function_algebra
-    from .algebras import algebra_of_hopf
+    the argument: (g . f)(s) = f(s g).  Returns (H, A, action), with A the
+    function Hopf algebra k^G, which serves wherever an algebra is read."""
     H = group_algebra(labels, table)
-    A = algebra_of_hopf(function_algebra(labels, table))
+    A = function_algebra(labels, table)
     n = len(labels)
     inv = cayley_inverses(table)
     one = H.field.one()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import RationalField, rational
-from .hopf import vec_add_into, vec_eq, vec_scale
+from .hopf import FiniteHopf, vec_add_into, vec_eq, vec_scale
 from .reports import first_failure
 
 ZERO = 0
@@ -227,23 +227,11 @@ class EnvelopingAlgebra:
                 rev = self._elem_times_gen(rev, i)
         return vec_scale(1 if total % 2 == 0 else -1, rev)
 
-    def antipode_of(self, a):
-        out = {}
-        for key, c in a.items():
-            vec_add_into(out, self.antipode_basis(key), c)
-        return out
-
-    def twist_automorphism(self, delta, a):
-        """sigma(h) = sum delta(h_(1)) h_(2); an algebra automorphism."""
-        out = {}
-        for key, c in a.items():
-            for (l, r), d in self.comul_basis(key).items():
-                vec_add_into(out, {r: c * d * delta.value(l)})
-        return out
-
-    def twisted_antipode(self, delta, a):
-        """S~(h) = sum delta(h_(1)) S(h_(2))."""
-        return self.antipode_of(self.twist_automorphism(delta, a))
+    # FiniteHopf's antipode -> twist -> S~ chain reads only comul_basis and
+    # antipode_basis, so it runs on PBW keys unchanged
+    antipode_of = FiniteHopf.antipode_of
+    twist_automorphism = FiniteHopf.twist_automorphism
+    twisted_antipode = FiniteHopf.twisted_antipode
 
     def modular_character(self, name="delta"):
         return SymbolicCharacter(self.lie.adjoint_trace_character(), name=name)

@@ -1,10 +1,13 @@
-"""Finite-dimensional Hopf algebras given by structure constants.
+"""Finite-dimensional algebras and Hopf algebras given by structure constants.
 
-A ``FiniteHopf`` carries product and coproduct structure tensors, counit,
-antipode and named characters over an exact field.  Elements are sparse
-maps basis index -> scalar.  Checker routines verify every Hopf axiom and
-the twisted-antipode properties on basis elements; by linearity that
-settles them everywhere.
+A ``FiniteAlgebra`` carries a product tensor and a unit over an exact
+field and rejects, at construction, a table that breaks the unit law or
+associativity.  A ``FiniteHopf`` is a FiniteAlgebra that also carries a
+coproduct, counit, antipode and named characters; it shares the algebra's
+storage, product and law predicates, and is never rejected at
+construction.  Elements are sparse maps basis index -> scalar.  Checker
+routines verify every Hopf axiom and the twisted-antipode properties on
+basis elements; by linearity that settles them everywhere.
 """
 
 from __future__ import annotations
@@ -99,18 +102,17 @@ class Character:
         return self.values[key]
 
 
-class FiniteHopf:
-    """Hopf algebra by structure constants.
+class FiniteAlgebra:
+    """Associative unital algebra by structure constants.
 
     product:    dict (i, j) -> {k: c}   meaning e_i e_j = sum c e_k
-    coproduct:  dict i -> {(j, k): c}   meaning Delta(e_i) = sum c e_j (x) e_k
-    counit:     list of scalars
-    antipode:   dict i -> {j: c}        meaning S(e_i) = sum c e_j
     unit:       sparse element of 1
+
+    The unit law, then associativity, is checked at construction, and the
+    first basis case where one fails raises ValueError.
     """
 
-    def __init__(self, name, field, basis, unit, product, coproduct,
-                 counit, antipode, characters=None):
+    def __init__(self, name, field, basis, unit, product):
         self.name = name
         self.field = field
         self.basis = list(basis)
@@ -118,33 +120,42 @@ class FiniteHopf:
         self.unit = {k: v for k, v in unit.items() if v}
         self.product = {k: {i: c for i, c in v.items() if c}
                         for k, v in product.items()}
-        self.coproduct = {k: {p: c for p, c in v.items() if c}
-                          for k, v in coproduct.items()}
-        self.counit = list(counit)
-        self.antipode = {k: {i: c for i, c in v.items() if c}
-                         for k, v in antipode.items()}
-        self.characters = {}
-        for cname, values in (characters or {}).items():
-            self.characters[cname] = Character(self, values, name=cname)
+        self._check_laws()
 
     def __repr__(self):
-        return f"FiniteHopf({self.name!r}, dim={self.dim})"
+        return f"{type(self).__name__}({self.name!r}, dim={self.dim})"
 
-    # -- basis-level structure maps
+    def _check_laws(self):
+        ok, i = first_failure(range(self.dim), self.unital)
+        if not ok:
+            raise ValueError(f"{self.name}: unit law fails at basis {i}")
+        ok, ijk = first_failure(_basis_cases(self, 3),
+                                lambda ijk: self.associative(*ijk))
+        if not ok:
+            raise ValueError(
+                "{}: associativity fails at ({},{},{})".format(self.name, *ijk))
+
+    # -- the algebra laws on basis elements; check_hopf_axioms reads them too
+
+    def unital(self, i):
+        """1 e_i = e_i = e_i 1."""
+        e = self.basis_element(i)
+        return (vec_eq(self.mul(self.unit, e), e)
+                and vec_eq(self.mul(e, self.unit), e))
+
+    def associative(self, i, j, k):
+        """(e_i e_j) e_k = e_i (e_j e_k)."""
+        i, j, k = map(self.basis_element, (i, j, k))
+        return vec_eq(self.mul(self.mul(i, j), k),
+                      self.mul(i, self.mul(j, k)))
+
+    # -- basis and element level
 
     def mul_basis(self, i, j):
         return self.product.get((i, j), {})
 
-    def comul_basis(self, i):
-        return self.coproduct.get(i, {})
-
-    def counit_basis(self, i):
-        return self.counit[i]
-
-    def antipode_basis(self, i):
-        return self.antipode.get(i, {})
-
-    # -- element-level maps
+    def basis_element(self, i):
+        return {i: self.field.one()}
 
     def unit_element(self):
         return dict(self.unit)
@@ -162,6 +173,59 @@ class FiniteHopf:
                         out.pop(k, None)
         return out
 
+    def reverse_product_table(self):
+        """k -> list of (i, j, c) with e_i e_j containing c * e_k."""
+        rev = {k: [] for k in range(self.dim)}
+        for (i, j), comb in self.product.items():
+            for k, c in comb.items():
+                rev[k].append((i, j, c))
+        for k in rev:
+            rev[k].sort(key=lambda t: (t[0], t[1]))
+        return rev
+
+
+class FiniteHopf(FiniteAlgebra):
+    """Hopf algebra by structure constants: a FiniteAlgebra with
+
+    coproduct:  dict i -> {(j, k): c}   meaning Delta(e_i) = sum c e_j (x) e_k
+    counit:     list of scalars
+    antipode:   dict i -> {j: c}        meaning S(e_i) = sum c e_j
+
+    Its axioms, the algebra laws among them, are reported by
+    ``check_hopf_axioms`` and never raise at construction.
+    """
+
+    def __init__(self, name, field, basis, unit, product, coproduct,
+                 counit, antipode, characters=None):
+        super().__init__(name, field, basis, unit, product)
+        self.coproduct = {k: {p: c for p, c in v.items() if c}
+                          for k, v in coproduct.items()}
+        self.counit = list(counit)
+        self.antipode = {k: {i: c for i, c in v.items() if c}
+                         for k, v in antipode.items()}
+        self.characters = {}
+        for cname, values in (characters or {}).items():
+            self.characters[cname] = Character(self, values, name=cname)
+
+    def _check_laws(self):
+        """check_hopf_axioms reports the algebra laws as rows instead."""
+
+    # bench/tracing.py wraps mul in FiniteHopf's own __dict__
+    mul = FiniteAlgebra.mul
+
+    # -- basis-level structure maps
+
+    def comul_basis(self, i):
+        return self.coproduct.get(i, {})
+
+    def counit_basis(self, i):
+        return self.counit[i]
+
+    def antipode_basis(self, i):
+        return self.antipode.get(i, {})
+
+    # -- element-level maps
+
     def comul(self, a):
         out = {}
         for i, c in a.items():
@@ -176,6 +240,9 @@ class FiniteHopf:
     def counit_of(self, a):
         return sum((c * self.counit[i] for i, c in a.items()),
                    self.field.zero())
+
+    # -- the antipode -> twist -> S~ chain, read only through comul_basis
+    # and antipode_basis; EnvelopingAlgebra runs it on U(g) as well
 
     def antipode_of(self, a):
         out = {}
@@ -198,9 +265,6 @@ class FiniteHopf:
     def twisted_antipode(self, delta, a):
         """S~(h) = sum delta(h_(1)) S(h_(2))."""
         return self.antipode_of(self.twist_automorphism(delta, a))
-
-    def basis_element(self, i):
-        return {i: self.field.one()}
 
     def character(self, name):
         try:
@@ -276,14 +340,6 @@ def check_hopf_axioms(H):
     one = H.unit_element()
     basis = H.basis_element
 
-    def associative(ijk):
-        i, j, k = map(basis, ijk)
-        return vec_eq(H.mul(H.mul(i, j), k), H.mul(i, H.mul(j, k)))
-
-    def unital(case):
-        e = basis(case[0])
-        return vec_eq(H.mul(one, e), e) and vec_eq(H.mul(e, one), e)
-
     def coassociative(case):
         lhs, rhs = {}, {}
         for (j, k), c in H.comul_basis(case[0]).items():
@@ -325,8 +381,9 @@ def check_hopf_axioms(H):
         expected = vec_scale(H.counit[i], one)
         return vec_eq(left, expected) and vec_eq(right, expected)
 
-    for name, arity, holds in (("associativity", 3, associative),
-                               ("unit", 1, unital),
+    for name, arity, holds in (("associativity", 3,
+                                lambda ijk: H.associative(*ijk)),
+                               ("unit", 1, lambda case: H.unital(*case)),
                                ("coassociativity", 1, coassociative),
                                ("counit", 1, counital),
                                ("coproduct-multiplicative", 2,
@@ -500,6 +557,23 @@ def sweedler_h4(field=None):
         H, [one, m1, field.zero(), field.zero()], name="delta")
     H.characters["counit"] = H.counit_character()
     return H
+
+
+def matrix_algebra(n, field=None):
+    """Full matrix algebra M_n(k) with basis e_{rc} in row-major order."""
+    field = field or RationalField()
+    one = field.one()
+    basis = [f"e{r}{c}" for r in range(n) for c in range(n)]
+    product = {}
+    for r in range(n):
+        for c in range(n):
+            for r2 in range(n):
+                for c2 in range(n):
+                    i = r * n + c
+                    j = r2 * n + c2
+                    product[(i, j)] = {r * n + c2: one} if c == r2 else {}
+    unit = {r * n + r: one for r in range(n)}
+    return FiniteAlgebra(f"M{n}", field, basis, unit, product)
 
 
 BUILTIN_BUILDERS = {

@@ -23,7 +23,7 @@ import json
 
 from .enveloping import EnvelopingAlgebra, LieAlgebra
 from .fields import field_from_spec
-from .hopf import CharacterError, FiniteHopf
+from .hopf import CharacterError, FiniteAlgebra, FiniteHopf
 
 
 class PresentationError(Exception):
@@ -213,8 +213,9 @@ def lie_from_dict(data, path="<dict>"):
 
 
 def _algebra(data, path):
-    """The algebra of an algebra block; FiniteAlgebra checks its laws."""
-    from .algebras import FiniteAlgebra
+    """The FiniteAlgebra of an algebra block, which rejects a table that
+    breaks the unit law or associativity.  A Hopf presentation read this
+    way gives its algebra half alone."""
     name, field, _, basis, unit, product = _algebra_parts(data, path)
     try:
         return FiniteAlgebra(name, field, basis, unit, product)

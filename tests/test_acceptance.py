@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from conftest import differentials, load_golden
 from hopfcyclic import actions as act
-from hopfcyclic.algebras import algebra_of_hopf
 from hopfcyclic.cohomology import (bicomplex_dimensions,
                                    hochschild_dimensions,
                                    lambda_complex_dimensions,
@@ -222,7 +221,7 @@ def test_criterion_10_characteristic_map():
 def test_criterion_11_pairing_invariance():
     ok = True
     for builder in (trivial_hopf, lambda: cyclic_group_algebra(2)):
-        A = algebra_of_hopf(builder())
+        A = builder()
         trace = act.Trace(A, [ONE] + [Fraction(0)] * (A.dim - 1))
         E = {(0, 0): A.unit_element()}
         base = act.pair_idempotent(A, trace.as_cochain(), E, 2)

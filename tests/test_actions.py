@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from hopfcyclic import actions as act
-from hopfcyclic.algebras import (FiniteAlgebra, algebra_of_hopf,
-                                 matrix_algebra)
 from hopfcyclic.fields import RationalField
-from hopfcyclic.hopf import cyclic_group_algebra, trivial_hopf
+from hopfcyclic.hopf import (FiniteAlgebra, FiniteHopf, check_hopf_axioms,
+                             cyclic_group_algebra, matrix_algebra,
+                             trivial_hopf)
 from hopfcyclic.presentations import load_gamma_input
 
 ONE = Fraction(1)
@@ -57,19 +57,30 @@ def test_corrupted_action_fails_with_witness():
 
 
 def test_algebra_validation_names_first_failure():
+    """FiniteAlgebra raises at the first basis case where a law fails, and
+    check_hopf_axioms, on a FiniteHopf with the same algebra half (built
+    without complaint), fails that law's row at the same case."""
     Q = RationalField()
     # e_0 is the unit on the left only: e_1 e_0 = 0
-    with pytest.raises(ValueError, match=r"^A: unit law fails at basis 1$"):
-        FiniteAlgebra("A", Q, ["e", "g"], {0: ONE},
-                      {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 1): {0: ONE}})
+    non_unital = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 1): {0: ONE}}
     # e_0 is the unit, a b = a, b a = b and a a = b b = 0, so
     # (a b) a = 0 but a (b a) = a
-    product = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE},
-               (0, 2): {2: ONE}, (2, 0): {2: ONE}, (1, 2): {1: ONE},
-               (2, 1): {2: ONE}}
-    with pytest.raises(ValueError,
-                       match=r"^D: associativity fails at \(1,2,1\)$"):
-        FiniteAlgebra("D", Q, ["e", "a", "b"], {0: ONE}, product)
+    non_associative = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE},
+                       (0, 2): {2: ONE}, (2, 0): {2: ONE}, (1, 2): {1: ONE},
+                       (2, 1): {2: ONE}}
+    for name, basis, product, message, row, witness in (
+            ("A", ["e", "g"], non_unital, "unit law fails at basis 1",
+             "unit", (1,)),
+            ("D", ["e", "a", "b"], non_associative,
+             r"associativity fails at \(1,2,1\)", "associativity",
+             (1, 2, 1))):
+        with pytest.raises(ValueError, match=f"^{name}: {message}$"):
+            FiniteAlgebra(name, Q, basis, {0: ONE}, product)
+        n = len(basis)
+        H = FiniteHopf(name, Q, basis, {0: ONE}, product,
+                       {i: {(i, i): ONE} for i in range(n)}, [ONE] * n,
+                       {i: {i: ONE} for i in range(n)})
+        assert (row, witness) in check_hopf_axioms(H).failures()
 
 
 def test_random_conjugate_needs_an_off_diagonal_entry():
@@ -200,7 +211,7 @@ def test_pairing_degree_two():
 def test_trace_extension_is_a_trace(seed=29):
     """The amplified functional X -> sum tau(X_ii) kills commutators."""
     rng = random.Random(seed)
-    A = algebra_of_hopf(cyclic_group_algebra(2))
+    A = cyclic_group_algebra(2)
     trace = act.Trace(A, [ONE, Fraction(0)])
     q = 2
     for _ in range(10):
@@ -218,7 +229,7 @@ def test_trace_extension_is_a_trace(seed=29):
 @pytest.mark.parametrize("builder", [trivial_hopf,
                                      lambda: cyclic_group_algebra(2)])
 def test_pairing_similarity_invariance(builder, seed=37):
-    A = algebra_of_hopf(builder())
+    A = builder()
     trace = act.Trace(A, [ONE] + [Fraction(0)] * (A.dim - 1))
     E = {(0, 0): A.unit_element()}  # diag(1, 0) in M_2(A)
     base = act.pair_idempotent(A, trace.as_cochain(), E, 2)

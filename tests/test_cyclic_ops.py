@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 from hopfcyclic import cyclic_ops
-from hopfcyclic.algebras import algebra_of_hopf, matrix_algebra
 from hopfcyclic.cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
                                    check_cyclic_power_formula, relation_suite)
 from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
-from hopfcyclic.hopf import cyclic_group_algebra, sweedler_h4
+from hopfcyclic.hopf import (FiniteAlgebra, cyclic_group_algebra,
+                             matrix_algebra, sweedler_h4)
 
 ONE = Fraction(1)
 
@@ -189,9 +189,16 @@ def test_cyclic_power_order():
 
 
 def test_cochain_module_relations():
-    A = algebra_of_hopf(cyclic_group_algebra(2))
+    A = cyclic_group_algebra(2)
     report = relation_suite(CochainCyclicModule(A), 3)
     assert report.ok, report.render()
+
+
+def test_cochain_module_of_a_hopf_algebra_reads_its_algebra_half():
+    H = cyclic_group_algebra(2)
+    A = FiniteAlgebra(H.name, H.field, H.basis, H.unit, H.product)
+    assert relation_suite(CochainCyclicModule(H), 2).render() == \
+        relation_suite(CochainCyclicModule(A), 2).render()
 
 
 def test_cochain_module_relations_matrix_algebra():
