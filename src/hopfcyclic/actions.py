@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import (cayley_inverses, function_algebra, group_algebra,
-                   vec_add_into, vec_eq, vec_scale, vec_sub)
+from .hopf import (cayley_inverses, evaluate, function_algebra,
+                   group_algebra, linear, vec_add_into, vec_eq, vec_scale,
+                   vec_sub)
 from .reports import CheckReport, first_failure
 
 
@@ -49,11 +50,7 @@ class HopfAction:
 
     def act(self, h, a):
         """Action of an H element (dict) on an A element (dict)."""
-        out = {}
-        for i, ch in h.items():
-            for j, ca in a.items():
-                vec_add_into(out, self.act_basis(i, j), ch * ca)
-        return out
+        return linear(lambda i: linear(lambda j: self.act_basis(i, j), a), h)
 
     @classmethod
     def trivial(cls, hopf, algebra):
@@ -76,10 +73,7 @@ class Trace:
         self.name = name
 
     def of(self, a):
-        total = self.algebra.field.zero()
-        for i, c in a.items():
-            total = total + c * self.values[i]
-        return total
+        return evaluate(self.values, a)
 
     def is_trace(self):
         """tau(ab) = tau(ba) on all basis pairs; returns (ok, witness)."""
@@ -100,19 +94,17 @@ def check_action(hopf, algebra, action):
     """Unit action, module axiom and multiplicativity of the action."""
     report = CheckReport("hopf-action",
                          meta={"hopf": hopf.name, "algebra": algebra.name})
-    one = hopf.field.one()
-    one_a = algebra.field.one()
     unit_h = hopf.unit_element()
     unit_a = algebra.unit_element()
 
     def unit_acts(a):
-        basis_a = {a: one_a}
+        basis_a = {a: 1}
         return vec_eq(action.act(unit_h, basis_a), basis_a)
 
     def module_axiom(case):
         i, j, a = case
-        return vec_eq(action.act({i: one}, action.act_basis(j, a)),
-                      action.act(hopf.mul_basis(i, j), {a: one_a}))
+        return vec_eq(action.act({i: 1}, action.act_basis(j, a)),
+                      action.act(hopf.mul_basis(i, j), {a: 1}))
 
     def multiplicative(case):
         i, a, b = case
@@ -120,10 +112,10 @@ def check_action(hopf, algebra, action):
         for (j, k), c in hopf.comul_basis(i).items():
             vec_add_into(rhs, algebra.mul(action.act_basis(j, a),
                                           action.act_basis(k, b)), c)
-        return vec_eq(action.act({i: one}, algebra.mul_basis(a, b)), rhs)
+        return vec_eq(action.act({i: 1}, algebra.mul_basis(a, b)), rhs)
 
     def unit_by_counit(i):
-        return vec_eq(action.act({i: one}, unit_a),
+        return vec_eq(action.act({i: 1}, unit_a),
                       vec_scale(hopf.counit_basis(i), unit_a))
 
     h_basis, a_basis = range(hopf.dim), range(algebra.dim)
@@ -143,18 +135,17 @@ def check_delta_invariance(hopf, delta, algebra, action, trace):
                          meta={"hopf": hopf.name, "algebra": algebra.name,
                                "character": delta.name, "trace": trace.name})
     report.add("trace-property", *trace.is_trace())
-    one = hopf.field.one()
     # S~(e_i) and e_i(e_a) are computed once each, not once per case
-    twisted = [hopf.twisted_antipode(delta, {i: one})
+    twisted = [hopf.twisted_antipode(delta, {i: 1})
                for i in range(hopf.dim)]
     acted = {(i, a): action.act_basis(i, a)
              for i in range(hopf.dim) for a in range(algebra.dim)}
 
     def invariant(case):
         i, a, b = case
-        basis_b = {b: one}
+        basis_b = {b: 1}
         return trace.of(algebra.mul(acted[i, a], basis_b)) == trace.of(
-            algebra.mul({a: one}, action.act(twisted[i], basis_b)))
+            algebra.mul({a: 1}, action.act(twisted[i], basis_b)))
 
     report.add("integration-by-parts", *first_failure(
         itertools.product(range(hopf.dim), range(algebra.dim),
@@ -165,12 +156,11 @@ def check_delta_invariance(hopf, delta, algebra, action, trace):
 def characteristic_map(hopf, algebra, action, trace, t, n):
     """The cochain tau(x^0 h^1(x^1) ... h^n(x^n)) as a coefficient dict
     over (n+1)-tuples of A-basis indices.  Degree 0 recovers the trace."""
-    one = algebra.field.one()
     out = {}
     for xs in itertools.product(range(algebra.dim), repeat=n + 1):
-        total = algebra.field.zero()
+        total = 0
         for key, c in t.items():
-            prod = {xs[0]: one}
+            prod = {xs[0]: 1}
             for slot in range(n):
                 prod = algebra.mul(prod,
                                    action.act_basis(key[slot], xs[slot + 1]))
@@ -190,23 +180,21 @@ def check_gamma_morphism(hopf, delta, algebra, action, trace, N_max):
                          meta={"hopf": hopf.name, "algebra": algebra.name,
                                "character": delta.name, "trace": trace.name,
                                "max-degree": N_max})
-    one = hopf.field.one()
     basis_gamma = {}  # basis tuple (of degree len(key)) -> its gamma
 
-    def gamma(t):
+    def gamma_basis(key):
         """gamma is linear, so it is computed once per basis tensor."""
-        out = {}
-        for key, c in t.items():
-            if key not in basis_gamma:
-                basis_gamma[key] = characteristic_map(
-                    hopf, algebra, action, trace, {key: one}, len(key))
-            vec_add_into(out, basis_gamma[key], c)
-        return out
+        image = basis_gamma.get(key)
+        if image is None:
+            image = basis_gamma[key] = characteristic_map(
+                hopf, algebra, action, trace, {key: 1}, len(key))
+        return image
 
     def compare(name, op_h, op_a, src_deg):
         report.add(name, *first_failure(
             hside.samples(src_deg),
-            lambda t: vec_eq(gamma(op_h(t)), op_a(gamma(t))), sorted))
+            lambda t: vec_eq(linear(gamma_basis, op_h(t)),
+                             op_a(linear(gamma_basis, t))), sorted))
 
     for n in range(1, N_max + 1):
         for i in range(n + 1):
@@ -294,11 +282,11 @@ def is_idempotent(algebra, E):
 
 def eval_cochain(algebra, phi, elems):
     """Evaluate a coefficient-dict cochain on a tuple of A elements."""
-    total = algebra.field.zero()
+    total = 0
     for key, c in phi.items():
         prod = c
         for slot, k in enumerate(key):
-            prod = prod * elems[slot].get(k, algebra.field.zero())
+            prod = prod * elems[slot].get(k, 0)
         total = total + prod
     return total
 
@@ -313,21 +301,22 @@ def pair_idempotent(algebra, phi, E, q):
     if degree not in (0, 2):
         raise ActionError(
             f"pairing implemented for degrees 0 and 2, not {degree}")
-    total = algebra.field.zero()
+    total = 0
     for idx in itertools.product(range(q), repeat=degree + 1):
         total = total + eval_cochain(algebra, phi, [
             E.get((i, j), {}) for i, j in zip(idx, idx[1:] + idx[:1])])
     return total
 
 
-def random_conjugate(algebra, E, q, rng, steps=3):
-    """Conjugate E by a product of elementary matrices I + a e_rs (r != s),
-    whose inverses are I - a e_rs, so invertibility is exact by design."""
+def random_conjugate(algebra, E, q, rng):
+    """Conjugate E by a product of three elementary matrices I + a e_rs
+    (r != s), whose inverses are I - a e_rs, so invertibility is exact by
+    design."""
     if q < 2:
         raise ValueError(f"random_conjugate needs q >= 2, got {q}: M_{q}(A) "
                          f"has no off-diagonal elementary matrix")
     out = E
-    for _ in range(steps):
+    for _ in range(3):
         r = rng.randrange(q)
         s = rng.randrange(q)
         while s == r:
@@ -354,23 +343,20 @@ def translation_action(labels, table):
     A = function_algebra(labels, table)
     n = len(labels)
     inv = cayley_inverses(table)
-    one = H.field.one()
     matrices = {}
     for g in range(n):
         # g sends the indicator of the point t to the indicator of t g^{-1}
-        matrices[g] = {(table[t][inv[g]], t): one for t in range(n)}
+        matrices[g] = {(table[t][inv[g]], t): 1 for t in range(n)}
     return H, A, HopfAction(H, A, matrices)
 
 
 def summation_trace(algebra):
     """Sum of the values of a function; invariant under translation."""
-    one = algebra.field.one()
-    return Trace(algebra, [one] * algebra.dim, name="summation")
+    return Trace(algebra, [1] * algebra.dim, name="summation")
 
 
 def point_trace(algebra, point):
     """Evaluation at one point; a trace (A commutative) but not invariant."""
-    zero = algebra.field.zero()
-    values = [zero] * algebra.dim
-    values[point] = algebra.field.one()
+    values = [0] * algebra.dim
+    values[point] = 1
     return Trace(algebra, values, name=f"eval@{point}")

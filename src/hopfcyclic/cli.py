@@ -92,8 +92,7 @@ def cmd_cyclic_relations(args):
         rng = random.Random(args.seed)
         samples = tensor_samples(U, args.max_degree, rng=rng)
         report = relation_suite(module, args.max_degree,
-                                samples=samples.__getitem__,
-                                title="cyclic-relations")
+                                samples=samples.__getitem__)
         report.meta["input"] = "enveloping-algebra"
         report.meta["seed"] = args.seed
     else:
@@ -103,8 +102,7 @@ def cmd_cyclic_relations(args):
             return 1
         delta = _character_of(H, args.character)
         module = HopfCyclicModule(H, delta)
-        report = relation_suite(module, args.max_degree,
-                                title="cyclic-relations")
+        report = relation_suite(module, args.max_degree)
         report.meta["input"] = H.name
         report.meta["character"] = delta.name
     report.meta["max-degree"] = args.max_degree

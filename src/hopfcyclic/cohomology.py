@@ -385,7 +385,7 @@ def methods_agree(report):
     return True
 
 
-def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
+def mixed_complex_report(module, N_max, samples=None):
     """b^2 = 0, B^2 = 0 and bB + Bb = 0 on all basis tensors, degrees <= N_max.
 
     On a finite module these are products of b_1..b_(N+2) and B_0..B_(N-1),
@@ -394,7 +394,7 @@ def mixed_complex_report(module, N_max, samples=None, title="mixed-complex"):
     elementwise on those tensors, which is how symbolic modules are
     checked.
     """
-    report = CheckReport(title, meta={"max-degree": N_max})
+    report = CheckReport("mixed-complex", meta={"max-degree": N_max})
     if samples is None:
         b = {n: b_matrix(module, n) for n in range(1, N_max + 3)}
         check_b_square(report, (module, b))

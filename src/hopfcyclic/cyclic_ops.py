@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import rebased, vec_add_into, vec_eq
+from .hopf import linear, rebased, vec_add_into, vec_eq
 from .linalg import SparseMatrix
 from .reports import CheckReport, first_failure
 
@@ -362,14 +362,13 @@ class HopfCyclicModule(TensorBasis):
 
 def iterated_comul(H, elem, n):
     """Delta^(n-1) of an element, as a degree-n tensor (Delta^0 = id)."""
+    def split_last(key):
+        return {key[:-1] + pair: d
+                for pair, d in H.comul_basis(key[-1]).items()}
+
     t = {(k,): c for k, c in elem.items()}
     for _ in range(n - 1):
-        out = {}
-        for key, c in t.items():
-            head = key[:-1]
-            vec_add_into(out, {head + pair: d for pair, d
-                               in H.comul_basis(key[-1]).items()}, c)
-        t = out
+        t = linear(split_last, t)
     return t
 
 
@@ -483,16 +482,14 @@ class CochainCyclicModule(TensorBasis):
         """From cochains on n-tuples to cochains on (n+1)-tuples, 0 <= i <= n."""
         if not 1 <= n or not 0 <= i <= n:
             raise IndexError(f"face index {i} out of range at degree {n}")
-        out = {}
-        for key, c in phi.items():
+
+        def image(key):
             if i < n:
-                image = {key[:i] + (a, b) + key[i + 1:]: d
-                         for a, b, d in self._rev[key[i]]}
-            else:
-                image = {(b,) + key[1:] + (a,): d
-                         for a, b, d in self._rev[key[0]]}
-            vec_add_into(out, image, c)
-        return out
+                return {key[:i] + (a, b) + key[i + 1:]: d
+                        for a, b, d in self._rev[key[i]]}
+            return {(b,) + key[1:] + (a,): d for a, b, d in self._rev[key[0]]}
+
+        return linear(image, phi)
 
     def degeneracy(self, i, n, phi):
         """Insert the algebra unit as argument i+1; degree n+1 to n."""
@@ -607,15 +604,14 @@ def apply_word(module, word, t):
     return t
 
 
-def relation_suite(module, N_max, samples=None, title=None):
+def relation_suite(module, N_max, samples=None):
     """Verify every simplicial and cyclic relation with operators of degree
     <= N_max, as exact equalities on basis tensors (or supplied samples).
 
     ``samples``: optional callable degree -> list of tensors; defaults to the
     module's full basis (finite-dimensional case).
     """
-    report = CheckReport(title or "cyclic-relations",
-                         meta={"max-degree": N_max})
+    report = CheckReport("cyclic-relations", meta={"max-degree": N_max})
     get_samples = samples or module.samples
     for (rel, n), items in _relation_instances(N_max):
         cases = ((idx, t, apply_word(module, lhs, t),

@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 
 from .fields import RationalField, rational
-from .hopf import FiniteHopf, vec_add_into, vec_eq, vec_scale
+from .hopf import FiniteHopf, linear, vec_add_into, vec_eq, vec_scale
 from .reports import first_failure
 
-ZERO = 0
-ONE = 1
 _RATIONAL = RationalField()
+SAMPLE_DEGREE = 2  # total degree bound of the monomial sample tensors
+RANDOM_SAMPLES = 3  # seeded random combinations per tensor degree
 
 
 class LieAlgebra:
@@ -59,11 +59,7 @@ class LieAlgebra:
 
     def _bracket_elem(self, a, b):
         """[a, b] for elements given as sparse generator combinations."""
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                vec_add_into(out, self.bracket(i, j), ca * cb)
-        return out
+        return linear(lambda i: linear(lambda j: self.bracket(i, j), b), a)
 
     def _check_jacobi(self):
         def jacobi(ijk):
@@ -71,7 +67,7 @@ class LieAlgebra:
             total = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 vec_add_into(total, self._bracket_elem(self.bracket(a, b),
-                                                       {c: ONE}))
+                                                       {c: 1}))
             return not total
 
         ok, ijk = first_failure(itertools.product(range(self.dim), repeat=3),
@@ -81,13 +77,8 @@ class LieAlgebra:
 
     def adjoint_trace_character(self):
         """delta(X_i) = trace(ad X_i) = sum_j c^j_ij, as generator values."""
-        values = []
-        for i in range(self.dim):
-            t = ZERO
-            for j in range(self.dim):
-                t += self.bracket(i, j).get(j, ZERO)
-            values.append(t)
-        return values
+        return [sum(self.bracket(i, j).get(j, 0) for j in range(self.dim))
+                for i in range(self.dim)]
 
 
 def abelian_lie_algebra(dim):
@@ -96,7 +87,7 @@ def abelian_lie_algebra(dim):
 
 def ax_plus_b_lie_algebra():
     """Two generators with [X, Y] = Y."""
-    return LieAlgebra(2, {(0, 1): {1: ONE}}, name="ax+b")
+    return LieAlgebra(2, {(0, 1): {1: 1}}, name="ax+b")
 
 
 class SymbolicCharacter:
@@ -107,7 +98,7 @@ class SymbolicCharacter:
         self.name = name
 
     def value(self, key):
-        out = ONE
+        out = 1
         for i, a in enumerate(key):
             if a:
                 out *= self.gen_values[i] ** a
@@ -138,18 +129,18 @@ class EnvelopingAlgebra:
         key = tuple(exponents)
         if len(key) != self.lie.dim:
             raise ValueError("exponent vector has wrong length")
-        return {key: ONE}
+        return {key: 1}
 
     def generator(self, i):
         key = [0] * self.lie.dim
         key[i] = 1
-        return {tuple(key): ONE}
+        return {tuple(key): 1}
 
     def unit_element(self):
-        return {self._one_key: ONE}
+        return {self._one_key: 1}
 
     def counit_basis(self, key):
-        return ONE if not any(key) else ZERO
+        return 0 if any(key) else 1
 
     # -- product with straightening
 
@@ -162,7 +153,7 @@ class EnvelopingAlgebra:
         if j <= i:
             out = list(mono)
             out[i] += 1
-            result = {tuple(out): ONE}
+            result = {tuple(out): 1}
         else:
             # mono = head * X_j with j > i:  X_j X_i = X_i X_j + [X_j, X_i]
             head = list(mono)
@@ -179,10 +170,7 @@ class EnvelopingAlgebra:
         return result
 
     def _elem_times_gen(self, a, i):
-        out = {}
-        for m, c in a.items():
-            vec_add_into(out, self._mono_times_gen(m, i), c)
-        return out
+        return linear(lambda m: self._mono_times_gen(m, i), a)
 
     def mul(self, a, b):
         out = {}
@@ -202,16 +190,16 @@ class EnvelopingAlgebra:
         cached = self._comul_cache.get(key)
         if cached is not None:
             return cached
-        out = {(self._one_key, self._one_key): ONE}
+        out = {(self._one_key, self._one_key): 1}
         for i, power in enumerate(key):
             for _ in range(power):
                 gen = self.generator(i)
                 step = {}
                 for (l, r), c in out.items():
                     vec_add_into(step, {(m, r): d for m, d
-                                        in self.mul({l: ONE}, gen).items()}, c)
+                                        in self.mul({l: 1}, gen).items()}, c)
                     vec_add_into(step, {(l, m): d for m, d
-                                        in self.mul({r: ONE}, gen).items()}, c)
+                                        in self.mul({r: 1}, gen).items()}, c)
                 out = step
         self._comul_cache[key] = out
         return out
@@ -227,8 +215,9 @@ class EnvelopingAlgebra:
                 rev = self._elem_times_gen(rev, i)
         return vec_scale(1 if total % 2 == 0 else -1, rev)
 
-    # FiniteHopf's antipode -> twist -> S~ chain reads only comul_basis and
-    # antipode_basis, so it runs on PBW keys unchanged
+    # FiniteHopf's Delta, S, twist and S~ on elements read only comul_basis
+    # and antipode_basis, so they run on PBW keys unchanged
+    comul = FiniteHopf.comul
     antipode_of = FiniteHopf.antipode_of
     twist_automorphism = FiniteHopf.twist_automorphism
     twisted_antipode = FiniteHopf.twisted_antipode
@@ -251,25 +240,24 @@ class EnvelopingAlgebra:
         return sorted(out)
 
 
-def tensor_samples(algebra, N_max, max_degree=2, rng=None, random_count=3):
+def tensor_samples(algebra, N_max, rng=None):
     """Sample tensors for relation checks on a rule-based algebra: all
-    monomial tensors whose total degree stays within the bound, plus a few
-    seeded random linear combinations per degree."""
-    monos = algebra.monomials_up_to_degree(max_degree)
-    one = algebra.field.one()
+    monomial tensors of total degree at most SAMPLE_DEGREE, plus
+    RANDOM_SAMPLES seeded random linear combinations per degree."""
+    monos = algebra.monomials_up_to_degree(SAMPLE_DEGREE)
     samples = {}
     for n in range(N_max + 1):
         ts = []
         for combo in itertools.product(monos, repeat=n):
-            if sum(sum(k) for k in combo) <= max_degree:
-                ts.append({combo: one})
+            if sum(sum(k) for k in combo) <= SAMPLE_DEGREE:
+                ts.append({combo: 1})
         if rng is not None and n >= 1:
-            for _ in range(random_count):
+            for _ in range(RANDOM_SAMPLES):
                 t = {}
                 for _ in range(2):
                     key = tuple(rng.choice(monos) for _ in range(n))
                     c = rng.randrange(-3, 4) or 1
-                    t[key] = t.get(key, algebra.field.zero()) + c
+                    t[key] = t.get(key, 0) + c
                 t = {k: v for k, v in t.items() if v}
                 if t:
                     ts.append(t)

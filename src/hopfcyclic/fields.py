@@ -17,7 +17,12 @@ rows, and a ``Fraction`` or ``Cyclotomic`` appears only where a
 non-integral value occurs.  Plain ``int``/``Fraction`` arithmetic elsewhere
 stays exact and equal by value (``Fraction(1, 2) * 2 == 1``), though it may
 not be canonical in type.  No code divides one ``int`` by another: every
-``/`` has an explicit ``Fraction`` operand.
+``/`` has an explicit ``Fraction`` operand.  As every field's 0 and 1 are
+the ``int`` 0 and 1, package code writes them as literals; ``zero()`` and
+``one()`` remain for callers outside the package.  Sparse vectors are
+combined with ``hopf.linear`` (sum of c * image(k)) and ``hopf.evaluate``
+(sum of c * values[k]), the key-level counterparts of ``linalg.combine``,
+which stays the one inlined matrix kernel.
 
 An ``int`` or ``Fraction`` operand of a ``Cyclotomic`` operator is its own
 constant coefficient.  Two ``Cyclotomic`` scalars of different orders never

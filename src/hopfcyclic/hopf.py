@@ -5,9 +5,11 @@ field and rejects, at construction, a table that breaks the unit law or
 associativity.  A ``FiniteHopf`` is a FiniteAlgebra that also carries a
 coproduct, counit, antipode and named characters; it shares the algebra's
 storage, product and law predicates, and is never rejected at
-construction.  Elements are sparse maps basis index -> scalar.  Checker
-routines verify every Hopf axiom and the twisted-antipode properties on
-basis elements; by linearity that settles them everywhere.
+construction.  Elements are sparse maps basis index -> scalar, and a map
+given on basis elements extends to them through ``linear`` (to vectors)
+or ``evaluate`` (to scalars).  Checker routines verify every Hopf axiom
+and the twisted-antipode properties on basis elements; by linearity that
+settles them everywhere.
 """
 
 from __future__ import annotations
@@ -51,6 +53,22 @@ def vec_add_into(out, vec, c=1):
     return out
 
 
+def linear(image, vec):
+    """sum_k vec[k] * image(k) as a fresh dict: the linear extension of a
+    map given on basis keys.  The dicts ``image`` returns are only read, so
+    it may return a structure table's own dict or a cached result."""
+    out = {}
+    for k, c in vec.items():
+        vec_add_into(out, image(k), c)
+    return out
+
+
+def evaluate(values, vec):
+    """sum_k vec[k] * values[k]: a functional given by its values on the
+    basis, applied to a sparse vector."""
+    return sum(c * values[k] for k, c in vec.items())
+
+
 def vec_scale(c, a):
     if not c:
         return {}
@@ -80,16 +98,12 @@ class Character:
         self.hopf = hopf
         self.values = list(values)
         self.name = name
-        one = sum((self.values[i] * c for i, c in hopf.unit.items()),
-                  hopf.field.zero())
-        if one != hopf.field.one():
+        if evaluate(self.values, hopf.unit) != 1:
             raise CharacterError("character does not send 1 to 1")
 
         def multiplicative(pair):
-            lhs = sum((c * self.values[k]
-                       for k, c in hopf.mul_basis(*pair).items()),
-                      hopf.field.zero())
-            return lhs == self.values[pair[0]] * self.values[pair[1]]
+            return evaluate(self.values, hopf.mul_basis(*pair)) == \
+                self.values[pair[0]] * self.values[pair[1]]
 
         ok, pair = first_failure(
             itertools.product(range(hopf.dim), repeat=2), multiplicative)
@@ -155,7 +169,7 @@ class FiniteAlgebra:
         return self.product.get((i, j), {})
 
     def basis_element(self, i):
-        return {i: self.field.one()}
+        return {i: 1}
 
     def unit_element(self):
         return dict(self.unit)
@@ -226,41 +240,23 @@ class FiniteHopf(FiniteAlgebra):
 
     # -- element-level maps
 
-    def comul(self, a):
-        out = {}
-        for i, c in a.items():
-            for pair, ck in self.comul_basis(i).items():
-                s = out.get(pair, 0) + c * ck
-                if s:
-                    out[pair] = s
-                else:
-                    out.pop(pair, None)
-        return out
-
     def counit_of(self, a):
-        return sum((c * self.counit[i] for i, c in a.items()),
-                   self.field.zero())
+        return evaluate(self.counit, a)
 
-    # -- the antipode -> twist -> S~ chain, read only through comul_basis
-    # and antipode_basis; EnvelopingAlgebra runs it on U(g) as well
+    # -- Delta, S, the twist and S~ on elements, read only through
+    # comul_basis and antipode_basis; EnvelopingAlgebra runs them on U(g) too
+
+    def comul(self, a):
+        return linear(self.comul_basis, a)
 
     def antipode_of(self, a):
-        out = {}
-        for i, c in a.items():
-            vec_add_into(out, self.antipode_basis(i), c)
-        return out
+        return linear(self.antipode_basis, a)
 
     def twist_automorphism(self, delta, a):
-        """sigma(h) = sum delta(h_(1)) h_(2); an algebra automorphism."""
-        out = {}
-        for i, c in a.items():
-            for (j, k), ck in self.comul_basis(i).items():
-                s = out.get(k, 0) + c * ck * delta.value(j)
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
+        """sigma(h) = sum delta(h_(1)) h_(2) = (delta (x) id) Delta(h); an
+        algebra automorphism."""
+        return linear(lambda pair: {pair[1]: delta.value(pair[0])},
+                      self.comul(a))
 
     def twisted_antipode(self, delta, a):
         """S~(h) = sum delta(h_(1)) S(h_(2))."""
@@ -296,31 +292,24 @@ def rebased(H, delta):
     def canonical(x):
         return rational(x) if isinstance(x, Fraction) else x
 
-    def to_new(vec):
-        out = {}
-        for i, c in vec.items():
-            vec_add_into(out, new[i], c)
-        return {k: canonical(v) for k, v in out.items()}
+    def to_new(image, vec):
+        return {k: canonical(v) for k, v in linear(image, vec).items()}
 
-    def pairs_to_new(tensor):
-        out = {}
-        for (a, b), c in tensor.items():
-            for x, cx in new[a].items():
-                vec_add_into(out, {(x, y): cy for y, cy in new[b].items()},
-                             c * cx)
-        return {k: canonical(v) for k, v in out.items()}
+    def pair_to_new(ab):
+        return {(x, y): cx * cy for x, cx in new[ab[0]].items()
+                for y, cy in new[ab[1]].items()}
 
     def value(values, vec):
-        return canonical(sum((c * values[i] for i, c in vec.items()),
-                             H.field.zero()))
+        return canonical(evaluate(values, vec))
 
     Hr = FiniteHopf(
-        H.name, H.field, H.basis, {p: H.field.one()},
-        {(i, j): to_new(H.mul(old[i], old[j]))
+        H.name, H.field, H.basis, {p: 1},
+        {(i, j): to_new(new.__getitem__, H.mul(old[i], old[j]))
          for i in range(H.dim) for j in range(H.dim)},
-        {i: pairs_to_new(H.comul(old[i])) for i in range(H.dim)},
+        {i: to_new(pair_to_new, H.comul(old[i])) for i in range(H.dim)},
         [value(eps, vec) for vec in old],
-        {i: to_new(H.antipode_of(old[i])) for i in range(H.dim)})
+        {i: to_new(new.__getitem__, H.antipode_of(old[i]))
+         for i in range(H.dim)})
     return Hr, Character(Hr, [value(delta.values, vec) for vec in old],
                          name=delta.name), p
 
@@ -389,7 +378,7 @@ def check_hopf_axioms(H):
                                ("coproduct-multiplicative", 2,
                                 comul_multiplicative)):
         report.add(name, *first_failure(_basis_cases(H, arity), holds))
-    if H.counit_of(one) != H.field.one():
+    if H.counit_of(one) != 1:
         report.add("counit-multiplicative", False, ("1",))
     else:
         report.add("counit-multiplicative", *first_failure(
@@ -470,14 +459,13 @@ def group_algebra(labels, table, name=None, field=None):
     for j in range(n):
         if table[0][j] != j or table[j][0] != j:
             raise ValueError("identity must sit at index 0 of the Cayley table")
-    one = field.one()
     inverse = cayley_inverses(table)
-    product = {(i, j): {table[i][j]: one} for i in range(n) for j in range(n)}
-    coproduct = {i: {(i, i): one} for i in range(n)}
-    counit = [one] * n
-    antipode = {i: {inverse[i]: one} for i in range(n)}
+    product = {(i, j): {table[i][j]: 1} for i in range(n) for j in range(n)}
+    coproduct = {i: {(i, i): 1} for i in range(n)}
+    counit = [1] * n
+    antipode = {i: {inverse[i]: 1} for i in range(n)}
     H = FiniteHopf(name or f"group-algebra[{'.'.join(labels)}]", field, labels,
-                   {0: one}, product, coproduct, counit, antipode)
+                   {0: 1}, product, coproduct, counit, antipode)
     H.characters["counit"] = H.counit_character()
     return H
 
@@ -500,25 +488,24 @@ def function_algebra(labels, table, name=None, field=None):
     product, convolution coproduct, evaluation characters."""
     field = field or RationalField()
     n = len(labels)
-    one = field.one()
-    product = {(i, i): {i: one} for i in range(n)}
+    product = {(i, i): {i: 1} for i in range(n)}
     coproduct = {}
     for g in range(n):
         pairs = {}
         for a in range(n):
             for b in range(n):
                 if table[a][b] == g:
-                    pairs[(a, b)] = one
+                    pairs[(a, b)] = 1
         coproduct[g] = pairs
-    counit = [one if g == 0 else field.zero() for g in range(n)]
+    counit = [1 if g == 0 else 0 for g in range(n)]
     inverse = cayley_inverses(table)
-    antipode = {i: {inverse[i]: one} for i in range(n)}
-    unit = {i: one for i in range(n)}
+    antipode = {i: {inverse[i]: 1} for i in range(n)}
+    unit = {i: 1 for i in range(n)}
     H = FiniteHopf(name or f"function-algebra[{'.'.join(labels)}]", field,
                    [f"d_{l}" for l in labels], unit, product, coproduct,
                    counit, antipode)
     for point in range(n):
-        values = [one if g == point else field.zero() for g in range(n)]
+        values = [1 if g == point else 0 for g in range(n)]
         H.characters[f"eval_{labels[point]}"] = Character(
             H, values, name=f"eval_{labels[point]}")
     H.characters["counit"] = H.counit_character()
@@ -534,27 +521,24 @@ def sweedler_h4(field=None):
     smallest nontrivial test of the twisted involution condition.
     """
     field = field or RationalField()
-    one = field.one()
-    m1 = -one
     I, G, X, GX = 0, 1, 2, 3
     product = {
-        (I, I): {I: one}, (I, G): {G: one}, (I, X): {X: one}, (I, GX): {GX: one},
-        (G, I): {G: one}, (G, G): {I: one}, (G, X): {GX: one}, (G, GX): {X: one},
-        (X, I): {X: one}, (X, G): {GX: m1}, (X, X): {}, (X, GX): {},
-        (GX, I): {GX: one}, (GX, G): {X: m1}, (GX, X): {}, (GX, GX): {},
+        (I, I): {I: 1}, (I, G): {G: 1}, (I, X): {X: 1}, (I, GX): {GX: 1},
+        (G, I): {G: 1}, (G, G): {I: 1}, (G, X): {GX: 1}, (G, GX): {X: 1},
+        (X, I): {X: 1}, (X, G): {GX: -1}, (X, X): {}, (X, GX): {},
+        (GX, I): {GX: 1}, (GX, G): {X: -1}, (GX, X): {}, (GX, GX): {},
     }
     coproduct = {
-        I: {(I, I): one},
-        G: {(G, G): one},
-        X: {(X, I): one, (G, X): one},
-        GX: {(GX, G): one, (I, GX): one},
+        I: {(I, I): 1},
+        G: {(G, G): 1},
+        X: {(X, I): 1, (G, X): 1},
+        GX: {(GX, G): 1, (I, GX): 1},
     }
-    counit = [one, one, field.zero(), field.zero()]
-    antipode = {I: {I: one}, G: {G: one}, X: {GX: m1}, GX: {X: one}}
-    H = FiniteHopf("sweedler-h4", field, ["1", "g", "x", "gx"], {I: one},
+    counit = [1, 1, 0, 0]
+    antipode = {I: {I: 1}, G: {G: 1}, X: {GX: -1}, GX: {X: 1}}
+    H = FiniteHopf("sweedler-h4", field, ["1", "g", "x", "gx"], {I: 1},
                    product, coproduct, counit, antipode)
-    H.characters["delta"] = Character(
-        H, [one, m1, field.zero(), field.zero()], name="delta")
+    H.characters["delta"] = Character(H, [1, -1, 0, 0], name="delta")
     H.characters["counit"] = H.counit_character()
     return H
 
@@ -562,7 +546,6 @@ def sweedler_h4(field=None):
 def matrix_algebra(n, field=None):
     """Full matrix algebra M_n(k) with basis e_{rc} in row-major order."""
     field = field or RationalField()
-    one = field.one()
     basis = [f"e{r}{c}" for r in range(n) for c in range(n)]
     product = {}
     for r in range(n):
@@ -571,8 +554,8 @@ def matrix_algebra(n, field=None):
                 for c2 in range(n):
                     i = r * n + c
                     j = r2 * n + c2
-                    product[(i, j)] = {r * n + c2: one} if c == r2 else {}
-    unit = {r * n + r: one for r in range(n)}
+                    product[(i, j)] = {r * n + c2: 1} if c == r2 else {}
+    unit = {r * n + r: 1 for r in range(n)}
     return FiniteAlgebra(f"M{n}", field, basis, unit, product)
 
 

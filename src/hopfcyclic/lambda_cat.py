@@ -11,6 +11,8 @@ from __future__ import annotations
 from .cyclic_ops import apply_word
 from .reports import CheckReport, first_failure
 
+MAX_WORD_LENGTH = 6
+
 
 class LambdaMorphism:
     """Staircase normal form: sizes plus the values f(0), ..., f(n-1)."""
@@ -173,14 +175,15 @@ def morphism_relation_suite(N_max):
     return report
 
 
-def random_word(rng, max_degree, max_len=6, degree=None):
-    """A random composable generator word staying within max_degree.
-    Returns (source_degree, word); pass ``degree`` to pin the source."""
+def random_word(rng, max_degree, degree=None):
+    """A random composable generator word of 1 to MAX_WORD_LENGTH generators
+    staying within max_degree.  Returns (source_degree, word); pass
+    ``degree`` to pin the source."""
     if degree is None:
         degree = rng.randrange(0, max_degree + 1)
     word = []
     current = degree
-    for _ in range(rng.randrange(1, max_len + 1)):
+    for _ in range(rng.randrange(1, MAX_WORD_LENGTH + 1)):
         choices = []
         if current + 1 <= max_degree:
             choices.append("d")

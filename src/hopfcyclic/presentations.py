@@ -177,8 +177,7 @@ def hopf_to_dict(H):
         "field": field.to_spec(),
         "dim": H.dim,
         "basis": list(H.basis),
-        "unit": [field.format(
-            H.unit.get(i, field.zero())) for i in range(H.dim)],
+        "unit": [field.format(H.unit.get(i, 0)) for i in range(H.dim)],
         "product": _rows(field, H.product),
         "coproduct": _rows(field, H.coproduct),
         "counit": [field.format(v) for v in H.counit],
@@ -260,7 +259,7 @@ def load_gamma_input(path):
     except CharacterError as exc:
         _fail(f"{path}: {exc}")
     A = _algebra(algebra, f"{path}: algebra")
-    if A.field.to_spec() != H.field.to_spec():
+    if A.field != H.field:
         _fail(f"{path}: hopf and algebra must share a field")
     if not isinstance(action, list) or len(action) != H.dim:
         _fail(f"{path}: action must list one matrix per Hopf basis element")

@@ -17,7 +17,7 @@ from hopfcyclic.cohomology import (NotCyclicError, NotMixedComplexError,
                                    one_minus_lambda_matrix, require_involution)
 from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.hopf import (cyclic_group_algebra, function_algebra,
-                             group_algebra, sweedler_h4, trivial_hopf, vec_eq)
+                             group_algebra, sweedler_h4, trivial_hopf)
 from test_assembly import abelian_hopf_modules
 
 CASES = [

@@ -167,12 +167,16 @@ def test_cached_tau_returns_fresh_dicts(case):
 
 
 def test_enveloping_coproduct_memo_is_not_mutated():
-    """After an ax+b relation suite, every memoized coproduct of a PBW
-    monomial up to degree 3 equals the one of a fresh algebra."""
+    """After an ax+b relation suite and S~ of a combination of every PBW
+    monomial up to degree 3, whose twist reads the memo through
+    ``hopf.linear``, every memoized coproduct of those monomials equals the
+    one of a fresh algebra."""
     mod, suite = _relation_suite_case("axb")
     assert suite().ok
     U, fresh = mod.hopf, EnvelopingAlgebra(ax_plus_b_lie_algebra())
-    for key in U.monomials_up_to_degree(3):
+    keys = U.monomials_up_to_degree(3)
+    U.twisted_antipode(mod.delta, {key: i + 1 for i, key in enumerate(keys)})
+    for key in keys:
         assert U.comul_basis(key) is U.comul_basis(key)
         assert U.comul_basis(key) == fresh.comul_basis(key)
 

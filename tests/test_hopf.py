@@ -1,15 +1,17 @@
 """Structure-constant Hopf algebras: axioms, characters, twisted antipode."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+from hopfcyclic.fields import CyclotomicField
 from hopfcyclic.hopf import (BUILTIN_BUILDERS, Character, CharacterError,
                              check_hopf_axioms, check_involution,
                              check_twisted_properties, cyclic_group_algebra,
-                             function_algebra, group_algebra, sweedler_h4,
-                             trivial_hopf)
+                             evaluate, function_algebra, group_algebra, linear,
+                             sweedler_h4)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_BUILDERS))
@@ -68,12 +70,33 @@ def test_twisted_properties_all_builtins():
 
 
 def test_counit_after_twist_is_character():
-    # eps(S~(h)) = delta(h) on every basis element
-    H = sweedler_h4()
-    delta = H.character("delta")
-    for i in range(H.dim):
-        st = H.twisted_antipode(delta, {i: Fraction(1)})
-        assert H.counit_of(st) == delta.value(i)
+    """eps(S~(h)) = delta(h) on every basis element, on Sweedler and on QZ4
+    over Q(zeta_4), with ``evaluate`` giving the same counit.  ``linear``,
+    which runs comul, antipode_of and twisted_antipode, is the dense sum,
+    stores no zero and leaves the coproduct and antipode tables as built."""
+    F = CyclotomicField(4)
+    z = F.zeta()
+    qz4 = cyclic_group_algebra(4, field=F)
+    cases = [(sweedler_h4(), None, [1, -1, Fraction(1, 2), 3]),
+             (qz4, Character(qz4, [1, z, -1, -z]), [1, z, -2, 1 + z])]
+    for H, delta, coeffs in cases:
+        delta = delta or H.character("delta")
+        tables = copy.deepcopy((H.coproduct, H.antipode))
+        for i in range(H.dim):
+            st = H.twisted_antipode(delta, {i: Fraction(1)})
+            assert H.counit_of(st) == evaluate(H.counit, st) == \
+                delta.value(i)
+        a = dict(enumerate(coeffs))
+        for image in (H.comul_basis, H.antipode_basis):
+            keys = {k for i in a for k in image(i)}
+            dense = {k: sum(c * image(i).get(k, 0) for i, c in a.items())
+                     for k in keys}
+            assert linear(image, a) == {k: v for k, v in dense.items() if v}
+        H.comul(a)
+        H.antipode_of(a)
+        H.twisted_antipode(delta, a)
+        assert (H.coproduct, H.antipode) == tables
+    assert linear(lambda k: {0: k, 1: 1}, {1: 1, 2: -1}) == {0: -1}
 
 
 def test_character_validation():
@@ -116,7 +139,6 @@ def test_function_algebra_characters():
 def test_random_group_algebra_characters_twisted(seed=101):
     """Characters of k[Z/n] are n-th roots of unity; sample them over a
     cyclotomic field and confirm the twisted-antipode identities."""
-    from hopfcyclic.fields import CyclotomicField
     rng = random.Random(seed)
     for _ in range(10):
         n = rng.choice([2, 3, 4, 6])

@@ -98,7 +98,7 @@ def test_relation_suite_on_samples(seed=2):
     U = axb()
     module = HopfCyclicModule(U, U.modular_character())
     rng = random.Random(seed)
-    samples = tensor_samples(U, 3, max_degree=2, rng=rng)
+    samples = tensor_samples(U, 3, rng=rng)
     report = relation_suite(module, 3, samples=samples.__getitem__)
     assert report.ok, report.render()
 
@@ -108,7 +108,7 @@ def test_cyclic_power_formula_on_samples(seed=2):
     iterated j times."""
     U = axb()
     module = HopfCyclicModule(U, U.modular_character())
-    samples = tensor_samples(U, 3, max_degree=2, rng=random.Random(seed))
+    samples = tensor_samples(U, 3, rng=random.Random(seed))
     for n in range(1, 4):
         for j in range(1, n + 2):
             assert check_cyclic_power_formula(module, n, j, samples[n]) \
