@@ -108,10 +108,9 @@ def check_action(hopf, algebra, action):
 
     def multiplicative(case):
         i, a, b = case
-        rhs = {}
-        for (j, k), c in hopf.comul_basis(i).items():
-            vec_add_into(rhs, algebra.mul(action.act_basis(j, a),
-                                          action.act_basis(k, b)), c)
+        rhs = linear(lambda jk: algebra.mul(action.act_basis(jk[0], a),
+                                            action.act_basis(jk[1], b)),
+                     hopf.comul_basis(i))
         return vec_eq(action.act({i: 1}, algebra.mul_basis(a, b)), rhs)
 
     def unit_by_counit(i):
@@ -173,7 +172,8 @@ def characteristic_map(hopf, algebra, action, trace, t, n):
 def check_gamma_morphism(hopf, delta, algebra, action, trace, N_max):
     """gamma intertwines every face, degeneracy and cyclic operator up to
     degree N_max, checked on all basis tensors of the Hopf side."""
-    from .cyclic_ops import HopfCyclicModule, CochainCyclicModule
+    from .cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
+                             apply_generator, word_source_degree)
     hside = HopfCyclicModule(hopf, delta)
     aside = CochainCyclicModule(algebra)
     report = CheckReport("characteristic-map",
@@ -190,29 +190,22 @@ def check_gamma_morphism(hopf, delta, algebra, action, trace, N_max):
                 hopf, algebra, action, trace, {key: 1}, len(key))
         return image
 
-    def compare(name, op_h, op_a, src_deg):
-        report.add(name, *first_failure(
-            hside.samples(src_deg),
-            lambda t: vec_eq(linear(gamma_basis, op_h(t)),
-                             op_a(linear(gamma_basis, t))), sorted))
+    def commutes(gen):
+        return lambda t: vec_eq(
+            linear(gamma_basis, apply_generator(hside, gen, t)),
+            apply_generator(aside, gen, linear(gamma_basis, t)))
 
-    for n in range(1, N_max + 1):
-        for i in range(n + 1):
-            compare(f"face i={i} n={n}",
-                    lambda t, i=i, n=n: hside.face(i, n, t),
-                    lambda p, i=i, n=n: aside.face(i, n, p),
-                    n - 1)
-    for n in range(N_max):
-        for i in range(n + 1):
-            compare(f"degeneracy i={i} n={n}",
-                    lambda t, i=i, n=n: hside.degeneracy(i, n, t),
-                    lambda p, i=i, n=n: aside.degeneracy(i, n, p),
-                    n + 1)
-    for n in range(1, N_max + 1):
-        compare(f"cyclic n={n}",
-                lambda t, n=n: hside.cyclic(n, t),
-                lambda p, n=n: aside.cyclic(n, p),
-                n)
+    # Lambda's generator tags in report order: faces for n = 1..N_max,
+    # degeneracies for n = 0..N_max-1, then tau for n = 1..N_max
+    tags = [(kind, i, n) for kind, low in (("d", 1), ("s", 0), ("t", 1))
+            for n in range(low, N_max + low)
+            for i in range(1 if kind == "t" else n + 1)]
+    names = {"d": "face i={1} n={2}", "s": "degeneracy i={1} n={2}",
+             "t": "cyclic n={2}"}
+    for gen in tags:
+        report.add(names[gen[0]].format(*gen), *first_failure(
+            hside.samples(word_source_degree([gen], gen[2])), commutes(gen),
+            sorted))
     return report
 
 
@@ -230,13 +223,13 @@ def cochain_from_function(algebra, n, fn):
     return out
 
 
-def check_cyclic_cocycle(algebra, phi, n=None):
-    """lambda phi = phi and b phi = 0; for degree 2 the two conditions are
-    the cyclicity of the trilinear form and the four-term identity."""
+def check_cyclic_cocycle(algebra, phi):
+    """lambda phi = phi and b phi = 0, at the degree read off phi (0 if phi
+    is zero); for degree 2 the two conditions are the cyclicity of the
+    trilinear form and the four-term identity."""
     from .cyclic_ops import CochainCyclicModule
     from .cohomology import hochschild_b, signed_cyclic
-    if n is None:
-        n = len(next(iter(phi))) - 1 if phi else 0
+    n = len(next(iter(phi))) - 1 if phi else 0
     cmod = CochainCyclicModule(algebra)
     report = CheckReport("cyclic-cocycle",
                          meta={"algebra": algebra.name, "degree": n})

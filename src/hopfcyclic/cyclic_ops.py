@@ -9,7 +9,11 @@ they act on any tensor, so they serve the symbolic U(g) modules, the
 relation suites and the checkers, and ``operator_matrix`` turns any of them
 into a matrix one basis tensor at a time, which makes them the test oracle.
 Both modules index basis tensors through one base, ``TensorBasis``, keyed
-by the number of tensor factors: n for H^(x)n, n + 1 for cochains.
+by the number of tensor factors: n for H^(x)n, n + 1 for cochains.  It
+also holds the one degeneracy: sigma_i contracts factor i +
+``extra_factors`` against the functional a module holds as
+``contraction``, the counit of H, or on cochains the coefficients of the
+unit, which inserts 1 as argument i + 1.
 tau has one elementwise construction, the closed form of tau_n^j
 (``cyclic_power_formula``); ``cyclic`` is its case j = 1.  It is linear in
 a cache: the image of each basis tensor is built once per (j, n, key), and
@@ -27,10 +31,14 @@ through the coproduct and product tables, since Delta^(m-1) =
 tau, the closed form over those legs, are thus two independent
 constructions.  ``extra_degeneracy_columns`` reads s = sigma_n tau_(n+1)
 off tau_n: a column of tau_n with its last factor multiplied by the last
-factor of the source tuple.  The cohomology matrices are built from
-these.  ``NormalizedModule`` runs the same recursions on the normalized
-complex (ker eps)^(x)n of a rebased module, spanned there by the basis
-tuples that avoid one index.
+factor of the source tuple.  Both recursions map the last factor of a
+column of tau through a table indexed by that factor, in one kernel,
+``last_factor_images``.  b keeps its own loop: b_(m+1)(x (x) e_s) =
+b_m(x) (x) e_s + (-1)^m x (x) D(e_s) is not a map of the last factor
+alone.  The cohomology matrices are built from these.
+``NormalizedModule`` runs the same recursions on the normalized complex
+(ker eps)^(x)n of a rebased module, spanned there by the basis tuples
+that avoid one index.
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
@@ -82,6 +90,29 @@ class TensorBasis:
     def samples(self, n):
         return [{key: 1} for key in self.basis_keys(n)]
 
+    def degeneracy(self, i, n, t):
+        """Degeneracy from degree n+1 to degree n, 0 <= i <= n: factor
+        i + ``extra_factors`` of each basis tuple is contracted against
+        ``self.contraction``, the counit of H on H^(x)n; on cochains the
+        unit's coefficients, which inserts 1 as argument i + 1."""
+        if not 0 <= i <= n:
+            raise IndexError(f"degeneracy index {i} out of range at degree {n}")
+        contraction = self.contraction
+        k = i + self.extra_factors
+        out = {}
+        for key, c in t.items():
+            e = contraction(key[k])
+            if e:
+                d = c * e
+                short = key[:k] + key[k + 1:]
+                w = out.get(short)
+                s = d if w is None else w + d
+                if s:
+                    out[short] = s
+                else:
+                    out.pop(short, None)
+        return out
+
     def operator_matrix(self, op, src_degree, tgt_degree):
         """Assemble the exact matrix of an elementwise operator; columns are
         basis tuples of the source degree in lexicographic order."""
@@ -132,6 +163,7 @@ class HopfCyclicModule(TensorBasis):
     def __init__(self, hopf, delta):
         self.hopf = hopf
         self.delta = delta
+        self.contraction = hopf.counit_basis
         self._legs = {}
         self._images = {}
         self._slots = {}
@@ -160,23 +192,7 @@ class HopfCyclicModule(TensorBasis):
             vec_add_into(out, image, c)
         return out
 
-    def degeneracy(self, i, n, t):
-        """Degeneracy from degree n+1 to degree n, 0 <= i <= n."""
-        if not 0 <= i <= n:
-            raise IndexError(f"degeneracy index {i} out of range at degree {n}")
-        H = self.hopf
-        out = {}
-        for key, c in t.items():
-            d = c * H.counit_basis(key[i])
-            if d:
-                short = key[:i] + key[i + 1:]
-                w = out.get(short)
-                s = d if w is None else w + d
-                if s:
-                    out[short] = s
-                else:
-                    out.pop(short, None)
-        return out
+    degeneracy = TensorBasis.degeneracy  # traced per class
 
     def cyclic(self, n, t):
         """tau_n, the closed form of tau_n^j at j = 1.  Identity in degree 0."""
@@ -292,27 +308,18 @@ class HopfCyclicModule(TensorBasis):
         takes the counit of the last leg of Delta^n S~(h^1), so s of the
         tuple (x, t) is tau_n e_x with its last factor e_a replaced by
         e_a e_t (exact by the unit axiom).  At n = 0 (one row; at d = 1 the
-        two agree) s = eps S~ = delta, read here as the product e_0 e_t."""
+        two agree) s = eps S~ = delta, read here as the product e_0 e_t.
+        Consecutive sources with the same x share one split of tau_n e_x."""
         H, d = self.hopf, self.base
         if tau.nrows == 1:
-            prod = [[[(0, v)] if v else [] for v in self.delta.values]]
+            prod = [[[(0, v)] if v else []] for v in self.delta.values]
         else:
-            prod = [[list(H.mul_basis(a, t).items()) for t in range(d)]
-                    for a in range(d)]
-        for j in sources:
-            x, t = divmod(j, d)
-            out = {}
-            for r, v in tau.cols[x].items():
-                a = r % d
-                for m, c in prod[a][t]:
-                    k = r - a + m
-                    w = out.get(k)
-                    y = v * c if w is None else w + v * c
-                    if y:
-                        out[k] = y
-                    else:
-                        del out[k]
-            yield out
+            prod = [[list(H.mul_basis(a, t).items()) for a in range(d)]
+                    for t in range(d)]
+        return last_factor_images(
+            ((tau.cols[x], [prod[j % d] for j in js])
+             for x, js in itertools.groupby(sources, lambda j: j // d)),
+            d, d)
 
     def cyclic_matrix(self, n):
         """Matrix of tau_n, by recursion on the degree.
@@ -340,24 +347,31 @@ class HopfCyclicModule(TensorBasis):
                                          in H.mul_basis(p, s).items()}, c)
                 row.append(list(image.items()))
             phi.append(row)
-        dd = d * d
         for _ in range(2, n + 1):
-            prev, cols = cols, []
-            for col in prev:
-                split = [(r // d * dd, v, r % d) for r, v in col.items()]
-                for table in phi:
-                    out = {}
-                    for base, v, a in split:
-                        for off, c in table[a]:
-                            r = base + off
-                            w = out.get(r)
-                            x = v * c if w is None else w + v * c
-                            if x:
-                                out[r] = x
-                            else:
-                                del out[r]
-                    cols.append(out)
+            cols = list(last_factor_images(((col, phi) for col in cols),
+                                           d, d * d))
         return SparseMatrix.from_columns(cols, d ** n)
+
+
+def last_factor_images(pairs, d, width):
+    """(id (x) T) col for each table T of each pair (col, tables), in order:
+    col is a sparse column over basis tuples in base d, and T[a] lists the
+    (offset, c) pairs, offsets below width, that replace a last factor e_a.
+    Each column is split into its head and last factor once."""
+    for col, tables in pairs:
+        split = [(r // d * width, v, r % d) for r, v in col.items()]
+        for table in tables:
+            out = {}
+            for head, v, a in split:
+                for off, c in table[a]:
+                    r = head + off
+                    w = out.get(r)
+                    x = v * c if w is None else w + v * c
+                    if x:
+                        out[r] = x
+                    else:
+                        del out[r]
+            yield out
 
 
 def iterated_comul(H, elem, n):
@@ -401,8 +415,6 @@ class NormalizedModule(TensorBasis):
         self.full = HopfCyclicModule(rebased_hopf, rebased_delta)
         self.digits = [k for k in range(hopf.dim) if k != self.p]
         self.base = len(self.digits)
-        self._full_index = {0: [0]}
-        self._rows = {}
         self._table = self._reduced_coproduct()
 
     def basis_keys(self, n):
@@ -416,20 +428,15 @@ class NormalizedModule(TensorBasis):
 
     def full_index(self, n):
         """The rebased index of each basis tuple of N^n, in order."""
-        full = self._full_index.get(n)
-        if full is None:
-            d = self.full.base
-            full = self._full_index[n] = [
-                j * d + k for j in self.full_index(n - 1) for k in self.digits]
+        d, full = self.full.base, [0]
+        for _ in range(n):
+            full = [j * d + k for j in full for k in self.digits]
         return full
 
     def restricted(self, cols, src, tgt):
         """The NormalizedMatrix from N^src to N^tgt with the given columns,
         dicts on the rebased rows of degree tgt."""
-        rows = self._rows.get(tgt)
-        if rows is None:
-            rows = self._rows[tgt] = {
-                r: i for i, r in enumerate(self.full_index(tgt))}
+        rows = {r: i for i, r in enumerate(self.full_index(tgt))}
         outside, kept = None, []
         for j, col in enumerate(cols):
             try:
@@ -476,6 +483,7 @@ class CochainCyclicModule(TensorBasis):
     def __init__(self, algebra):
         self.algebra = algebra
         self.base = algebra.dim
+        self.contraction = algebra.unit.get
         self._rev = algebra.reverse_product_table()
 
     def face(self, i, n, phi):
@@ -491,24 +499,7 @@ class CochainCyclicModule(TensorBasis):
 
         return linear(image, phi)
 
-    def degeneracy(self, i, n, phi):
-        """Insert the algebra unit as argument i+1; degree n+1 to n."""
-        if not 0 <= i <= n:
-            raise IndexError(f"degeneracy index {i} out of range at degree {n}")
-        unit = self.algebra.unit
-        out = {}
-        for key, c in phi.items():
-            cu = unit.get(key[i + 1])
-            if cu:
-                d = c * cu
-                short = key[:i + 1] + key[i + 2:]
-                w = out.get(short)
-                s = d if w is None else w + d
-                if s:
-                    out[short] = s
-                else:
-                    out.pop(short, None)
-        return out
+    degeneracy = TensorBasis.degeneracy  # traced per class
 
     def cyclic(self, n, phi):
         """Rotate arguments: the new last argument moves to the front."""

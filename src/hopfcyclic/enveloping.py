@@ -13,6 +13,7 @@ The canonical character is the trace of the adjoint representation.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .fields import RationalField, rational
 from .hopf import FiniteHopf, linear, vec_add_into, vec_eq, vec_scale
@@ -93,9 +94,10 @@ def ax_plus_b_lie_algebra():
 class SymbolicCharacter:
     """Character of U(g) determined by its values on the generators."""
 
-    def __init__(self, gen_values, name="delta"):
+    name = "delta"
+
+    def __init__(self, gen_values):
         self.gen_values = [rational(v) for v in gen_values]
-        self.name = name
 
     def value(self, key):
         out = 1
@@ -186,23 +188,16 @@ class EnvelopingAlgebra:
 
     def comul_basis(self, key):
         """Delta of a PBW monomial, computed once per key; the returned dict
-        is the memo's own and is only read."""
+        is the memo's own and is only read.  The X_i are primitive and
+        X_i (x) 1 commutes with 1 (x) X_j, so Delta(X^a) = sum over b <= a
+        of prod_i C(a_i, b_i) X^b (x) X^(a-b), both legs in PBW order."""
         cached = self._comul_cache.get(key)
-        if cached is not None:
-            return cached
-        out = {(self._one_key, self._one_key): 1}
-        for i, power in enumerate(key):
-            for _ in range(power):
-                gen = self.generator(i)
-                step = {}
-                for (l, r), c in out.items():
-                    vec_add_into(step, {(m, r): d for m, d
-                                        in self.mul({l: 1}, gen).items()}, c)
-                    vec_add_into(step, {(l, m): d for m, d
-                                        in self.mul({r: 1}, gen).items()}, c)
-                out = step
-        self._comul_cache[key] = out
-        return out
+        if cached is None:
+            cached = self._comul_cache[key] = {
+                (low, tuple(a - b for a, b in zip(key, low))):
+                    math.prod(map(math.comb, key, low))
+                for low in itertools.product(*(range(a + 1) for a in key))}
+        return cached
 
     # -- antipode: S(X_i) = -X_i, extended antimultiplicatively
 
@@ -222,25 +217,17 @@ class EnvelopingAlgebra:
     twist_automorphism = FiniteHopf.twist_automorphism
     twisted_antipode = FiniteHopf.twisted_antipode
 
-    def modular_character(self, name="delta"):
-        return SymbolicCharacter(self.lie.adjoint_trace_character(), name=name)
+    def modular_character(self):
+        return SymbolicCharacter(self.lie.adjoint_trace_character())
 
     def monomials_up_to_degree(self, max_degree):
         """All PBW exponent vectors of total degree <= max_degree, lex order."""
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                out.append(tuple(prefix))
-                return
-            for a in range(remaining + 1):
-                rec(prefix + [a], remaining - a, slots - 1)
-
-        rec([], max_degree, self.lie.dim)
-        return sorted(out)
+        return [m for m in itertools.product(range(max_degree + 1),
+                                             repeat=self.lie.dim)
+                if sum(m) <= max_degree]
 
 
-def tensor_samples(algebra, N_max, rng=None):
+def tensor_samples(algebra, N_max, rng):
     """Sample tensors for relation checks on a rule-based algebra: all
     monomial tensors of total degree at most SAMPLE_DEGREE, plus
     RANDOM_SAMPLES seeded random linear combinations per degree."""
@@ -251,7 +238,7 @@ def tensor_samples(algebra, N_max, rng=None):
         for combo in itertools.product(monos, repeat=n):
             if sum(sum(k) for k in combo) <= SAMPLE_DEGREE:
                 ts.append({combo: 1})
-        if rng is not None and n >= 1:
+        if n >= 1:
             for _ in range(RANDOM_SAMPLES):
                 t = {}
                 for _ in range(2):

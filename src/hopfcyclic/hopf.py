@@ -330,20 +330,17 @@ def check_hopf_axioms(H):
     basis = H.basis_element
 
     def coassociative(case):
-        lhs, rhs = {}, {}
-        for (j, k), c in H.comul_basis(case[0]).items():
-            vec_add_into(lhs, {(a, b, k): d for (a, b), d
-                               in H.comul_basis(j).items()}, c)
-            vec_add_into(rhs, {(j, a, b): d for (a, b), d
-                               in H.comul_basis(k).items()}, c)
-        return vec_eq(lhs, rhs)
+        coproduct = H.comul_basis(case[0])
+        return vec_eq(
+            linear(lambda jk: {(a, b, jk[1]): d for (a, b), d
+                               in H.comul_basis(jk[0]).items()}, coproduct),
+            linear(lambda jk: {(jk[0], a, b): d for (a, b), d
+                               in H.comul_basis(jk[1]).items()}, coproduct))
 
     def counital(case):
-        left, right = {}, {}
-        for (j, k), c in H.comul_basis(case[0]).items():
-            vec_add_into(left, {k: c * H.counit[j]})
-            vec_add_into(right, {j: c * H.counit[k]})
-        e = basis(case[0])
+        coproduct, e = H.comul_basis(case[0]), basis(case[0])
+        left = linear(lambda jk: {jk[1]: H.counit[jk[0]]}, coproduct)
+        right = linear(lambda jk: {jk[0]: H.counit[jk[1]]}, coproduct)
         return vec_eq(left, e) and vec_eq(right, e)
 
     def comul_multiplicative(ij):
@@ -363,10 +360,11 @@ def check_hopf_axioms(H):
 
     def convolution(case):
         i = case[0]
-        left, right = {}, {}
-        for (j, k), c in H.comul_basis(i).items():
-            vec_add_into(left, H.mul(H.antipode_basis(j), basis(k)), c)
-            vec_add_into(right, H.mul(basis(j), H.antipode_basis(k)), c)
+        coproduct = H.comul_basis(i)
+        left = linear(lambda jk: H.mul(H.antipode_basis(jk[0]), basis(jk[1])),
+                      coproduct)
+        right = linear(lambda jk: H.mul(basis(jk[0]), H.antipode_basis(jk[1])),
+                       coproduct)
         expected = vec_scale(H.counit[i], one)
         return vec_eq(left, expected) and vec_eq(right, expected)
 
@@ -402,14 +400,14 @@ def check_twisted_properties(H, delta):
         return vec_eq(st(H.mul(i, j)), H.mul(st(j), st(i)))
 
     def coalgebra_antimorphism(case):
+        def term(jk):
+            """S(e_k) (x) S~(e_j) for the term e_j (x) e_k of Delta(e_i)."""
+            sj = st(basis(jk[0]))
+            return linear(lambda a: {(a, b): cb for b, cb in sj.items()},
+                          H.antipode_basis(jk[1]))
+
         i = case[0]
-        rhs = {}
-        for (j, k), c in H.comul_basis(i).items():
-            sj = st(basis(j))
-            for a, ca in H.antipode_basis(k).items():
-                vec_add_into(rhs, {(a, b): cb for b, cb in sj.items()},
-                             c * ca)
-        return vec_eq(H.comul(st(basis(i))), rhs)
+        return vec_eq(H.comul(st(basis(i))), linear(term, H.comul_basis(i)))
 
     one = H.unit_element()
     if not vec_eq(st(one), one):

@@ -100,11 +100,10 @@ def generator_morphism(gen):
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def compose_word(word, source_degree=None):
-    """Normal form of a generator word (rightmost generator acts first)."""
+def compose_word(word, source_degree):
+    """Normal form of a generator word (rightmost generator acts first) that
+    acts on ``source_degree``, which names the identity when it is empty."""
     if not word:
-        if source_degree is None:
-            raise ValueError("empty word needs an explicit degree")
         return identity_morphism(source_degree + 1)
     out = generator_morphism(word[-1])
     for gen in reversed(word[:-1]):

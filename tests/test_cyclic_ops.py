@@ -216,6 +216,19 @@ def test_cochain_cyclic_rotates():
     assert cmod.cyclic(2, {(0, 1, 2): ONE}) == {(1, 2, 0): ONE}
 
 
+def test_one_degeneracy_for_both_modules():
+    """Both classes bind TensorBasis.degeneracy in their own __dict__; on
+    cochains it contracts argument i + 1 against the unit's coefficients."""
+    assert HopfCyclicModule.__dict__["degeneracy"] \
+        is CochainCyclicModule.__dict__["degeneracy"] \
+        is cyclic_ops.TensorBasis.degeneracy
+    A = matrix_algebra(2)  # the unit is e_00 + e_11, indices 0 and 3
+    cmod = CochainCyclicModule(A)
+    phi = {(1, 0, 2): ONE, (1, 3, 2): 2 * ONE, (1, 1, 2): 5 * ONE}
+    assert cmod.degeneracy(0, 1, phi) == {(1, 2): 3 * ONE}
+    assert cmod.degeneracy(1, 1, {(1, 2, 3): ONE}) == {(1, 2): ONE}
+
+
 def test_face_index_bounds():
     mod = sweedler_module()
     with pytest.raises(IndexError):

@@ -12,7 +12,7 @@ from hopfcyclic.cyclic_ops import (HopfCyclicModule,
 from hopfcyclic.enveloping import (EnvelopingAlgebra, LieAlgebra,
                                    abelian_lie_algebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
-from hopfcyclic.hopf import vec_add_into
+from hopfcyclic.hopf import linear, vec_add_into, vec_eq
 from hopfcyclic.presentations import load_lie
 
 ONE = Fraction(1)
@@ -43,6 +43,22 @@ def test_coproduct_binomial():
     assert U.comul_basis((2,)) == {((2,), (0,)): ONE,
                                    ((1,), (1,)): Fraction(2),
                                    ((0,), (2,)): ONE}
+    # Delta(ab) = Delta(a) Delta(b) on ax+b, the product taken leg by leg
+    U = axb()
+    monos = U.monomials_up_to_degree(2)
+
+    def leg_product(left, right):
+        return linear(lambda pq: linear(
+            lambda rs: {(x, y): cx * cy
+                        for x, cx in U.mul({pq[0]: 1}, {rs[0]: 1}).items()
+                        for y, cy in U.mul({pq[1]: 1}, {rs[1]: 1}).items()},
+            right), left)
+
+    for a in monos:
+        for b in monos:
+            assert vec_eq(U.comul(U.mul({a: 1}, {b: 1})),
+                          leg_product(U.comul_basis(a), U.comul_basis(b))), \
+                (a, b)
 
 
 def test_antipode():
