@@ -9,12 +9,17 @@ map gamma sends a degree-n tensor over H to the (n+1)-linear form
 
 and, when the trace is invariant for the character delta, gamma commutes
 with every face, degeneracy and cyclic operator of the two cyclic modules.
+The action holds H and A, so the checks and gamma take it, never H or A
+beside it, and gamma reads n off the keys of its tensor.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .cohomology import hochschild_b, signed_cyclic
+from .cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
+                         apply_generator, word_source_degree)
 from .hopf import (cayley_inverses, evaluate, function_algebra,
                    group_algebra, linear, vec_add_into, vec_eq, vec_scale,
                    vec_sub)
@@ -39,14 +44,16 @@ class HopfAction:
         for i in range(hopf.dim):
             if i not in matrices:
                 raise ActionError(f"missing action matrix for basis element {i}")
+        self._columns = {i: {} for i in matrices}
+        for i, matrix in matrices.items():
+            for (r, c), v in matrix.items():
+                if v:
+                    self._columns[i].setdefault(c, {})[r] = v
 
     def act_basis(self, i, a):
-        """Action of H-basis element i on A-basis element a."""
-        out = {}
-        for (r, c), v in self.matrices[i].items():
-            if c == a and v:
-                out[r] = v
-        return out
+        """Action of H-basis element i on A-basis element a: column a of
+        matrix i, kept by column since __init__.  Callers only read it."""
+        return self._columns[i].get(a, {})
 
     def act(self, h, a):
         """Action of an H element (dict) on an A element (dict)."""
@@ -90,8 +97,9 @@ class Trace:
         return {(i,): v for i, v in enumerate(self.values) if v}
 
 
-def check_action(hopf, algebra, action):
+def check_action(action):
     """Unit action, module axiom and multiplicativity of the action."""
+    hopf, algebra = action.hopf, action.algebra
     report = CheckReport("hopf-action",
                          meta={"hopf": hopf.name, "algebra": algebra.name})
     unit_h = hopf.unit_element()
@@ -128,23 +136,22 @@ def check_action(hopf, algebra, action):
     return report
 
 
-def check_delta_invariance(hopf, delta, algebra, action, trace):
+def check_delta_invariance(action, delta, trace):
     """tau(h(a) b) = tau(a S~(h)(b)) on all basis triples."""
+    hopf, algebra = action.hopf, action.algebra
     report = CheckReport("trace-invariance",
                          meta={"hopf": hopf.name, "algebra": algebra.name,
                                "character": delta.name, "trace": trace.name})
     report.add("trace-property", *trace.is_trace())
-    # S~(e_i) and e_i(e_a) are computed once each, not once per case
+    # S~(e_i) is computed once, not once per case
     twisted = [hopf.twisted_antipode(delta, {i: 1})
                for i in range(hopf.dim)]
-    acted = {(i, a): action.act_basis(i, a)
-             for i in range(hopf.dim) for a in range(algebra.dim)}
 
     def invariant(case):
         i, a, b = case
-        basis_b = {b: 1}
-        return trace.of(algebra.mul(acted[i, a], basis_b)) == trace.of(
-            algebra.mul({a: 1}, action.act(twisted[i], basis_b)))
+        left = algebra.mul(action.act_basis(i, a), {b: 1})
+        right = algebra.mul({a: 1}, action.act(twisted[i], {b: 1}))
+        return trace.of(left) == trace.of(right)
 
     report.add("integration-by-parts", *first_failure(
         itertools.product(range(hopf.dim), range(algebra.dim),
@@ -152,42 +159,42 @@ def check_delta_invariance(hopf, delta, algebra, action, trace):
     return report
 
 
-def characteristic_map(hopf, algebra, action, trace, t, n):
-    """The cochain tau(x^0 h^1(x^1) ... h^n(x^n)) as a coefficient dict
-    over (n+1)-tuples of A-basis indices.  Degree 0 recovers the trace."""
+def characteristic_map(action, trace, t):
+    """tau(x^0 h^1(x^1) ... h^n(x^n)) as a coefficient dict over (n+1)-tuples
+    of A-basis indices, n read off t's keys.  Degree 0 recovers the trace."""
+    algebra = action.algebra
+    n = len(next(iter(t), ()))
     out = {}
     for xs in itertools.product(range(algebra.dim), repeat=n + 1):
         total = 0
         for key, c in t.items():
             prod = {xs[0]: 1}
-            for slot in range(n):
-                prod = algebra.mul(prod,
-                                   action.act_basis(key[slot], xs[slot + 1]))
+            for h, x in zip(key, xs[1:]):
+                prod = algebra.mul(prod, action.act_basis(h, x))
             total = total + c * trace.of(prod)
         if total:
             out[xs] = total
     return out
 
 
-def check_gamma_morphism(hopf, delta, algebra, action, trace, N_max):
+def check_gamma_morphism(action, delta, trace, N_max):
     """gamma intertwines every face, degeneracy and cyclic operator up to
     degree N_max, checked on all basis tensors of the Hopf side."""
-    from .cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
-                             apply_generator, word_source_degree)
+    hopf, algebra = action.hopf, action.algebra
     hside = HopfCyclicModule(hopf, delta)
     aside = CochainCyclicModule(algebra)
     report = CheckReport("characteristic-map",
                          meta={"hopf": hopf.name, "algebra": algebra.name,
                                "character": delta.name, "trace": trace.name,
                                "max-degree": N_max})
-    basis_gamma = {}  # basis tuple (of degree len(key)) -> its gamma
+    basis_gamma = {}  # basis tuple -> its gamma
 
     def gamma_basis(key):
         """gamma is linear, so it is computed once per basis tensor."""
         image = basis_gamma.get(key)
         if image is None:
             image = basis_gamma[key] = characteristic_map(
-                hopf, algebra, action, trace, {key: 1}, len(key))
+                action, trace, {key: 1})
         return image
 
     def commutes(gen):
@@ -227,20 +234,14 @@ def check_cyclic_cocycle(algebra, phi):
     """lambda phi = phi and b phi = 0, at the degree read off phi (0 if phi
     is zero); for degree 2 the two conditions are the cyclicity of the
     trilinear form and the four-term identity."""
-    from .cyclic_ops import CochainCyclicModule
-    from .cohomology import hochschild_b, signed_cyclic
     n = len(next(iter(phi))) - 1 if phi else 0
     cmod = CochainCyclicModule(algebra)
     report = CheckReport("cyclic-cocycle",
                          meta={"algebra": algebra.name, "degree": n})
-    lam = signed_cyclic(cmod, n, phi)
-    cyc_ok = vec_eq(lam, phi)
-    report.add("cyclicity", cyc_ok,
-               None if cyc_ok else sorted(vec_sub(lam, phi))[0])
-    bphi = hochschild_b(cmod, n + 1, phi)
-    b_ok = not bphi
-    report.add("hochschild-cocycle", b_ok,
-               None if b_ok else sorted(bphi)[0])
+    for check, residue in (
+            ("cyclicity", vec_sub(signed_cyclic(cmod, n, phi), phi)),
+            ("hochschild-cocycle", hochschild_b(cmod, n + 1, phi))):
+        report.add(check, not residue, min(residue) if residue else None)
     return report
 
 
@@ -273,14 +274,13 @@ def is_idempotent(algebra, E):
     return mat_over_eq(mat_over_mul(algebra, E, E), E)
 
 
-def eval_cochain(algebra, phi, elems):
+def eval_cochain(phi, elems):
     """Evaluate a coefficient-dict cochain on a tuple of A elements."""
     total = 0
     for key, c in phi.items():
-        prod = c
-        for slot, k in enumerate(key):
-            prod = prod * elems[slot].get(k, 0)
-        total = total + prod
+        for elem, k in zip(elems, key):
+            c = c * elem.get(k, 0)
+        total = total + c
     return total
 
 
@@ -296,7 +296,7 @@ def pair_idempotent(algebra, phi, E, q):
             f"pairing implemented for degrees 0 and 2, not {degree}")
     total = 0
     for idx in itertools.product(range(q), repeat=degree + 1):
-        total = total + eval_cochain(algebra, phi, [
+        total = total + eval_cochain(phi, [
             E.get((i, j), {}) for i, j in zip(idx, idx[1:] + idx[:1])])
     return total
 
@@ -329,18 +329,14 @@ def random_conjugate(algebra, E, q, rng):
 
 
 def translation_action(labels, table):
-    """Group algebra of G acting on functions on G by right translation of
-    the argument: (g . f)(s) = f(s g).  Returns (H, A, action), with A the
+    """Group algebra H of G acting on functions on G by right translation
+    of the argument: (g . f)(s) = f(s g).  The action holds H and A, the
     function Hopf algebra k^G, which serves wherever an algebra is read."""
-    H = group_algebra(labels, table)
-    A = function_algebra(labels, table)
-    n = len(labels)
-    inv = cayley_inverses(table)
-    matrices = {}
-    for g in range(n):
-        # g sends the indicator of the point t to the indicator of t g^{-1}
-        matrices[g] = {(table[t][inv[g]], t): 1 for t in range(n)}
-    return H, A, HopfAction(H, A, matrices)
+    points, inv = range(len(labels)), cayley_inverses(table)
+    # g sends the indicator of the point t to the indicator of t g^{-1}
+    matrices = {g: {(table[t][inv[g]], t): 1 for t in points} for g in points}
+    return HopfAction(group_algebra(labels, table),
+                      function_algebra(labels, table), matrices)
 
 
 def summation_trace(algebra):

@@ -17,6 +17,7 @@ from . import actions
 from .cohomology import (NotCyclicError, NotMixedComplexError,
                          cohomology_report, methods_agree, require_involution)
 from .cyclic_ops import HopfCyclicModule, relation_suite
+from .enveloping import tensor_samples
 from .hopf import (BUILTIN_BUILDERS, CharacterError, check_hopf_axioms,
                    check_involution, check_twisted_properties)
 # load_lie is not called here; bench/tracing.py wraps it as cli.load_lie
@@ -85,7 +86,6 @@ def cmd_cyclic_relations(args):
             raise PresentationError(
                 f"{args.input}: --character does not apply to a Lie "
                 f"presentation; U(g) uses its modular character")
-        from .enveloping import tensor_samples
         U = lie_from_dict(data, args.input)
         delta = U.modular_character()
         module = HopfCyclicModule(U, delta)
@@ -151,11 +151,12 @@ def cmd_pair(args):
 
 
 def cmd_gamma_check(args):
-    H, delta, A, action, trace = load_gamma_input(args.input)
+    action, delta, trace = load_gamma_input(args.input)
+    H = action.hopf
     if _fails_hopf_axioms(H, args.output):
         return 1
-    report = actions.check_action(H, A, action)
-    report.merge(actions.check_delta_invariance(H, delta, A, action, trace))
+    report = actions.check_action(action)
+    report.merge(actions.check_delta_invariance(action, delta, trace))
     if report.ok:
         try:
             require_involution(H, delta)
@@ -163,8 +164,8 @@ def cmd_gamma_check(args):
             report.add("twisted-antipode-involution", False, str(exc))
             _emit(report.render(), args.output)
             return 1
-        report.merge(actions.check_gamma_morphism(H, delta, A, action,
-                                                  trace, args.max_degree))
+        report.merge(actions.check_gamma_morphism(action, delta, trace,
+                                                  args.max_degree))
     _emit(report.render(), args.output)
     return 0 if report.ok else 1
 

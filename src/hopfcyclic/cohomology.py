@@ -28,9 +28,11 @@ there.  B sends N into N; an entry outside N is never dropped but fails
 the gate (see ``_zero_witness``), so every report checks that closure.
 
 cohomology_report builds each b_n and B_n once and passes the same
-matrices to the mixed-complex checks and to every dimension function.  The
-checks form each product exactly, one column at a time, and stop at the
-first column that is not zero; no product matrix is stored.  The report
+matrices to the mixed-complex checks and to every dimension function;
+hochschild_dimensions and bicomplex_dimensions read each size off those
+shapes, so any complex of matrices serves them.  The checks form each
+product exactly, one column at a time, and stop at the first column that
+is not zero; no product matrix is stored.  The report
 builds the b it needs and checks b^2 = 0: for HH and HC(lambda) the full
 b_1..b_(N+1), for HC(bB) the normalized b_1..b_N, and under 'bB' alone the
 normalized b_(N+1) too, for HH.  It computes HH and the lambda-method HC,
@@ -249,11 +251,11 @@ def _homology_dims(sizes, ranks):
             for n, size in enumerate(sizes)]
 
 
-def hochschild_dimensions(module, b):
+def hochschild_dimensions(b):
     """HH^n = ker(b: C^n -> C^n+1) / im(b: C^n-1 -> C^n) for n <= N, given
-    b = {n: b_n} for 1 <= n <= N+1."""
+    b = {n: b_n} for 1 <= n <= N+1, dim C^n the columns of b_(n+1)."""
     ranks = [b[n + 1].rank() for n in range(len(b))]
-    sizes = [module.space_dim(n) for n in range(len(b))]
+    sizes = [b[n + 1].ncols for n in range(len(b))]
     return _homology_dims(sizes, ranks), ranks
 
 
@@ -267,7 +269,7 @@ def lambda_complex_dimensions(module, b):
     dim K = dim C^n - rank A.  One elimination per degree ranks b_(n+1),
     then goes on with A's rows.  b_(N+1), which only HH and this need, is
     taken out of b, so it is freed once its rows are copied; A is built
-    after b_(n+1) is eliminated."""
+    from the module after b_(n+1) is eliminated, to bound peak memory."""
     top = len(b)
     kernel_dims, image_ranks, b_ranks = [], [], []
     for n in range(top):
@@ -284,12 +286,15 @@ def lambda_complex_dimensions(module, b):
     return _homology_dims(kernel_dims, image_ranks), b_ranks
 
 
-def bicomplex_dimensions(module, b, B):
+def bicomplex_dimensions(b, B):
     """HC^n from the total complex of the (b, B)-bicomplex truncated at
     column degree N, given b = {n: b_n} for 1 <= n <= N and B = {n: B_n}
     for 0 <= n < N.  Returns (dims, flags): dims[n] is None when the
     truncation cannot determine it; flags marks the top two degrees."""
     N_max = len(B)
+
+    def space_dim(m):  # the columns of b_(m+1), at the top the rows of b_N
+        return b[m + 1].ncols if m < N_max else b[N_max].nrows
 
     def offsets(n):
         """Row or column offset of each block C^m (m = n, n-2, ...) in the
@@ -297,7 +302,7 @@ def bicomplex_dimensions(module, b, B):
         off, size = {}, 0
         for m in range(n, -1, -2):
             off[m] = size
-            size += module.space_dim(m)
+            size += space_dim(m)
         return off, size
 
     def total_matrix(n):
@@ -312,7 +317,7 @@ def bicomplex_dimensions(module, b, B):
                 parts.append((row_off[m - 1], B[m - 1].cols))
             cols += ({r0 + r: v for r0, block in parts
                       for r, v in block[j].items()}
-                     for j in range(module.space_dim(m)))
+                     for j in range(space_dim(m)))
         return SparseMatrix.from_columns(cols, nrows)
 
     ranks = [total_matrix(n).rank() for n in range(N_max)]
@@ -350,7 +355,7 @@ def cohomology_report(hopf, delta, N_max, method="both"):
     check_b_square(gate, *complexes)
     if gate.ok:  # no rank of a complex whose b^2 is not 0
         if method == "bB":  # rank b_(n+1) = dim C^n - HH^n - rank b_n
-            hh, b_ranks = hochschild_dimensions(norm, b)[0], []
+            hh, b_ranks = hochschild_dimensions(b)[0], []
             for dim, h in zip(dims, hh):
                 b_ranks.append(dim - h - (b_ranks[-1] if b_ranks else 0))
         else:
@@ -362,7 +367,7 @@ def cohomology_report(hopf, delta, N_max, method="both"):
         B = {n: B_matrix(norm, n) for n in range(N_max)}
         check_B_relations(gate, norm, b, B)
         if gate.ok:
-            hc_bB, flags = bicomplex_dimensions(norm, b, B)
+            hc_bB, flags = bicomplex_dimensions(b, B)
     if not gate.ok:
         raise NotMixedComplexError(gate)
     report = ComplexReport(hopf.name, delta.name, N_max, method)

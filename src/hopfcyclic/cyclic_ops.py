@@ -179,10 +179,7 @@ class HopfCyclicModule(TensorBasis):
         unit = H.unit_element()
         out = {}
         for key, c in t.items():
-            if n == 1:
-                # both faces out of degree 0 send 1 to 1_H
-                image = {(u,): cu for u, cu in unit.items()}
-            elif i == 0:
+            if i == 0:
                 image = {(u,) + key: cu for u, cu in unit.items()}
             elif i == n:
                 image = {key + (u,): cu for u, cu in unit.items()}

@@ -32,10 +32,10 @@ def vec_add_into(out, vec, c=1):
     """out += c * vec in place, dropping entries that cancel; returns out.
 
     ``out`` must be a dict the caller owns: a fresh accumulator, never a
-    structure table's own dict (``mul_basis``, ``comul_basis`` and
-    ``antipode_basis`` return those), a cached result or an argument that
-    belongs to the caller's caller.  The cached results are U(g)'s
-    generator products and ``comul_basis`` memo, and a
+    structure table's own dict (``mul_basis``, ``comul_basis``,
+    ``antipode_basis`` and ``HopfAction.act_basis`` return those), a cached
+    result or an argument that belongs to the caller's caller.  The cached
+    results are U(g)'s generator products and ``comul_basis`` memo, and a
     ``HopfCyclicModule``'s tau images, slot-product table and twisted legs.
     ``vec`` is only read.  With c = 1 the entries of ``vec`` are added as
     they are, without a multiplication.

@@ -8,7 +8,7 @@ so the word problem reduces to comparing value lists.
 
 from __future__ import annotations
 
-from .cyclic_ops import apply_word
+from .cyclic_ops import _relation_instances, apply_word, word_source_degree
 from .reports import CheckReport, first_failure
 
 MAX_WORD_LENGTH = 6
@@ -157,7 +157,6 @@ def _decompose_simplicial(f):
 
 def morphism_relation_suite(N_max):
     """Check the simplicial and cyclic relations directly in normal forms."""
-    from .cyclic_ops import _relation_instances, word_source_degree
     report = CheckReport("lambda-normal-form-relations",
                          meta={"max-degree": N_max})
 

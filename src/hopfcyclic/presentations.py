@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 
+from .actions import HopfAction, Trace
 from .enveloping import EnvelopingAlgebra, LieAlgebra
 from .fields import field_from_spec
 from .hopf import CharacterError, FiniteAlgebra, FiniteHopf
@@ -143,7 +144,7 @@ def _algebra_parts(data, path):
                          "[i, j, k, scalar]"), 2))
 
 
-def hopf_from_dict(data, path="<dict>"):
+def hopf_from_dict(data, path):
     *_, coproduct, counit, antipode = _require(
         data, ("name", "dim", "basis", "unit", "product", "coproduct",
                "counit", "antipode"), path)
@@ -197,7 +198,7 @@ def load_lie(path):
     return lie_from_dict(_load_json(path), path)
 
 
-def lie_from_dict(data, path="<dict>"):
+def lie_from_dict(data, path):
     dim, rows = _require(data, ("dim", "brackets"), path)
     field = _field_of(data, path)
     if field.kind != "rational":
@@ -248,8 +249,8 @@ def load_pairing_input(path):
 def load_gamma_input(path):
     """Input for the characteristic-map check: a Hopf presentation, a
     character name, an algebra block, one action matrix per H-basis
-    element ([row, col, "c"] rows) and a trace vector."""
-    from .actions import HopfAction, Trace
+    element ([row, col, "c"] rows) and a trace vector.  Returns (action,
+    delta, trace); the action holds H and A."""
     hopf, character, algebra, action, trace = _require(
         _load_json(path), ("hopf", "character", "algebra", "action", "trace"),
         path)
@@ -267,4 +268,4 @@ def load_gamma_input(path):
                           "[row, col, scalar]")
                 for i, rows in enumerate(action)}
     trace = Trace(A, _scalar_list(A.field, trace, A.dim, path, "trace"))
-    return H, delta, A, HopfAction(H, A, matrices), trace
+    return HopfAction(H, A, matrices), delta, trace

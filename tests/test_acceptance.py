@@ -135,7 +135,7 @@ def test_criterion_6_trivial_dimensions():
     H = trivial_hopf()
     module = HopfCyclicModule(H, H.counit_character())
     b, _ = differentials(module, 4)
-    hh, b_ranks = hochschild_dimensions(module, b)
+    hh, b_ranks = hochschild_dimensions(b)
     hc, lambda_b_ranks = lambda_complex_dimensions(module, b)
     took = time.time() - start
     ok = hh == [1, 0, 0, 0, 0] and hc == [1, 0, 1, 0, 1] and took < 1.0 \
@@ -157,7 +157,7 @@ def test_criterion_7_method_agreement():
         golden = load_golden(name)
         hc_lambda, _ = lambda_complex_dimensions(
             module, differentials(module, 4)[0])
-        dims, flags = bicomplex_dimensions(module, *differentials(module, 6))
+        dims, flags = bicomplex_dimensions(*differentials(module, 6))
         agree = all(hc_lambda[n] == dims[n] == golden["HC"][n]
                     for n in range(5) if not flags[n])
         ok = ok and agree and hc_lambda == golden["HC"]
@@ -205,11 +205,10 @@ def test_criterion_9_functoriality():
 
 
 def test_criterion_10_characteristic_map():
-    H, A, action = act.translation_action(["e", "g"], [[0, 1], [1, 0]])
-    eps = H.counit_character()
-    good = act.check_gamma_morphism(H, eps, A, action,
-                                    act.summation_trace(A), 3)
-    bad = act.check_gamma_morphism(H, eps, A, action, act.point_trace(A, 0), 2)
+    action = act.translation_action(["e", "g"], [[0, 1], [1, 0]])
+    A, eps = action.algebra, action.hopf.counit_character()
+    good = act.check_gamma_morphism(action, eps, act.summation_trace(A), 3)
+    bad = act.check_gamma_morphism(action, eps, act.point_trace(A, 0), 2)
     cyclic_failed = any(name.startswith("cyclic")
                         for name, _ in bad.failures())
     ok = good.ok and not bad.ok and cyclic_failed

@@ -18,7 +18,8 @@ Z2_TABLE = [[0, 1], [1, 0]]
 
 
 def translation_setup():
-    H, A, action = act.translation_action(Z2_LABELS, Z2_TABLE)
+    action = act.translation_action(Z2_LABELS, Z2_TABLE)
+    H, A = action.hopf, action.algebra
     return H, A, action, H.counit_character()
 
 
@@ -40,18 +41,18 @@ def trace_of_product(A, *key):
 
 def test_translation_action_valid():
     H, A, action, _ = translation_setup()
-    assert act.check_action(H, A, action).ok
+    assert act.check_action(action).ok
 
 
 def test_trivial_action_valid():
     H, A, action, _ = translation_setup()
-    assert act.check_action(H, A, act.HopfAction.trivial(H, A)).ok
+    assert act.check_action(act.HopfAction.trivial(H, A)).ok
 
 
 def test_corrupted_action_fails_with_witness():
     H, A, action, _ = translation_setup()
     bad = act.HopfAction(H, A, {0: action.matrices[0], 1: {(0, 0): ONE}})
-    report = act.check_action(H, A, bad)
+    report = act.check_action(bad)
     assert not report.ok
     assert all(w is not None for _, w in report.failures())
 
@@ -94,13 +95,12 @@ def test_random_conjugate_needs_an_off_diagonal_entry():
 def test_summation_trace_invariant():
     H, A, action, eps = translation_setup()
     trace = act.summation_trace(A)
-    assert act.check_delta_invariance(H, eps, A, action, trace).ok
+    assert act.check_delta_invariance(action, eps, trace).ok
 
 
 def test_point_trace_not_invariant():
     H, A, action, eps = translation_setup()
-    report = act.check_delta_invariance(H, eps, A, action,
-                                        act.point_trace(A, 0))
+    report = act.check_delta_invariance(action, eps, act.point_trace(A, 0))
     assert not report.ok
     assert report.failures()[0][1] is not None
 
@@ -108,7 +108,7 @@ def test_point_trace_not_invariant():
 def test_characteristic_map_degree_zero_recovers_trace():
     H, A, action, _ = translation_setup()
     trace = act.summation_trace(A)
-    phi = act.characteristic_map(H, A, action, trace, {(): ONE}, 0)
+    phi = act.characteristic_map(action, trace, {(): ONE})
     assert phi == {(i,): v for i, v in enumerate(trace.values) if v}
 
 
@@ -117,8 +117,8 @@ def test_characteristic_map_trivial_action():
     H, A, _, _ = translation_setup()
     action = act.HopfAction.trivial(H, A)
     trace = act.summation_trace(A)
-    phi_g = act.characteristic_map(H, A, action, trace, {(1,): ONE}, 1)
-    phi_e = act.characteristic_map(H, A, action, trace, {(0,): ONE}, 1)
+    phi_g = act.characteristic_map(action, trace, {(1,): ONE})
+    phi_e = act.characteristic_map(action, trace, {(0,): ONE})
     assert phi_g == phi_e  # eps(g) = eps(e) = 1
 
 
@@ -126,7 +126,7 @@ def test_characteristic_map_translation_value():
     """gamma(g)(f0, f1) = sum_s f0(s) f1(s g) on indicator functions."""
     H, A, action, _ = translation_setup()
     trace = act.summation_trace(A)
-    phi = act.characteristic_map(H, A, action, trace, {(1,): ONE}, 1)
+    phi = act.characteristic_map(action, trace, {(1,): ONE})
     # f0 = indicator of s, f1 = indicator of t: value 1 iff t = s*g
     assert phi == {(0, 1): ONE, (1, 0): ONE}
 
@@ -134,31 +134,30 @@ def test_characteristic_map_translation_value():
 def test_gamma_commutes_with_all_operators():
     H, A, action, eps = translation_setup()
     trace = act.summation_trace(A)
-    report = act.check_gamma_morphism(H, eps, A, action, trace, 3)
+    report = act.check_gamma_morphism(action, eps, trace, 3)
     assert report.ok, report.render()
 
 
 def test_gamma_computed_once_per_basis_tensor(monkeypatch, data_dir):
-    H, delta, A, action, trace = load_gamma_input(
+    action, delta, trace = load_gamma_input(
         str(data_dir / "gamma-translation.json"))
     calls = []
     characteristic_map = act.characteristic_map
 
-    def counted(hopf, algebra, action, trace, t, n):
-        calls.append((tuple(t), n))
-        return characteristic_map(hopf, algebra, action, trace, t, n)
+    def counted(action, trace, t):
+        calls.append(tuple(t))
+        return characteristic_map(action, trace, t)
 
     monkeypatch.setattr(act, "characteristic_map", counted)
-    report = act.check_gamma_morphism(H, delta, A, action, trace, 4)
+    report = act.check_gamma_morphism(action, delta, trace, 4)
     assert report.ok, report.render()
     # one call per basis tensor of degrees 0..4 over the 2-dimensional QZ2
-    assert H.dim == 2 and len(calls) == len(set(calls)) == 31
+    assert action.hopf.dim == 2 and len(calls) == len(set(calls)) == 31
 
 
 def test_gamma_fails_for_point_trace():
     H, A, action, eps = translation_setup()
-    report = act.check_gamma_morphism(H, eps, A, action,
-                                      act.point_trace(A, 0), 2)
+    report = act.check_gamma_morphism(action, eps, act.point_trace(A, 0), 2)
     failed = [name for name, _ in report.failures()]
     assert any(name.startswith("cyclic") for name in failed)
 

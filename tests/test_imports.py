@@ -1,4 +1,5 @@
-"""Every name a source, test or bench file imports is read in that file."""
+"""Every name a source, test or bench file imports is read in that file,
+and every parameter of a source function is read in its body."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,11 @@ FILES = sorted([*ROOT.glob("src/hopfcyclic/*.py"), *ROOT.glob("tests/*.py"),
                 *ROOT.glob("bench/*.py")])
 # bench/tracing.py wraps cli.load_lie where the CLI looks it up
 READ_ELSEWHERE = {("src/hopfcyclic/cli.py", "load_lie")}
+# methods that implement an interface shared with a class that reads the
+# parameter: B_matrix calls restricted(cols, src, tgt) on every module, and
+# apply_generator calls cyclic(n, t) on both cyclic modules
+INTERFACE_PARAMETERS = {("HopfCyclicModule.restricted", "src"),
+                        ("CochainCyclicModule.cyclic", "n")}
 
 
 def unread_imports(path):
@@ -36,4 +42,39 @@ def test_every_import_is_read():
     assert FILES
     unread = {path.relative_to(ROOT).as_posix(): found for path in FILES
               if (found := unread_imports(path))}
+    assert not unread, unread
+
+
+def unread_parameters(path):
+    """(line, function, parameter) for each parameter that a function,
+    nested ones and lambdas included, never reads; a method's self or cls
+    is not counted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {id(node): f"{cls.name}.{node.name}"
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        name = methods.get(id(node), getattr(node, "name", "<lambda>"))
+        if id(node) in methods:
+            params = params[1:]
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, name, p) for p in params
+                if p not in read and (name, p) not in INTERFACE_PARAMETERS]
+    return out
+
+
+def test_every_parameter_is_read():
+    """A value a function could work out from its other inputs is not a
+    parameter of it; a parameter it never reads is the plainest case."""
+    unread = {path.name: found
+              for path in sorted(ROOT.glob("src/hopfcyclic/*.py"))
+              if (found := unread_parameters(path))}
     assert not unread, unread

@@ -35,9 +35,9 @@ def test_shipped_examples_load(data_dir):
     assert U.lie.dim == 2
     A, phi, E, q = load_pairing_input(str(data_dir / "pair-qz2.json"))
     assert q == 2 and E
-    H2, delta, A2, action, trace = load_gamma_input(
+    action, delta, trace = load_gamma_input(
         str(data_dir / "gamma-translation.json"))
-    assert H2.dim == 2 and A2.dim == 2
+    assert action.hopf.dim == 2 and action.algebra.dim == 2
 
 
 def test_unreadable_file():
