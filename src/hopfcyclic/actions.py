@@ -10,7 +10,8 @@ map gamma sends a degree-n tensor over H to the (n+1)-linear form
 and, when the trace is invariant for the character delta, gamma commutes
 with every face, degeneracy and cyclic operator of the two cyclic modules.
 The action holds H and A, so the checks and gamma take it, never H or A
-beside it, and gamma reads n off the keys of its tensor.
+beside it, and refuse a character that is not over its H or a trace that
+is not over its A; gamma reads n off the keys of its tensor.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from .reports import CheckReport, first_failure
 
 class ActionError(Exception):
     pass
+
+
+def _require_held(held, given, role):
+    """ActionError naming both unless given is the action's algebra held."""
+    if given is not held:
+        raise ActionError(f"the {role} is over {given.name}, not the "
+                          f"action's {held.name}")
 
 
 class HopfAction:
@@ -139,6 +147,8 @@ def check_action(action):
 def check_delta_invariance(action, delta, trace):
     """tau(h(a) b) = tau(a S~(h)(b)) on all basis triples."""
     hopf, algebra = action.hopf, action.algebra
+    _require_held(hopf, delta.hopf, "character")
+    _require_held(algebra, trace.algebra, "trace")
     report = CheckReport("trace-invariance",
                          meta={"hopf": hopf.name, "algebra": algebra.name,
                                "character": delta.name, "trace": trace.name})
@@ -163,6 +173,7 @@ def characteristic_map(action, trace, t):
     """tau(x^0 h^1(x^1) ... h^n(x^n)) as a coefficient dict over (n+1)-tuples
     of A-basis indices, n read off t's keys.  Degree 0 recovers the trace."""
     algebra = action.algebra
+    _require_held(algebra, trace.algebra, "trace")
     n = len(next(iter(t), ()))
     out = {}
     for xs in itertools.product(range(algebra.dim), repeat=n + 1):
@@ -181,7 +192,8 @@ def check_gamma_morphism(action, delta, trace, N_max):
     """gamma intertwines every face, degeneracy and cyclic operator up to
     degree N_max, checked on all basis tensors of the Hopf side."""
     hopf, algebra = action.hopf, action.algebra
-    hside = HopfCyclicModule(hopf, delta)
+    _require_held(hopf, delta.hopf, "character")
+    hside = HopfCyclicModule(delta)
     aside = CochainCyclicModule(algebra)
     report = CheckReport("characteristic-map",
                          meta={"hopf": hopf.name, "algebra": algebra.name,

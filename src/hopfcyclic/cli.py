@@ -15,7 +15,7 @@ import sys
 
 from . import actions
 from .cohomology import (NotCyclicError, NotMixedComplexError,
-                         cohomology_report, methods_agree, require_involution)
+                         cohomology_report, require_involution)
 from .cyclic_ops import HopfCyclicModule, relation_suite
 from .enveloping import tensor_samples
 from .hopf import (BUILTIN_BUILDERS, CharacterError, check_hopf_axioms,
@@ -69,9 +69,9 @@ def cmd_check_hopf(args):
     report = check_hopf_axioms(H)
     if args.character is not None or args.require_involution:
         delta = _character_of(H, args.character)
-        report.merge(check_twisted_properties(H, delta))
+        report.merge(check_twisted_properties(delta))
         if args.require_involution:
-            ok, witness = check_involution(H, delta)
+            ok, witness = check_involution(delta)
             report.add("twisted-antipode-involution", ok,
                        None if ok else witness)
     _emit(report.render(), args.output)
@@ -88,7 +88,7 @@ def cmd_cyclic_relations(args):
                 f"presentation; U(g) uses its modular character")
         U = lie_from_dict(data, args.input)
         delta = U.modular_character()
-        module = HopfCyclicModule(U, delta)
+        module = HopfCyclicModule(delta)
         rng = random.Random(args.seed)
         samples = tensor_samples(U, args.max_degree, rng=rng)
         report = relation_suite(module, args.max_degree,
@@ -101,7 +101,7 @@ def cmd_cyclic_relations(args):
         if _fails_hopf_axioms(H, args.output):
             return 1
         delta = _character_of(H, args.character)
-        module = HopfCyclicModule(H, delta)
+        module = HopfCyclicModule(delta)
         report = relation_suite(module, args.max_degree)
         report.meta["input"] = H.name
         report.meta["character"] = delta.name
@@ -116,7 +116,7 @@ def cmd_cohomology(args):
         return 1
     delta = _character_of(H, args.character)
     try:
-        report = cohomology_report(H, delta, args.max_degree,
+        report = cohomology_report(delta, args.max_degree,
                                    method=args.method)
     except NotCyclicError as exc:
         _emit(f"error: {exc}", args.output)
@@ -130,7 +130,7 @@ def cmd_cohomology(args):
               args.output)
         return 1
     text = report.render()
-    if args.method == "both" and not methods_agree(report):
+    if args.method == "both" and not report.methods_agree():
         text += "\nerror: method disagreement on an unflagged degree"
         _emit(text, args.output)
         return 1
@@ -152,14 +152,13 @@ def cmd_pair(args):
 
 def cmd_gamma_check(args):
     action, delta, trace = load_gamma_input(args.input)
-    H = action.hopf
-    if _fails_hopf_axioms(H, args.output):
+    if _fails_hopf_axioms(action.hopf, args.output):
         return 1
     report = actions.check_action(action)
     report.merge(actions.check_delta_invariance(action, delta, trace))
     if report.ok:
         try:
-            require_involution(H, delta)
+            require_involution(delta)
         except NotCyclicError as exc:
             report.add("twisted-antipode-involution", False, str(exc))
             _emit(report.render(), args.output)

@@ -27,25 +27,26 @@ sigma_0), and sigma_0 vanishes on N, so the same B_matrix gives B = N s
 there.  B sends N into N; an entry outside N is never dropped but fails
 the gate (see ``_zero_witness``), so every report checks that closure.
 
-cohomology_report builds each b_n and B_n once and passes the same
-matrices to the mixed-complex checks and to every dimension function;
-hochschild_dimensions and bicomplex_dimensions read each size off those
-shapes, so any complex of matrices serves them.  The checks form each
+cohomology_report takes the character delta alone (H is delta.hopf),
+builds each b_n and B_n once and passes the same matrices to the
+mixed-complex checks and to every dimension function.  The dimension
+functions take only matrices and read each size off their shapes, so any
+complex of matrices serves them; the lambda stage takes 1 - lambda_n from
+a generator, built after b_(n+1) is eliminated.  The checks form each
 product exactly, one column at a time, and stop at the first column that
-is not zero; no product matrix is stored.  The report
-builds the b it needs and checks b^2 = 0: for HH and HC(lambda) the full
-b_1..b_(N+1), for HC(bB) the normalized b_1..b_N, and under 'bB' alone the
-normalized b_(N+1) too, for HH.  It computes HH and the lambda-method HC,
-then drops the full b and the normalized b_(N+1) before it builds any B;
-then it checks B^2 = 0 and bB + Bb = 0 on the normalized b and B and
-computes the bicomplex dimensions from those same matrices.  HH and
-HC(lambda) take one elimination per degree: for A = 1 - lambda_n,
-rank(b_(n+1) on ker A) = rank [b_(n+1); A] - rank A; under 'bB' alone,
-HH comes from the normalized b, and the printed rank b_(n+1) of the full
-complex from d^n - HH^n - rank b_n.  No rank is computed after a failed
-check: the report still runs every check, then raises
-NotMixedComplexError rather than return a table for a complex that fails
-an identity.
+is not zero; no product matrix is stored.  The report builds the b it
+needs and checks b^2 = 0: for HH and HC(lambda) the full b_1..b_(N+1), for
+HC(bB) the normalized b_1..b_N, and under 'bB' alone the normalized
+b_(N+1) too, for HH.  It computes HH and the lambda-method HC, then drops
+the full b and the normalized b_(N+1) before it builds any B; then it
+checks B^2 = 0 and bB + Bb = 0 on the normalized b and B and computes the
+bicomplex dimensions from those same matrices.  HH and HC(lambda) take one
+elimination per degree: for A = 1 - lambda_n, rank(b_(n+1) on ker A) =
+rank [b_(n+1); A] - rank A; under 'bB' alone, HH comes from the normalized
+b, and the printed rank b_(n+1) of the full complex from d^n - HH^n - rank
+b_n.  No rank is computed after a failed check: the report still runs
+every check, then raises NotMixedComplexError rather than return a table
+for a complex that fails an identity.
 
 Scalars are canonical (see ``fields``), so on an integral presentation b,
 1 - lambda, B, the gate's products and the elimination all run on int.
@@ -170,11 +171,11 @@ def one_minus_lambda_matrix(module, n):
         module.space_dim(n))
 
 
-def require_involution(hopf, delta):
-    ok, witness = check_involution(hopf, delta)
+def require_involution(delta):
+    ok, witness = check_involution(delta)
     if not ok:
         raise NotCyclicError(
-            f"twisted antipode is not an involution on {hopf.name} "
+            f"twisted antipode is not an involution on {delta.hopf.name} "
             f"(witness basis element {witness!r}); refusing the cyclic "
             f"operator machinery")
 
@@ -184,17 +185,16 @@ def require_involution(hopf, delta):
 
 
 class ComplexReport:
-    """Per-degree dimension table for one algebra/character pair."""
+    """Per-degree dimension table for one algebra/character pair: each
+    printed column by degree, None where not computed, and the flags."""
 
-    def __init__(self, name, character, max_degree, method):
+    def __init__(self, name, character, max_degree, method, columns, flags):
         self.name = name
         self.character = character
         self.max_degree = max_degree
         self.method = method
-        self.rows = []  # dicts: degree, dim, rank_b, hh, hc_lambda, hc_bB, flag
-
-    def add_row(self, **kw):
-        self.rows.append(kw)
+        self.columns = columns
+        self.flags = flags
 
     def render(self):
         lines = [
@@ -205,15 +205,11 @@ class ComplexReport:
             f"method: {self.method}",
             "columns: degree dim rank_b HH HC(lambda) HC(bB) flag",
         ]
-        for row in self.rows:
-            def fmt(key):
-                v = row.get(key)
-                return "-" if v is None else str(v)
-            lines.append(
-                f"degree {row['degree']}: dim={fmt('dim')} "
-                f"rank_b={fmt('rank_b')} HH={fmt('hh')} "
-                f"HC_lambda={fmt('hc_lambda')} HC_bB={fmt('hc_bB')}"
-                f"{' flag=boundary-unreliable' if row.get('flag') else ''}")
+        for n, flag in enumerate(self.flags):
+            cells = " ".join(f"{key}={'-' if col[n] is None else col[n]}"
+                             for key, col in self.columns.items())
+            lines.append(f"degree {n}: {cells}"
+                         f"{' flag=boundary-unreliable' if flag else ''}")
         stab = self.stabilization()
         if stab is not None:
             lines.append(f"stabilization: {stab}")
@@ -222,26 +218,26 @@ class ComplexReport:
     def negative_entries(self):
         """Computed dimensions that are negative, as 'COLUMN=value at degree
         n'; a dimension never is, so any entry here is a defect."""
-        out = []
-        for row in self.rows:
-            for key, label in (("hh", "HH"), ("hc_lambda", "HC_lambda"),
-                               ("hc_bB", "HC_bB")):
-                v = row.get(key)
-                if v is not None and v < 0:
-                    out.append(f"{label}={v} at degree {row['degree']}")
-        return out
+        return [f"{key}={self.columns[key][n]} at degree {n}"
+                for n in range(len(self.flags))
+                for key in ("HH", "HC_lambda", "HC_bB")
+                if (self.columns[key][n] or 0) < 0]
+
+    def methods_agree(self):
+        """True when the two HC columns coincide on all unflagged degrees."""
+        return all(a is None or b is None or a == b or flag
+                   for a, b, flag in zip(self.columns["HC_lambda"],
+                                         self.columns["HC_bB"], self.flags))
 
     def stabilization(self):
         """Compare HC^n with HC^(n+2) wherever both are printed, the flagged
         degree N-1 of HC(bB) included; observational only (the periodicity
         map itself is not implemented)."""
-        dims = [row.get("hc_lambda") if row.get("hc_lambda") is not None
-                else row.get("hc_bB") for row in self.rows]
-        pairs = []
-        for n in range(len(dims) - 2):
-            if dims[n] is None or dims[n + 2] is None:
-                continue
-            pairs.append(f"HC^{n}{'=' if dims[n] == dims[n + 2] else '!='}HC^{n + 2}")
+        dims = [a if a is not None else b for a, b
+                in zip(self.columns["HC_lambda"], self.columns["HC_bB"])]
+        pairs = [f"HC^{n}{'=' if dims[n] == dims[n + 2] else '!='}HC^{n + 2}"
+                 for n in range(len(dims) - 2)
+                 if dims[n] is not None and dims[n + 2] is not None]
         return " ".join(pairs) if pairs else None
 
 
@@ -259,30 +255,30 @@ def hochschild_dimensions(b):
     return _homology_dims(sizes, ranks), ranks
 
 
-def lambda_complex_dimensions(module, b):
+def lambda_complex_dimensions(b, minus):
     """HC^n from the lambda-invariant subcomplex with differential b, for
-    n <= N, given b = {n: b_n} for 1 <= n <= N+1.  Returns (dims, ranks),
-    ranks[n] = rank b_(n+1) as in hochschild_dimensions.
-
-    For A = 1 - lambda_n and K = ker A, ker [b_(n+1); A] is ker b_(n+1)
-    meet K, so rank(b_(n+1) on K) = rank [b_(n+1); A] - rank A and
-    dim K = dim C^n - rank A.  One elimination per degree ranks b_(n+1),
-    then goes on with A's rows.  b_(N+1), which only HH and this need, is
-    taken out of b, so it is freed once its rows are copied; A is built
-    from the module after b_(n+1) is eliminated, to bound peak memory."""
-    top = len(b)
+    n <= N, given b = {n: b_n} for 1 <= n <= N+1 and minus, which yields
+    A = 1 - lambda_n for n = 0..N in order.  Returns (dims, ranks), ranks[n]
+    = rank b_(n+1) as in hochschild_dimensions.  For K = ker A,
+    ker [b_(n+1); A] is ker b_(n+1) meet K, so rank(b_(n+1) on K) =
+    rank [b_(n+1); A] - rank A and dim K = A.ncols - rank A.  One
+    elimination per degree ranks b_(n+1), then goes on with A's rows.
+    b_(N+1), which only HH and this need, is taken out of b, so it is freed
+    once its rows are copied; A is taken from minus only after b_(n+1) is
+    eliminated, so a generator bounds peak memory."""
+    top, minus = len(b), iter(minus)
     kernel_dims, image_ranks, b_ranks = [], [], []
     for n in range(top):
         pivots = {}
         rank_b, = stacked_ranks(
             [b.pop(top) if n + 1 == top else b[n + 1]], pivots)
-        minus = one_minus_lambda_matrix(module, n)
-        rank_minus = minus.rank()
-        rank_stacked, = stacked_ranks([minus], pivots)
-        del minus  # not held while the next b is eliminated
+        A = next(minus)
+        rank_minus = A.rank()
+        rank_stacked, = stacked_ranks([A], pivots)
         b_ranks.append(rank_b)
-        kernel_dims.append(module.space_dim(n) - rank_minus)
+        kernel_dims.append(A.ncols - rank_minus)
         image_ranks.append(rank_stacked - rank_minus)
+        del A  # not held while the next b is eliminated
     return _homology_dims(kernel_dims, image_ranks), b_ranks
 
 
@@ -327,7 +323,7 @@ def bicomplex_dimensions(b, B):
     return dims, flags
 
 
-def cohomology_report(hopf, delta, N_max, method="both"):
+def cohomology_report(delta, N_max, method="both"):
     """Full dimension table.  method: 'lambda', 'bB' or 'both'.
 
     Raises NotMixedComplexError, carrying the failed 'mixed-complex'
@@ -337,18 +333,18 @@ def cohomology_report(hopf, delta, N_max, method="both"):
     if method not in ("lambda", "bB", "both"):
         raise ValueError(f"unknown method {method!r}; expected 'lambda', "
                          f"'bB' or 'both'")
-    require_involution(hopf, delta)
+    require_involution(delta)
     gate = CheckReport("mixed-complex", meta={"max-degree": N_max})
-    dims = [hopf.dim ** n for n in range(N_max + 1)]
+    dims = [delta.hopf.dim ** n for n in range(N_max + 1)]
     hh = hc_lambda = hc_bB = [None] * (N_max + 1)
     flags = [False] * (N_max + 1)
     complexes = []
     if method != "bB":
-        full = HopfCyclicModule(hopf, delta)
+        full = HopfCyclicModule(delta)
         complexes.append((full, {n: b_matrix(full, n)
                                  for n in range(1, N_max + 2)}))
     if method != "lambda":
-        norm = NormalizedModule(hopf, delta)
+        norm = NormalizedModule(delta)
         top = N_max + 1 if method == "bB" else N_max
         b = {n: b_matrix(norm, n) for n in range(1, top + 1)}
         complexes.append((norm, b))
@@ -359,7 +355,9 @@ def cohomology_report(hopf, delta, N_max, method="both"):
             for dim, h in zip(dims, hh):
                 b_ranks.append(dim - h - (b_ranks[-1] if b_ranks else 0))
         else:
-            hc_lambda, b_ranks = lambda_complex_dimensions(*complexes[0])
+            hc_lambda, b_ranks = lambda_complex_dimensions(
+                complexes[0][1], (one_minus_lambda_matrix(full, n)
+                                  for n in range(N_max + 1)))
             hh = _homology_dims(dims, b_ranks)
     del complexes  # the full b served HH and HC(lambda) only
     if method != "lambda":
@@ -370,24 +368,9 @@ def cohomology_report(hopf, delta, N_max, method="both"):
             hc_bB, flags = bicomplex_dimensions(b, B)
     if not gate.ok:
         raise NotMixedComplexError(gate)
-    report = ComplexReport(hopf.name, delta.name, N_max, method)
-    for n in range(N_max + 1):
-        report.add_row(degree=n, dim=dims[n],
-                       rank_b=(b_ranks[n - 1] if n >= 1 else 0),
-                       hh=hh[n], hc_lambda=hc_lambda[n], hc_bB=hc_bB[n],
-                       flag=flags[n])
-    return report
-
-
-def methods_agree(report):
-    """True when the two HC columns coincide on all unflagged degrees."""
-    for row in report.rows:
-        if row.get("flag"):
-            continue
-        a, b = row.get("hc_lambda"), row.get("hc_bB")
-        if a is not None and b is not None and a != b:
-            return False
-    return True
+    return ComplexReport(delta.hopf.name, delta.name, N_max, method, {
+        "dim": dims, "rank_b": [0] + b_ranks[:N_max], "HH": hh,
+        "HC_lambda": hc_lambda, "HC_bB": hc_bB}, flags)
 
 
 def mixed_complex_report(module, N_max, samples=None):

@@ -8,8 +8,10 @@ The elementwise operators (face, degeneracy, cyclic) are the specification:
 they act on any tensor, so they serve the symbolic U(g) modules, the
 relation suites and the checkers, and ``operator_matrix`` turns any of them
 into a matrix one basis tensor at a time, which makes them the test oracle.
-Both modules index basis tensors through one base, ``TensorBasis``, keyed
-by the number of tensor factors: n for H^(x)n, n + 1 for cochains.  It
+A module of H is built from its character delta alone, which holds H as
+``delta.hopf``.  Every module indexes basis tensors through one base,
+``TensorBasis``, keyed by the number of tensor factors (n for H^(x)n, n + 1
+for cochains) and by the indices a factor may take, its ``digits``.  It
 also holds the one degeneracy: sigma_i contracts factor i +
 ``extra_factors`` against the functional a module holds as
 ``contraction``, the counit of H, or on cochains the coefficients of the
@@ -37,8 +39,7 @@ column of tau through a table indexed by that factor, in one kernel,
 b_m(x) (x) e_s + (-1)^m x (x) D(e_s) is not a map of the last factor
 alone.  The cohomology matrices are built from these.
 ``NormalizedModule`` runs the same recursions on the normalized complex
-(ker eps)^(x)n of a rebased module, spanned there by the basis tuples
-that avoid one index.
+(ker eps)^(x)n of a rebased module, whose digits leave out one index.
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
@@ -61,8 +62,9 @@ from .reports import CheckReport, first_failure
 class TensorBasis:
     """Basis index arithmetic shared by the cyclic modules of a finite
     algebra: a basis tensor of degree n is a tuple of n + ``extra_factors``
-    indices below ``self.base``, listed in lexicographic order, and its
-    index has the first factor most significant."""
+    of the ``base`` indices in ``digits``, listed in lexicographic order,
+    and its index reads their positions in ``digits`` in base ``base``, the
+    first factor most significant.  ``full`` holds the rows B is formed on."""
 
     extra_factors = 0
 
@@ -71,21 +73,44 @@ class TensorBasis:
 
     def basis_keys(self, n):
         """Basis tuples of degree n in lexicographic order."""
-        return itertools.product(range(self.base),
+        return itertools.product(self.digits,
                                  repeat=n + self.extra_factors)
 
     def key_index(self, key):
-        idx = 0
+        idx, base, digits = 0, self.base, self.digits
         for k in key:
-            idx = idx * self.base + k
+            idx = idx * base + digits.index(k)
         return idx
 
     def key_of_index(self, idx, n):
-        digits = []
+        base, digits, out = self.base, self.digits, []
         for _ in range(n + self.extra_factors):
-            idx, r = divmod(idx, self.base)
-            digits.append(r)
-        return tuple(reversed(digits))
+            idx, r = divmod(idx, base)
+            out.append(digits[r])
+        return tuple(reversed(out))
+
+    def full_index(self, n):
+        """The index in ``full`` of each basis tuple of degree n, in order."""
+        d, full = self.full.base, [0]
+        for _ in range(n + self.extra_factors):
+            full = [j * d + k for j in full for k in self.digits]
+        return full
+
+    def restricted(self, cols, src, tgt):
+        """The RestrictedMatrix from degree src to degree tgt with the given
+        columns, dicts on the rows of ``full`` at degree tgt."""
+        rows = {r: i for i, r in enumerate(self.full_index(tgt))}
+        outside, kept = None, []
+        for j, col in enumerate(cols):
+            try:
+                kept.append({rows[r]: v for r, v in col.items()})
+            except KeyError:
+                kept.append({rows[r]: v for r, v in col.items() if r in rows})
+                if outside is None:
+                    outside = self.key_of_index(j, src)
+        matrix = RestrictedMatrix.from_columns(kept, self.space_dim(tgt))
+        matrix.outside = outside
+        return matrix
 
     def samples(self, n):
         return [{key: 1} for key in self.basis_keys(n)]
@@ -160,10 +185,10 @@ class HopfCyclicModule(TensorBasis):
     exponent tuples, element-level operations only).
     """
 
-    def __init__(self, hopf, delta):
-        self.hopf = hopf
+    def __init__(self, delta):
+        self.hopf = delta.hopf
         self.delta = delta
-        self.contraction = hopf.counit_basis
+        self.contraction = self.hopf.counit_basis
         self._legs = {}
         self._images = {}
         self._slots = {}
@@ -268,17 +293,13 @@ class HopfCyclicModule(TensorBasis):
                              f"pass samples=")
         return self.hopf.dim
 
+    digits = property(lambda self: range(self.base))
+
     operator_matrix = TensorBasis.operator_matrix
 
     # B_matrix reads full, full_index and restricted alike here and on a
     # NormalizedModule
     full = property(lambda self: self)
-
-    def full_index(self, n):
-        return range(self.space_dim(n))
-
-    def restricted(self, cols, src, tgt):
-        return SparseMatrix.from_columns(cols, self.space_dim(tgt))
 
     # -- matrices assembled from the structure constants (finite H only);
     # columns are generated one at a time, basis tuples in lexicographic
@@ -383,10 +404,10 @@ def iterated_comul(H, elem, n):
     return t
 
 
-class NormalizedMatrix(SparseMatrix):
-    """A matrix between degrees of the normalized complex, on the basis
-    tuples of N.  ``outside`` is the basis tuple of its first column with an
-    entry outside N, which no row can hold, or None."""
+class RestrictedMatrix(SparseMatrix):
+    """A matrix on a module's own rows, from columns on the rows of its
+    ``full``.  ``outside`` is the basis tuple of its first column with an
+    entry no row of the module holds, or None, as on a full module."""
 
     __slots__ = ("outside",)
 
@@ -398,53 +419,20 @@ class NormalizedModule(TensorBasis):
 
     It is read in the rebased presentation of ``hopf.rebased``, where N^n
     is spanned by the basis tuples with no index p; ``full`` is the cyclic
-    module of that presentation.  N's own index runs over those tuples in
-    lexicographic order, in base d - 1.  Its b is ``cobar_matrix`` on N's
-    own index, with D(f_s) = Delta(f_s) - f_p (x) f_s - f_s (x) f_p, which
-    the counit axiom keeps inside N.  Its B is formed on the columns of N
-    with the rebased rows, and ``restricted`` carries each column to the
-    rows of N, setting an entry outside N aside as the matrix's ``outside``
-    witness rather than dropping it.
+    module of that presentation, and N's digits are every index but p.
+    Its b is ``cobar_matrix`` on N's own index, with D(f_s) = Delta(f_s) -
+    f_p (x) f_s - f_s (x) f_p, which the counit axiom keeps inside N.  Its
+    B is formed on the columns of N with the rebased rows, and
+    ``restricted`` carries each column to the rows of N, setting an entry
+    outside N aside as the matrix's ``outside`` witness.
     """
 
-    def __init__(self, hopf, delta):
-        rebased_hopf, rebased_delta, self.p = rebased(hopf, delta)
-        self.full = HopfCyclicModule(rebased_hopf, rebased_delta)
-        self.digits = [k for k in range(hopf.dim) if k != self.p]
+    def __init__(self, delta):
+        rebased_delta, self.p = rebased(delta)
+        self.full = HopfCyclicModule(rebased_delta)
+        self.digits = [k for k in range(delta.hopf.dim) if k != self.p]
         self.base = len(self.digits)
         self._table = self._reduced_coproduct()
-
-    def basis_keys(self, n):
-        return itertools.product(self.digits, repeat=n)
-
-    def key_index(self, key):
-        return super().key_index(k - (k > self.p) for k in key)
-
-    def key_of_index(self, idx, n):
-        return tuple(self.digits[k] for k in super().key_of_index(idx, n))
-
-    def full_index(self, n):
-        """The rebased index of each basis tuple of N^n, in order."""
-        d, full = self.full.base, [0]
-        for _ in range(n):
-            full = [j * d + k for j in full for k in self.digits]
-        return full
-
-    def restricted(self, cols, src, tgt):
-        """The NormalizedMatrix from N^src to N^tgt with the given columns,
-        dicts on the rebased rows of degree tgt."""
-        rows = {r: i for i, r in enumerate(self.full_index(tgt))}
-        outside, kept = None, []
-        for j, col in enumerate(cols):
-            try:
-                kept.append({rows[r]: v for r, v in col.items()})
-            except KeyError:
-                kept.append({rows[r]: v for r, v in col.items() if r in rows})
-                if outside is None:
-                    outside = self.key_of_index(j, src)
-        matrix = NormalizedMatrix.from_columns(kept, self.space_dim(tgt))
-        matrix.outside = outside
-        return matrix
 
     def _reduced_coproduct(self):
         """D(f_s) for each s != p, on N's own index.  As eps(f_k) = [k = p],
@@ -480,6 +468,7 @@ class CochainCyclicModule(TensorBasis):
     def __init__(self, algebra):
         self.algebra = algebra
         self.base = algebra.dim
+        self.digits = range(self.base)
         self.contraction = algebra.unit.get
         self._rev = algebra.reverse_product_table()
 

@@ -92,11 +92,13 @@ def ax_plus_b_lie_algebra():
 
 
 class SymbolicCharacter:
-    """Character of U(g) determined by its values on the generators."""
+    """Character of U(g), held as ``hopf``, determined by its values on the
+    generators."""
 
     name = "delta"
 
-    def __init__(self, gen_values):
+    def __init__(self, hopf, gen_values):
+        self.hopf = hopf
         self.gen_values = [rational(v) for v in gen_values]
 
     def value(self, key):
@@ -218,7 +220,7 @@ class EnvelopingAlgebra:
     twisted_antipode = FiniteHopf.twisted_antipode
 
     def modular_character(self):
-        return SymbolicCharacter(self.lie.adjoint_trace_character())
+        return SymbolicCharacter(self, self.lie.adjoint_trace_character())
 
     def monomials_up_to_degree(self, max_degree):
         """All PBW exponent vectors of total degree <= max_degree, lex order."""

@@ -273,13 +273,15 @@ class FiniteHopf(FiniteAlgebra):
         return Character(self, list(self.counit), name="counit")
 
 
-def rebased(H, delta):
-    """(H', delta', p): H and delta in the basis f_p = 1 and f_i = e_i -
-    eps(e_i) 1 for i != p, where p is the lowest index in the support of
-    the unit.  eps(f_p) = 1 and eps(f_i) = 0 for i != p, so the f_i with
-    i != p span ker eps.  Back in the basis f, e_i = f_i + eps(e_i) f_p for
-    i != p and, as eps(1) = 1, e_p = eps(e_p) f_p - sum_(k != p) (u_k/u_p) f_k
-    for the unit 1 = sum u_k e_k.  Basis labels are kept."""
+def rebased(delta):
+    """(delta', p): delta and its Hopf algebra H, as delta'.hopf, in the
+    basis f_p = 1 and f_i = e_i - eps(e_i) 1 for i != p, where p is the
+    lowest index in the support of the unit.  eps(f_p) = 1 and eps(f_i) = 0
+    for i != p, so the f_i with i != p span ker eps.  Back in the basis f,
+    e_i = f_i + eps(e_i) f_p for i != p and, as eps(1) = 1, e_p = eps(e_p)
+    f_p - sum_(k != p) (u_k/u_p) f_k for the unit 1 = sum u_k e_k.  Basis
+    labels are kept."""
+    H = delta.hopf
     unit, eps = H.unit, H.counit
     p = min(unit)
     inv = scalar_inv(unit[p])
@@ -310,8 +312,8 @@ def rebased(H, delta):
         [value(eps, vec) for vec in old],
         {i: to_new(new.__getitem__, H.antipode_of(old[i]))
          for i in range(H.dim)})
-    return Hr, Character(Hr, [value(delta.values, vec) for vec in old],
-                         name=delta.name), p
+    return Character(Hr, [value(delta.values, vec) for vec in old],
+                     name=delta.name), p
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +388,10 @@ def check_hopf_axioms(H):
     return report
 
 
-def check_twisted_properties(H, delta):
+def check_twisted_properties(delta):
     """Antihomomorphism, twisted coalgebra antimorphism, and counit identity
     of the twisted antipode, verified on all basis pairs/elements."""
+    H = delta.hopf
     report = CheckReport(f"twisted-antipode[{H.name}/{delta.name}]")
     basis = H.basis_element
 
@@ -423,8 +426,9 @@ def check_twisted_properties(H, delta):
     return report
 
 
-def check_involution(H, delta):
+def check_involution(delta):
     """True iff the twisted antipode squares to the identity; else a witness."""
+    H = delta.hopf
     def involutive(i):
         e = H.basis_element(i)
         return vec_eq(H.twisted_antipode(delta, H.twisted_antipode(delta, e)),

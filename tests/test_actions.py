@@ -1,6 +1,7 @@
 """Actions, invariant traces, the characteristic map, cocycles, pairing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,27 @@ def test_point_trace_not_invariant():
     report = act.check_delta_invariance(action, eps, act.point_trace(A, 0))
     assert not report.ok
     assert report.failures()[0][1] is not None
+
+
+def test_trace_and_character_over_other_algebras_are_refused():
+    """A trace or a character is read on the action's own A and H, so one
+    over another algebra is refused, naming both, rather than checked."""
+    H, A, action, eps = translation_setup()
+    _, matrix_trace = matrix_trace_cochain()
+    other_eps = cyclic_group_algebra(2).counit_character()
+    trace = act.summation_trace(A)
+    refusals = [
+        (lambda: act.check_delta_invariance(action, eps, matrix_trace),
+         f"trace is over M2, not the action's {A.name}"),
+        (lambda: act.characteristic_map(action, matrix_trace, {(1,): ONE}),
+         f"trace is over M2, not the action's {A.name}"),
+        (lambda: act.check_delta_invariance(action, other_eps, trace),
+         f"character is over QZ2, not the action's {H.name}"),
+        (lambda: act.check_gamma_morphism(action, other_eps, trace, 1),
+         f"character is over QZ2, not the action's {H.name}")]
+    for call, message in refusals:
+        with pytest.raises(act.ActionError, match=re.escape(message)):
+            call()
 
 
 def test_characteristic_map_degree_zero_recovers_trace():

@@ -37,10 +37,10 @@ def involutive_cases():
         H = BUILTIN_BUILDERS[name]()
         for cname in sorted(H.characters):
             delta = H.characters[cname]
-            if check_involution(H, delta)[0]:
-                out.append((f"{name}-{cname}", HopfCyclicModule(H, delta)))
+            if check_involution(delta)[0]:
+                out.append((f"{name}-{cname}", HopfCyclicModule(delta)))
     H = load_hopf(str(QZ4))
-    out.append(("qz4-zeta4-delta", HopfCyclicModule(H, H.character("delta"))))
+    out.append(("qz4-zeta4-delta", HopfCyclicModule(H.character("delta"))))
     return out
 
 
@@ -81,7 +81,7 @@ def test_structure_matrices_match_elementwise(module):
     """tau, s and the cobar table D against the elementwise operators;
     s on every column of the full module and on the columns of N in the
     rebased one; -D(e_s) is b_2 e_s = face_0 - face_1 + face_2 of e_s."""
-    norm = NormalizedModule(module.hopf, module.delta)
+    norm = NormalizedModule(module.delta)
     for n in range(TOP + 1):
         assert module.cyclic_matrix(n) == module.operator_matrix(
             lambda t: module.cyclic(n, t), n, n), n
@@ -102,7 +102,7 @@ def test_B_matrix_builds_tau_n_only(cls, monkeypatch):
     """B_n reads s, N_n and the ts0 term off tau_n: it asks
     cyclic_matrix for degree n and for no other degree."""
     H = BUILTIN_BUILDERS["sweedler"]()
-    module = cls(H, H.character("delta"))
+    module = cls(H.character("delta"))
     degrees = []
     cyclic_matrix = HopfCyclicModule.cyclic_matrix
 
@@ -174,7 +174,7 @@ def test_mixed_complex_witnesses_agree_on_failure():
     """Sweedler with the counit is not involutive, so B fails its
     identities; both paths must name the same first failing tensor."""
     H = BUILTIN_BUILDERS["sweedler"]()
-    module = HopfCyclicModule(H, H.counit_character())
+    module = HopfCyclicModule(H.counit_character())
     samples = {n: module.samples(n) for n in range(TOP + 3)}
     by_matrix = mixed_complex_report(module, TOP)
     assert not by_matrix.ok
@@ -188,7 +188,7 @@ def test_kernel_scalars_are_cyclotomic():
     order-4 Cyclotomic, never a float), and equal by value the kernel of
     the elementwise 1 - lambda.  1 - lambda_0 is the zero 1x1 matrix."""
     H = load_hopf(str(QZ4))
-    module = HopfCyclicModule(H, H.character("delta"))
+    module = HopfCyclicModule(H.character("delta"))
     for n in range(3):
         kernel = one_minus_lambda_matrix(module, n).kernel_basis()
         assert kernel
@@ -276,7 +276,7 @@ def abelian_hopf_modules(draw):
     else:
         H = function_algebra(labels, relabelled)
         delta = H.characters[f"eval_{labels[draw(st.integers(0, size - 1))]}"]
-    return HopfCyclicModule(H, delta)
+    return HopfCyclicModule(delta)
 
 
 @settings(max_examples=25, deadline=None)

@@ -45,8 +45,8 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
     assert capsys.readouterr().out == untraced
     H = sweedler_h4()
     delta = H.character("delta")
-    module = HopfCyclicModule(H, delta)
-    norm = NormalizedModule(H, delta)
+    module = HopfCyclicModule(delta)
+    norm = NormalizedModule(delta)
     # the report builds B on the normalized complex only, so the tracer's
     # B_matrix counters measure those matrices
     assert tracer.calls["cohomology.B_matrix"] == 3

@@ -282,7 +282,7 @@ def test_cohomology_computes_no_rank_when_b_square_fails(
 
 def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "lambda_complex_dimensions",
-                        lambda module, b: ([1, -1] + [0] * (len(b) - 2),
+                        lambda b, minus: ([1, -1] + [0] * (len(b) - 2),
                                            [0] * len(b)))
     code, out = run(capsys, "cohomology", "--input", "qz2",
                     "--max-degree", "3", "--method", "lambda")

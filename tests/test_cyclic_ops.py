@@ -20,7 +20,7 @@ ONE = Fraction(1)
 
 def sweedler_module():
     H = sweedler_h4()
-    return HopfCyclicModule(H, H.character("delta"))
+    return HopfCyclicModule(H.character("delta"))
 
 
 def test_degree_zero_conventions():
@@ -45,7 +45,7 @@ def test_face_inserts_unit_and_coproduct():
 
 def test_cyclic_degree_one_is_twisted_antipode():
     H = sweedler_h4()
-    mod = HopfCyclicModule(H, H.character("delta"))
+    mod = HopfCyclicModule(H.character("delta"))
     for i in range(H.dim):
         assert mod.cyclic(1, {(i,): ONE}) == \
             {(j,): c for j, c in H.twisted_antipode(
@@ -59,13 +59,13 @@ def test_relation_suite_sweedler():
 
 def test_relation_suite_group_algebra():
     H = cyclic_group_algebra(3)
-    report = relation_suite(HopfCyclicModule(H, H.counit_character()), 3)
+    report = relation_suite(HopfCyclicModule(H.counit_character()), 3)
     assert report.ok, report.render()
 
 
 def test_relation_suite_counit_sweedler_fails_at_tpow():
     H = sweedler_h4()
-    report = relation_suite(HopfCyclicModule(H, H.counit_character()), 2)
+    report = relation_suite(HopfCyclicModule(H.counit_character()), 2)
     failed = sorted(name for name, _ in report.failures())
     assert failed == ["tpow n=1", "tpow n=2"]
 
@@ -76,7 +76,7 @@ def test_cyclic_power_formula(seed=3):
                      (sweedler_h4(), "delta")]:
         delta = H.counit_character() if cname == "counit" \
             else H.character(cname)
-        mod = HopfCyclicModule(H, delta)
+        mod = HopfCyclicModule(delta)
         for n in range(1, 4):
             tensors = []
             for _ in range(20):
@@ -93,7 +93,7 @@ def _relation_suite_case(case):
         mod = sweedler_module()
         return mod, lambda: relation_suite(mod, 4)
     U = EnvelopingAlgebra(ax_plus_b_lie_algebra())
-    mod = HopfCyclicModule(U, U.modular_character())
+    mod = HopfCyclicModule(U.modular_character())
     samples = tensor_samples(U, 4, rng=random.Random(0))
     return mod, lambda: relation_suite(mod, 4, samples=samples.__getitem__)
 

@@ -48,13 +48,13 @@ def test_sweedler_twisted_antipode():
     delta = H.character("delta")
     # twisted antipode sends x to gx, and squares to the identity
     assert H.twisted_antipode(delta, {2: Fraction(1)}) == {3: Fraction(1)}
-    ok, witness = check_involution(H, delta)
+    ok, witness = check_involution(delta)
     assert ok and witness is None
 
 
 def test_sweedler_counit_not_involutive():
     H = sweedler_h4()
-    ok, witness = check_involution(H, H.counit_character())
+    ok, witness = check_involution(H.counit_character())
     assert not ok
     assert witness == "x"
 
@@ -65,7 +65,7 @@ def test_twisted_properties_all_builtins():
         chars = dict(H.characters)
         chars["counit"] = H.counit_character()
         for delta in chars.values():
-            report = check_twisted_properties(H, delta)
+            report = check_twisted_properties(delta)
             assert report.ok, f"{name}/{delta.name}\n" + report.render()
 
 
@@ -147,4 +147,4 @@ def test_random_group_algebra_characters_twisted(seed=101):
         k = rng.randrange(n)
         values = [field.zeta() ** (k * j) for j in range(n)]
         delta = Character(H, values, name=f"zeta^{k}")
-        assert check_twisted_properties(H, delta).ok
+        assert check_twisted_properties(delta).ok

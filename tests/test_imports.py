@@ -10,10 +10,8 @@ FILES = sorted([*ROOT.glob("src/hopfcyclic/*.py"), *ROOT.glob("tests/*.py"),
 # bench/tracing.py wraps cli.load_lie where the CLI looks it up
 READ_ELSEWHERE = {("src/hopfcyclic/cli.py", "load_lie")}
 # methods that implement an interface shared with a class that reads the
-# parameter: B_matrix calls restricted(cols, src, tgt) on every module, and
-# apply_generator calls cyclic(n, t) on both cyclic modules
-INTERFACE_PARAMETERS = {("HopfCyclicModule.restricted", "src"),
-                        ("CochainCyclicModule.cyclic", "n")}
+# parameter: apply_generator calls cyclic(n, t) on both cyclic modules
+INTERFACE_PARAMETERS = {("CochainCyclicModule.cyclic", "n")}
 
 
 def unread_imports(path):
@@ -78,3 +76,31 @@ def test_every_parameter_is_read():
               for path in sorted(ROOT.glob("src/hopfcyclic/*.py"))
               if (found := unread_parameters(path))}
     assert not unread, unread
+
+
+def hopf_beside_delta(path):
+    """(line, function) for each function with a parameter named delta
+    beside one named hopf or H."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {id(node): f"{cls.name}.{node.name}"
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs)}
+            if "delta" in params and params & {"hopf", "H"}:
+                out.append((node.lineno, methods.get(
+                    id(node), getattr(node, "name", "<lambda>"))))
+    return out
+
+
+def test_no_hopf_beside_delta():
+    """A character holds its Hopf algebra as delta.hopf, so no function
+    takes H beside delta, where the two could disagree."""
+    found = {path.name: hits
+             for path in sorted(ROOT.glob("src/hopfcyclic/*.py"))
+             if (hits := hopf_beside_delta(path))}
+    assert not found, found

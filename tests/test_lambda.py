@@ -85,5 +85,5 @@ def test_functoriality_on_modules(seed=23):
                      (sweedler_h4(), "delta")]:
         delta = H.counit_character() if cname == "counit" \
             else H.character(cname)
-        module = HopfCyclicModule(H, delta)
+        module = HopfCyclicModule(delta)
         assert check_functoriality(module, rng, 3, words_per_degree=40)

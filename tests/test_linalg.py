@@ -145,10 +145,10 @@ def test_column_store_never_holds_a_zero():
     # from_columns with no zero to drop and is kept as it is
     H = sweedler_h4()
     delta = H.character("delta")
-    full = HopfCyclicModule(H, delta)
+    full = HopfCyclicModule(delta)
     assert list(full.extra_degeneracy_columns(
         SparseMatrix.identity(1), range(4))) == [{0: 1}, {0: -1}, {}, {}]
-    norm = NormalizedModule(H, delta)
+    norm = NormalizedModule(delta)
     for module, index in ((full, lambda m: range(4 ** m)),
                           (norm.full, norm.full_index)):
         for n in range(3):

@@ -112,7 +112,7 @@ def test_twisted_antipode_involution_degree_4():
 
 def test_relation_suite_on_samples(seed=2):
     U = axb()
-    module = HopfCyclicModule(U, U.modular_character())
+    module = HopfCyclicModule(U.modular_character())
     rng = random.Random(seed)
     samples = tensor_samples(U, 3, rng=rng)
     report = relation_suite(module, 3, samples=samples.__getitem__)
@@ -123,7 +123,7 @@ def test_cyclic_power_formula_on_samples(seed=2):
     """The closed form of tau^j, the only tau U(g) has, against tau
     iterated j times."""
     U = axb()
-    module = HopfCyclicModule(U, U.modular_character())
+    module = HopfCyclicModule(U.modular_character())
     samples = tensor_samples(U, 3, rng=random.Random(seed))
     for n in range(1, 4):
         for j in range(1, n + 2):
@@ -142,6 +142,6 @@ def test_checks_without_samples_refuse_u_of_g(check):
     """U(g) has no finite basis to default to, so a check called without
     samples= raises one ValueError instead of a TypeError on dim None."""
     U = load_lie(str(DATA / "axb-lie.json"))
-    module = HopfCyclicModule(U, U.modular_character())
+    module = HopfCyclicModule(U.modular_character())
     with pytest.raises(ValueError, match="no finite basis; pass samples="):
         check(module, 2)
