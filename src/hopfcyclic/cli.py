@@ -2,9 +2,12 @@
 
 Subcommands: check-hopf, cyclic-relations, cohomology, pair, gamma-check.
 Reports are deterministic structured text (seed recorded when one is used)
-so they can serve as byte-stable regression goldens.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 unreadable or malformed input or an
-unwritable --output.
+so they can serve as byte-stable regression goldens.  Each command returns
+its text and whether every check passed; ``main`` alone prints the text
+(stdout or --output) and picks the exit code: 0 all checks pass, 1 a check
+failed or the input was refused (the refusal goes where the report would),
+2 unreadable or malformed input, an unknown character or an unwritable
+--output (one line on stderr).
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from .presentations import (PresentationError, hopf_from_dict,
                             load_lie, load_pairing_input, _load_json)
 
 
+class _Refused(Exception):
+    """A command's input was refused; the message is the report to print."""
+
+
 def _emit(text, output):
     if not output:
         print(text)
@@ -44,24 +51,20 @@ def _load_hopf_arg(value):
 
 
 def _character_of(H, name):
-    try:
-        if name is None or name == "counit":
-            return H.counit_character()
-        return H.character(name)
-    except CharacterError as exc:
-        raise PresentationError(str(exc))
+    if name is None or name == "counit":
+        return H.counit_character()
+    return H.character(name)
 
 
-def _fails_hopf_axioms(H, output):
-    """Check H against the Hopf axioms; on failure emit that report.
+def _require_hopf_axioms(H):
+    """Refuse H, with its failed axiom report, unless it is a Hopf algebra.
 
-    Every number derived from H assumes it is a Hopf algebra, so the
-    commands that compute from a finite H call this first.
+    Every number derived from H assumes it is one, so the commands that
+    compute from a finite H call this first.
     """
     report = check_hopf_axioms(H)
     if not report.ok:
-        _emit(report.render(), output)
-    return not report.ok
+        raise _Refused(report.render())
 
 
 def cmd_check_hopf(args):
@@ -74,8 +77,7 @@ def cmd_check_hopf(args):
             ok, witness = check_involution(delta)
             report.add("twisted-antipode-involution", ok,
                        None if ok else witness)
-    _emit(report.render(), args.output)
-    return 0 if report.ok else 1
+    return report.render(), report.ok
 
 
 def cmd_cyclic_relations(args):
@@ -88,72 +90,47 @@ def cmd_cyclic_relations(args):
                 f"presentation; U(g) uses its modular character")
         U = lie_from_dict(data, args.input)
         delta = U.modular_character()
-        module = HopfCyclicModule(delta)
-        rng = random.Random(args.seed)
-        samples = tensor_samples(U, args.max_degree, rng=rng)
-        report = relation_suite(module, args.max_degree,
-                                samples=samples.__getitem__)
-        report.meta["input"] = "enveloping-algebra"
-        report.meta["seed"] = args.seed
+        samples = tensor_samples(U, args.max_degree,
+                                 rng=random.Random(args.seed)).__getitem__
+        meta = {"input": "enveloping-algebra", "seed": args.seed}
     else:
         H = _load_hopf_arg(args.input) if data is None \
             else hopf_from_dict(data, args.input)
-        if _fails_hopf_axioms(H, args.output):
-            return 1
+        _require_hopf_axioms(H)
         delta = _character_of(H, args.character)
-        module = HopfCyclicModule(delta)
-        report = relation_suite(module, args.max_degree)
-        report.meta["input"] = H.name
-        report.meta["character"] = delta.name
-    report.meta["max-degree"] = args.max_degree
-    _emit(report.render(), args.output)
-    return 0 if report.ok else 1
+        samples = None
+        meta = {"input": H.name, "character": delta.name}
+    report = relation_suite(HopfCyclicModule(delta), args.max_degree,
+                            samples=samples)
+    report.meta.update(meta)
+    return report.render(), report.ok
 
 
 def cmd_cohomology(args):
     H = _load_hopf_arg(args.input)
-    if _fails_hopf_axioms(H, args.output):
-        return 1
-    delta = _character_of(H, args.character)
-    try:
-        report = cohomology_report(delta, args.max_degree,
-                                   method=args.method)
-    except NotCyclicError as exc:
-        _emit(f"error: {exc}", args.output)
-        return 1
-    except NotMixedComplexError as exc:
-        _emit(exc.report.render(), args.output)
-        return 1
+    _require_hopf_axioms(H)
+    report = cohomology_report(_character_of(H, args.character),
+                               args.max_degree, method=args.method)
     negative = report.negative_entries()
     if negative:
-        _emit("error: negative dimension " + ", ".join(negative),
-              args.output)
-        return 1
+        return "error: negative dimension " + ", ".join(negative), False
     text = report.render()
     if args.method == "both" and not report.methods_agree():
         text += "\nerror: method disagreement on an unflagged degree"
-        _emit(text, args.output)
-        return 1
-    _emit(text, args.output)
-    return 0
+        return text, False
+    return text, True
 
 
 def cmd_pair(args):
     A, phi, E, q = load_pairing_input(args.input)
-    try:
-        value = actions.pair_idempotent(A, phi, E, q)
-    except actions.ActionError as exc:
-        _emit(f"error: {exc}", args.output)
-        return 1
-    _emit(f"report: pairing\nalgebra: {A.name}\nq: {q}\n"
-          f"value: {A.field.format(value)}", args.output)
-    return 0
+    value = actions.pair_idempotent(A, phi, E, q)
+    return (f"report: pairing\nalgebra: {A.name}\nq: {q}\n"
+            f"value: {A.field.format(value)}"), True
 
 
 def cmd_gamma_check(args):
     action, delta, trace = load_gamma_input(args.input)
-    if _fails_hopf_axioms(action.hopf, args.output):
-        return 1
+    _require_hopf_axioms(action.hopf)
     report = actions.check_action(action)
     report.merge(actions.check_delta_invariance(action, delta, trace))
     if report.ok:
@@ -161,12 +138,10 @@ def cmd_gamma_check(args):
             require_involution(delta)
         except NotCyclicError as exc:
             report.add("twisted-antipode-involution", False, str(exc))
-            _emit(report.render(), args.output)
-            return 1
-        report.merge(actions.check_gamma_morphism(action, delta, trace,
-                                                  args.max_degree))
-    _emit(report.render(), args.output)
-    return 0 if report.ok else 1
+        else:
+            report.merge(actions.check_gamma_morphism(action, delta, trace,
+                                                      args.max_degree))
+    return report.render(), report.ok
 
 
 def build_parser():
@@ -226,10 +201,17 @@ def main(argv=None):
     if getattr(args, "max_degree", 1) < 1:
         parser.error("--max-degree must be at least 1")
     try:
-        return args.func(args)
-    except PresentationError as exc:
+        try:
+            text, ok = args.func(args)
+        except (_Refused, NotMixedComplexError) as exc:
+            text, ok = str(exc), False
+        except (NotCyclicError, actions.ActionError) as exc:
+            text, ok = f"error: {exc}", False
+        _emit(text, args.output)
+    except (PresentationError, CharacterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -244,35 +244,8 @@ def scalar_inv(a):
     return rational(1 / Fraction(a))
 
 
-class RationalField:
-    kind = "rational"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def parse(self, text):
-        return parse_rational(text)
-
-    def format(self, a):
-        return format_scalar(a)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
-
-    def __repr__(self):
-        return "RationalField()"
-
-    def to_spec(self):
-        return {"kind": "rational"}
-
-
 class CyclotomicField:
+    """Q(zeta_m); ``RationalField`` is its order-1 case, Q itself."""
     kind = "cyclotomic"
 
     def __init__(self, order):
@@ -297,16 +270,34 @@ class CyclotomicField:
         return format_scalar(a)
 
     def __eq__(self, other):
-        return isinstance(other, CyclotomicField) and other.order == self.order
+        return type(other) is type(self) and other.order == self.order
 
     def __hash__(self):
-        return hash(("cyclotomic", self.order))
+        return hash((self.kind, self.order))
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"
 
     def to_spec(self):
         return {"kind": "cyclotomic", "order": self.order}
+
+
+class RationalField(CyclotomicField):
+    """Q as Q(zeta_1); its scalars are parsed as rationals, so a "z" in
+    a rational presentation is refused."""
+    kind = "rational"
+
+    def __init__(self):
+        super().__init__(1)
+
+    def parse(self, text):
+        return parse_rational(text)
+
+    def __repr__(self):
+        return "RationalField()"
+
+    def to_spec(self):
+        return {"kind": "rational"}
 
 
 def field_from_spec(spec):

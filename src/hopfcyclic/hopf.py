@@ -478,17 +478,16 @@ def cyclic_group_algebra(n, field=None):
     return group_algebra(labels, table, name=f"QZ{n}", field=field)
 
 
-def trivial_hopf(field=None):
-    """The ground field as a one-dimensional Hopf algebra."""
-    H = cyclic_group_algebra(1, field=field)
+def trivial_hopf():
+    """Q as a one-dimensional Hopf algebra."""
+    H = cyclic_group_algebra(1)
     H.name = "trivial"
     return H
 
 
-def function_algebra(labels, table, name=None, field=None):
-    """Function Hopf algebra k^G on a finite group: dual basis, pointwise
+def function_algebra(labels, table, name=None):
+    """Function Hopf algebra Q^G on a finite group: dual basis, pointwise
     product, convolution coproduct, evaluation characters."""
-    field = field or RationalField()
     n = len(labels)
     product = {(i, i): {i: 1} for i in range(n)}
     coproduct = {}
@@ -503,9 +502,9 @@ def function_algebra(labels, table, name=None, field=None):
     inverse = cayley_inverses(table)
     antipode = {i: {inverse[i]: 1} for i in range(n)}
     unit = {i: 1 for i in range(n)}
-    H = FiniteHopf(name or f"function-algebra[{'.'.join(labels)}]", field,
-                   [f"d_{l}" for l in labels], unit, product, coproduct,
-                   counit, antipode)
+    H = FiniteHopf(name or f"function-algebra[{'.'.join(labels)}]",
+                   RationalField(), [f"d_{l}" for l in labels], unit,
+                   product, coproduct, counit, antipode)
     for point in range(n):
         values = [1 if g == point else 0 for g in range(n)]
         H.characters[f"eval_{labels[point]}"] = Character(
@@ -514,7 +513,7 @@ def function_algebra(labels, table, name=None, field=None):
     return H
 
 
-def sweedler_h4(field=None):
+def sweedler_h4():
     """The 4-dimensional Hopf algebra with g^2=1, x^2=0, xg=-gx.
 
     Basis order: 1, g, x, gx.  Coproduct: Delta(g)=g(x)g,
@@ -522,7 +521,6 @@ def sweedler_h4(field=None):
     The antipode has infinite order on x (S^2(x) = -x), which makes this the
     smallest nontrivial test of the twisted involution condition.
     """
-    field = field or RationalField()
     I, G, X, GX = 0, 1, 2, 3
     product = {
         (I, I): {I: 1}, (I, G): {G: 1}, (I, X): {X: 1}, (I, GX): {GX: 1},
@@ -538,16 +536,15 @@ def sweedler_h4(field=None):
     }
     counit = [1, 1, 0, 0]
     antipode = {I: {I: 1}, G: {G: 1}, X: {GX: -1}, GX: {X: 1}}
-    H = FiniteHopf("sweedler-h4", field, ["1", "g", "x", "gx"], {I: 1},
-                   product, coproduct, counit, antipode)
+    H = FiniteHopf("sweedler-h4", RationalField(), ["1", "g", "x", "gx"],
+                   {I: 1}, product, coproduct, counit, antipode)
     H.characters["delta"] = Character(H, [1, -1, 0, 0], name="delta")
     H.characters["counit"] = H.counit_character()
     return H
 
 
-def matrix_algebra(n, field=None):
-    """Full matrix algebra M_n(k) with basis e_{rc} in row-major order."""
-    field = field or RationalField()
+def matrix_algebra(n):
+    """Full matrix algebra M_n(Q) with basis e_{rc} in row-major order."""
     basis = [f"e{r}{c}" for r in range(n) for c in range(n)]
     product = {}
     for r in range(n):
@@ -558,7 +555,7 @@ def matrix_algebra(n, field=None):
                     j = r2 * n + c2
                     product[(i, j)] = {r * n + c2: 1} if c == r2 else {}
     unit = {r * n + r: 1 for r in range(n)}
-    return FiniteAlgebra(f"M{n}", field, basis, unit, product)
+    return FiniteAlgebra(f"M{n}", RationalField(), basis, unit, product)
 
 
 BUILTIN_BUILDERS = {

@@ -114,17 +114,14 @@ def compose_word(word, source_degree):
 def decompose(f):
     """Canonical word for a morphism: faces, then degeneracies, then a
     cyclic power (rightmost first).  Asserts recomposition round-trips."""
-    n, m = f.source, f.target
-    word = None
+    n = f.source
+    tau, rest = cyclic_morphism(n - 1), f  # rest = f after tau^k
     for k in range(n):
-        tau_power = identity_morphism(n)
-        for _ in range(k):
-            tau_power = tau_power.compose(cyclic_morphism(n - 1))
-        rest = f.compose(tau_power)
         if rest.is_simplicial():
             word = _decompose_simplicial(rest) + [("t", 0, n - 1)] * ((n - k) % n)
             break
-    if word is None:
+        rest = rest.compose(tau)
+    else:
         raise ValueError(f"no cyclic factorization found for {f!r}")
     assert compose_word(word, source_degree=n - 1) == f
     return word
@@ -137,7 +134,7 @@ def _decompose_simplicial(f):
     word = []
     # surjection part: collapse duplicated positions, largest index first
     dups = [j for j in range(n - 1) if values[j] == values[j + 1]]
-    image = sorted(set(values))
+    image = set(values)
     mid = len(image)  # size of the intermediate object
     for rank, j in enumerate(dups):
         # after removing earlier duplicates, position shifts down by rank
@@ -145,7 +142,7 @@ def _decompose_simplicial(f):
     word.reverse()
     # injection part: insert the missing values, smallest first; the face
     # sizes climb from the intermediate object up to the target
-    missing = [v for v in range(m) if v not in set(values)]
+    missing = [v for v in range(m) if v not in image]
     inj = []
     size = mid
     for v in missing:

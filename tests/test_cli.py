@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, report output."""
 
+import ast
 import collections
 import json
 import shlex
@@ -174,6 +175,13 @@ def test_gamma_check_bad_trace(capsys, tmp_path, data_dir):
 def test_unknown_character_exit_2(capsys):
     code = main(["cohomology", "--input", "qz2", "--character", "nope"])
     assert code == 2
+    capsys.readouterr()
+    for command in ("check-hopf", "cyclic-relations", "cohomology"):
+        assert main([command, "--input", "qz2", "--character", "nope"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: QZ2 has no character named 'nope'"], command
 
 
 def test_bad_max_degree():
@@ -181,11 +189,15 @@ def test_bad_max_degree():
         main(["cohomology", "--input", "qz2", "--max-degree", "0"])
 
 
+# Delta(g) = g@g + (e-g)@(e-g) on QZ2 is coassociative and counital but
+# not multiplicative; the complex built from it has HC_lambda^3 = -1
+NON_MULTIPLICATIVE_COPRODUCT = [[0, 0, 0, "1"], [1, 0, 0, "1"],
+                                [1, 0, 1, "-1"], [1, 1, 0, "-1"],
+                                [1, 1, 1, "2"]]
+
+
 def test_cohomology_refuses_non_hopf_input(capsys, tmp_path, data_dir):
-    # Delta(g) = g@g + (e-g)@(e-g) is coassociative and counital but not
-    # multiplicative; the complex built from it has HC_lambda^3 = -1
-    bad = [[0, 0, 0, "1"], [1, 0, 0, "1"], [1, 0, 1, "-1"], [1, 1, 0, "-1"],
-           [1, 1, 1, "2"]]
+    bad = NON_MULTIPLICATIVE_COPRODUCT
     hopf = json.loads((data_dir / "qz2.json").read_text())
     hopf["coproduct"] = bad
     p = tmp_path / "qz2-bad-coproduct.json"
@@ -234,6 +246,81 @@ def test_cohomology_refuses_broken_mixed_complex(capsys, perturbed_B1):
                     "--method", "lambda")
     assert code == 0
     assert "degree 3:" in out
+
+
+def _non_hopf_qz2(request, tmp_path):
+    data = json.loads((request.getfixturevalue("data_dir") / "qz2.json")
+                      .read_text())
+    data["coproduct"] = NON_MULTIPLICATIVE_COPRODUCT
+    p = tmp_path / "qz2-bad-coproduct.json"
+    p.write_text(json.dumps(data))
+    return ["cohomology", "--input", str(p), "--max-degree", "3"]
+
+
+def _counit_on_sweedler(request, tmp_path):
+    return ["cohomology", "--input", "sweedler", "--character", "counit",
+            "--max-degree", "2"]
+
+
+def _broken_mixed_complex(request, tmp_path):
+    request.getfixturevalue("perturbed_B1")
+    return ["cohomology", "--input", "sweedler", "--character", "delta",
+            "--max-degree", "3"]
+
+
+def _non_idempotent_pair(request, tmp_path):
+    data = json.loads((request.getfixturevalue("data_dir") / "pair-qz2.json")
+                      .read_text())
+    data["idempotent"] = [[0, 0, 0, "2"]]
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps(data))
+    return ["pair", "--input", str(p)]
+
+
+def _negative_dimension(request, tmp_path):
+    request.getfixturevalue("monkeypatch").setattr(
+        cohomology, "lambda_complex_dimensions",
+        lambda b, minus: ([1, -1] + [0] * (len(b) - 2), [0] * len(b)))
+    return ["cohomology", "--input", "qz2", "--max-degree", "3",
+            "--method", "lambda"]
+
+
+# one command per refusal family, and how its refusal text starts
+REFUSALS = {
+    "hopf-axioms": (_non_hopf_qz2, "report: hopf-axioms["),
+    "not-cyclic": (_counit_on_sweedler, "error: twisted antipode"),
+    "not-mixed-complex": (_broken_mixed_complex, "report: mixed-complex\n"),
+    "action-error": (_non_idempotent_pair, "error: matrix is not idempotent"),
+    "negative-dimension": (_negative_dimension, "error: negative dimension"),
+}
+
+
+@pytest.mark.parametrize("refusal", list(REFUSALS))
+def test_refusal_goes_where_the_report_goes(capsys, request, tmp_path,
+                                            refusal):
+    build, start = REFUSALS[refusal]
+    argv = build(request, tmp_path)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith(start)
+    target = tmp_path / "refusal.txt"
+    code = main([*argv, "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err == ""
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_main_alone_prints_and_picks_the_exit_code():
+    """_emit is called, and --output read, once each, both in main."""
+    tree = ast.parse((PKG_ROOT / "src/hopfcyclic/cli.py").read_text())
+    users = sorted(fn.name for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Name) and node.id == "_emit"
+                   or isinstance(node, ast.Attribute)
+                   and node.attr == "output")
+    assert users == ["main", "main"]
 
 
 B_SQUARE_FAILS = """\

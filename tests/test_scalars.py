@@ -76,6 +76,16 @@ def test_field_round_trip():
             assert field.format(field.parse(text)) == text
 
 
+def test_rational_field_is_the_order_one_cyclotomic_field():
+    Q = RationalField()
+    assert Q.order == 1 and Q.zeta() == 1
+    assert Q == RationalField() and hash(Q) == hash(RationalField())
+    assert Q != CyclotomicField(1) and CyclotomicField(1) != Q
+    assert CyclotomicField(1).parse("z") == 1
+    with pytest.raises(ScalarFormatError):
+        Q.parse("z")  # a rational presentation holds no zeta
+
+
 def test_cyclotomic_parse_format_round_trip():
     field = CyclotomicField(8)
     a = field.parse("1/2 + 3*z^2 - z^3")
