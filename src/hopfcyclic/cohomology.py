@@ -43,10 +43,32 @@ checks B^2 = 0 and bB + Bb = 0 on the normalized b and B and computes the
 bicomplex dimensions from those same matrices.  HH and HC(lambda) take one
 elimination per degree: for A = 1 - lambda_n, rank(b_(n+1) on ker A) =
 rank [b_(n+1); A] - rank A; under 'bB' alone, HH comes from the normalized
-b, and the printed rank b_(n+1) of the full complex from d^n - HH^n - rank
-b_n.  No rank is computed after a failed check: the report still runs
-every check, then raises NotMixedComplexError rather than return a table
-for a complex that fails an identity.
+b.  The printed rank b_(n+1) of the full complex is d^n - HH^n - rank b_n.
+No rank is computed after a failed check: the report still runs every
+check, then raises NotMixedComplexError rather than return a table for a
+complex that fails an identity.
+
+Only the phi_delta-invariant cochains are ranked.  delta is a group-like of
+H*, and conjugation by it, phi_delta(h) = delta(h_(1)) h_(2) delta(S
+h_(3)), is a Hopf automorphism of finite order with delta o phi_delta =
+delta, so acting factorwise it commutes with every face, degeneracy and
+tau, and so with b, 1 - lambda and B.  When phi_delta is diagonal in the
+basis, phi_delta(e_k) = c_k e_k (``hopf.coinner_eigenvalues``, which
+checks delta(c_k e_k) = delta(e_k) and that each c_k is a root of unity,
+exactly), every complex splits into the spans of the basis tuples with
+one product of the c_k each.  As an inner automorphism of H*, phi_delta
+is the identity on HH = Ext_(H*)(k, k), and through SBI on HC; on a
+summand where it is c != 1 it is thus both c and 1 on the cohomology,
+which vanishes.  So after the gate has passed on the whole matrices, the
+report replaces each full b_n and 1 - lambda_n and each normalized b_n
+and B_n by its restriction to the tuples of product 1 on both sides
+(``TensorBasis.invariant_part``), which frees the whole matrix, and takes
+HH from the restricted ranks and sizes.  An entry of a kept column at a
+dropped row is never dropped: the report adds the failed check
+'phi-invariant ...' with that column's tuple as the witness and raises
+NotMixedComplexError at once.  Where every c_k is 1 or phi_delta is not
+diagonal (every group algebra, abelian k^G, every counit), nothing is
+restricted or copied.
 
 Scalars are canonical (see ``fields``), so on an integral presentation b,
 1 - lambda, B, the gate's products and the elimination all run on int.
@@ -350,27 +372,53 @@ def cohomology_report(delta, N_max, method="both"):
         complexes.append((norm, b))
     check_b_square(gate, *complexes)
     if gate.ok:  # no rank of a complex whose b^2 is not 0
-        if method == "bB":  # rank b_(n+1) = dim C^n - HH^n - rank b_n
-            hh, b_ranks = hochschild_dimensions(b)[0], []
-            for dim, h in zip(dims, hh):
-                b_ranks.append(dim - h - (b_ranks[-1] if b_ranks else 0))
+        if method != "lambda":  # the B checks still read the whole b
+            norm_b = {n: _invariant(gate, norm, "b", matrix, n - 1, n)
+                      for n, matrix in b.items()}
+        if method == "bB":
+            hh = hochschild_dimensions(norm_b)[0]
         else:
-            hc_lambda, b_ranks = lambda_complex_dimensions(
-                complexes[0][1], (one_minus_lambda_matrix(full, n)
-                                  for n in range(N_max + 1)))
-            hh = _homology_dims(dims, b_ranks)
+            full_b = complexes[0][1]
+            for n in full_b:
+                full_b[n] = _invariant(gate, full, "b", full_b[n], n - 1, n)
+            sizes = [full_b[n + 1].ncols for n in range(N_max + 1)]
+            hc_lambda, ranks = lambda_complex_dimensions(full_b, (
+                _invariant(gate, full, "1-lambda",
+                           one_minus_lambda_matrix(full, n), n, n)
+                for n in range(N_max + 1)))
+            hh = _homology_dims(sizes, ranks)
+        b_ranks = [0]  # rank b_(n+1) = dim C^n - HH^n - rank b_n
+        for dim, h in zip(dims, hh):
+            b_ranks.append(dim - h - b_ranks[-1])
     del complexes  # the full b served HH and HC(lambda) only
     if method != "lambda":
         b.pop(N_max + 1, None)
         B = {n: B_matrix(norm, n) for n in range(N_max)}
         check_B_relations(gate, norm, b, B)
         if gate.ok:
-            hc_bB, flags = bicomplex_dimensions(b, B)
+            del b
+            for n in B:
+                B[n] = _invariant(gate, norm, "B", B[n], n + 1, n)
+            norm_b.pop(N_max + 1, None)
+            hc_bB, flags = bicomplex_dimensions(norm_b, B)
     if not gate.ok:
         raise NotMixedComplexError(gate)
     return ComplexReport(delta.hopf.name, delta.name, N_max, method, {
-        "dim": dims, "rank_b": [0] + b_ranks[:N_max], "HH": hh,
+        "dim": dims, "rank_b": b_ranks[:N_max + 1], "HH": hh,
         "HC_lambda": hc_lambda, "HC_bB": hc_bB}, flags)
+
+
+def _invariant(gate, module, name, matrix, src, tgt):
+    """``module.invariant_part`` of matrix, from degree src to degree tgt.
+    A kept column with an entry at a dropped row adds the failed check
+    'phi-invariant NAME n=SRC' to gate, with that column's basis tuple as
+    the witness, and raises NotMixedComplexError: no entry is dropped."""
+    part = module.invariant_part(matrix, src, tgt)
+    if part is not matrix and part.outside is not None:
+        gate.add(f"phi-invariant {name} n={src}", False,
+                 ("outside phi = 1", [part.outside]))
+        raise NotMixedComplexError(gate)
+    return part
 
 
 def mixed_complex_report(module, N_max, samples=None):

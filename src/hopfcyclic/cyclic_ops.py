@@ -40,6 +40,9 @@ b_m(x) (x) e_s + (-1)^m x (x) D(e_s) is not a map of the last factor
 alone.  The cohomology matrices are built from these.
 ``NormalizedModule`` runs the same recursions on the normalized complex
 (ker eps)^(x)n of a rebased module, whose digits leave out one index.
+``invariant_index`` lists the basis tuples on which the co-inner
+automorphism phi_delta is 1, read off the eigenvalue of each digit, and
+``invariant_part`` restricts a matrix to them (see ``cohomology``).
 
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
@@ -53,8 +56,9 @@ is the identity.  These are exactly what the (b, B)-machinery needs.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
-from .hopf import linear, rebased, vec_add_into, vec_eq
+from .hopf import coinner_eigenvalues, linear, rebased, vec_add_into, vec_eq
 from .linalg import SparseMatrix
 from .reports import CheckReport, first_failure
 
@@ -64,9 +68,12 @@ class TensorBasis:
     algebra: a basis tensor of degree n is a tuple of n + ``extra_factors``
     of the ``base`` indices in ``digits``, listed in lexicographic order,
     and its index reads their positions in ``digits`` in base ``base``, the
-    first factor most significant.  ``full`` holds the rows B is formed on."""
+    first factor most significant.  ``full`` holds the rows B is formed on.
+    ``coinner`` is the eigenvalue of phi_delta at each digit, or None where
+    it is not known to be diagonal (``hopf.coinner_eigenvalues``)."""
 
     extra_factors = 0
+    coinner = None
 
     def space_dim(self, n):
         return self.base ** (n + self.extra_factors)
@@ -99,18 +106,42 @@ class TensorBasis:
     def restricted(self, cols, src, tgt):
         """The RestrictedMatrix from degree src to degree tgt with the given
         columns, dicts on the rows of ``full`` at degree tgt."""
-        rows = {r: i for i, r in enumerate(self.full_index(tgt))}
-        outside, kept = None, []
-        for j, col in enumerate(cols):
-            try:
-                kept.append({rows[r]: v for r, v in col.items()})
-            except KeyError:
-                kept.append({rows[r]: v for r, v in col.items() if r in rows})
-                if outside is None:
-                    outside = self.key_of_index(j, src)
-        matrix = RestrictedMatrix.from_columns(kept, self.space_dim(tgt))
-        matrix.outside = outside
-        return matrix
+        return on_rows(cols, self.full_index(tgt),
+                       lambda j: self.key_of_index(j, src))
+
+    def invariant_index(self, n):
+        """The indices of the degree-n basis tuples on which phi_delta is 1,
+        in order: those whose product of the digits' ``coinner`` values is
+        1.  None when every value is 1 or none is known, as nothing is then
+        dropped.  The values generate a finite group of roots of unity;
+        each digit adds its value to a tuple's group label through the
+        group's product table, so no scalar is multiplied per tuple."""
+        values = self.coinner
+        if values is None or all(c == 1 for c in values):
+            return None
+        group = [1]
+        for g in group:  # grows while it is read, to the group's order
+            for h in (g * c for c in values):
+                if h not in group:
+                    group.append(h)
+        table = [[group.index(g * c) for c in values] for g in group]
+        labels = [0]
+        for _ in range(n + self.extra_factors):
+            labels = [label for g in labels for label in table[g]]
+        return [j for j, label in enumerate(labels) if not label]
+
+    def invariant_part(self, matrix, src, tgt):
+        """matrix, from degree src to degree tgt, on the basis tuples of
+        ``invariant_index`` at both degrees, as a RestrictedMatrix whose
+        ``outside`` is the first kept source tuple with an entry at a
+        dropped row; matrix itself, neither restricted nor copied, when no
+        tuple is dropped."""
+        sources = self.invariant_index(src)
+        if sources is None:
+            return matrix
+        return on_rows((matrix.cols[j] for j in sources),
+                       sources if tgt == src else self.invariant_index(tgt),
+                       lambda j: self.key_of_index(sources[j], src))
 
     def samples(self, n):
         return [{key: 1} for key in self.basis_keys(n)]
@@ -301,6 +332,10 @@ class HopfCyclicModule(TensorBasis):
     # NormalizedModule
     full = property(lambda self: self)
 
+    @cached_property
+    def coinner(self):
+        return coinner_eigenvalues(self.delta)
+
     # -- matrices assembled from the structure constants (finite H only);
     # columns are generated one at a time, basis tuples in lexicographic
     # order, and a tuple's index has its first factor most significant
@@ -405,11 +440,30 @@ def iterated_comul(H, elem, n):
 
 
 class RestrictedMatrix(SparseMatrix):
-    """A matrix on a module's own rows, from columns on the rows of its
-    ``full``.  ``outside`` is the basis tuple of its first column with an
-    entry no row of the module holds, or None, as on a full module."""
+    """A matrix on a subset of the rows of the columns it was made from.
+    ``outside`` is the basis tuple of its first column with an entry at a
+    row not kept, or None."""
 
     __slots__ = ("outside",)
+
+
+def on_rows(cols, rows, key_of):
+    """The RestrictedMatrix of the columns cols read on rows, the list of
+    the row indices kept, in order; key_of(j) names column j as
+    ``outside``.  An entry at a row not kept is left out of the matrix, and
+    ``outside`` reports it."""
+    index = {r: i for i, r in enumerate(rows)}
+    outside, kept = None, []
+    for j, col in enumerate(cols):
+        try:
+            kept.append({index[r]: v for r, v in col.items()})
+        except KeyError:
+            kept.append({index[r]: v for r, v in col.items() if r in index})
+            if outside is None:
+                outside = key_of(j)
+    matrix = RestrictedMatrix.from_columns(kept, len(rows))
+    matrix.outside = outside
+    return matrix
 
 
 class NormalizedModule(TensorBasis):
@@ -452,6 +506,12 @@ class NormalizedModule(TensorBasis):
 
     def cobar_table(self):
         return self._table
+
+    @cached_property
+    def coinner(self):
+        """phi_delta at N's digits, read in ``full``, the rebased module."""
+        values = self.full.coinner
+        return None if values is None else [values[k] for k in self.digits]
 
 
 class CochainCyclicModule(TensorBasis):

@@ -62,7 +62,8 @@ def cyclotomic_polynomial(m):
 
 
 def _poly_exact_div(num, den):
-    """Exact division of integer polynomials, lowest degree first."""
+    """Exact division of integer polynomials, lowest degree first;
+    ArithmeticError when it leaves a remainder."""
     num = list(num)
     den = list(den)
     out = [0] * (len(num) - len(den) + 1)
@@ -71,7 +72,8 @@ def _poly_exact_div(num, den):
         out[k] = c
         for i, d in enumerate(den):
             num[k + i] -= c * d
-    assert all(c == 0 for c in num), "nonexact polynomial division"
+    if any(num):
+        raise ArithmeticError("nonexact polynomial division")
     return out
 
 
@@ -174,15 +176,15 @@ class Cyclotomic:
 
     def inverse(self):
         """1 / a = (prod of sigma_k(a), k != 1) / N(a), where the norm
-        N(a) = a * prod sigma_k(a) is rational."""
+        N(a) = a * prod sigma_k(a) is rational; ArithmeticError if not."""
         m = self.order
         conjugates = 1
         for k in range(2, m):
             if gcd(k, m) == 1:
                 conjugates = conjugates * self._galois(k)
         norm = self * conjugates
-        assert not isinstance(norm, Cyclotomic), \
-            f"norm of {self!r} is not rational"
+        if isinstance(norm, Cyclotomic):
+            raise ArithmeticError(f"norm of {self!r} is not rational")
         return conjugates * scalar_inv(norm)
 
     def __truediv__(self, other):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .fields import RationalField, rational, scalar_inv
 from .reports import CheckReport, first_failure
@@ -435,6 +436,35 @@ def check_involution(delta):
                       e)
 
     return first_failure(range(H.dim), involutive, lambda i: H.basis[i])
+
+
+def coinner_eigenvalues(delta):
+    """[c_k] with phi_delta(e_k) = c_k e_k, or None when phi_delta is not
+    diagonal in the basis.  phi_delta(h) = delta(h_(1)) h_(2)
+    delta(S h_(3)) is conjugation by the group-like delta of H*: a Hopf
+    automorphism of finite order with delta o phi_delta = delta.  Both are
+    checked exactly on each c_k, delta(c_k e_k) = delta(e_k) and c_k^r = 1
+    for r = lcm(2, m) on Q(zeta_m), whose roots of unity all have order
+    dividing r; None as well when one fails, so no c_k is used unchecked."""
+    H = delta.hopf
+    r = lcm(2, H.field.order)
+    delta_of_S = [evaluate(delta.values, H.antipode_basis(q))
+                  for q in range(H.dim)]
+
+    def phi(pair):  # h' (x) h'' -> delta(S h'') sum delta(h'_(1)) h'_(2)
+        return vec_scale(delta_of_S[pair[1]],
+                         H.twist_automorphism(delta, {pair[0]: 1}))
+
+    out = []
+    for k, value in enumerate(delta.values):
+        image = linear(phi, H.comul_basis(k))
+        if image.keys() != {k}:
+            return None
+        c = image[k]
+        if c * value != value or c ** r != 1:
+            return None
+        out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,8 @@ def compose_word(word, source_degree):
 
 def decompose(f):
     """Canonical word for a morphism: faces, then degeneracies, then a
-    cyclic power (rightmost first).  Asserts recomposition round-trips."""
+    cyclic power (rightmost first).  Raises ValueError when the word does
+    not compose back to f."""
     n = f.source
     tau, rest = cyclic_morphism(n - 1), f  # rest = f after tau^k
     for k in range(n):
@@ -123,7 +124,8 @@ def decompose(f):
         rest = rest.compose(tau)
     else:
         raise ValueError(f"no cyclic factorization found for {f!r}")
-    assert compose_word(word, source_degree=n - 1) == f
+    if compose_word(word, source_degree=n - 1) != f:
+        raise ValueError(f"decomposition {word!r} does not recompose {f!r}")
     return word
 
 

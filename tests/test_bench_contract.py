@@ -57,14 +57,17 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
     # stacks [b_(n+1); 1 - lambda_n] go through stacked_ranks, which is not
     # wrapped) and the total matrices T^n -> T^(n+1) for n < 3 of the
     # normalized complex, whose blocks are b_(m+1) and B_(m-1) for m = n,
-    # n-2, ...
-    minus = [one_minus_lambda_matrix(module, n) for n in range(4)]
-    b = {n: b_matrix(norm, n) for n in range(1, 4)}
-    B = {n: B_matrix(norm, n) for n in range(3)}
+    # n-2, ...; every one restricted to the phi_delta-invariant tuples
+    minus = [module.invariant_part(one_minus_lambda_matrix(module, n), n, n)
+             for n in range(4)]
+    b = {n: norm.invariant_part(b_matrix(norm, n), n - 1, n)
+         for n in range(1, 4)}
+    B = {n: norm.invariant_part(B_matrix(norm, n), n + 1, n)
+         for n in range(3)}
     blocks = [m for n in range(3) for m in range(n, -1, -2)]
 
     def total(n):
-        return sum(norm.space_dim(m) for m in range(n, -1, -2))
+        return sum(len(norm.invariant_index(m)) for m in range(n, -1, -2))
 
     assert tracer.calls["linalg.rank"] == len(minus) + 3
     assert tracer.sizes["linalg.rank.nnz_in"] == sum(

@@ -5,20 +5,23 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import differentials, load_golden
+from conftest import DATA, GOLDENS, differentials, load_golden
 from dense_oracle import oracle_dimensions
+from hopfcyclic import cohomology
 from hopfcyclic.cli import main
 from hopfcyclic.cohomology import (NotCyclicError, NotMixedComplexError,
-                                   b_matrix, bicomplex_dimensions,
+                                   B_matrix, b_matrix, bicomplex_dimensions,
                                    cohomology_report, B_operator, hochschild_b,
                                    hochschild_dimensions,
                                    lambda_complex_dimensions,
                                    mixed_complex_report,
                                    one_minus_lambda_matrix, require_involution)
-from hopfcyclic.cyclic_ops import HopfCyclicModule
-from hopfcyclic.hopf import (cyclic_group_algebra, function_algebra,
+from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule, on_rows
+from hopfcyclic.hopf import (BUILTIN_BUILDERS, coinner_eigenvalues,
+                             cyclic_group_algebra, function_algebra,
                              group_algebra, sweedler_h4, trivial_hopf)
 from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.presentations import load_gamma_input, load_hopf
 from test_assembly import abelian_hopf_modules
 
 CASES = [
@@ -208,3 +211,160 @@ def test_s3_closed_form(builder):
     H = builder(S3_LABELS, S3_TABLE)
     assert_semisimple_dual_closed_form(
         HopfCyclicModule(H.counit_character()))
+
+
+# ---------------------------------------------------------------------------
+# the co-inner reduction: only the phi_delta-invariant cochains are ranked
+
+
+def character_cases():
+    """(id, delta) for every character of every builtin, of each Hopf
+    presentation in data/, and of QZ4 over Q(zeta_4)."""
+    out = [(f"{name}-{cname}", delta)
+           for name, build in sorted(BUILTIN_BUILDERS.items())
+           for cname, delta in sorted(build().characters.items())]
+    for path in (DATA / "qz2.json", DATA / "sweedler-h4.json",
+                 GOLDENS / "cli" / "qz4-zeta4.json"):
+        H = load_hopf(str(path))
+        out += [(f"{path.stem}-json-{c}", H.characters[c])
+                for c in sorted(H.characters)]
+    _, delta, _ = load_gamma_input(str(DATA / "gamma-translation.json"))
+    return out + [(f"gamma-translation-{delta.name}", delta)]
+
+
+CHARACTERS = character_cases()
+
+
+@pytest.mark.parametrize("case,delta", CHARACTERS,
+                         ids=[case for case, _ in CHARACTERS])
+def test_coinner_eigenvalues_of_every_character(case, delta):
+    """phi_delta is x -> -x, gx -> -gx on Sweedler/delta, also on N's
+    digits 1, 2, 3 of the rebased basis; the identity everywhere else."""
+    if case in ("sweedler-delta", "sweedler-h4-json-delta"):
+        assert coinner_eigenvalues(delta) == [1, 1, -1, -1]
+        assert NormalizedModule(delta).coinner == [1, -1, -1]
+    else:
+        assert coinner_eigenvalues(delta) == [1] * delta.hopf.dim
+        assert HopfCyclicModule(delta).invariant_index(3) is None
+
+
+def dropped_part(module, matrix, src, tgt):
+    """matrix on the basis tuples where phi_delta is not 1, on both sides;
+    it must hold every entry of those columns, so the dropped tuples span
+    a summand of the complex."""
+    kept_src = set(module.invariant_index(src))
+    kept_tgt = set(module.invariant_index(tgt))
+    cols = [j for j in range(matrix.ncols) if j not in kept_src]
+    part = on_rows((matrix.cols[j] for j in cols),
+                   [r for r in range(matrix.nrows) if r not in kept_tgt],
+                   lambda j: module.key_of_index(cols[j], src))
+    assert part.outside is None, part.outside
+    return part
+
+
+def test_dropped_cochains_carry_no_cohomology():
+    """On Sweedler/delta through degree 4 the phi_delta = -1 summand of the
+    full b, 1 - lambda and the normalized b, B has HH = HC(lambda) = 0, and
+    HC(bB) = 0 below the boundary, by the report's dimension functions."""
+    _, delta, full = module_of(sweedler_h4, "delta")
+    norm = NormalizedModule(delta)
+    b = {n: dropped_part(full, b_matrix(full, n), n - 1, n)
+         for n in range(1, 6)}
+    minus = [dropped_part(full, one_minus_lambda_matrix(full, n), n, n)
+             for n in range(5)]
+    assert [m.ncols for m in minus] == [0, 2, 8, 32, 128]
+    assert hochschild_dimensions(b)[0] == [0] * 5
+    assert lambda_complex_dimensions(b, minus)[0] == [0] * 5
+    nb = {n: dropped_part(norm, b_matrix(norm, n), n - 1, n)
+          for n in range(1, 5)}
+    nB = {n: dropped_part(norm, B_matrix(norm, n), n + 1, n)
+          for n in range(4)}
+    dims, flags = bicomplex_dimensions(nb, nB)
+    assert [d for d, flag in zip(dims, flags) if not flag] == [0] * 3
+
+
+def test_report_equals_the_unrestricted_dimensions():
+    """The degree-5 report against the dimension functions run on the whole
+    matrices of the full and the normalized complex."""
+    _, delta, full = module_of(sweedler_h4, "delta")
+    norm = NormalizedModule(delta)
+    b = {n: b_matrix(full, n) for n in range(1, 7)}
+    hh, ranks = hochschild_dimensions(b)
+    hc_lambda, _ = lambda_complex_dimensions(
+        b, [one_minus_lambda_matrix(full, n) for n in range(6)])
+    hc_bB, flags = bicomplex_dimensions(*differentials(norm, 5))
+    report = cohomology_report(delta, 5, method="both")
+    assert report.columns == {
+        "dim": [4 ** n for n in range(6)], "rank_b": [0] + ranks[:5],
+        "HH": hh, "HC_lambda": hc_lambda, "HC_bB": hc_bB}
+    assert report.flags == flags
+
+
+@pytest.mark.parametrize("method", ["lambda", "bB", "both"])
+def test_wrong_coinner_classes_are_refused(monkeypatch, capsys, method):
+    """With phi_delta taken as (1, -1, 1, -1) on Sweedler/delta, b_2 sends
+    the kept x to g (x) x, a dropped tuple: the report is refused with that
+    column as the witness, never a table."""
+    monkeypatch.setattr(HopfCyclicModule, "coinner", [1, -1, 1, -1])
+    delta = sweedler_h4().character("delta")
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(delta, 3, method=method)
+    assert caught.value.report.failures() == [
+        ("phi-invariant b n=1", ("outside phi = 1", [(2,)]))]
+    assert main(["cohomology", "--input", "sweedler", "--character", "delta",
+                 "--max-degree", "3", "--method", method]) == 1
+    out = capsys.readouterr().out
+    assert out == caught.value.report.render() + "\n"
+    assert not any(line.startswith("degree ") for line in out.splitlines())
+
+
+def recorded_lambda_stage(monkeypatch):
+    """Wrap the report's b_matrix, one_minus_lambda_matrix and
+    lambda_complex_dimensions; returns the dict the wrappers fill: the
+    matrices built ('built_b', 'built_minus') and the ones the lambda
+    stage got ('b', 'minus')."""
+    seen = {"built_b": {}, "built_minus": [], "b": None, "minus": []}
+
+    def built_b(module, n):
+        matrix = b_matrix(module, n)
+        if isinstance(module, HopfCyclicModule):
+            seen["built_b"][n] = matrix
+        return matrix
+
+    def built_minus(module, n):
+        seen["built_minus"].append(one_minus_lambda_matrix(module, n))
+        return seen["built_minus"][-1]
+
+    def stage(b, minus):
+        seen["b"] = dict(b)
+        seen["minus"] = list(minus)
+        return lambda_complex_dimensions(b, seen["minus"])
+
+    monkeypatch.setattr(cohomology, "b_matrix", built_b)
+    monkeypatch.setattr(cohomology, "one_minus_lambda_matrix", built_minus)
+    monkeypatch.setattr(cohomology, "lambda_complex_dimensions", stage)
+    return seen
+
+
+def test_lambda_stage_ranks_half_the_sweedler_cochains(monkeypatch):
+    """2^(2n-1) of the 4^n tuples of degree n >= 1 have an even number of
+    factors x or gx; the lambda stage gets only those, on both sides."""
+    seen = recorded_lambda_stage(monkeypatch)
+    cohomology_report(sweedler_h4().character("delta"), 4, method="lambda")
+    kept = [1] + [2 ** (2 * n - 1) for n in range(1, 6)]
+    assert [seen["b"][n].ncols for n in range(1, 6)] == kept[:5]
+    assert [seen["b"][n].nrows for n in range(1, 6)] == kept[1:]
+    assert [(A.nrows, A.ncols) for A in seen["minus"]] == [
+        (k, k) for k in kept[:5]]
+
+
+def test_lambda_stage_gets_qz4_matrices_uncopied(monkeypatch):
+    """phi_delta is the identity on QZ4 over Q(zeta_4): the lambda stage
+    gets the very matrices b_matrix and one_minus_lambda_matrix built."""
+    seen = recorded_lambda_stage(monkeypatch)
+    H = load_hopf(str(GOLDENS / "cli" / "qz4-zeta4.json"))
+    cohomology_report(H.character("delta"), 3, method="lambda")
+    assert seen["b"].keys() == seen["built_b"].keys() == {1, 2, 3, 4}
+    assert all(seen["b"][n] is seen["built_b"][n] for n in seen["b"])
+    assert len(seen["minus"]) == len(seen["built_minus"]) == 4
+    assert all(a is b for a, b in zip(seen["minus"], seen["built_minus"]))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hopfcyclic import lambda_cat
 from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.hopf import cyclic_group_algebra, sweedler_h4
 from hopfcyclic.lambda_cat import (LambdaMorphism, check_functoriality,
@@ -18,6 +19,14 @@ def test_face_degeneracy_values():
     assert [d1(x) for x in range(2)] == [0, 2]
     s0 = degeneracy_morphism(1, 0)  # surjection collapsing 0, 1
     assert [s0(x) for x in range(3)] == [0, 0, 1]
+
+
+def test_decompose_refuses_a_word_that_does_not_recompose(monkeypatch):
+    monkeypatch.setattr(lambda_cat, "compose_word",
+                        lambda word, source_degree: identity_morphism(
+                            source_degree + 1))
+    with pytest.raises(ValueError, match="does not recompose"):
+        decompose(cyclic_morphism(2))
 
 
 def test_cyclic_is_shift():

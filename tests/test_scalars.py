@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import PKG_ROOT
 from hopfcyclic.fields import (Cyclotomic, CyclotomicField, FieldMismatchError,
                                RationalField, ScalarFormatError,
-                               cyclotomic_polynomial, field_from_spec,
-                               parse_rational, scalar_inv)
+                               _poly_exact_div, cyclotomic_polynomial,
+                               field_from_spec, parse_rational, scalar_inv)
 
 
 def test_cyclotomic_polynomial_small_orders():
@@ -23,6 +23,12 @@ def test_cyclotomic_polynomial_small_orders():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     # degree phi(12) = 4 with the classic palindromic coefficients
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_inexact_polynomial_division_raises():
+    """A raise, not an assert, so python -O keeps the check."""
+    with pytest.raises(ArithmeticError, match="nonexact"):
+        _poly_exact_div([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
 
 
 def test_fourth_root_squares_to_minus_one():
@@ -293,9 +299,10 @@ def test_every_operator_rejects_mixed_orders(pair):
 
 def test_inverse_fails_loudly_on_an_irrational_norm(monkeypatch):
     # with every sigma_k replaced by the identity, the "norm" of 1 + zeta_4
-    # is (1 + zeta_4)^2 = 2 zeta_4, which is not rational
+    # is (1 + zeta_4)^2 = 2 zeta_4, which is not rational; a raise, not an
+    # assert, so python -O keeps the check
     monkeypatch.setattr(Cyclotomic, "_galois", lambda self, k: self)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError, match="not rational"):
         Cyclotomic(4, (1, 1)).inverse()
 
 
