@@ -15,38 +15,49 @@ the total bicomplex matrix stacks the columns of b and B.  from_columns
 keeps the dicts it is given, so each hands over fresh dicts, never a
 cache's.
 
-The (b, B) method runs on the normalized complex N^n = (ker eps)^(x)n =
-meet of the ker sigma_i (``NormalizedModule``), a sub-mixed complex with
-the same HH and HC as the whole module (Loday, Cyclic Homology, 2.1 and
-2.5).  In the rebased basis f_p = 1, f_i = e_i - eps(e_i) 1 it is spanned
-by the basis tuples with no index p, so N^n has (d-1)^n of the d^n basis
-tuples, and its b (inside N by the counit axiom) and B are formed on
-those columns only.  As s lambda = (-1)^(n+1) sigma_n tau_(n+1)^2 =
-(-1)^(n+1) tau_n sigma_0 by the relation ts0, B = N (s + (-1)^n tau_n
-sigma_0), and sigma_0 vanishes on N, so the same B_matrix gives B = N s
-there.  B sends N into N; an entry outside N is never dropped but fails
-the gate (see ``_zero_witness``), so every report checks that closure.
+HH and the (b, B) method run on the normalized complex N^n =
+(ker eps)^(x)n = meet of the ker sigma_i (``NormalizedModule``), a
+sub-mixed complex with the same HH and HC as the whole module (Loday,
+Cyclic Homology, 2.1 and 2.5).  In the rebased basis f_p = 1, f_i =
+e_i - eps(e_i) 1 it is spanned by the basis tuples with no index p, so
+N^n has (d-1)^n of the d^n basis tuples, and its b (inside N by the
+counit axiom) and B are formed on those columns only.  As s lambda =
+(-1)^(n+1) sigma_n tau_(n+1)^2 = (-1)^(n+1) tau_n sigma_0 by the relation
+ts0, B = N (s + (-1)^n tau_n sigma_0), and sigma_0 vanishes on N, so the
+same B_matrix gives B = N s there.  B sends N into N; an entry outside N
+is never dropped but fails the gate (see ``_zero_witness``), so every
+report checks that closure.
 
 cohomology_report takes the character delta alone (H is delta.hopf),
 builds each b_n and B_n once and passes the same matrices to the
 mixed-complex checks and to every dimension function.  The dimension
 functions take only matrices and read each size off their shapes, so any
 complex of matrices serves them; the lambda stage takes 1 - lambda_n from
-a generator, built after b_(n+1) is eliminated.  The checks form each
-product exactly, one column at a time, and stop at the first column that
-is not zero; no product matrix is stored.  The report builds the b it
-needs and checks b^2 = 0: for HH and HC(lambda) the full b_1..b_(N+1), for
-HC(bB) the normalized b_1..b_N, and under 'bB' alone the normalized
-b_(N+1) too, for HH.  It computes HH and the lambda-method HC, then drops
-the full b and the normalized b_(N+1) before it builds any B; then it
-checks B^2 = 0 and bB + Bb = 0 on the normalized b and B and computes the
-bicomplex dimensions from those same matrices.  HH and HC(lambda) take one
-elimination per degree: for A = 1 - lambda_n, rank(b_(n+1) on ker A) =
-rank [b_(n+1); A] - rank A; under 'bB' alone, HH comes from the normalized
-b.  The printed rank b_(n+1) of the full complex is d^n - HH^n - rank b_n.
-No rank is computed after a failed check: the report still runs every
-check, then raises NotMixedComplexError rather than return a table for a
-complex that fails an identity.
+a generator, one degree at a time.  The checks form each product exactly,
+one column at a time, and stop at the first column that is not zero; no
+product matrix is stored.  Under every method the report builds the
+normalized b_1..b_(N+1), which gives HH, and under 'lambda' and 'both' the
+full b_1..b_N, which gives HC(lambda) with 1 - lambda_n; it checks b^2 = 0
+on both.  The full b_(N+1), larger than any other matrix, is never built.
+After HH and HC(lambda) it keeps only the normalized b_1..b_N, builds B,
+checks B^2 = 0 and bB + Bb = 0 on them and computes the bicomplex
+dimensions from those same matrices.  No rank is computed after a failed
+check: the report still runs every check, then raises
+NotMixedComplexError rather than return a table for a complex that fails
+an identity.
+
+HC(lambda) comes from one identity.  For A = 1 - lambda_n and Z^n =
+ker b_(n+1) of the full complex, rank [b_(n+1); A] = rank b_(n+1) +
+rank(A on Z^n).  The inclusion iota of the normalized complex, f_i ->
+e_i - eps(e_i) 1, is a quasi-isomorphism (Loday, 2.1), so Z^n is im b_n
+plus iota of HH^n representatives of the normalized complex
+(``hochschild_cocycles``): kernel vectors of the normalized b_(n+1) on a
+complement of its im b_n.  Each is checked as a cocycle of the full
+module with the elementwise hochschild_b, in place of the b_(N+1) b_N = 0
+check that would need b_(N+1).  rank b_(n+1) = dim C^n - HH^n - rank b_n,
+as for the printed rank_b, and rank(A on Z^n) is the rank of
+A [b_n | Z_n], so no full b_(n+1) is eliminated
+(``lambda_complex_dimensions``).
 
 Only the phi_delta-invariant cochains are ranked.  delta is a group-like of
 H*, and conjugation by it, phi_delta(h) = delta(h_(1)) h_(2) delta(S
@@ -63,8 +74,9 @@ which vanishes.  So after the gate has passed on the whole matrices, the
 report replaces each full b_n and 1 - lambda_n and each normalized b_n
 and B_n by its restriction to the tuples of product 1 on both sides
 (``TensorBasis.invariant_part``), which frees the whole matrix, and takes
-HH from the restricted ranks and sizes.  An entry of a kept column at a
-dropped row is never dropped: the report adds the failed check
+HH and the representatives from the restricted normalized b; their images
+under iota are read on the kept tuples too.  An entry of a kept column at
+a dropped row is never dropped: the report adds the failed check
 'phi-invariant ...' with that column's tuple as the witness and raises
 NotMixedComplexError at once.  Where every c_k is 1 or phi_delta is not
 diagonal (every group algebra, abelian k^G, every counit), nothing is
@@ -83,8 +95,9 @@ flagged boundary-unreliable and excluded from cross-method assertions.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 
-from .cyclic_ops import HopfCyclicModule, NormalizedModule
+from .cyclic_ops import HopfCyclicModule, NormalizedModule, on_rows
 from .hopf import check_involution, vec_add_into, vec_scale, vec_sub
 from .linalg import SparseMatrix, combine, first_nonzero_column, stacked_ranks
 from .reports import CheckReport, first_failure
@@ -277,31 +290,87 @@ def hochschild_dimensions(b):
     return _homology_dims(sizes, ranks), ranks
 
 
-def lambda_complex_dimensions(b, minus):
+def lambda_complex_dimensions(b, cocycles, minus):
     """HC^n from the lambda-invariant subcomplex with differential b, for
-    n <= N, given b = {n: b_n} for 1 <= n <= N+1 and minus, which yields
-    A = 1 - lambda_n for n = 0..N in order.  Returns (dims, ranks), ranks[n]
-    = rank b_(n+1) as in hochschild_dimensions.  For K = ker A,
-    ker [b_(n+1); A] is ker b_(n+1) meet K, so rank(b_(n+1) on K) =
-    rank [b_(n+1); A] - rank A and dim K = A.ncols - rank A.  One
-    elimination per degree ranks b_(n+1), then goes on with A's rows.
-    b_(N+1), which only HH and this need, is taken out of b, so it is freed
-    once its rows are copied; A is taken from minus only after b_(n+1) is
-    eliminated, so a generator bounds peak memory."""
-    top, minus = len(b), iter(minus)
-    kernel_dims, image_ranks, b_ranks = [], [], []
-    for n in range(top):
-        pivots = {}
-        rank_b, = stacked_ranks(
-            [b.pop(top) if n + 1 == top else b[n + 1]], pivots)
-        A = next(minus)
-        rank_minus = A.rank()
-        rank_stacked, = stacked_ranks([A], pivots)
-        b_ranks.append(rank_b)
-        kernel_dims.append(A.ncols - rank_minus)
-        image_ranks.append(rank_stacked - rank_minus)
-        del A  # not held while the next b is eliminated
-    return _homology_dims(kernel_dims, image_ranks), b_ranks
+    n <= N, given b = {n: b_n} for 1 <= n <= N, cocycles = {n: Z_n} for
+    0 <= n <= N and minus, which yields A = 1 - lambda_n for n = 0..N in
+    order.  The columns of Z_n are HH^n representatives, cocycles
+    independent modulo im b_n, so those of S_n = [b_n | Z_n] span Z^n =
+    ker b_(n+1), and rank b_(n+1) = dim C^n - HH^n - rank b_n.
+
+    For K = ker A, ker [b_(n+1); A] is Z^n meet K, so rank(b_(n+1) on K) =
+    rank [b_(n+1); A] - rank A = rank b_(n+1) + rank(A on Z^n) - rank A,
+    and rank(A on Z^n) = rank(A S_n).  As dim K = dim C^n - rank A, HC^n =
+    dim C^n - rank b_(n+1) - rank(A S_n) - rank(b_n on ker A_(n-1)), and
+    rank A_N is never needed.  A S_n is formed column by column with
+    combine and ranked on its rows; no b_(N+1) is read.  A is taken from
+    minus one degree at a time, so a generator bounds peak memory."""
+    top = len(cocycles) - 1
+    dims, rank_b, rank_below = [], 0, 0
+    for n, A in enumerate(minus):
+        Z = cocycles[n]
+        rank_b = A.ncols - Z.ncols - rank_b  # now rank b_(n+1)
+        span = chain(b[n].cols, Z.cols) if n else Z.cols
+        rank_on_Z = SparseMatrix.from_columns(
+            [combine(A.cols, col) for col in span], A.nrows).rank()
+        dims.append(A.ncols - rank_b - rank_on_Z - rank_below)
+        if n < top:
+            rank_below = rank_b + rank_on_Z - A.rank()
+        del A  # not held while the next one is built
+    return dims
+
+
+def hochschild_cocycles(gate, full, norm, b, hh):
+    """{n: Z_n} for 0 <= n <= N: the columns of Z_n are iota of HH^n
+    representatives of the normalized complex, on the rows of the full
+    complex that ``full.invariant_index`` keeps at degree n.
+
+    b = {n: b_n}, 1 <= n <= N+1, is the normalized b on its kept tuples
+    and hh the HH it gives.  An elimination of the columns of b_n
+    (``stacked_ranks``) leads at one coordinate per dimension of im b_n;
+    the other coordinates span a complement W of im b_n, so ker b_(n+1) =
+    im b_n + (ker b_(n+1) meet W), and the kernel vectors of b_(n+1) on
+    the columns of W are cocycles independent modulo im b_n, exactly HH^n
+    of them.  ``norm.inclusion`` takes each to the full module, where the
+    elementwise hochschild_b checks that it is a cocycle.  A count other
+    than HH^n, a representative that is not a cocycle or one with an entry
+    outside the kept tuples adds a failed check to gate, with the lowest
+    tuple of N in the representative as the witness, and raises
+    NotMixedComplexError."""
+    cocycles = {}
+    for n, count in enumerate(hh):
+        image = {}
+        if n:
+            stacked_ranks([b[n].transpose()], image)
+        free = [j for j in range(b[n + 1].ncols) if j not in image]
+        # b_(n+1) on the columns of W shares their dicts, which no one writes
+        reps = [{free[j]: v for j, v in z.items()} for z in
+                SparseMatrix.from_columns([b[n + 1].cols[j] for j in free],
+                                          b[n + 1].nrows).kernel_basis()]
+        if len(reps) != count:
+            _refuse(gate, f"HH representatives n={n}",
+                    ("found", [len(reps), count]))
+        kept = norm.invariant_index(n)
+
+        def key_of(j):  # the tuple of N at kept column j
+            return norm.key_of_index(j if kept is None else kept[j], n)
+
+        cols = []
+        for z in reps:
+            tensor = norm.inclusion({key_of(j): v for j, v in z.items()})
+            if hochschild_b(full, n + 1, tensor):
+                _refuse(gate, f"b.iota n={n}", ("b.iota", [key_of(min(z))]))
+            cols.append({full.key_index(key): v
+                         for key, v in tensor.items()})
+        rows = full.invariant_index(n)
+        if rows is None:
+            cocycles[n] = SparseMatrix.from_columns(cols, full.space_dim(n))
+        else:
+            cocycles[n] = on_rows(cols, rows, lambda i: key_of(min(reps[i])))
+            if cocycles[n].outside is not None:
+                _refuse(gate, f"phi-invariant iota n={n}",
+                        ("outside phi = 1", [cocycles[n].outside]))
+    return cocycles
 
 
 def bicomplex_dimensions(b, B):
@@ -358,48 +427,44 @@ def cohomology_report(delta, N_max, method="both"):
     require_involution(delta)
     gate = CheckReport("mixed-complex", meta={"max-degree": N_max})
     dims = [delta.hopf.dim ** n for n in range(N_max + 1)]
-    hh = hc_lambda = hc_bB = [None] * (N_max + 1)
+    hc_lambda = hc_bB = [None] * (N_max + 1)
     flags = [False] * (N_max + 1)
-    complexes = []
+    norm = NormalizedModule(delta)
+    b = {n: b_matrix(norm, n) for n in range(1, N_max + 2)}
+    complexes = [(norm, b)]
     if method != "bB":
         full = HopfCyclicModule(delta)
-        complexes.append((full, {n: b_matrix(full, n)
-                                 for n in range(1, N_max + 2)}))
-    if method != "lambda":
-        norm = NormalizedModule(delta)
-        top = N_max + 1 if method == "bB" else N_max
-        b = {n: b_matrix(norm, n) for n in range(1, top + 1)}
-        complexes.append((norm, b))
+        full_b = {n: b_matrix(full, n) for n in range(1, N_max + 1)}
+        complexes.insert(0, (full, full_b))  # its b^2 witness comes first
     check_b_square(gate, *complexes)
+    del complexes
     if gate.ok:  # no rank of a complex whose b^2 is not 0
-        if method != "lambda":  # the B checks still read the whole b
-            norm_b = {n: _invariant(gate, norm, "b", matrix, n - 1, n)
-                      for n, matrix in b.items()}
-        if method == "bB":
-            hh = hochschild_dimensions(norm_b)[0]
-        else:
-            full_b = complexes[0][1]
-            for n in full_b:
-                full_b[n] = _invariant(gate, full, "b", full_b[n], n - 1, n)
-            sizes = [full_b[n + 1].ncols for n in range(N_max + 1)]
-            hc_lambda, ranks = lambda_complex_dimensions(full_b, (
-                _invariant(gate, full, "1-lambda",
-                           one_minus_lambda_matrix(full, n), n, n)
-                for n in range(N_max + 1)))
-            hh = _homology_dims(sizes, ranks)
+        norm_b = {n: _invariant(gate, norm, "b", matrix, n - 1, n)
+                  for n, matrix in b.items()}
+        del b[N_max + 1]  # the B checks read the whole b_1..b_N only
+        if method == "lambda":
+            del b
+        hh = hochschild_dimensions(norm_b)[0]
         b_ranks = [0]  # rank b_(n+1) = dim C^n - HH^n - rank b_n
         for dim, h in zip(dims, hh):
             b_ranks.append(dim - h - b_ranks[-1])
-    del complexes  # the full b served HH and HC(lambda) only
+        if method != "bB":
+            cocycles = hochschild_cocycles(gate, full, norm, norm_b, hh)
+            for n in full_b:
+                full_b[n] = _invariant(gate, full, "b", full_b[n], n - 1, n)
+            hc_lambda = lambda_complex_dimensions(full_b, cocycles, (
+                _invariant(gate, full, "1-lambda",
+                           one_minus_lambda_matrix(full, n), n, n)
+                for n in range(N_max + 1)))
+            del full_b, cocycles
+        del norm_b[N_max + 1]  # only HH and the representatives read it
     if method != "lambda":
-        b.pop(N_max + 1, None)
         B = {n: B_matrix(norm, n) for n in range(N_max)}
         check_B_relations(gate, norm, b, B)
         if gate.ok:
             del b
             for n in B:
                 B[n] = _invariant(gate, norm, "B", B[n], n + 1, n)
-            norm_b.pop(N_max + 1, None)
             hc_bB, flags = bicomplex_dimensions(norm_b, B)
     if not gate.ok:
         raise NotMixedComplexError(gate)
@@ -410,15 +475,21 @@ def cohomology_report(delta, N_max, method="both"):
 
 def _invariant(gate, module, name, matrix, src, tgt):
     """``module.invariant_part`` of matrix, from degree src to degree tgt.
-    A kept column with an entry at a dropped row adds the failed check
-    'phi-invariant NAME n=SRC' to gate, with that column's basis tuple as
-    the witness, and raises NotMixedComplexError: no entry is dropped."""
+    A kept column with an entry at a dropped row refuses the report with
+    the check 'phi-invariant NAME n=SRC' and that column's basis tuple as
+    the witness: no entry is dropped."""
     part = module.invariant_part(matrix, src, tgt)
     if part is not matrix and part.outside is not None:
-        gate.add(f"phi-invariant {name} n={src}", False,
-                 ("outside phi = 1", [part.outside]))
-        raise NotMixedComplexError(gate)
+        _refuse(gate, f"phi-invariant {name} n={src}",
+                ("outside phi = 1", [part.outside]))
     return part
+
+
+def _refuse(gate, check, witness):
+    """Add the failed check with its witness to gate and raise
+    NotMixedComplexError."""
+    gate.add(check, False, witness)
+    raise NotMixedComplexError(gate)
 
 
 def mixed_complex_report(module, N_max, samples=None):

@@ -39,7 +39,8 @@ column of tau through a table indexed by that factor, in one kernel,
 b_m(x) (x) e_s + (-1)^m x (x) D(e_s) is not a map of the last factor
 alone.  The cohomology matrices are built from these.
 ``NormalizedModule`` runs the same recursions on the normalized complex
-(ker eps)^(x)n of a rebased module, whose digits leave out one index.
+(ker eps)^(x)n of a rebased module, whose digits leave out one index; its
+``inclusion`` writes a tensor of N back in the basis of H.
 ``invariant_index`` lists the basis tuples on which the co-inner
 automorphism phi_delta is 1, read off the eigenvalue of each digit, and
 ``invariant_part`` restricts a matrix to them (see ``cohomology``).
@@ -487,6 +488,10 @@ class NormalizedModule(TensorBasis):
         self.digits = [k for k in range(delta.hopf.dim) if k != self.p]
         self.base = len(self.digits)
         self._table = self._reduced_coproduct()
+        H = delta.hopf
+        self._iota = {k: list(vec_add_into({k: 1}, H.unit,
+                                           -H.counit[k]).items())
+                      for k in self.digits}
 
     def _reduced_coproduct(self):
         """D(f_s) for each s != p, on N's own index.  As eps(f_k) = [k = p],
@@ -506,6 +511,18 @@ class NormalizedModule(TensorBasis):
 
     def cobar_table(self):
         return self._table
+
+    def inclusion(self, vec):
+        """iota, N^n -> H^(x)n: the tensor vec over N's basis tuples in the
+        basis of the given H, each factor f_k = e_k - eps(e_k) 1."""
+        def image(key):
+            out = {(): 1}
+            for k in key:
+                out = {head + (e,): c * v for head, c in out.items()
+                       for e, v in self._iota[k]}
+            return out
+
+        return linear(image, vec)
 
     @cached_property
     def coinner(self):

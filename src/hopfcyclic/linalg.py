@@ -19,8 +19,12 @@ the reduced row echelon form, which is unique, so it does not depend on
 the order in which the elimination finds its pivots.
 
 stacked_ranks ranks [M_1], [M_1; M_2], ... in one elimination, and rank
-is its one-matrix case.  As ker [b; A] = ker b meet ker A,
-rank(b on ker A) = rank [b; A] - rank A needs no kernel basis.
+is its one-matrix case; a pivots dict carries an elimination from one
+call to the next.  ``cohomology.hochschild_cocycles`` is the package's
+consumer of kernel_basis and transpose: it eliminates the columns of b_n,
+as the rows of the transpose, and takes its HH representatives from the
+kernel_basis of b_(n+1) on the columns where that elimination has no
+pivot.
 
 Entries are scalars in the canonical form of ``fields``, so the cohomology
 matrices of an integral presentation are all ``int``.  The only division

@@ -3,8 +3,10 @@ import pathlib
 import pytest
 
 from hopfcyclic import cohomology
-from hopfcyclic.cohomology import B_matrix, b_matrix
-from hopfcyclic.cyclic_ops import NormalizedModule
+from hopfcyclic.cohomology import (B_matrix, b_matrix,
+                                   one_minus_lambda_matrix)
+from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
+from hopfcyclic.linalg import stacked_ranks
 
 PKG_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = PKG_ROOT / "data"
@@ -36,6 +38,29 @@ def differentials(module, N_max):
     {n: b_n} for 1 <= n <= N_max + 1 and {n: B_n} for 0 <= n < N_max."""
     return ({n: b_matrix(module, n) for n in range(1, N_max + 2)},
             {n: B_matrix(module, n) for n in range(N_max)})
+
+
+def stacked_lambda_dimensions(b, minus):
+    """HC(lambda) by the stacked formula, the oracle of the lambda stage:
+    for A = 1 - lambda_n and K = ker A, rank(b_(n+1) on K) = rank [b_(n+1);
+    A] - rank A and dim K = A.ncols - rank A, given the whole b = {n: b_n}
+    for 1 <= n <= N+1 and minus = [A_0, ..., A_N]."""
+    kernel_dims, image_ranks = [], []
+    for n, A in enumerate(minus):
+        rank_A = A.rank()
+        kernel_dims.append(A.ncols - rank_A)
+        image_ranks.append(stacked_ranks([b[n + 1], A])[1] - rank_A)
+    return [size - image_ranks[n] - (image_ranks[n - 1] if n else 0)
+            for n, size in enumerate(kernel_dims)]
+
+
+def lambda_oracle(delta, N_max):
+    """stacked_lambda_dimensions on the whole b_1..b_(N+1) and 1 - lambda_n
+    of the full module of delta, nothing restricted."""
+    module = HopfCyclicModule(delta)
+    return stacked_lambda_dimensions(
+        {n: b_matrix(module, n) for n in range(1, N_max + 2)},
+        [one_minus_lambda_matrix(module, n) for n in range(N_max + 1)])
 
 
 @pytest.fixture

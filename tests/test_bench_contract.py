@@ -12,9 +12,13 @@ import sys
 import pytest
 
 from conftest import PKG_ROOT
-from hopfcyclic.cohomology import B_matrix, b_matrix, one_minus_lambda_matrix
+from hopfcyclic.cohomology import (B_matrix, b_matrix, hochschild_cocycles,
+                                   hochschild_dimensions,
+                                   one_minus_lambda_matrix)
 from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
 from hopfcyclic.hopf import sweedler_h4
+from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.reports import CheckReport
 
 
 @pytest.fixture
@@ -52,16 +56,27 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
     assert tracer.calls["cohomology.B_matrix"] == 3
     assert tracer.sizes["cohomology.B_matrix.nnz"] == sum(
         len(B_matrix(norm, n).entries) for n in range(3))
-    # the rank's input sizes, read from len(matrix.entries).  The report
-    # ranks 1 - lambda_n for n <= 3 through SparseMatrix.rank (b and the
-    # stacks [b_(n+1); 1 - lambda_n] go through stacked_ranks, which is not
-    # wrapped) and the total matrices T^n -> T^(n+1) for n < 3 of the
-    # normalized complex, whose blocks are b_(m+1) and B_(m-1) for m = n,
-    # n-2, ...; every one restricted to the phi_delta-invariant tuples
+    # the rank's input sizes, read from len(matrix.entries).  Every matrix
+    # is restricted to the phi_delta-invariant tuples.  The report ranks
+    # the normalized b_1..b_4 for HH; the lambda stage ranks (1 - lambda_n)
+    # S_n, S_n = [b_n | Z_n] with Z_n the HH^n representatives, for n <= 3
+    # and 1 - lambda_n for n < 3; then come the total matrices T^n ->
+    # T^(n+1) for n < 3 of the normalized complex, whose blocks are b_(m+1)
+    # and B_(m-1) for m = n, n-2, ...  The stacks that pick the
+    # representatives go through stacked_ranks, which is not wrapped.
     minus = [module.invariant_part(one_minus_lambda_matrix(module, n), n, n)
              for n in range(4)]
     b = {n: norm.invariant_part(b_matrix(norm, n), n - 1, n)
-         for n in range(1, 4)}
+         for n in range(1, 5)}
+    full_b = {n: module.invariant_part(b_matrix(module, n), n - 1, n)
+              for n in range(1, 4)}
+    cocycles = hochschild_cocycles(CheckReport("mixed-complex"), module,
+                                   norm, b, hochschild_dimensions(b)[0])
+    spans = [SparseMatrix.from_columns(
+        (full_b[n].cols if n else []) + cocycles[n].cols, A.ncols)
+        for n, A in enumerate(minus)]
+    ranked = list(b.values()) + [A @ S for A, S in zip(minus, spans)] + \
+        minus[:3]
     B = {n: norm.invariant_part(B_matrix(norm, n), n + 1, n)
          for n in range(3)}
     blocks = [m for n in range(3) for m in range(n, -1, -2)]
@@ -69,12 +84,13 @@ def test_traced_run_reports_the_same_and_counts_B_nnz(bench, capsys):
     def total(n):
         return sum(len(norm.invariant_index(m)) for m in range(n, -1, -2))
 
-    assert tracer.calls["linalg.rank"] == len(minus) + 3
+    assert tracer.calls["linalg.rank"] == len(ranked) + 3
+    assert tracer.calls["linalg.kernel_basis"] == 4
     assert tracer.sizes["linalg.rank.nnz_in"] == sum(
-        len(m.entries) for m in minus) + sum(
+        len(m.entries) for m in ranked) + sum(
         len(b[m + 1].entries) + (len(B[m - 1].entries) if m else 0)
         for m in blocks)
     assert tracer.sizes["linalg.rank.cells"] == sum(
-        m.nrows * m.ncols for m in minus) + sum(
+        m.nrows * m.ncols for m in ranked) + sum(
         total(n + 1) * total(n) for n in range(3))
     assert all(type(m.rank()) is int for m in minus)  # rank_out adds them

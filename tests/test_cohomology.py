@@ -1,27 +1,32 @@
 """Cohomology dimensions and the mixed-complex identities."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import DATA, GOLDENS, differentials, load_golden
+from conftest import (DATA, GOLDENS, differentials, lambda_oracle,
+                      load_golden, stacked_lambda_dimensions)
 from dense_oracle import oracle_dimensions
 from hopfcyclic import cohomology
 from hopfcyclic.cli import main
 from hopfcyclic.cohomology import (NotCyclicError, NotMixedComplexError,
                                    B_matrix, b_matrix, bicomplex_dimensions,
                                    cohomology_report, B_operator, hochschild_b,
+                                   hochschild_cocycles,
                                    hochschild_dimensions,
                                    lambda_complex_dimensions,
                                    mixed_complex_report,
                                    one_minus_lambda_matrix, require_involution)
 from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule, on_rows
-from hopfcyclic.hopf import (BUILTIN_BUILDERS, coinner_eigenvalues,
-                             cyclic_group_algebra, function_algebra,
-                             group_algebra, sweedler_h4, trivial_hopf)
+from hopfcyclic.hopf import (BUILTIN_BUILDERS, FiniteHopf, check_hopf_axioms,
+                             check_involution, coinner_eigenvalues,
+                             cyclic_group_algebra, evaluate, function_algebra,
+                             group_algebra, linear, sweedler_h4, trivial_hopf)
 from hopfcyclic.linalg import SparseMatrix
 from hopfcyclic.presentations import load_gamma_input, load_hopf
+from hopfcyclic.reports import CheckReport
 from test_assembly import abelian_hopf_modules
 
 CASES = [
@@ -43,19 +48,24 @@ def test_trivial_dimensions():
     b, _ = differentials(module, 4)
     hh, ranks = hochschild_dimensions(b)
     assert hh == [1, 0, 0, 0, 0]
-    minus = [one_minus_lambda_matrix(module, n) for n in range(len(b))]
-    assert lambda_complex_dimensions(b, minus) == ([1, 0, 1, 0, 1], ranks)
+    report = cohomology_report(delta, 4, method="lambda")
+    assert report.columns["HH"] == hh
+    assert report.columns["rank_b"] == [0] + ranks[:4]
+    assert report.columns["HC_lambda"] == [1, 0, 1, 0, 1] == \
+        lambda_oracle(delta, 4)
 
 
 @pytest.mark.parametrize("name,builder,cname", CASES)
 def test_lambda_dimensions_match_goldens(name, builder, cname):
-    _, _, module = module_of(builder, cname)
+    _, delta, module = module_of(builder, cname)
     golden = load_golden(name)
     b, _ = differentials(module, 4)
     hh, ranks = hochschild_dimensions(b)
     assert hh == golden["HH"]
-    minus = [one_minus_lambda_matrix(module, n) for n in range(len(b))]
-    assert lambda_complex_dimensions(b, minus) == (golden["HC"], ranks)
+    report = cohomology_report(delta, 4, method="lambda")
+    assert report.columns["HH"] == hh
+    assert report.columns["rank_b"] == [0] + ranks[:4]
+    assert report.columns["HC_lambda"] == golden["HC"]
 
 
 @pytest.mark.parametrize("name,builder,cname", CASES[:3])
@@ -72,10 +82,12 @@ def test_oracle_agrees_with_package_on_sweedler():
     H, delta, module = module_of(sweedler_h4, "delta")
     hh_oracle, hc_oracle = oracle_dimensions(H, list(delta.values), 3)
     b, _ = differentials(module, 3)
-    hh, ranks = hochschild_dimensions(b)
-    assert hh == hh_oracle
+    assert hochschild_dimensions(b)[0] == hh_oracle
     minus = [one_minus_lambda_matrix(module, n) for n in range(len(b))]
-    assert lambda_complex_dimensions(b, minus) == (hc_oracle, ranks)
+    assert stacked_lambda_dimensions(b, minus) == hc_oracle
+    report = cohomology_report(delta, 3, method="lambda")
+    assert report.columns["HH"] == hh_oracle
+    assert report.columns["HC_lambda"] == hc_oracle
 
 
 def test_dimensions_read_sizes_off_the_matrices():
@@ -274,7 +286,12 @@ def test_dropped_cochains_carry_no_cohomology():
              for n in range(5)]
     assert [m.ncols for m in minus] == [0, 2, 8, 32, 128]
     assert hochschild_dimensions(b)[0] == [0] * 5
-    assert lambda_complex_dimensions(b, minus)[0] == [0] * 5
+    assert stacked_lambda_dimensions(b, minus) == [0] * 5
+    # with HH = 0 there is no representative, and the lambda stage needs
+    # no b_6
+    none = {n: SparseMatrix(A.nrows, 0) for n, A in enumerate(minus)}
+    assert lambda_complex_dimensions(
+        {n: b[n] for n in range(1, 5)}, none, minus) == [0] * 5
     nb = {n: dropped_part(norm, b_matrix(norm, n), n - 1, n)
           for n in range(1, 5)}
     nB = {n: dropped_part(norm, B_matrix(norm, n), n + 1, n)
@@ -290,7 +307,7 @@ def test_report_equals_the_unrestricted_dimensions():
     norm = NormalizedModule(delta)
     b = {n: b_matrix(full, n) for n in range(1, 7)}
     hh, ranks = hochschild_dimensions(b)
-    hc_lambda, _ = lambda_complex_dimensions(
+    hc_lambda = stacked_lambda_dimensions(
         b, [one_minus_lambda_matrix(full, n) for n in range(6)])
     hc_bB, flags = bicomplex_dimensions(*differentials(norm, 5))
     report = cohomology_report(delta, 5, method="both")
@@ -322,8 +339,9 @@ def recorded_lambda_stage(monkeypatch):
     """Wrap the report's b_matrix, one_minus_lambda_matrix and
     lambda_complex_dimensions; returns the dict the wrappers fill: the
     matrices built ('built_b', 'built_minus') and the ones the lambda
-    stage got ('b', 'minus')."""
-    seen = {"built_b": {}, "built_minus": [], "b": None, "minus": []}
+    stage got ('b', 'cocycles', 'minus')."""
+    seen = {"built_b": {}, "built_minus": [], "b": None, "cocycles": None,
+            "minus": []}
 
     def built_b(module, n):
         matrix = b_matrix(module, n)
@@ -335,10 +353,11 @@ def recorded_lambda_stage(monkeypatch):
         seen["built_minus"].append(one_minus_lambda_matrix(module, n))
         return seen["built_minus"][-1]
 
-    def stage(b, minus):
+    def stage(b, cocycles, minus):
         seen["b"] = dict(b)
+        seen["cocycles"] = dict(cocycles)
         seen["minus"] = list(minus)
-        return lambda_complex_dimensions(b, seen["minus"])
+        return lambda_complex_dimensions(b, cocycles, seen["minus"])
 
     monkeypatch.setattr(cohomology, "b_matrix", built_b)
     monkeypatch.setattr(cohomology, "one_minus_lambda_matrix", built_minus)
@@ -348,14 +367,18 @@ def recorded_lambda_stage(monkeypatch):
 
 def test_lambda_stage_ranks_half_the_sweedler_cochains(monkeypatch):
     """2^(2n-1) of the 4^n tuples of degree n >= 1 have an even number of
-    factors x or gx; the lambda stage gets only those, on both sides."""
+    factors x or gx; the lambda stage gets only those, on both sides, and
+    one HH^n representative in each even degree."""
     seen = recorded_lambda_stage(monkeypatch)
     cohomology_report(sweedler_h4().character("delta"), 4, method="lambda")
-    kept = [1] + [2 ** (2 * n - 1) for n in range(1, 6)]
-    assert [seen["b"][n].ncols for n in range(1, 6)] == kept[:5]
-    assert [seen["b"][n].nrows for n in range(1, 6)] == kept[1:]
+    kept = [1] + [2 ** (2 * n - 1) for n in range(1, 5)]
+    assert seen["b"].keys() == {1, 2, 3, 4}
+    assert [seen["b"][n].ncols for n in range(1, 5)] == kept[:4]
+    assert [seen["b"][n].nrows for n in range(1, 5)] == kept[1:]
+    assert [(Z.nrows, Z.ncols) for Z in seen["cocycles"].values()] == [
+        (k, 1 - n % 2) for n, k in enumerate(kept)]
     assert [(A.nrows, A.ncols) for A in seen["minus"]] == [
-        (k, k) for k in kept[:5]]
+        (k, k) for k in kept]
 
 
 def test_lambda_stage_gets_qz4_matrices_uncopied(monkeypatch):
@@ -364,7 +387,156 @@ def test_lambda_stage_gets_qz4_matrices_uncopied(monkeypatch):
     seen = recorded_lambda_stage(monkeypatch)
     H = load_hopf(str(GOLDENS / "cli" / "qz4-zeta4.json"))
     cohomology_report(H.character("delta"), 3, method="lambda")
-    assert seen["b"].keys() == seen["built_b"].keys() == {1, 2, 3, 4}
+    assert seen["b"].keys() == seen["built_b"].keys() == {1, 2, 3}
     assert all(seen["b"][n] is seen["built_b"][n] for n in seen["b"])
     assert len(seen["minus"]) == len(seen["built_minus"]) == 4
     assert all(a is b for a, b in zip(seen["minus"], seen["built_minus"]))
+
+
+# ---------------------------------------------------------------------------
+# the lambda stage: HH^n representatives instead of b_(N+1)
+
+
+LAMBDA_CASES = [(case, delta) for case, delta in CHARACTERS
+                if check_involution(delta)[0]]
+
+
+@pytest.mark.parametrize("case,delta", LAMBDA_CASES,
+                         ids=[case for case, _ in LAMBDA_CASES])
+def test_lambda_stage_equals_the_stacked_formula(case, delta):
+    """HC(lambda) from the representatives against rank [b_(n+1); 1 -
+    lambda_n] - rank(1 - lambda_n) on the whole full matrices."""
+    report = cohomology_report(delta, 4, method="lambda")
+    assert report.columns["HC_lambda"] == lambda_oracle(delta, 4)
+
+
+@pytest.mark.parametrize("source", ["sweedler", "qz4-zeta4"])
+def test_lambda_stage_equals_the_stacked_formula_at_degree_6(source):
+    H = (sweedler_h4() if source == "sweedler"
+         else load_hopf(str(GOLDENS / "cli" / "qz4-zeta4.json")))
+    delta = H.character("delta")
+    report = cohomology_report(delta, 6, method="lambda")
+    assert report.columns["HC_lambda"] == lambda_oracle(delta, 6)
+
+
+def sheared_sweedler_delta():
+    """delta on Sweedler's H4 in the basis 1, g, 1 + x, gx: eps is 1 on the
+    third basis element, where it is 0 on x.  phi_delta is not diagonal in
+    this basis (it sends 1 + x to 1 - x), so nothing is restricted."""
+    H = sweedler_h4()
+    old = [{0: 1}, {1: 1}, {0: 1, 2: 1}, {3: 1}]  # the new basis, in e
+    new = [{0: 1}, {1: 1}, {0: -1, 2: 1}, {3: 1}]  # each e_k, in the new
+
+    def to_new(vec):
+        return linear(new.__getitem__, vec)
+
+    def pair_to_new(ab):
+        return {(x, y): cx * cy for x, cx in new[ab[0]].items()
+                for y, cy in new[ab[1]].items()}
+
+    delta = H.character("delta")
+    sheared = FiniteHopf(
+        H.name, H.field, ["1", "g", "1+x", "gx"], {0: 1},
+        {(i, j): to_new(H.mul(old[i], old[j]))
+         for i in range(4) for j in range(4)},
+        {i: linear(pair_to_new, H.comul(old[i])) for i in range(4)},
+        [evaluate(H.counit, vec) for vec in old],
+        {i: to_new(H.antipode_of(old[i])) for i in range(4)},
+        {"delta": [evaluate(delta.values, vec) for vec in old]})
+    assert check_hopf_axioms(sheared).ok
+    return sheared.character("delta")
+
+
+def test_a_wrong_inclusion_is_refused(monkeypatch):
+    """iota sends f_k to e_k - eps(e_k) 1.  In Sweedler's own basis every
+    representative is a tensor of x and gx, where eps is 0, so a mutant
+    iota without the eps term agrees with iota on them.  In the basis 1, g,
+    1 + x, gx the report is the same, and the mutant sends the degree-2
+    representative f_gx (x) f_(1+x) = gx (x) x to gx (x) (1 + x), which
+    the elementwise b refuses."""
+    delta = sheared_sweedler_delta()
+    standard = sweedler_h4().character("delta")
+    reports = {method: cohomology_report(standard, 4, method).render()
+               for method in ("lambda", "both")}
+    for method, text in reports.items():
+        assert cohomology_report(delta, 4, method).render() == text
+    monkeypatch.setattr(NormalizedModule, "inclusion",
+                        lambda self, vec: dict(vec))
+    assert cohomology_report(standard, 4, "lambda").render() == \
+        reports["lambda"]
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(delta, 4, "lambda")
+    assert caught.value.report.failures() == [
+        ("b.iota n=2", ("b.iota", [(3, 2)]))]
+
+
+def sweedler_cocycles(monkeypatch, N_max):
+    """hochschild_cocycles on Sweedler/delta as the report calls it, with
+    the normalized tensors iota gets recorded; returns (cocycles, those
+    tensors by degree, the seconds spent in hochschild_b)."""
+    delta = sweedler_h4().character("delta")
+    full, norm = HopfCyclicModule(delta), NormalizedModule(delta)
+    b = {n: norm.invariant_part(b_matrix(norm, n), n - 1, n)
+         for n in range(1, N_max + 2)}
+    seen, spent = [], [0.0]
+    include, check = NormalizedModule.inclusion, cohomology.hochschild_b
+
+    def recorded(self, vec):
+        seen.append(dict(vec))
+        return include(self, vec)
+
+    def timed(module, n, t):
+        start = time.perf_counter()
+        try:
+            return check(module, n, t)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    monkeypatch.setattr(NormalizedModule, "inclusion", recorded)
+    monkeypatch.setattr(cohomology, "hochschild_b", timed)
+    gate = CheckReport("mixed-complex")
+    cocycles = hochschild_cocycles(gate, full, norm, b,
+                                   hochschild_dimensions(b)[0])
+    assert gate.entries == []
+    return cocycles, seen, spent[0]
+
+
+def test_each_sweedler_representative_is_one_tensor(monkeypatch):
+    """On Sweedler/delta at degree 8 the representative of HH^(2k) is the
+    single tensor (gx (x) x)^(x)k of N, so iota and the elementwise b that
+    checks it cost next to nothing."""
+    cocycles, seen, spent = sweedler_cocycles(monkeypatch, 8)
+    assert seen == [{(3, 2) * k: 1} for k in range(5)]
+    assert [Z.ncols for Z in cocycles.values()] == [1, 0] * 4 + [1]
+    assert all(len(col) == 1 for Z in cocycles.values() for col in Z.cols)
+    assert spent < 0.01
+
+
+def test_a_representative_outside_the_kept_tuples_is_refused(monkeypatch):
+    """iota plus the cocycle (g - 1) (x) x, on which phi_delta is -1, at
+    degree 2: still a cocycle, but off the kept rows."""
+    include = NormalizedModule.inclusion
+
+    def leaky(self, vec):
+        out = include(self, vec)
+        if len(next(iter(vec))) == 2:
+            out.update({(1, 2): 1, (0, 2): -1})
+        return out
+
+    monkeypatch.setattr(NormalizedModule, "inclusion", leaky)
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(sweedler_h4().character("delta"), 3, "lambda")
+    assert caught.value.report.failures() == [
+        ("phi-invariant iota n=2", ("outside phi = 1", [(3, 2)]))]
+
+
+def test_a_missing_representative_is_refused(monkeypatch):
+    """A kernel basis short of one vector leaves HH^0 without its
+    representative: one fewer found than HH^0 = 1."""
+    kernel = SparseMatrix.kernel_basis
+    monkeypatch.setattr(SparseMatrix, "kernel_basis",
+                        lambda self: kernel(self)[1:])
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(sweedler_h4().character("delta"), 3, "lambda")
+    assert caught.value.report.failures() == [
+        ("HH representatives n=0", ("found", [0, 1]))]
