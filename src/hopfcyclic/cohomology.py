@@ -54,10 +54,10 @@ plus iota of HH^n representatives of the normalized complex
 (``hochschild_cocycles``): kernel vectors of the normalized b_(n+1) on a
 complement of its im b_n.  Each is checked as a cocycle of the full
 module with the elementwise hochschild_b, in place of the b_(N+1) b_N = 0
-check that would need b_(N+1).  rank b_(n+1) = dim C^n - HH^n - rank b_n,
-as for the printed rank_b, and rank(A on Z^n) is the rank of
-A [b_n | Z_n], so no full b_(n+1) is eliminated
-(``lambda_complex_dimensions``).
+check that would need b_(N+1).  For S_n = [b_n | Z_n], rank(A on Z^n) =
+rank(A S_n) and dim Z^n = rank b_n + HH^n, so every size and rank of b
+cancels from HC^n = HH^n - rank(A_n S_n) + rank A_(n-1) - rank(A_(n-1)
+S_(n-1)), and no full b_(n+1) is eliminated (``lambda_complex_dimensions``).
 
 Only the phi_delta-invariant cochains are ranked.  delta is a group-like of
 H*, and conjugation by it, phi_delta(h) = delta(h_(1)) h_(2) delta(S
@@ -296,26 +296,25 @@ def lambda_complex_dimensions(b, cocycles, minus):
     0 <= n <= N and minus, which yields A = 1 - lambda_n for n = 0..N in
     order.  The columns of Z_n are HH^n representatives, cocycles
     independent modulo im b_n, so those of S_n = [b_n | Z_n] span Z^n =
-    ker b_(n+1), and rank b_(n+1) = dim C^n - HH^n - rank b_n.
+    ker b_(n+1), and dim Z^n = rank b_n + HH^n with HH^n = Z_n.ncols.
 
     For K = ker A, ker [b_(n+1); A] is Z^n meet K, so rank(b_(n+1) on K) =
-    rank [b_(n+1); A] - rank A = rank b_(n+1) + rank(A on Z^n) - rank A,
-    and rank(A on Z^n) = rank(A S_n).  As dim K = dim C^n - rank A, HC^n =
-    dim C^n - rank b_(n+1) - rank(A S_n) - rank(b_n on ker A_(n-1)), and
-    rank A_N is never needed.  A S_n is formed column by column with
-    combine and ranked on its rows; no b_(N+1) is read.  A is taken from
-    minus one degree at a time, so a generator bounds peak memory."""
+    rank b_(n+1) + rank(A S_n) - rank A.  As dim K = dim C^n - rank A and
+    dim C^n - rank b_(n+1) = dim Z^n, every size and rank of b cancels:
+    HC^n = HH^n - rank(A_n S_n) + rank A_(n-1) - rank(A_(n-1) S_(n-1)),
+    the last two terms absent at n = 0.  A S_n is formed with combine and
+    ranked on its rows; no b_(N+1) and no rank A_N is read.  A is taken
+    from minus one degree at a time, so a generator bounds peak memory."""
     top = len(cocycles) - 1
-    dims, rank_b, rank_below = [], 0, 0
+    dims, below = [], 0  # below: rank A_(n-1) - rank(A_(n-1) S_(n-1))
     for n, A in enumerate(minus):
         Z = cocycles[n]
-        rank_b = A.ncols - Z.ncols - rank_b  # now rank b_(n+1)
         span = chain(b[n].cols, Z.cols) if n else Z.cols
         rank_on_Z = SparseMatrix.from_columns(
             [combine(A.cols, col) for col in span], A.nrows).rank()
-        dims.append(A.ncols - rank_b - rank_on_Z - rank_below)
+        dims.append(Z.ncols - rank_on_Z + below)
         if n < top:
-            rank_below = rank_b + rank_on_Z - A.rank()
+            below = A.rank() - rank_on_Z
         del A  # not held while the next one is built
     return dims
 

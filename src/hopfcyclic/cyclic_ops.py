@@ -25,8 +25,9 @@ For a finite H the matrices are assembled straight from the structure
 constants instead, each by recursion on the degree.  b is the cobar
 differential of the coalgebra H: ``cobar_matrix`` builds b_1 = 0 and
 b_(m+1) = b_m (x) 1 + (-1)^m 1^(x)(m-1) (x) D, where D(e_s) = Delta(e_s) -
-1 (x) e_s - e_s (x) 1 is the one d x d table a module supplies
-(``cobar_table``).  ``cyclic_matrix`` reads the legs of Delta^(n-1)
+1 (x) e_s - e_s (x) 1 is the one d x d table (``TensorBasis.cobar_table``),
+read, like the eigenvalues ``coinner`` of phi_delta, through ``full`` at a
+module's digits.  ``cyclic_matrix`` reads the legs of Delta^(n-1)
 S~(e_k) only at degree 1; from there on each tau_m comes from tau_(m-1)
 through the coproduct and product tables, since Delta^(m-1) =
 (id^(m-2) (x) Delta) Delta^(m-2).  The matrix of tau and the elementwise
@@ -69,12 +70,12 @@ class TensorBasis:
     algebra: a basis tensor of degree n is a tuple of n + ``extra_factors``
     of the ``base`` indices in ``digits``, listed in lexicographic order,
     and its index reads their positions in ``digits`` in base ``base``, the
-    first factor most significant.  ``full`` holds the rows B is formed on.
-    ``coinner`` is the eigenvalue of phi_delta at each digit, or None where
-    it is not known to be diagonal (``hopf.coinner_eigenvalues``)."""
+    first factor most significant.  ``full`` is the cyclic module of the
+    whole presentation (a module of H itself, or a NormalizedModule's
+    rebased module); the rows B is formed on, the cobar table D and the
+    eigenvalues of phi_delta are all read through it at ``digits``."""
 
     extra_factors = 0
-    coinner = None
 
     def space_dim(self, n):
         return self.base ** (n + self.extra_factors)
@@ -178,6 +179,34 @@ class TensorBasis:
             image = op({key: 1})
             cols.append({self.key_index(k): v for k, v in image.items()})
         return SparseMatrix.from_columns(cols, self.space_dim(tgt_degree))
+
+    @cached_property
+    def coinner(self):
+        """The eigenvalue of phi_delta at each digit, or None where it is
+        not known to be diagonal (``hopf.coinner_eigenvalues``)."""
+        values = coinner_eigenvalues(self.full.delta)
+        return None if values is None else [values[k] for k in self.digits]
+
+    def cobar_table(self):
+        """D(e_s) = Delta(e_s) - 1 (x) e_s - e_s (x) 1 in ``full.hopf`` for
+        each s in ``digits``, as (``key_index((a, b))``, c) pairs for c e_a
+        (x) e_b.  ValueError names a term with a factor outside the digits,
+        which on a NormalizedModule only a broken counit axiom leaves."""
+        H = self.full.hopf
+        unit = H.unit_element()
+        table = []
+        for s in self.digits:
+            row = dict(H.comul_basis(s))
+            vec_add_into(row, {(u, s): c for u, c in unit.items()}, -1)
+            vec_add_into(row, {(s, u): c for u, c in unit.items()}, -1)
+            for (a, b), c in row.items():
+                if a not in self.digits or b not in self.digits:
+                    raise ValueError(
+                        f"the counit axiom fails on {H.name} at basis index "
+                        f"{s}: D(e_{s}) keeps the term "
+                        f"{H.field.format(c)} e_{a} (x) e_{b}")
+            table.append([(self.key_index(ab), c) for ab, c in row.items()])
+        return table
 
     def cobar_matrix(self, n):
         """b_n from degree n-1 to degree n, for a module whose
@@ -329,32 +358,12 @@ class HopfCyclicModule(TensorBasis):
 
     operator_matrix = TensorBasis.operator_matrix
 
-    # B_matrix reads full, full_index and restricted alike here and on a
-    # NormalizedModule
+    # B_matrix, cobar_table and coinner read full on every module of H
     full = property(lambda self: self)
-
-    @cached_property
-    def coinner(self):
-        return coinner_eigenvalues(self.delta)
 
     # -- matrices assembled from the structure constants (finite H only);
     # columns are generated one at a time, basis tuples in lexicographic
     # order, and a tuple's index has its first factor most significant
-
-    def cobar_table(self):
-        """D(e_s) = Delta(e_s) - 1 (x) e_s - e_s (x) 1 for each basis index
-        s, as (a d + b, c) pairs for c e_a (x) e_b; 1 is ``unit_element()``,
-        which may be a combination."""
-        d = self.base
-        unit = self.hopf.unit_element()
-        table = []
-        for s in range(d):
-            row = {a * d + b: c
-                   for (a, b), c in self.hopf.comul_basis(s).items()}
-            vec_add_into(row, {u * d + s: c for u, c in unit.items()}, -1)
-            vec_add_into(row, {s * d + u: c for u, c in unit.items()}, -1)
-            table.append(list(row.items()))
-        return table
 
     def extra_degeneracy_columns(self, tau, sources):
         """s = sigma_n tau_(n+1) at the basis indices sources of degree
@@ -487,30 +496,11 @@ class NormalizedModule(TensorBasis):
         self.full = HopfCyclicModule(rebased_delta)
         self.digits = [k for k in range(delta.hopf.dim) if k != self.p]
         self.base = len(self.digits)
-        self._table = self._reduced_coproduct()
+        self.cobar_table()  # refuses a broken counit here
         H = delta.hopf
         self._iota = {k: list(vec_add_into({k: 1}, H.unit,
                                            -H.counit[k]).items())
                       for k in self.digits}
-
-    def _reduced_coproduct(self):
-        """D(f_s) for each s != p, on N's own index.  As eps(f_k) = [k = p],
-        the counit axiom leaves f_p (x) f_s and f_s (x) f_p as the only
-        terms of Delta(f_s) with a factor f_p; ValueError names an s where
-        D(f_s) keeps one."""
-        d, p, table = self.full.base, self.p, []
-        rebased_table = self.full.cobar_table()
-        for s in self.digits:
-            pairs = [(divmod(off, d), c) for off, c in rebased_table[s]]
-            if any(p in ab for ab, _ in pairs):
-                raise ValueError(
-                    f"the counit axiom fails on {self.full.hopf.name} at "
-                    f"basis index {s}: D(f_{s}) has a factor f_{p}")
-            table.append([(self.key_index(ab), c) for ab, c in pairs])
-        return table
-
-    def cobar_table(self):
-        return self._table
 
     def inclusion(self, vec):
         """iota, N^n -> H^(x)n: the tensor vec over N's basis tuples in the
@@ -524,12 +514,6 @@ class NormalizedModule(TensorBasis):
 
         return linear(image, vec)
 
-    @cached_property
-    def coinner(self):
-        """phi_delta at N's digits, read in ``full``, the rebased module."""
-        values = self.full.coinner
-        return None if values is None else [values[k] for k in self.digits]
-
 
 class CochainCyclicModule(TensorBasis):
     """The cyclic module of multilinear forms on a finite algebra.
@@ -541,6 +525,7 @@ class CochainCyclicModule(TensorBasis):
     """
 
     extra_factors = 1
+    coinner = None
 
     def __init__(self, algebra):
         self.algebra = algebra

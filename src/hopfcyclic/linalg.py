@@ -7,7 +7,7 @@ matrix is not changed.  ``entries`` is a read-only (row, col) view made on
 demand for tests and the benchmark's tracer; no package code reads it.
 
 Every matrix product goes through one kernel, combine: a matrix's columns
-times a sparse vector.  The product @, apply, first_nonzero_column (the
+times a sparse vector.  The product @, first_nonzero_column (the
 mixed-complex gate) and the cohomology code's B assembly are all built on
 it.  combine accumulates into one dict in its own loop,
 with no helper call per column; it tests each vector entry once for the
@@ -114,10 +114,6 @@ class SparseMatrix:
             raise ValueError("shape mismatch in product")
         return SparseMatrix.from_columns(
             (combine(self.cols, col) for col in other.cols), self.nrows)
-
-    def apply(self, vec):
-        """Apply to a sparse vector (dict col -> scalar); returns dict row -> scalar."""
-        return combine(self.cols, vec)
 
     def rank(self):
         """Rank: the one-matrix case of stacked_ranks."""

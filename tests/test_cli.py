@@ -11,6 +11,7 @@ from conftest import PKG_ROOT
 from hopfcyclic import cohomology, linalg, presentations
 from hopfcyclic.cli import main
 from hopfcyclic.cyclic_ops import NormalizedModule
+from hopfcyclic.hopf import cyclic_group_algebra
 from hopfcyclic.linalg import SparseMatrix
 
 
@@ -113,6 +114,23 @@ def test_cohomology_refuses_without_involution(capsys):
     assert "involution" in out
 
 
+def test_cohomology_refuses_a_method_disagreement(capsys, monkeypatch):
+    """HC(lambda) one higher at degree 0, an unflagged degree: the report is
+    printed, then the disagreement, and the exit code is 1."""
+    hc_lambda = cohomology.lambda_complex_dimensions
+    monkeypatch.setattr(cohomology, "lambda_complex_dimensions",
+                        lambda *args: [d + (n == 0) for n, d
+                                       in enumerate(hc_lambda(*args))])
+    report = cohomology.cohomology_report(
+        cyclic_group_algebra(2).counit_character(), 3, method="both")
+    assert not report.methods_agree()
+    code, out = run(capsys, "cohomology", "--input", "qz2",
+                    "--max-degree", "3", "--method", "both")
+    assert code == 1
+    assert out == report.render() + \
+        "\nerror: method disagreement on an unflagged degree\n"
+
+
 def test_cohomology_deterministic(capsys):
     _, out1 = run(capsys, "cohomology", "--input", "qz2", "--max-degree", "3")
     _, out2 = run(capsys, "cohomology", "--input", "qz2", "--max-degree", "3")
@@ -170,6 +188,28 @@ def test_gamma_check_bad_trace(capsys, tmp_path, data_dir):
     p.write_text(json.dumps(data))
     code, out = run(capsys, "gamma-check", "--input", str(p))
     assert code == 1
+
+
+def test_gamma_check_refuses_without_involution(capsys, tmp_path, data_dir):
+    """Sweedler with the counit acting on k: the action and the trace pass,
+    but S~ = S is no involution, so gamma is not checked and the exit code
+    is 1."""
+    hopf = json.loads((data_dir / "sweedler-h4.json").read_text())
+    data = {"hopf": hopf, "character": "counit",
+            "algebra": {"name": "k", "field": {"kind": "rational"}, "dim": 1,
+                        "basis": ["1"], "unit": ["1"],
+                        "product": [[0, 0, 0, "1"]]},
+            "action": [[[0, 0, c]] for c in hopf["counit"]],
+            "trace": ["1"]}
+    p = tmp_path / "gamma.json"
+    p.write_text(json.dumps(data))
+    code, out = run(capsys, "gamma-check", "--input", str(p))
+    assert code == 1
+    failed = [line for line in out.splitlines() if "status=FAIL" in line]
+    assert len(failed) == 1 and failed[0].startswith(
+        "check twisted-antipode-involution status=FAIL witness=twisted "
+        "antipode is not an involution on sweedler-h4")
+    assert out.endswith("summary: pass=6 fail=1\n")
 
 
 def test_unknown_character_exit_2(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from conftest import (DATA, GOLDENS, differentials, lambda_oracle,
                       load_golden, stacked_lambda_dimensions)
 from dense_oracle import oracle_dimensions
-from hopfcyclic import cohomology
+from hopfcyclic import cohomology, cyclic_ops
 from hopfcyclic.cli import main
 from hopfcyclic.cohomology import (NotCyclicError, NotMixedComplexError,
                                    B_matrix, b_matrix, bicomplex_dimensions,
@@ -24,7 +24,7 @@ from hopfcyclic.hopf import (BUILTIN_BUILDERS, FiniteHopf, check_hopf_axioms,
                              check_involution, coinner_eigenvalues,
                              cyclic_group_algebra, evaluate, function_algebra,
                              group_algebra, linear, sweedler_h4, trivial_hopf)
-from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.linalg import SparseMatrix, combine
 from hopfcyclic.presentations import load_gamma_input, load_hopf
 from hopfcyclic.reports import CheckReport
 from test_assembly import abelian_hopf_modules
@@ -165,7 +165,7 @@ def test_b_image_is_cyclic_invariant():
             t = {module.key_of_index(i, n): c for i, c in vec.items()}
             img = hochschild_b(module, n + 1, t)
             coords = {module.key_index(k): v for k, v in img.items()}
-            assert not proj.apply(coords)
+            assert not combine(proj.cols, coords)
 
 
 def test_B_image_in_cyclic_kernel():
@@ -175,7 +175,7 @@ def test_B_image_in_cyclic_kernel():
         for t in module.samples(n + 1):
             img = B_operator(module, n, t)
             coords = {module.key_index(k): v for k, v in img.items()}
-            assert not proj.apply(coords)
+            assert not combine(proj.cols, coords)
 
 
 def test_matrix_and_elementwise_b_agree():
@@ -186,7 +186,7 @@ def test_matrix_and_elementwise_b_agree():
         coords = {module.key_index(k): v for k, v in t.items()}
         img = hochschild_b(module, n, t)
         want = {module.key_index(k): v for k, v in img.items()}
-        assert mat.apply(coords) == want
+        assert combine(mat.cols, coords) == want
 
 
 # S_3 as permutations of (0, 1, 2), the identity first; (p q)(x) = p(q(x))
@@ -260,6 +260,25 @@ def test_coinner_eigenvalues_of_every_character(case, delta):
         assert HopfCyclicModule(delta).invariant_index(3) is None
 
 
+def _tampered(H, coproduct=(), antipode=()):
+    return FiniteHopf(H.name, H.field, H.basis, H.unit, H.product,
+                      {**H.coproduct, **dict(coproduct)}, H.counit,
+                      {**H.antipode, **dict(antipode)}, {})
+
+
+@pytest.mark.parametrize("H", [
+    # S(g) = -g: phi_eps(g) = -g, a root of unity, but eps(-g) != eps(g)
+    _tampered(cyclic_group_algebra(2), antipode={1: {1: -1}}),
+    # Delta(x) = x (x) 1 + 2 g (x) x: phi_eps(x) = 2x keeps eps(x) = 0, but
+    # 2 is no root of unity
+    _tampered(sweedler_h4(), coproduct={2: {(2, 0): 1, (1, 2): 2}}),
+], ids=["QZ2-delta-not-kept", "sweedler-not-a-root-of-unity"])
+def test_coinner_eigenvalues_refuse_an_unchecked_value(H):
+    """phi_eps is diagonal on these broken presentations, but one value
+    fails an exact check, so none is returned."""
+    assert coinner_eigenvalues(H.counit_character()) is None
+
+
 def dropped_part(module, matrix, src, tgt):
     """matrix on the basis tuples where phi_delta is not 1, on both sides;
     it must hold every entry of those columns, so the dropped tuples span
@@ -322,7 +341,8 @@ def test_wrong_coinner_classes_are_refused(monkeypatch, capsys, method):
     """With phi_delta taken as (1, -1, 1, -1) on Sweedler/delta, b_2 sends
     the kept x to g (x) x, a dropped tuple: the report is refused with that
     column as the witness, never a table."""
-    monkeypatch.setattr(HopfCyclicModule, "coinner", [1, -1, 1, -1])
+    monkeypatch.setattr(cyclic_ops, "coinner_eigenvalues",
+                        lambda delta: [1, -1, 1, -1])
     delta = sweedler_h4().character("delta")
     with pytest.raises(NotMixedComplexError) as caught:
         cohomology_report(delta, 3, method=method)

@@ -9,6 +9,7 @@ import pytest
 
 from hopfcyclic import cyclic_ops
 from hopfcyclic.cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
+                                   NormalizedModule, TensorBasis,
                                    check_cyclic_power_formula, relation_suite)
 from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
@@ -235,3 +236,19 @@ def test_face_index_bounds():
         mod.face(3, 2, {(0, 0): ONE})
     with pytest.raises(IndexError):
         mod.degeneracy(2, 1, {(0, 0): ONE})
+
+
+def test_each_tensor_basis_member_is_defined_once():
+    """A cyclic module redefines no TensorBasis member: a name in both
+    class dicts is the same object, as the degeneracy and operator_matrix
+    aliases that bench/tracing.py wraps per class are.  Only cochains
+    differ: their tuples have one extra factor, and they carry no
+    character, so no coinner."""
+    base = vars(TensorBasis)
+    for cls in (HopfCyclicModule, NormalizedModule, CochainCyclicModule):
+        redefined = sorted(name for name, value in vars(cls).items()
+                           if not name.startswith("__") and name in base
+                           and value is not base[name])
+        allowed = (["coinner", "extra_factors"] if cls is CochainCyclicModule
+                   else [])
+        assert redefined == allowed, cls.__name__

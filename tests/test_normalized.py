@@ -19,6 +19,7 @@ from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
 from hopfcyclic.fields import rational
 from hopfcyclic.hopf import (FiniteHopf, check_hopf_axioms, check_involution,
                              rebased, sweedler_h4, vec_add_into)
+from hopfcyclic.linalg import combine
 from hopfcyclic.presentations import load_hopf
 from test_assembly import CASES as BUILTIN_CASES
 
@@ -78,7 +79,7 @@ def assert_restricts(module, norm, bar, whole, src, tgt):
     for j, key in enumerate(norm.basis_keys(src)):
         x = {module.key_index(k): v
              for k, v in old_basis(module.hopf, key).items()}
-        assert whole.apply(x) == in_old_basis(
+        assert combine(whole.cols, x) == in_old_basis(
             module, norm, bar.cols[j], tgt), (src, key)
 
 
@@ -113,14 +114,16 @@ def test_normalized_b_recursion_beyond_top(case):
 
 def test_normalized_module_refuses_a_broken_counit():
     """QZ2 with eps(g) = -1: (eps (x) id) Delta(g) = -g, so the reduced
-    coproduct of f_g = g + 1 keeps a factor f_e and N is refused."""
+    coproduct of f_g = g + 1 keeps -2 f_g (x) f_e, and N is refused with
+    that term named by its indices."""
     H = load_hopf(str(DATA / "qz2.json"))
     broken = FiniteHopf(
         H.name, H.field, H.basis, H.unit, H.product, H.coproduct, [1, -1],
         H.antipode, {})
     assert not check_hopf_axioms(broken).ok
     with pytest.raises(ValueError, match="counit axiom fails on .* at "
-                                         "basis index 1"):
+                                         "basis index 1: D\\(e_1\\) keeps "
+                                         "the term -2 e_1 \\(x\\) e_0$"):
         NormalizedModule(broken.counit_character())
 
 

@@ -143,6 +143,11 @@ def _numeric_scalar():
     return data
 
 
+def _algebra_over_zeta4():
+    data = json.loads((DATA / "gamma-translation.json").read_text())
+    return {**data["algebra"], "field": {"kind": "cyclotomic", "order": 4}}
+
+
 # (case id, command, top-level JSON value of the --input file, message)
 MALFORMED = [
     ("product-int", "check-hopf", _with("qz2.json", product=5),
@@ -196,6 +201,12 @@ MALFORMED = [
      _with("gamma-translation.json", character=["counit"]),
      "character must be a string"),
     ("gamma-top-int", "gamma-check", lambda: 5, "expected a mapping"),
+    ("gamma-fields-differ", "gamma-check",
+     _with("gamma-translation.json", algebra=_algebra_over_zeta4()),
+     "hopf and algebra must share a field"),
+    ("action-too-short", "gamma-check",
+     _with("gamma-translation.json", action=[[[0, 0, "1"], [1, 1, "1"]]]),
+     "action must list one matrix per Hopf basis element"),
 ]
 
 
