@@ -32,13 +32,14 @@ cohomology_report takes the character delta alone (H is delta.hopf),
 builds each b_n and B_n once and passes the same matrices to the
 mixed-complex checks and to every dimension function.  The dimension
 functions take only matrices and read each size off their shapes, so any
-complex of matrices serves them; the lambda stage takes 1 - lambda_n from
-a generator, one degree at a time.  The checks form each product exactly,
-one column at a time, and stop at the first column that is not zero; no
-product matrix is stored.  Under every method the report builds the
-normalized b_1..b_(N+1), which gives HH, and under 'lambda' and 'both' the
-full b_1..b_N, which gives HC(lambda) with 1 - lambda_n; it checks b^2 = 0
-on both.  The full b_(N+1), larger than any other matrix, is never built.
+complex of matrices serves them; the lambda stage takes 1 - lambda_n and
+b'_n from a generator, one degree at a time.  The checks form each
+product exactly, one column at a time, and stop at the first column that
+is not zero; no product matrix is stored.  Under every method the report
+builds the normalized b_1..b_(N+1), which gives HH, and under 'lambda' and
+'both' the full b_1..b_N, whose b'_n and 1 - lambda_n for n < N give
+HC(lambda); it checks b^2 = 0 on both.  The full b_(N+1), larger than any
+other matrix, is never built, and the full b_N serves b^2 = 0 alone.
 After HH and HC(lambda) it keeps only the normalized b_1..b_N, builds B,
 checks B^2 = 0 and bB + Bb = 0 on them and computes the bicomplex
 dimensions from those same matrices.  No rank is computed after a failed
@@ -46,18 +47,29 @@ check: the report still runs every check, then raises
 NotMixedComplexError rather than return a table for a complex that fails
 an identity.
 
-HC(lambda) comes from one identity.  For A = 1 - lambda_n and Z^n =
-ker b_(n+1) of the full complex, rank [b_(n+1); A] = rank b_(n+1) +
-rank(A on Z^n).  The inclusion iota of the normalized complex, f_i ->
+HC(lambda) is read one degree down (Loday, Cyclic Homology, 2.1.1 and
+1.1.12).  For A_n = 1 - lambda_n and Z^n = ker b_(n+1) of the full
+complex, the rank of b_(n+1) on ker A_n is rank b_(n+1) + rank(A_n on
+Z^n) - rank A_n.  The inclusion iota of the normalized complex, f_i ->
 e_i - eps(e_i) 1, is a quasi-isomorphism (Loday, 2.1), so Z^n is im b_n
 plus iota of HH^n representatives of the normalized complex
 (``hochschild_cocycles``): kernel vectors of the normalized b_(n+1) on a
 complement of its im b_n.  Each is checked as a cocycle of the full
 module with the elementwise hochschild_b, in place of the b_(N+1) b_N = 0
-check that would need b_(N+1).  For S_n = [b_n | Z_n], rank(A on Z^n) =
-rank(A S_n) and dim Z^n = rank b_n + HH^n, so every size and rank of b
-cancels from HC^n = HH^n - rank(A_n S_n) + rank A_(n-1) - rank(A_(n-1)
-S_(n-1)), and no full b_(n+1) is eliminated (``lambda_complex_dimensions``).
+check that would need b_(N+1).  For S_n = [b_n | Z_n], rank(A_n on Z^n)
+= rank(A_n S_n) =: rho_n and dim Z^n = rank b_n + HH^n, so every size and
+rank of b cancels from HC^n = HH^n - rho_n + rank A_(n-1) - rho_(n-1).
+With b'_n = sum_(i<n) (-1)^i face_i = b_n - (-1)^n (. (x) 1), the columns
+of A_n S_n are A_n b_n = b'_n A_(n-1) and A_n Z_n = b'_n Y_n, where Y_n =
+s Z_n + (-1)^(n+1) sigma_(n-1) Z_n comes from tau_(n-1)
+(``cocycle_lifts``), and b' is exact, so rho_n = rank [A_(n-1) | Y_n |
+b'_(n-1)] - rank b'_(n-1) (``lambda_complex_dimensions``).  So 1 - lambda_n
+is built for n < N only: no tau_N, no 1 - lambda_N and no matrix with
+d^N rows enters the lambda stage.  After b^2 = 0, the report checks A_m b_m
+= b'_m A_(m-1) for 1 <= m < N on the whole matrices, column by column, as
+each A_m is built; a column where the two differ adds the failed check
+'lambda-b n=m' with that column's tuple as the witness and raises
+NotMixedComplexError, and a passing gate gains no line.
 
 Only the phi_delta-invariant cochains are ranked.  delta is a group-like of
 H*, and conjugation by it, phi_delta(h) = delta(h_(1)) h_(2) delta(S
@@ -71,16 +83,16 @@ one product of the c_k each.  As an inner automorphism of H*, phi_delta
 is the identity on HH = Ext_(H*)(k, k), and through SBI on HC; on a
 summand where it is c != 1 it is thus both c and 1 on the cohomology,
 which vanishes.  So after the gate has passed on the whole matrices, the
-report replaces each full b_n and 1 - lambda_n and each normalized b_n
+report replaces each full b'_n and 1 - lambda_n and each normalized b_n
 and B_n by its restriction to the tuples of product 1 on both sides
 (``TensorBasis.invariant_part``), which frees the whole matrix, and takes
 HH and the representatives from the restricted normalized b; their images
-under iota are read on the kept tuples too.  An entry of a kept column at
-a dropped row is never dropped: the report adds the failed check
-'phi-invariant ...' with that column's tuple as the witness and raises
-NotMixedComplexError at once.  Where every c_k is 1 or phi_delta is not
-diagonal (every group algebra, abelian k^G, every counit), nothing is
-restricted or copied.
+under iota, and the lifts Y_n, are read on the kept tuples too.  An entry
+of a kept column at a dropped row is never dropped: the report adds the
+failed check 'phi-invariant ...' with that column's tuple as the witness
+and raises NotMixedComplexError at once.  Where every c_k is 1 or
+phi_delta is not diagonal (every group algebra, abelian k^G, every
+counit), nothing is restricted or copied.
 
 Scalars are canonical (see ``fields``), so on an integral presentation b,
 1 - lambda, B, the gate's products and the elimination all run on int.
@@ -206,6 +218,18 @@ def one_minus_lambda_matrix(module, n):
         module.space_dim(n))
 
 
+def b_prime_matrix(module, b, n):
+    """b'_n = sum_(i<n) (-1)^i face_i, from degree n-1 to degree n, from
+    the matrix b of b_n: face_n appends the unit, so column x of b'_n is
+    column x of b_n minus (-1)^n x (x) 1.  Fresh dicts, b is only read."""
+    d = module.base
+    unit = module.hopf.unit_element().items()
+    sign = 1 if n % 2 else -1
+    return SparseMatrix.from_columns(
+        (vec_add_into(dict(col), {x * d + u: c for u, c in unit}, sign)
+         for x, col in enumerate(b.cols)), b.nrows)
+
+
 def require_involution(delta):
     ok, witness = check_involution(delta)
     if not ok:
@@ -290,32 +314,52 @@ def hochschild_dimensions(b):
     return _homology_dims(sizes, ranks), ranks
 
 
-def lambda_complex_dimensions(b, cocycles, minus):
+def lambda_complex_dimensions(lifts, stages):
     """HC^n from the lambda-invariant subcomplex with differential b, for
-    n <= N, given b = {n: b_n} for 1 <= n <= N, cocycles = {n: Z_n} for
-    0 <= n <= N and minus, which yields A = 1 - lambda_n for n = 0..N in
-    order.  The columns of Z_n are HH^n representatives, cocycles
-    independent modulo im b_n, so those of S_n = [b_n | Z_n] span Z^n =
-    ker b_(n+1), and dim Z^n = rank b_n + HH^n with HH^n = Z_n.ncols.
+    n <= N, given lifts = {n: Y_n} for 0 <= n <= N and stages, which
+    yields (A_m, b'_m) for m = 0..N-1 in order, A_m = 1 - lambda_m and b'_m
+    = sum_(i<m) (-1)^i face_i (b'_0, from C^-1 = 0, has no column).  Y_n has
+    a column for each HH^n representative z, so HH^n = Y_n.ncols, and for
+    n >= 1 it is Y z = (-1)^(n+1) h A_n z on the rows of degree n-1, h =
+    sigma_(n-1) the counit on the last factor (``cocycle_lifts``); Y_0 has
+    no rows.
 
-    For K = ker A, ker [b_(n+1); A] is Z^n meet K, so rank(b_(n+1) on K) =
-    rank b_(n+1) + rank(A S_n) - rank A.  As dim K = dim C^n - rank A and
-    dim C^n - rank b_(n+1) = dim Z^n, every size and rank of b cancels:
-    HC^n = HH^n - rank(A_n S_n) + rank A_(n-1) - rank(A_(n-1) S_(n-1)),
-    the last two terms absent at n = 0.  A S_n is formed with combine and
-    ranked on its rows; no b_(N+1) and no rank A_N is read.  A is taken
-    from minus one degree at a time, so a generator bounds peak memory."""
-    top = len(cocycles) - 1
-    dims, below = [], 0  # below: rank A_(n-1) - rank(A_(n-1) S_(n-1))
-    for n, A in enumerate(minus):
-        Z = cocycles[n]
-        span = chain(b[n].cols, Z.cols) if n else Z.cols
-        rank_on_Z = SparseMatrix.from_columns(
-            [combine(A.cols, col) for col in span], A.nrows).rank()
-        dims.append(Z.ncols - rank_on_Z + below)
-        if n < top:
-            below = A.rank() - rank_on_Z
+    rho_n = rank(A_n S_n), S_n = [b_n | Z_n] as in the module docstring,
+    is read at degree n-1.  h is a contracting homotopy of b': h b'_(m+1)
+    - b'_m h = (-1)^m id, so as b'_(n+1) A_n z = A_(n+1) b_(n+1) z = 0,
+    A_n z = b'_n Y z, and with A_n b_n = b'_n A_(n-1) the columns of A_n S_n
+    are b'_n [A_(n-1) | Y_n].  b' is exact, so rank(b'_n M) = rank [M |
+    b'_(n-1)] - rank b'_(n-1), and rank b'_m = dim C^(m-1) - rank b'_(m-1)
+    needs no elimination.  One ``stacked_ranks`` of the columns per
+    degree gives rank A_(n-1) (its first block) and the stacked rank, so
+    HC^n = HH^n - rho_n + rank A_(n-1) - rho_(n-1), with rho_0 = 0 as A_0 =
+    0.  No A_N and no matrix on the rows of degree N is read.
+
+    The homotopy holds at every degree exactly when (id (x) eps)D(e_s) =
+    -eps(e_s) 1 for every s and eps(1) = 1, D the cobar table: b is the
+    cobar recursion b_(m+1)(x (x) e_s) = b_m(x) (x) e_s + (-1)^m x (x)
+    D(e_s), so h b_(m+1)(x (x) e_s) = eps(e_s) b'_m(x), while h b'_(m+1)
+    = h b_(m+1) + (-1)^m id and b'_m h (x (x) e_s) = eps(e_s) b'_m(x); at
+    m = 0, h b'_1 = eps(1).  In the rebased basis f, (id (x) eps)D(f_s) =
+    0 = -eps(f_s) 1 for s != p says D(f_s) has no factor f_p, which
+    ``NormalizedModule``, built first by every report, checks in its
+    ``cobar_table`` (it refuses a broken counit); at f_p = 1 it is the
+    counit axiom at 1 with eps(1) = 1, which ``hopf.rebased`` presumes and
+    ``check_hopf_axioms`` checks.  h and b' keep the phi_delta labels, so
+    the homotopy, and the closed form of rank b', hold on the kept tuples.
+    Each A_m is taken from stages one degree at a time, so a generator
+    bounds peak memory."""
+    dims = [lifts[0].ncols]
+    rho = rank_b_prime = 0
+    for n, (A, b_prime) in enumerate(stages, 1):
+        Y = lifts[n]
+        rank_b_prime = b_prime.ncols - rank_b_prime  # of b'_(n-1)
+        rank_A, stacked = stacked_ranks([
+            A.transpose(), SparseMatrix.from_columns(
+                chain(Y.cols, b_prime.cols), A.nrows).transpose()])
         del A  # not held while the next one is built
+        below, rho = rank_A - rho, stacked - rank_b_prime
+        dims.append(Y.ncols - rho + below)
     return dims
 
 
@@ -370,6 +414,47 @@ def hochschild_cocycles(gate, full, norm, b, hh):
                 _refuse(gate, f"phi-invariant iota n={n}",
                         ("outside phi = 1", [cocycles[n].outside]))
     return cocycles
+
+
+def cocycle_lifts(gate, full, cocycles):
+    """{n: Y_n} for 0 <= n <= N from the representatives cocycles = {n:
+    Z_n} of ``hochschild_cocycles``: Y_n = s Z_n + (-1)^(n+1) sigma_(n-1)
+    Z_n = (-1)^(n+1) sigma_(n-1) (1 - lambda_n) Z_n, on the rows that
+    ``full.invariant_index`` keeps at degree n-1.  s = sigma_(n-1) tau_n
+    is read off tau_(n-1) (``extra_degeneracy_columns``), built only where
+    Z_n has a column, and sigma_(n-1) e_(x, t) = eps(e_t) e_x.  Y_0 has no
+    rows.  An entry outside the kept tuples adds the failed check
+    'phi-invariant lift n=...' with the representative's lowest tuple as
+    the witness and raises NotMixedComplexError."""
+    d = full.base
+    counit = [full.hopf.counit_basis(t) for t in range(d)]
+    lifts = {0: SparseMatrix(0, cocycles[0].ncols)}
+    rows = full.invariant_index(0)
+    for n in range(1, len(cocycles)):
+        kept = full.invariant_index(n)
+        sign = 1 if n % 2 else -1
+        reps = [z if kept is None else {kept[i]: v for i, v in z.items()}
+                for z in cocycles[n].cols]
+        tau = full.cyclic_matrix(n - 1) if reps else None
+        cols = []
+        for z in reps:
+            sources = sorted(z)
+            col = {}
+            for J, image in zip(sources, full.extra_degeneracy_columns(
+                    tau, sources)):
+                vec_add_into(image, {J // d: sign * counit[J % d]})
+                vec_add_into(col, image, z[J])
+            cols.append(col)
+        if rows is None:
+            lifts[n] = SparseMatrix.from_columns(cols, full.space_dim(n - 1))
+        else:
+            lifts[n] = on_rows(cols, rows, lambda i: full.key_of_index(
+                min(reps[i]), n))
+            if lifts[n].outside is not None:
+                _refuse(gate, f"phi-invariant lift n={n}",
+                        ("outside phi = 1", [lifts[n].outside]))
+        rows = kept
+    return lifts
 
 
 def bicomplex_dimensions(b, B):
@@ -448,14 +533,12 @@ def cohomology_report(delta, N_max, method="both"):
         for dim, h in zip(dims, hh):
             b_ranks.append(dim - h - b_ranks[-1])
         if method != "bB":
-            cocycles = hochschild_cocycles(gate, full, norm, norm_b, hh)
-            for n in full_b:
-                full_b[n] = _invariant(gate, full, "b", full_b[n], n - 1, n)
-            hc_lambda = lambda_complex_dimensions(full_b, cocycles, (
-                _invariant(gate, full, "1-lambda",
-                           one_minus_lambda_matrix(full, n), n, n)
-                for n in range(N_max + 1)))
-            del full_b, cocycles
+            lifts = cocycle_lifts(gate, full, hochschild_cocycles(
+                gate, full, norm, norm_b, hh))
+            full_b.pop(N_max, None)  # the top b serves b^2 = 0 alone
+            hc_lambda = lambda_complex_dimensions(
+                lifts, _lambda_stages(gate, full, full_b, N_max))
+            del full_b, lifts
         del norm_b[N_max + 1]  # only HH and the representatives read it
     if method != "lambda":
         B = {n: B_matrix(norm, n) for n in range(N_max)}
@@ -470,6 +553,33 @@ def cohomology_report(delta, N_max, method="both"):
     return ComplexReport(delta.hopf.name, delta.name, N_max, method, {
         "dim": dims, "rank_b": b_ranks[:N_max + 1], "HH": hh,
         "HC_lambda": hc_lambda, "HC_bB": hc_bB}, flags)
+
+
+def _lambda_stages(gate, full, b, N_max):
+    """(A_m, b'_m) for m = 0..N-1, A_m = 1 - lambda_m, on the kept tuples,
+    from b = {m: b_m}, the whole full b_1..b_(N-1), which it empties.
+    Before either is restricted, A_m b_m = b'_m A_(m-1) is checked on the
+    whole matrices, column by column; the first column where the two
+    sides differ refuses the report with the check 'lambda-b n=m' and that
+    column's tuple as the witness.  Only A_(m-1) is held from one degree to
+    the next."""
+    previous = None
+    for m in range(N_max):
+        A = one_minus_lambda_matrix(full, m)
+        if m:
+            b_m = b.pop(m)
+            b_prime = b_prime_matrix(full, b_m, m)
+            for x, col in enumerate(b_m.cols):
+                if combine(A.cols, col) != combine(b_prime.cols,
+                                                   previous.cols[x]):
+                    _refuse(gate, f"lambda-b n={m}",
+                            ("lambda-b", [full.key_of_index(x, m - 1)]))
+            del b_m
+            b_prime = _invariant(gate, full, "b'", b_prime, m - 1, m)
+        else:
+            b_prime = SparseMatrix(1, 0)
+        previous = A
+        yield _invariant(gate, full, "1-lambda", A, m, m), b_prime
 
 
 def _invariant(gate, module, name, matrix, src, tgt):

@@ -8,11 +8,12 @@ demand for tests and the benchmark's tracer; no package code reads it.
 
 Every matrix product goes through one kernel, combine: a matrix's columns
 times a sparse vector.  The product @, first_nonzero_column (the
-mixed-complex gate) and the cohomology code's B assembly are all built on
-it.  combine accumulates into one dict in its own loop,
-with no helper call per column; it tests each vector entry once for the
-coefficient 1, whose column it adds without multiplying, since on
-``Cyclotomic`` scalars that test is a method call.  Rank and kernel share
+mixed-complex gate), the cohomology code's B assembly and its check of
+(1 - lambda) b = b' (1 - lambda) are all built on it.  combine
+accumulates into one dict in its own loop, with no helper call per
+column; it tests each vector entry once for the coefficient 1, whose
+column it adds without multiplying, since on ``Cyclotomic`` scalars that
+test is a method call.  Rank and kernel share
 one exact sparse Gaussian elimination on the rows, _echelon, which takes
 each row out of its list as it reduces it.  The kernel basis is read off
 the reduced row echelon form, which is unique, so it does not depend on
@@ -21,10 +22,11 @@ the order in which the elimination finds its pivots.
 stacked_ranks ranks [M_1], [M_1; M_2], ... in one elimination, and rank
 is its one-matrix case; a pivots dict carries an elimination from one
 call to the next.  ``cohomology.hochschild_cocycles`` is the package's
-consumer of kernel_basis and transpose: it eliminates the columns of b_n,
-as the rows of the transpose, and takes its HH representatives from the
-kernel_basis of b_(n+1) on the columns where that elimination has no
-pivot.
+consumer of kernel_basis: it eliminates the columns of b_n, as the rows
+of the transpose, and takes its HH representatives from the kernel_basis
+of b_(n+1) on the columns where that elimination has no pivot.
+``cohomology.lambda_complex_dimensions`` stacks columns the same way,
+those of 1 - lambda_(n-1) and then those of [Y_n | b'_(n-1)].
 
 Entries are scalars in the canonical form of ``fields``, so the cohomology
 matrices of an integral presentation are all ``int``.  The only division

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDENS
 from hopfcyclic.cohomology import (B_matrix, B_operator, b_matrix,
-                                   extra_degeneracy, hochschild_b,
-                                   mixed_complex_report,
+                                   b_prime_matrix, extra_degeneracy,
+                                   hochschild_b, mixed_complex_report,
                                    one_minus_lambda_matrix, signed_cyclic)
 from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
 from hopfcyclic.fields import Cyclotomic
@@ -152,6 +152,8 @@ def test_differentials_match_elementwise(module):
                 lambda t: vec_add_into(hochschild_b(module, n, t),
                                        module.face(n, n, t),
                                        -1 if n % 2 == 0 else 1), n - 1, n)
+            assert b_prime_matrix(module, b_matrix(module, n), n) \
+                == b_prime, n
             assert one_minus_lambda_matrix(module, n) @ b_matrix(module, n) \
                 == b_prime @ one_minus_lambda_matrix(module, n - 1), n
         assert one_minus_lambda_matrix(module, n) == module.operator_matrix(

@@ -320,7 +320,7 @@ def _non_idempotent_pair(request, tmp_path):
 def _negative_dimension(request, tmp_path):
     request.getfixturevalue("monkeypatch").setattr(
         cohomology, "lambda_complex_dimensions",
-        lambda b, cocycles, minus: [1, -1] + [0] * (len(cocycles) - 2))
+        lambda lifts, stages: [1, -1] + [0] * (len(lifts) - 2))
     return ["cohomology", "--input", "qz2", "--max-degree", "3",
             "--method", "lambda"]
 
@@ -409,8 +409,8 @@ def test_cohomology_computes_no_rank_when_b_square_fails(
 
 def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "lambda_complex_dimensions",
-                        lambda b, cocycles, minus:
-                        [1, -1] + [0] * (len(cocycles) - 2))
+                        lambda lifts, stages:
+                        [1, -1] + [0] * (len(lifts) - 2))
     code, out = run(capsys, "cohomology", "--input", "qz2",
                     "--max-degree", "3", "--method", "lambda")
     assert code == 1
@@ -431,12 +431,13 @@ def test_cohomology_builds_each_matrix_once(capsys, monkeypatch, method):
                   "--method", method)
     assert code == 0
     # the normalized b serves HH and the HH^n representatives under every
-    # method; the full complex, to b_N only, serves HC(lambda)
+    # method; the full complex, to b_N only, serves HC(lambda), whose
+    # stage builds 1 - lambda_n for n < N only
     built = {("b_matrix", True, n): 1 for n in range(1, 6)}
     if method != "bB":
         built.update({("b_matrix", False, n): 1 for n in range(1, 5)})
         built.update({("one_minus_lambda_matrix", False, n): 1
-                      for n in range(5)})
+                      for n in range(4)})
     if method != "lambda":  # HC(bB) on the normalized complex
         built.update({("B_matrix", True, n): 1 for n in range(4)})
     assert dict(calls) == built

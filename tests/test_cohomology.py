@@ -12,7 +12,8 @@ from dense_oracle import oracle_dimensions
 from hopfcyclic import cohomology, cyclic_ops
 from hopfcyclic.cli import main
 from hopfcyclic.cohomology import (NotCyclicError, NotMixedComplexError,
-                                   B_matrix, b_matrix, bicomplex_dimensions,
+                                   B_matrix, b_matrix, b_prime_matrix,
+                                   bicomplex_dimensions,
                                    cohomology_report, B_operator, hochschild_b,
                                    hochschild_cocycles,
                                    hochschild_dimensions,
@@ -23,7 +24,8 @@ from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule, on_rows
 from hopfcyclic.hopf import (BUILTIN_BUILDERS, FiniteHopf, check_hopf_axioms,
                              check_involution, coinner_eigenvalues,
                              cyclic_group_algebra, evaluate, function_algebra,
-                             group_algebra, linear, sweedler_h4, trivial_hopf)
+                             group_algebra, linear, sweedler_h4, trivial_hopf,
+                             vec_add_into, vec_scale, vec_sub)
 from hopfcyclic.linalg import SparseMatrix, combine
 from hopfcyclic.presentations import load_gamma_input, load_hopf
 from hopfcyclic.reports import CheckReport
@@ -295,8 +297,9 @@ def dropped_part(module, matrix, src, tgt):
 
 def test_dropped_cochains_carry_no_cohomology():
     """On Sweedler/delta through degree 4 the phi_delta = -1 summand of the
-    full b, 1 - lambda and the normalized b, B has HH = HC(lambda) = 0, and
-    HC(bB) = 0 below the boundary, by the report's dimension functions."""
+    full b, b', 1 - lambda and the normalized b, B has HH = HC(lambda) = 0,
+    and HC(bB) = 0 below the boundary, by the report's dimension
+    functions."""
     _, delta, full = module_of(sweedler_h4, "delta")
     norm = NormalizedModule(delta)
     b = {n: dropped_part(full, b_matrix(full, n), n - 1, n)
@@ -306,11 +309,14 @@ def test_dropped_cochains_carry_no_cohomology():
     assert [m.ncols for m in minus] == [0, 2, 8, 32, 128]
     assert hochschild_dimensions(b)[0] == [0] * 5
     assert stacked_lambda_dimensions(b, minus) == [0] * 5
-    # with HH = 0 there is no representative, and the lambda stage needs
-    # no b_6
-    none = {n: SparseMatrix(A.nrows, 0) for n, A in enumerate(minus)}
-    assert lambda_complex_dimensions(
-        {n: b[n] for n in range(1, 5)}, none, minus) == [0] * 5
+    # with HH = 0 there is no representative and so no lift; C^0 has no
+    # dropped tuple, so b'_0 is 0 x 0, and the stage needs no A_4
+    lifts = {n: SparseMatrix(minus[n - 1].nrows if n else 0, 0)
+             for n in range(5)}
+    b_prime = [SparseMatrix(0, 0)] + [
+        dropped_part(full, b_prime_matrix(full, b_matrix(full, m), m),
+                     m - 1, m) for m in range(1, 4)]
+    assert lambda_complex_dimensions(lifts, zip(minus, b_prime)) == [0] * 5
     nb = {n: dropped_part(norm, b_matrix(norm, n), n - 1, n)
           for n in range(1, 5)}
     nB = {n: dropped_part(norm, B_matrix(norm, n), n + 1, n)
@@ -356,61 +362,62 @@ def test_wrong_coinner_classes_are_refused(monkeypatch, capsys, method):
 
 
 def recorded_lambda_stage(monkeypatch):
-    """Wrap the report's b_matrix, one_minus_lambda_matrix and
+    """Wrap the report's one_minus_lambda_matrix, b_prime_matrix and
     lambda_complex_dimensions; returns the dict the wrappers fill: the
-    matrices built ('built_b', 'built_minus') and the ones the lambda
-    stage got ('b', 'cocycles', 'minus')."""
-    seen = {"built_b": {}, "built_minus": [], "b": None, "cocycles": None,
-            "minus": []}
-
-    def built_b(module, n):
-        matrix = b_matrix(module, n)
-        if isinstance(module, HopfCyclicModule):
-            seen["built_b"][n] = matrix
-        return matrix
+    matrices built ('built_minus', 'built_b_prime') and the ones the lambda
+    stage got ('lifts', and from its stages 'minus' and 'b_prime')."""
+    seen = {"built_minus": [], "built_b_prime": [], "lifts": None,
+            "minus": [], "b_prime": []}
 
     def built_minus(module, n):
         seen["built_minus"].append(one_minus_lambda_matrix(module, n))
         return seen["built_minus"][-1]
 
-    def stage(b, cocycles, minus):
-        seen["b"] = dict(b)
-        seen["cocycles"] = dict(cocycles)
-        seen["minus"] = list(minus)
-        return lambda_complex_dimensions(b, cocycles, seen["minus"])
+    def built_b_prime(module, b, n):
+        seen["built_b_prime"].append(b_prime_matrix(module, b, n))
+        return seen["built_b_prime"][-1]
 
-    monkeypatch.setattr(cohomology, "b_matrix", built_b)
+    def stage(lifts, stages):
+        seen["lifts"] = dict(lifts)
+        stages = list(stages)
+        seen["minus"] = [A for A, _ in stages]
+        seen["b_prime"] = [b_prime for _, b_prime in stages]
+        return lambda_complex_dimensions(lifts, stages)
+
     monkeypatch.setattr(cohomology, "one_minus_lambda_matrix", built_minus)
+    monkeypatch.setattr(cohomology, "b_prime_matrix", built_b_prime)
     monkeypatch.setattr(cohomology, "lambda_complex_dimensions", stage)
     return seen
 
 
 def test_lambda_stage_ranks_half_the_sweedler_cochains(monkeypatch):
     """2^(2n-1) of the 4^n tuples of degree n >= 1 have an even number of
-    factors x or gx; the lambda stage gets only those, on both sides, and
-    one HH^n representative in each even degree."""
+    factors x or gx; the lambda stage gets only those, on both sides, the
+    lift of one HH^n representative in each even degree, and nothing on
+    the tuples of the top degree 4."""
     seen = recorded_lambda_stage(monkeypatch)
     cohomology_report(sweedler_h4().character("delta"), 4, method="lambda")
     kept = [1] + [2 ** (2 * n - 1) for n in range(1, 5)]
-    assert seen["b"].keys() == {1, 2, 3, 4}
-    assert [seen["b"][n].ncols for n in range(1, 5)] == kept[:4]
-    assert [seen["b"][n].nrows for n in range(1, 5)] == kept[1:]
-    assert [(Z.nrows, Z.ncols) for Z in seen["cocycles"].values()] == [
-        (k, 1 - n % 2) for n, k in enumerate(kept)]
+    assert [(Y.nrows, Y.ncols) for Y in seen["lifts"].values()] == [
+        (0, 1)] + [(kept[n - 1], 1 - n % 2) for n in range(1, 5)]
     assert [(A.nrows, A.ncols) for A in seen["minus"]] == [
-        (k, k) for k in kept]
+        (k, k) for k in kept[:4]]
+    assert [(m.nrows, m.ncols) for m in seen["b_prime"]] == [(1, 0)] + [
+        (kept[m], kept[m - 1]) for m in range(1, 4)]
 
 
 def test_lambda_stage_gets_qz4_matrices_uncopied(monkeypatch):
     """phi_delta is the identity on QZ4 over Q(zeta_4): the lambda stage
-    gets the very matrices b_matrix and one_minus_lambda_matrix built."""
+    gets the very matrices one_minus_lambda_matrix and b_prime_matrix
+    built, 1 - lambda_n for n < 3 only."""
     seen = recorded_lambda_stage(monkeypatch)
     H = load_hopf(str(GOLDENS / "cli" / "qz4-zeta4.json"))
     cohomology_report(H.character("delta"), 3, method="lambda")
-    assert seen["b"].keys() == seen["built_b"].keys() == {1, 2, 3}
-    assert all(seen["b"][n] is seen["built_b"][n] for n in seen["b"])
-    assert len(seen["minus"]) == len(seen["built_minus"]) == 4
+    assert len(seen["minus"]) == len(seen["built_minus"]) == 3
     assert all(a is b for a, b in zip(seen["minus"], seen["built_minus"]))
+    assert len(seen["built_b_prime"]) == 2
+    assert all(a is b for a, b in zip(seen["b_prime"][1:],
+                                      seen["built_b_prime"]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +432,10 @@ LAMBDA_CASES = [(case, delta) for case, delta in CHARACTERS
                          ids=[case for case, _ in LAMBDA_CASES])
 def test_lambda_stage_equals_the_stacked_formula(case, delta):
     """HC(lambda) from the representatives against rank [b_(n+1); 1 -
-    lambda_n] - rank(1 - lambda_n) on the whole full matrices."""
-    report = cohomology_report(delta, 4, method="lambda")
-    assert report.columns["HC_lambda"] == lambda_oracle(delta, 4)
+    lambda_n] - rank(1 - lambda_n) on the whole full matrices, through
+    degree 5."""
+    report = cohomology_report(delta, 5, method="lambda")
+    assert report.columns["HC_lambda"] == lambda_oracle(delta, 5)
 
 
 @pytest.mark.parametrize("source", ["sweedler", "qz4-zeta4"])
@@ -560,3 +568,138 @@ def test_a_missing_representative_is_refused(monkeypatch):
         cohomology_report(sweedler_h4().character("delta"), 3, "lambda")
     assert caught.value.report.failures() == [
         ("HH representatives n=0", ("found", [0, 1]))]
+
+
+# ---------------------------------------------------------------------------
+# the lambda stage one degree down: b', its homotopy and the lifts Y_n
+
+
+def counit_on_last_factor(module, m):
+    """h = sigma_(m-1), from degree m to degree m-1, elementwise."""
+    return module.operator_matrix(
+        lambda t: module.degeneracy(m - 1, m - 1, t), m, m - 1)
+
+
+@pytest.mark.parametrize("case,delta", CHARACTERS,
+                         ids=[case for case, _ in CHARACTERS])
+def test_counit_contracts_b_prime(case, delta):
+    """h b'_(m+1) - b'_m h = (-1)^m id on C^m for m <= 4, so b' is exact
+    through degree 5; at m = 0, h b'_1 = eps(1) = 1."""
+    module = HopfCyclicModule(delta)
+    b_prime = {m: b_prime_matrix(module, b_matrix(module, m), m)
+               for m in range(1, 6)}
+    h = {m: counit_on_last_factor(module, m) for m in range(1, 6)}
+    assert h[1] @ b_prime[1] == SparseMatrix.identity(1)
+    for m in range(1, 5):
+        left, right = h[m + 1] @ b_prime[m + 1], b_prime[m] @ h[m]
+        assert [vec_add_into(dict(col), right.cols[j], -1)
+                for j, col in enumerate(left.cols)] == [
+            {j: (-1) ** m} for j in range(module.space_dim(m))], m
+
+
+def assert_b_prime_ranks_closed_form(module, top):
+    """rank b'_m = dim C^(m-1) - rank b'_(m-1) on the kept tuples, rank
+    b'_0 = 0, against the elimination of each restricted b'_m."""
+    rank = 0
+    for m in range(1, top + 1):
+        b_prime = module.invariant_part(
+            b_prime_matrix(module, b_matrix(module, m), m), m - 1, m)
+        rank = b_prime.ncols - rank
+        assert b_prime.rank() == rank, m
+
+
+@pytest.mark.parametrize("case,delta", CHARACTERS,
+                         ids=[case for case, _ in CHARACTERS])
+def test_b_prime_ranks_have_the_closed_form(case, delta):
+    assert_b_prime_ranks_closed_form(HopfCyclicModule(delta), 5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(abelian_hopf_modules())
+def test_abelian_b_prime_ranks_have_the_closed_form(module):
+    assert_b_prime_ranks_closed_form(module, 3)
+
+
+def test_lifts_are_the_elementwise_homotopy():
+    """On Sweedler/delta through degree 6, each column of Y_n is
+    (-1)^(n+1) sigma_(n-1) (1 - lambda_n) z for its HH^n representative z,
+    by the elementwise operators, and b'_n takes it to (1 - lambda_n) z."""
+    delta = sweedler_h4().character("delta")
+    full, norm = HopfCyclicModule(delta), NormalizedModule(delta)
+    b = {n: norm.invariant_part(b_matrix(norm, n), n - 1, n)
+         for n in range(1, 8)}
+    gate = CheckReport("mixed-complex")
+    cocycles = hochschild_cocycles(gate, full, norm, b,
+                                   hochschild_dimensions(b)[0])
+    lifts = cohomology.cocycle_lifts(gate, full, cocycles)
+    assert [Y.ncols for Y in lifts.values()] == [1, 0] * 3 + [1]
+
+    def tensor(col, n):  # a column on the kept tuples of degree n
+        kept = full.invariant_index(n)
+        return {full.key_of_index(kept[i], n): v for i, v in col.items()}
+
+    for n in range(1, 7):
+        for z, y in zip(cocycles[n].cols, lifts[n].cols):
+            z, y = tensor(z, n), tensor(y, n - 1)
+            minus_z = vec_sub(z, cohomology.signed_cyclic(full, n, z))
+            assert y == vec_scale((-1) ** (n + 1),
+                                  full.degeneracy(n - 1, n - 1, minus_z)), n
+            b_prime_y = vec_add_into(hochschild_b(full, n, y),
+                                     full.face(n, n, y), -(-1) ** n)
+            assert b_prime_y == minus_z, n
+
+
+@pytest.mark.parametrize("source", ["sweedler", "qz4-zeta4"])
+@pytest.mark.parametrize("method", ["lambda", "both"])
+def test_no_report_builds_the_top_tau(monkeypatch, source, method):
+    """Neither tau_N nor 1 - lambda_N is built: every cyclic_matrix call,
+    on the full module and on the rebased one B reads, is below degree N,
+    and one_minus_lambda_matrix is called for n < N once each."""
+    degrees, minus = [], []
+    cyclic_matrix = HopfCyclicModule.cyclic_matrix
+    build_minus = cohomology.one_minus_lambda_matrix
+    monkeypatch.setattr(HopfCyclicModule, "cyclic_matrix", lambda self, n:
+                        degrees.append(n) or cyclic_matrix(self, n))
+    monkeypatch.setattr(cohomology, "one_minus_lambda_matrix",
+                        lambda module, n: minus.append(n)
+                        or build_minus(module, n))
+    H = (sweedler_h4() if source == "sweedler"
+         else load_hopf(str(GOLDENS / "cli" / "qz4-zeta4.json")))
+    cohomology_report(H.character("delta"), 4, method)
+    assert degrees and max(degrees) < 4
+    assert minus == [0, 1, 2, 3]
+
+
+def test_a_broken_lambda_b_identity_is_refused():
+    """Delta(g) = g (x) g + (e - g) (x) (e - g) on QZ2 is coassociative and
+    counital but not multiplicative.  b^2 = 0 holds, but (1 - lambda_2) b_2
+    != b'_2 (1 - lambda_1) at the column of g, so the report is refused
+    there; without the check the lambda stage read HC^3 = -1."""
+    H = load_hopf(str(GOLDENS / "cli" / "qz2-bad-coproduct.json"))
+    delta = H.counit_character()
+    assert cohomology_report(delta, 2, "lambda").columns["HC_lambda"] == \
+        [1, 0, 1]
+    for method in ("lambda", "both"):
+        with pytest.raises(NotMixedComplexError) as caught:
+            cohomology_report(delta, 3, method)
+        assert caught.value.report.failures() == [
+            ("lambda-b n=2", ("lambda-b", [(1,)]))], method
+
+
+def test_a_wrong_one_minus_lambda_is_refused(monkeypatch):
+    """1 - lambda_1 on Sweedler/delta with one entry changed fails (1 -
+    lambda_2) b_2 = b'_2 (1 - lambda_1), which is checked on the whole
+    matrices before any of them is restricted."""
+    build = cohomology.one_minus_lambda_matrix
+
+    def wrong(module, n):
+        matrix = build(module, n)
+        if n == 1:
+            matrix.cols[2][2] = matrix.cols[2].get(2, 0) + 1
+        return matrix
+
+    monkeypatch.setattr(cohomology, "one_minus_lambda_matrix", wrong)
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(sweedler_h4().character("delta"), 3, "lambda")
+    assert caught.value.report.failures() == [
+        ("lambda-b n=2", ("lambda-b", [(2,)]))]
