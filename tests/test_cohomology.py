@@ -703,3 +703,81 @@ def test_a_wrong_one_minus_lambda_is_refused(monkeypatch):
         cohomology_report(sweedler_h4().character("delta"), 3, "lambda")
     assert caught.value.report.failures() == [
         ("lambda-b n=2", ("lambda-b", [(2,)]))]
+
+
+# ---------------------------------------------------------------------------
+# each phi-invariant restriction refuses an entry on a dropped tuple.  Each
+# leak adds one entry that no earlier check can see, and the wrappers take
+# *args, so they do not depend on the signature of what they wrap.
+
+
+def test_a_lift_off_the_kept_tuples_is_refused(monkeypatch):
+    """s of the degree-2 representative gx (x) x with an entry at x, a
+    dropped tuple of degree 1; under 'lambda' nothing else reads s."""
+    extra = HopfCyclicModule.extra_degeneracy_columns
+
+    def leaky(*args):
+        out = list(extra(*args))
+        out[0][2] = 1
+        return out
+
+    monkeypatch.setattr(HopfCyclicModule, "extra_degeneracy_columns", leaky)
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(sweedler_h4().character("delta"), 3, "lambda")
+    assert caught.value.report.failures() == [
+        ("phi-invariant lift n=2", ("outside phi = 1", [(3, 2)]))]
+
+
+def test_a_b_prime_off_the_kept_tuples_is_refused(monkeypatch):
+    """b'_1 with an entry at x: A_0 = 0, so 'lambda-b n=1' compares A_1 b_1
+    with b'_1 A_0 = 0 and cannot see it."""
+    build = cohomology.b_prime_matrix
+
+    def leaky(*args):
+        matrix = build(*args)
+        if args[-1] == 1:
+            matrix.cols[0][2] = 1
+        return matrix
+
+    monkeypatch.setattr(cohomology, "b_prime_matrix", leaky)
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(sweedler_h4().character("delta"), 2, "lambda")
+    assert caught.value.report.failures() == [
+        ("phi-invariant b' n=0", ("outside phi = 1", [()]))]
+
+
+def test_a_one_minus_lambda_off_the_kept_tuples_is_refused(monkeypatch):
+    """1 - lambda_1 with an entry at x in the column of 1: at N = 2 it
+    enters only 'lambda-b n=1', as A_1 b_1 with b_1 = 0."""
+    build = cohomology.one_minus_lambda_matrix
+
+    def leaky(*args):
+        matrix = build(*args)
+        if args[-1] == 1:
+            matrix.cols[0][2] = 1
+        return matrix
+
+    monkeypatch.setattr(cohomology, "one_minus_lambda_matrix", leaky)
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(sweedler_h4().character("delta"), 2, "lambda")
+    assert caught.value.report.failures() == [
+        ("phi-invariant 1-lambda n=1", ("outside phi = 1", [(0,)]))]
+
+
+def test_a_B_off_the_kept_tuples_is_refused(monkeypatch):
+    """The normalized B_1 at N = 2 with an entry at f_x in the column of
+    f_x (x) f_x: B_0 is 0 on f_x, which phi_delta negates, and f_x (x) f_x
+    is no row of b_2, so neither B2 n=0 nor bB+Bb n=1 sees it."""
+    build = cohomology.B_matrix
+
+    def leaky(*args):
+        matrix = build(*args)
+        if args[-1] == 1:
+            matrix.cols[4][1] = 1
+        return matrix
+
+    monkeypatch.setattr(cohomology, "B_matrix", leaky)
+    with pytest.raises(NotMixedComplexError) as caught:
+        cohomology_report(sweedler_h4().character("delta"), 2, "bB")
+    assert caught.value.report.failures() == [
+        ("phi-invariant B n=2", ("outside phi = 1", [(2, 2)]))]
