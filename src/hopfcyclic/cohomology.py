@@ -32,14 +32,15 @@ cohomology_report takes the character delta alone (H is delta.hopf),
 builds each b_n and B_n once and passes the same matrices to the
 mixed-complex checks and to every dimension function.  The dimension
 functions take only matrices and read each size off their shapes, so any
-complex of matrices serves them; the lambda stage takes 1 - lambda_n and
-b'_n from a generator, one degree at a time.  The checks form each
-product exactly, one column at a time, and stop at the first column that
-is not zero; no product matrix is stored.  Under every method the report
-builds the normalized b_1..b_(N+1), which gives HH, and under 'lambda' and
-'both' the full b_1..b_N, whose b'_n and 1 - lambda_n for n < N give
-HC(lambda); it checks b^2 = 0 on both.  The full b_(N+1), larger than any
-other matrix, is never built, and the full b_N serves b^2 = 0 alone.
+complex of matrices serves them; the lambda stage takes 1 - lambda_n,
+b'_n and the lifts Y_(n+1) from a generator, one degree at a time.  The
+checks form each product exactly, one column at a time, and stop at the
+first column that is not zero; no product matrix is stored.  Under every
+method the report builds the normalized b_1..b_(N+1), which gives HH, and
+under 'lambda' and 'both' the full b_1..b_N, whose b'_n and 1 - lambda_n
+for n < N give HC(lambda); it checks b^2 = 0 on both.  The full b_(N+1),
+larger than any other matrix, is never built, and the full b_N serves
+b^2 = 0 alone.
 After HH and HC(lambda) it keeps only the normalized b_1..b_N, builds B,
 checks B^2 = 0 and bB + Bb = 0 on them and computes the bicomplex
 dimensions from those same matrices.  No rank is computed after a failed
@@ -53,23 +54,25 @@ complex, the rank of b_(n+1) on ker A_n is rank b_(n+1) + rank(A_n on
 Z^n) - rank A_n.  The inclusion iota of the normalized complex, f_i ->
 e_i - eps(e_i) 1, is a quasi-isomorphism (Loday, 2.1), so Z^n is im b_n
 plus iota of HH^n representatives of the normalized complex
-(``hochschild_cocycles``): kernel vectors of the normalized b_(n+1) on a
-complement of its im b_n.  Each is checked as a cocycle of the full
-module with the elementwise hochschild_b, in place of the b_(N+1) b_N = 0
-check that would need b_(N+1).  For S_n = [b_n | Z_n], rank(A_n on Z^n)
-= rank(A_n S_n) =: rho_n and dim Z^n = rank b_n + HH^n, so every size and
-rank of b cancels from HC^n = HH^n - rho_n + rank A_(n-1) - rho_(n-1).
-With b'_n = sum_(i<n) (-1)^i face_i = b_n - (-1)^n (. (x) 1), the columns
-of A_n S_n are A_n b_n = b'_n A_(n-1) and A_n Z_n = b'_n Y_n, where Y_n =
-s Z_n + (-1)^(n+1) sigma_(n-1) Z_n comes from tau_(n-1)
-(``cocycle_lifts``), and b' is exact, so rho_n = rank [A_(n-1) | Y_n |
-b'_(n-1)] - rank b'_(n-1) (``lambda_complex_dimensions``).  So 1 - lambda_n
-is built for n < N only: no tau_N, no 1 - lambda_N and no matrix with
-d^N rows enters the lambda stage.  After b^2 = 0, the report checks A_m b_m
-= b'_m A_(m-1) for 1 <= m < N on the whole matrices, column by column, as
-each A_m is built; a column where the two differ adds the failed check
-'lambda-b n=m' with that column's tuple as the witness and raises
-NotMixedComplexError, and a passing gate gains no line.
+(``hochschild_representatives``): kernel vectors of the normalized
+b_(n+1) on a complement of its im b_n.  Each is checked as a cocycle of
+the full module with the elementwise hochschild_b, in place of the
+b_(N+1) b_N = 0 check that would need b_(N+1).  For S_n = [b_n | Z_n],
+rank(A_n on Z^n) = rank(A_n S_n) =: rho_n and dim Z^n = rank b_n + HH^n,
+so every size and rank of b cancels from HC^n = HH^n - rho_n + rank
+A_(n-1) - rho_(n-1).  With b'_n = sum_(i<n) (-1)^i face_i = b_n - (-1)^n
+(. (x) 1), the columns of A_n S_n are A_n b_n = b'_n A_(n-1) and A_n Z_n
+= b'_n Y_n, where Y_n = s Z_n + (-1)^(n+1) sigma_(n-1) Z_n comes from
+tau_(n-1), and b' is exact, so rho_n = rank [A_(n-1) | Y_n | b'_(n-1)] -
+rank b'_(n-1) (``lambda_complex_dimensions``).  One pass over the
+degrees (``_lambda_stages``) reads A_m and Y_(m+1) off one tau_m.  So
+1 - lambda_n is built for n < N only: no tau_N, no 1 - lambda_N and no
+matrix with d^N rows enters the lambda stage.  After b^2 = 0, the report
+checks A_m b_m = b'_m A_(m-1) for 1 <= m < N on the whole matrices,
+column by column, as each A_m is built; a column where the two differ
+adds the failed check 'lambda-b n=m' with that column's tuple as the
+witness and raises NotMixedComplexError, and a passing gate gains no
+line.
 
 Only the phi_delta-invariant cochains are ranked.  delta is a group-like of
 H*, and conjugation by it, phi_delta(h) = delta(h_(1)) h_(2) delta(S
@@ -86,13 +89,13 @@ which vanishes.  So after the gate has passed on the whole matrices, the
 report replaces each full b'_n and 1 - lambda_n and each normalized b_n
 and B_n by its restriction to the tuples of product 1 on both sides
 (``TensorBasis.invariant_part``), which frees the whole matrix, and takes
-HH and the representatives from the restricted normalized b; their images
-under iota, and the lifts Y_n, are read on the kept tuples too.  An entry
-of a kept column at a dropped row is never dropped: the report adds the
-failed check 'phi-invariant ...' with that column's tuple as the witness
-and raises NotMixedComplexError at once.  Where every c_k is 1 or
-phi_delta is not diagonal (every group algebra, abelian k^G, every
-counit), nothing is restricted or copied.
+HH and the representatives from the restricted normalized b; their
+images under iota, dicts on the whole full basis, and the lifts Y_n lie
+on the kept tuples too.  An entry of a kept column at a dropped row is
+never dropped: the report adds the failed check 'phi-invariant ...' with
+that column's tuple as the witness and raises NotMixedComplexError at
+once.  Where every c_k is 1 or phi_delta is not diagonal (every group
+algebra, abelian k^G, every counit), nothing is restricted or copied.
 
 Scalars are canonical (see ``fields``), so on an integral presentation b,
 1 - lambda, B, the gate's products and the elimination all run on int.
@@ -209,13 +212,12 @@ def B_matrix(module, n):
     return module.restricted(columns(), n + 1, n)
 
 
-def one_minus_lambda_matrix(module, n):
-    """1 - lambda_n = 1 - (-1)^n tau_n."""
+def one_minus_lambda_matrix(tau, n):
+    """1 - lambda_n = 1 - (-1)^n tau_n, from tau, the matrix of tau_n."""
     sign = -1 if n % 2 == 0 else 1
     return SparseMatrix.from_columns(
-        (vec_add_into({j: 1}, col, sign)
-         for j, col in enumerate(module.cyclic_matrix(n).cols)),
-        module.space_dim(n))
+        (vec_add_into({j: 1}, col, sign) for j, col in enumerate(tau.cols)),
+        tau.nrows)
 
 
 def b_prime_matrix(module, b, n):
@@ -314,15 +316,13 @@ def hochschild_dimensions(b):
     return _homology_dims(sizes, ranks), ranks
 
 
-def lambda_complex_dimensions(lifts, stages):
+def lambda_complex_dimensions(hh0, stages):
     """HC^n from the lambda-invariant subcomplex with differential b, for
-    n <= N, given lifts = {n: Y_n} for 0 <= n <= N and stages, which
-    yields (A_m, b'_m) for m = 0..N-1 in order, A_m = 1 - lambda_m and b'_m
-    = sum_(i<m) (-1)^i face_i (b'_0, from C^-1 = 0, has no column).  Y_n has
-    a column for each HH^n representative z, so HH^n = Y_n.ncols, and for
-    n >= 1 it is Y z = (-1)^(n+1) h A_n z on the rows of degree n-1, h =
-    sigma_(n-1) the counit on the last factor (``cocycle_lifts``); Y_0 has
-    no rows.
+    n <= N, given hh0 = HH^0 and stages, which yields (A_m, b'_m, Y_(m+1))
+    for m = 0..N-1 in order, A_m = 1 - lambda_m, b'_m = sum_(i<m) (-1)^i
+    face_i (b'_0, from C^-1 = 0, has no column).  Y_n has a column Y z =
+    (-1)^(n+1) h A_n z for each HH^n representative z, so HH^n =
+    Y_n.ncols, h = sigma_(n-1) the counit on the last factor.
 
     rho_n = rank(A_n S_n), S_n = [b_n | Z_n] as in the module docstring,
     is read at degree n-1.  h is a contracting homotopy of b': h b'_(m+1)
@@ -349,10 +349,9 @@ def lambda_complex_dimensions(lifts, stages):
     the homotopy, and the closed form of rank b', hold on the kept tuples.
     Each A_m is taken from stages one degree at a time, so a generator
     bounds peak memory."""
-    dims = [lifts[0].ncols]
+    dims = [hh0]
     rho = rank_b_prime = 0
-    for n, (A, b_prime) in enumerate(stages, 1):
-        Y = lifts[n]
+    for A, b_prime, Y in stages:
         rank_b_prime = b_prime.ncols - rank_b_prime  # of b'_(n-1)
         rank_A, stacked = stacked_ranks([
             A.transpose(), SparseMatrix.from_columns(
@@ -363,98 +362,51 @@ def lambda_complex_dimensions(lifts, stages):
     return dims
 
 
-def hochschild_cocycles(gate, full, norm, b, hh):
-    """{n: Z_n} for 0 <= n <= N: the columns of Z_n are iota of HH^n
-    representatives of the normalized complex, on the rows of the full
-    complex that ``full.invariant_index`` keeps at degree n.
+def hochschild_representatives(gate, full, norm, b, n, count):
+    """iota of count = HH^n representatives of the normalized complex, as
+    dicts on the full module's basis indices, b = {n: b_n} (1 <= n <= N+1)
+    being the normalized b on its kept tuples.  An elimination of the
+    columns of b_n (``stacked_ranks``) leads at one coordinate per
+    dimension of im b_n; the other coordinates span a complement W of im
+    b_n, so ker b_(n+1) = im b_n + (ker b_(n+1) meet W), and the kernel
+    vectors of b_(n+1) on the columns of W are cocycles independent modulo
+    im b_n, exactly HH^n of them.  ``norm.inclusion``
+    takes each to the full module, where the elementwise hochschild_b
+    checks that it is a cocycle.  A count other than HH^n, a
+    representative that is not a cocycle or one with an entry outside the
+    tuples ``full.invariant_index`` keeps adds a failed check to gate,
+    with the lowest tuple of N in the representative as the witness, and
+    raises NotMixedComplexError."""
+    image = {}
+    if n:
+        stacked_ranks([b[n].transpose()], image)
+    free = [j for j in range(b[n + 1].ncols) if j not in image]
+    # b_(n+1) on the columns of W shares their dicts, which no one writes
+    reps = [{free[j]: v for j, v in z.items()} for z in
+            SparseMatrix.from_columns([b[n + 1].cols[j] for j in free],
+                                      b[n + 1].nrows).kernel_basis()]
+    if len(reps) != count:
+        _refuse(gate, f"HH representatives n={n}",
+                ("found", [len(reps), count]))
+    kept = norm.invariant_index(n)
 
-    b = {n: b_n}, 1 <= n <= N+1, is the normalized b on its kept tuples
-    and hh the HH it gives.  An elimination of the columns of b_n
-    (``stacked_ranks``) leads at one coordinate per dimension of im b_n;
-    the other coordinates span a complement W of im b_n, so ker b_(n+1) =
-    im b_n + (ker b_(n+1) meet W), and the kernel vectors of b_(n+1) on
-    the columns of W are cocycles independent modulo im b_n, exactly HH^n
-    of them.  ``norm.inclusion`` takes each to the full module, where the
-    elementwise hochschild_b checks that it is a cocycle.  A count other
-    than HH^n, a representative that is not a cocycle or one with an entry
-    outside the kept tuples adds a failed check to gate, with the lowest
-    tuple of N in the representative as the witness, and raises
-    NotMixedComplexError."""
-    cocycles = {}
-    for n, count in enumerate(hh):
-        image = {}
-        if n:
-            stacked_ranks([b[n].transpose()], image)
-        free = [j for j in range(b[n + 1].ncols) if j not in image]
-        # b_(n+1) on the columns of W shares their dicts, which no one writes
-        reps = [{free[j]: v for j, v in z.items()} for z in
-                SparseMatrix.from_columns([b[n + 1].cols[j] for j in free],
-                                          b[n + 1].nrows).kernel_basis()]
-        if len(reps) != count:
-            _refuse(gate, f"HH representatives n={n}",
-                    ("found", [len(reps), count]))
-        kept = norm.invariant_index(n)
+    def key_of(j):  # the tuple of N at kept column j
+        return norm.key_of_index(j if kept is None else kept[j], n)
 
-        def key_of(j):  # the tuple of N at kept column j
-            return norm.key_of_index(j if kept is None else kept[j], n)
-
-        cols = []
-        for z in reps:
-            tensor = norm.inclusion({key_of(j): v for j, v in z.items()})
-            if hochschild_b(full, n + 1, tensor):
-                _refuse(gate, f"b.iota n={n}", ("b.iota", [key_of(min(z))]))
-            cols.append({full.key_index(key): v
-                         for key, v in tensor.items()})
-        rows = full.invariant_index(n)
-        if rows is None:
-            cocycles[n] = SparseMatrix.from_columns(cols, full.space_dim(n))
-        else:
-            cocycles[n] = on_rows(cols, rows, lambda i: key_of(min(reps[i])))
-            if cocycles[n].outside is not None:
+    cols = []
+    for z in reps:
+        tensor = norm.inclusion({key_of(j): v for j, v in z.items()})
+        if hochschild_b(full, n + 1, tensor):
+            _refuse(gate, f"b.iota n={n}", ("b.iota", [key_of(min(z))]))
+        cols.append({full.key_index(key): v for key, v in tensor.items()})
+    rows = full.invariant_index(n)
+    if rows is not None:
+        rows = set(rows)
+        for z, col in zip(reps, cols):
+            if not rows.issuperset(col):
                 _refuse(gate, f"phi-invariant iota n={n}",
-                        ("outside phi = 1", [cocycles[n].outside]))
-    return cocycles
-
-
-def cocycle_lifts(gate, full, cocycles):
-    """{n: Y_n} for 0 <= n <= N from the representatives cocycles = {n:
-    Z_n} of ``hochschild_cocycles``: Y_n = s Z_n + (-1)^(n+1) sigma_(n-1)
-    Z_n = (-1)^(n+1) sigma_(n-1) (1 - lambda_n) Z_n, on the rows that
-    ``full.invariant_index`` keeps at degree n-1.  s = sigma_(n-1) tau_n
-    is read off tau_(n-1) (``extra_degeneracy_columns``), built only where
-    Z_n has a column, and sigma_(n-1) e_(x, t) = eps(e_t) e_x.  Y_0 has no
-    rows.  An entry outside the kept tuples adds the failed check
-    'phi-invariant lift n=...' with the representative's lowest tuple as
-    the witness and raises NotMixedComplexError."""
-    d = full.base
-    counit = [full.hopf.counit_basis(t) for t in range(d)]
-    lifts = {0: SparseMatrix(0, cocycles[0].ncols)}
-    rows = full.invariant_index(0)
-    for n in range(1, len(cocycles)):
-        kept = full.invariant_index(n)
-        sign = 1 if n % 2 else -1
-        reps = [z if kept is None else {kept[i]: v for i, v in z.items()}
-                for z in cocycles[n].cols]
-        tau = full.cyclic_matrix(n - 1) if reps else None
-        cols = []
-        for z in reps:
-            sources = sorted(z)
-            col = {}
-            for J, image in zip(sources, full.extra_degeneracy_columns(
-                    tau, sources)):
-                vec_add_into(image, {J // d: sign * counit[J % d]})
-                vec_add_into(col, image, z[J])
-            cols.append(col)
-        if rows is None:
-            lifts[n] = SparseMatrix.from_columns(cols, full.space_dim(n - 1))
-        else:
-            lifts[n] = on_rows(cols, rows, lambda i: full.key_of_index(
-                min(reps[i]), n))
-            if lifts[n].outside is not None:
-                _refuse(gate, f"phi-invariant lift n={n}",
-                        ("outside phi = 1", [lifts[n].outside]))
-        rows = kept
-    return lifts
+                        ("outside phi = 1", [key_of(min(z))]))
+    return cols
 
 
 def bicomplex_dimensions(b, B):
@@ -533,12 +485,10 @@ def cohomology_report(delta, N_max, method="both"):
         for dim, h in zip(dims, hh):
             b_ranks.append(dim - h - b_ranks[-1])
         if method != "bB":
-            lifts = cocycle_lifts(gate, full, hochschild_cocycles(
-                gate, full, norm, norm_b, hh))
             full_b.pop(N_max, None)  # the top b serves b^2 = 0 alone
-            hc_lambda = lambda_complex_dimensions(
-                lifts, _lambda_stages(gate, full, full_b, N_max))
-            del full_b, lifts
+            hc_lambda = lambda_complex_dimensions(hh[0], _lambda_stages(
+                gate, full, norm, norm_b, hh, full_b))
+            del full_b
         del norm_b[N_max + 1]  # only HH and the representatives read it
     if method != "lambda":
         B = {n: B_matrix(norm, n) for n in range(N_max)}
@@ -555,17 +505,27 @@ def cohomology_report(delta, N_max, method="both"):
         "HC_lambda": hc_lambda, "HC_bB": hc_bB}, flags)
 
 
-def _lambda_stages(gate, full, b, N_max):
-    """(A_m, b'_m) for m = 0..N-1, A_m = 1 - lambda_m, on the kept tuples,
-    from b = {m: b_m}, the whole full b_1..b_(N-1), which it empties.
-    Before either is restricted, A_m b_m = b'_m A_(m-1) is checked on the
-    whole matrices, column by column; the first column where the two
-    sides differ refuses the report with the check 'lambda-b n=m' and that
-    column's tuple as the witness.  Only A_(m-1) is held from one degree to
-    the next."""
+def _lambda_stages(gate, full, norm, norm_b, hh, b):
+    """(A_m, b'_m, Y_(m+1)) for m = 0..N-1 on the kept tuples, A_m = 1 -
+    lambda_m, from the normalized b on its kept tuples and its HH, which
+    give the representatives (``hochschild_representatives``; those of
+    HH^0, lifted to no row, first), and b = {m: b_m}, the whole full
+    b_1..b_(N-1), which it empties.  tau_m is built once, A_m and Y_(m+1)
+    (``_lifts``) are read off it, and it is dropped before b'_m is built.
+    Before A_m and b'_m are restricted, A_m b_m = b'_m A_(m-1) is checked
+    on the whole matrices, column by column; the first column where the
+    two sides differ refuses the report with the check 'lambda-b n=m' and
+    that column's tuple as the witness.  Only the whole A_(m-1) is held
+    from one degree to the next, and not past the top degree."""
+    hochschild_representatives(gate, full, norm, norm_b, 0, hh[0])
     previous = None
-    for m in range(N_max):
-        A = one_minus_lambda_matrix(full, m)
+    for m in range(len(hh) - 1):
+        reps = hochschild_representatives(gate, full, norm, norm_b, m + 1,
+                                          hh[m + 1])
+        tau = full.cyclic_matrix(m)
+        A = one_minus_lambda_matrix(tau, m)
+        Y = _lifts(gate, full, tau, reps, m)
+        del tau  # not held while b'_m is built
         if m:
             b_m = b.pop(m)
             b_prime = b_prime_matrix(full, b_m, m)
@@ -578,8 +538,40 @@ def _lambda_stages(gate, full, b, N_max):
             b_prime = _invariant(gate, full, "b'", b_prime, m - 1, m)
         else:
             b_prime = SparseMatrix(1, 0)
-        previous = A
-        yield _invariant(gate, full, "1-lambda", A, m, m), b_prime
+        # the whole A_m serves the check at m+1 alone: the top one is dropped
+        previous = A if m + 2 < len(hh) else None
+        A = _invariant(gate, full, "1-lambda", A, m, m)
+        yield A, b_prime, Y
+        del A  # not held while the next one is built
+
+
+def _lifts(gate, full, tau, reps, m):
+    """Y_(m+1) = s Z + (-1)^m sigma_m Z on the kept tuples of degree m,
+    for the representatives Z = reps of degree m+1, given tau = tau_m: s
+    = sigma_m tau_(m+1) comes off tau_m (``extra_degeneracy_columns``) and
+    sigma_m e_(x, t) = eps(e_t) e_x.  An entry outside the kept tuples
+    refuses with 'phi-invariant lift n=m+1', witness the lowest tuple of
+    the representative."""
+    d = full.base
+    counit = [full.hopf.counit_basis(t) for t in range(d)]
+    sign = 1 if m % 2 == 0 else -1
+    cols = []
+    for z in reps:
+        sources = sorted(z)
+        col = {}
+        for J, image in zip(sources, full.extra_degeneracy_columns(
+                tau, sources)):
+            vec_add_into(image, {J // d: sign * counit[J % d]})
+            vec_add_into(col, image, z[J])
+        cols.append(col)
+    rows = full.invariant_index(m)
+    if rows is None:
+        return SparseMatrix.from_columns(cols, tau.nrows)
+    Y = on_rows(cols, rows, lambda i: full.key_of_index(min(reps[i]), m + 1))
+    if Y.outside is not None:
+        _refuse(gate, f"phi-invariant lift n={m + 1}",
+                ("outside phi = 1", [Y.outside]))
+    return Y
 
 
 def _invariant(gate, module, name, matrix, src, tgt):

@@ -21,10 +21,10 @@ the order in which the elimination finds its pivots.
 
 stacked_ranks ranks [M_1], [M_1; M_2], ... in one elimination, and rank
 is its one-matrix case; a pivots dict carries an elimination from one
-call to the next.  ``cohomology.hochschild_cocycles`` is the package's
-consumer of kernel_basis: it eliminates the columns of b_n, as the rows
-of the transpose, and takes its HH representatives from the kernel_basis
-of b_(n+1) on the columns where that elimination has no pivot.
+call to the next.  ``cohomology.hochschild_representatives`` is the
+package's consumer of kernel_basis: it eliminates the columns of b_n, as
+the rows of the transpose, and takes the HH^n representatives from the
+kernel_basis of b_(n+1) on the columns where it has no pivot.
 ``cohomology.lambda_complex_dimensions`` stacks columns the same way,
 those of 1 - lambda_(n-1) and then those of [Y_n | b'_(n-1)].
 

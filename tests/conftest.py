@@ -54,13 +54,18 @@ def stacked_lambda_dimensions(b, minus):
             for n, size in enumerate(kernel_dims)]
 
 
+def minus_lambda(module, n):
+    """1 - lambda_n of a finite module, from its tau_n."""
+    return one_minus_lambda_matrix(module.cyclic_matrix(n), n)
+
+
 def lambda_oracle(delta, N_max):
     """stacked_lambda_dimensions on the whole b_1..b_(N+1) and 1 - lambda_n
     of the full module of delta, nothing restricted."""
     module = HopfCyclicModule(delta)
     return stacked_lambda_dimensions(
         {n: b_matrix(module, n) for n in range(1, N_max + 2)},
-        [one_minus_lambda_matrix(module, n) for n in range(N_max + 1)])
+        [minus_lambda(module, n) for n in range(N_max + 1)])
 
 
 @pytest.fixture

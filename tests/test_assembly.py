@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GOLDENS
+from conftest import GOLDENS, minus_lambda
 from hopfcyclic.cohomology import (B_matrix, B_operator, b_matrix,
                                    b_prime_matrix, extra_degeneracy,
                                    hochschild_b, mixed_complex_report,
@@ -154,9 +154,9 @@ def test_differentials_match_elementwise(module):
                                        -1 if n % 2 == 0 else 1), n - 1, n)
             assert b_prime_matrix(module, b_matrix(module, n), n) \
                 == b_prime, n
-            assert one_minus_lambda_matrix(module, n) @ b_matrix(module, n) \
-                == b_prime @ one_minus_lambda_matrix(module, n - 1), n
-        assert one_minus_lambda_matrix(module, n) == module.operator_matrix(
+            assert minus_lambda(module, n) @ b_matrix(module, n) \
+                == b_prime @ minus_lambda(module, n - 1), n
+        assert minus_lambda(module, n) == module.operator_matrix(
             lambda t: vec_sub(t, signed_cyclic(module, n, t)), n, n), n
         assert B_matrix(module, n) == module.operator_matrix(
             lambda t: B_operator(module, n, t), n + 1, n), n
@@ -192,7 +192,7 @@ def test_kernel_scalars_are_cyclotomic():
     H = load_hopf(str(QZ4))
     module = HopfCyclicModule(H.character("delta"))
     for n in range(3):
-        kernel = one_minus_lambda_matrix(module, n).kernel_basis()
+        kernel = minus_lambda(module, n).kernel_basis()
         assert kernel
         for v in (v for vec in kernel for v in vec.values()):
             assert type(v) in (int, Fraction) or (
@@ -206,8 +206,9 @@ def assembled_matrices(module, n):
     """(matrices from the structure tables alone, matrices that also use
     delta) in degree n: b; s, tau, 1 - lambda and B."""
     tables = [b_matrix(module, n)] if n >= 1 else []
-    return tables, [extra_degeneracy_matrix(module, n), module.cyclic_matrix(n),
-                    one_minus_lambda_matrix(module, n), B_matrix(module, n)]
+    tau = module.cyclic_matrix(n)
+    return tables, [extra_degeneracy_matrix(module, n), tau,
+                    one_minus_lambda_matrix(tau, n), B_matrix(module, n)]
 
 
 def test_assembled_scalars_are_int_when_presentation_is_integral():

@@ -320,7 +320,7 @@ def _non_idempotent_pair(request, tmp_path):
 def _negative_dimension(request, tmp_path):
     request.getfixturevalue("monkeypatch").setattr(
         cohomology, "lambda_complex_dimensions",
-        lambda lifts, stages: [1, -1] + [0] * (len(lifts) - 2))
+        lambda hh0, stages: [1, -1] + [0] * (len(list(stages)) - 1))
     return ["cohomology", "--input", "qz2", "--max-degree", "3",
             "--method", "lambda"]
 
@@ -409,8 +409,8 @@ def test_cohomology_computes_no_rank_when_b_square_fails(
 
 def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "lambda_complex_dimensions",
-                        lambda lifts, stages:
-                        [1, -1] + [0] * (len(lifts) - 2))
+                        lambda hh0, stages:
+                        [1, -1] + [0] * (len(list(stages)) - 1))
     code, out = run(capsys, "cohomology", "--input", "qz2",
                     "--max-degree", "3", "--method", "lambda")
     assert code == 1
@@ -421,10 +421,11 @@ def test_cohomology_refuses_negative_dimension(capsys, monkeypatch):
 def test_cohomology_builds_each_matrix_once(capsys, monkeypatch, method):
     calls = collections.Counter()
     for name in ("b_matrix", "B_matrix", "one_minus_lambda_matrix"):
-        def counted(module, n, name=name, build=getattr(cohomology, name)):
-            normalized = isinstance(module, NormalizedModule)
+        # one_minus_lambda_matrix takes the matrix of tau in place of a module
+        def counted(source, n, name=name, build=getattr(cohomology, name)):
+            normalized = isinstance(source, NormalizedModule)
             calls[name, normalized, n] += 1
-            return build(module, n)
+            return build(source, n)
         monkeypatch.setattr(cohomology, name, counted)
     code, _ = run(capsys, "cohomology", "--input", "sweedler",
                   "--character", "delta", "--max-degree", "4",

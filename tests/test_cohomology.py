@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (DATA, GOLDENS, differentials, lambda_oracle,
-                      load_golden, stacked_lambda_dimensions)
+                      load_golden, minus_lambda, stacked_lambda_dimensions)
 from dense_oracle import oracle_dimensions
 from hopfcyclic import cohomology, cyclic_ops
 from hopfcyclic.cli import main
@@ -15,11 +15,11 @@ from hopfcyclic.cohomology import (NotCyclicError, NotMixedComplexError,
                                    B_matrix, b_matrix, b_prime_matrix,
                                    bicomplex_dimensions,
                                    cohomology_report, B_operator, hochschild_b,
-                                   hochschild_cocycles,
                                    hochschild_dimensions,
+                                   hochschild_representatives,
                                    lambda_complex_dimensions,
                                    mixed_complex_report,
-                                   one_minus_lambda_matrix, require_involution)
+                                   require_involution)
 from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule, on_rows
 from hopfcyclic.hopf import (BUILTIN_BUILDERS, FiniteHopf, check_hopf_axioms,
                              check_involution, coinner_eigenvalues,
@@ -85,7 +85,7 @@ def test_oracle_agrees_with_package_on_sweedler():
     hh_oracle, hc_oracle = oracle_dimensions(H, list(delta.values), 3)
     b, _ = differentials(module, 3)
     assert hochschild_dimensions(b)[0] == hh_oracle
-    minus = [one_minus_lambda_matrix(module, n) for n in range(len(b))]
+    minus = [minus_lambda(module, n) for n in range(len(b))]
     assert stacked_lambda_dimensions(b, minus) == hc_oracle
     report = cohomology_report(delta, 3, method="lambda")
     assert report.columns["HH"] == hh_oracle
@@ -162,8 +162,8 @@ def test_b_image_is_cyclic_invariant():
     """b restricted to the invariant subcomplex lands in it again."""
     _, _, module = module_of(sweedler_h4, "delta")
     for n in range(3):
-        proj = one_minus_lambda_matrix(module, n + 1)
-        for vec in one_minus_lambda_matrix(module, n).kernel_basis():
+        proj = minus_lambda(module, n + 1)
+        for vec in minus_lambda(module, n).kernel_basis():
             t = {module.key_of_index(i, n): c for i, c in vec.items()}
             img = hochschild_b(module, n + 1, t)
             coords = {module.key_index(k): v for k, v in img.items()}
@@ -173,7 +173,7 @@ def test_b_image_is_cyclic_invariant():
 def test_B_image_in_cyclic_kernel():
     _, _, module = module_of(sweedler_h4, "delta")
     for n in range(3):
-        proj = one_minus_lambda_matrix(module, n)
+        proj = minus_lambda(module, n)
         for t in module.samples(n + 1):
             img = B_operator(module, n, t)
             coords = {module.key_index(k): v for k, v in img.items()}
@@ -304,19 +304,19 @@ def test_dropped_cochains_carry_no_cohomology():
     norm = NormalizedModule(delta)
     b = {n: dropped_part(full, b_matrix(full, n), n - 1, n)
          for n in range(1, 6)}
-    minus = [dropped_part(full, one_minus_lambda_matrix(full, n), n, n)
+    minus = [dropped_part(full, minus_lambda(full, n), n, n)
              for n in range(5)]
     assert [m.ncols for m in minus] == [0, 2, 8, 32, 128]
     assert hochschild_dimensions(b)[0] == [0] * 5
     assert stacked_lambda_dimensions(b, minus) == [0] * 5
     # with HH = 0 there is no representative and so no lift; C^0 has no
     # dropped tuple, so b'_0 is 0 x 0, and the stage needs no A_4
-    lifts = {n: SparseMatrix(minus[n - 1].nrows if n else 0, 0)
-             for n in range(5)}
+    lifts = [SparseMatrix(minus[m].nrows, 0) for m in range(4)]
     b_prime = [SparseMatrix(0, 0)] + [
         dropped_part(full, b_prime_matrix(full, b_matrix(full, m), m),
                      m - 1, m) for m in range(1, 4)]
-    assert lambda_complex_dimensions(lifts, zip(minus, b_prime)) == [0] * 5
+    assert lambda_complex_dimensions(0, zip(minus, b_prime, lifts)) == \
+        [0] * 5
     nb = {n: dropped_part(norm, b_matrix(norm, n), n - 1, n)
           for n in range(1, 5)}
     nB = {n: dropped_part(norm, B_matrix(norm, n), n + 1, n)
@@ -333,7 +333,7 @@ def test_report_equals_the_unrestricted_dimensions():
     b = {n: b_matrix(full, n) for n in range(1, 7)}
     hh, ranks = hochschild_dimensions(b)
     hc_lambda = stacked_lambda_dimensions(
-        b, [one_minus_lambda_matrix(full, n) for n in range(6)])
+        b, [minus_lambda(full, n) for n in range(6)])
     hc_bB, flags = bicomplex_dimensions(*differentials(norm, 5))
     report = cohomology_report(delta, 5, method="both")
     assert report.columns == {
@@ -364,25 +364,28 @@ def test_wrong_coinner_classes_are_refused(monkeypatch, capsys, method):
 def recorded_lambda_stage(monkeypatch):
     """Wrap the report's one_minus_lambda_matrix, b_prime_matrix and
     lambda_complex_dimensions; returns the dict the wrappers fill: the
-    matrices built ('built_minus', 'built_b_prime') and the ones the lambda
-    stage got ('lifts', and from its stages 'minus' and 'b_prime')."""
-    seen = {"built_minus": [], "built_b_prime": [], "lifts": None,
-            "minus": [], "b_prime": []}
+    matrices built ('built_minus', 'built_b_prime') and what the lambda
+    stage got ('hh0', and from its stages 'minus', 'b_prime' and
+    'lifts')."""
+    seen = {"built_minus": [], "built_b_prime": [], "hh0": None,
+            "minus": [], "b_prime": [], "lifts": []}
+    one_minus_lambda = cohomology.one_minus_lambda_matrix
 
-    def built_minus(module, n):
-        seen["built_minus"].append(one_minus_lambda_matrix(module, n))
+    def built_minus(*args):
+        seen["built_minus"].append(one_minus_lambda(*args))
         return seen["built_minus"][-1]
 
     def built_b_prime(module, b, n):
         seen["built_b_prime"].append(b_prime_matrix(module, b, n))
         return seen["built_b_prime"][-1]
 
-    def stage(lifts, stages):
-        seen["lifts"] = dict(lifts)
+    def stage(hh0, stages):
+        seen["hh0"] = hh0
         stages = list(stages)
-        seen["minus"] = [A for A, _ in stages]
-        seen["b_prime"] = [b_prime for _, b_prime in stages]
-        return lambda_complex_dimensions(lifts, stages)
+        seen["minus"] = [A for A, _, _ in stages]
+        seen["b_prime"] = [b_prime for _, b_prime, _ in stages]
+        seen["lifts"] = [Y for _, _, Y in stages]
+        return lambda_complex_dimensions(hh0, stages)
 
     monkeypatch.setattr(cohomology, "one_minus_lambda_matrix", built_minus)
     monkeypatch.setattr(cohomology, "b_prime_matrix", built_b_prime)
@@ -398,8 +401,9 @@ def test_lambda_stage_ranks_half_the_sweedler_cochains(monkeypatch):
     seen = recorded_lambda_stage(monkeypatch)
     cohomology_report(sweedler_h4().character("delta"), 4, method="lambda")
     kept = [1] + [2 ** (2 * n - 1) for n in range(1, 5)]
-    assert [(Y.nrows, Y.ncols) for Y in seen["lifts"].values()] == [
-        (0, 1)] + [(kept[n - 1], 1 - n % 2) for n in range(1, 5)]
+    assert seen["hh0"] == 1
+    assert [(Y.nrows, Y.ncols) for Y in seen["lifts"]] == [
+        (kept[n - 1], 1 - n % 2) for n in range(1, 5)]
     assert [(A.nrows, A.ncols) for A in seen["minus"]] == [
         (k, k) for k in kept[:4]]
     assert [(m.nrows, m.ncols) for m in seen["b_prime"]] == [(1, 0)] + [
@@ -499,9 +503,10 @@ def test_a_wrong_inclusion_is_refused(monkeypatch):
 
 
 def sweedler_cocycles(monkeypatch, N_max):
-    """hochschild_cocycles on Sweedler/delta as the report calls it, with
-    the normalized tensors iota gets recorded; returns (cocycles, those
-    tensors by degree, the seconds spent in hochschild_b)."""
+    """hochschild_representatives on Sweedler/delta in each degree n <=
+    N_max, as the report calls it, with the normalized tensors iota gets
+    recorded; returns (the representatives by degree, those tensors, the
+    seconds spent in hochschild_b)."""
     delta = sweedler_h4().character("delta")
     full, norm = HopfCyclicModule(delta), NormalizedModule(delta)
     b = {n: norm.invariant_part(b_matrix(norm, n), n - 1, n)
@@ -523,8 +528,8 @@ def sweedler_cocycles(monkeypatch, N_max):
     monkeypatch.setattr(NormalizedModule, "inclusion", recorded)
     monkeypatch.setattr(cohomology, "hochschild_b", timed)
     gate = CheckReport("mixed-complex")
-    cocycles = hochschild_cocycles(gate, full, norm, b,
-                                   hochschild_dimensions(b)[0])
+    cocycles = [hochschild_representatives(gate, full, norm, b, n, count)
+                for n, count in enumerate(hochschild_dimensions(b)[0])]
     assert gate.entries == []
     return cocycles, seen, spent[0]
 
@@ -535,8 +540,8 @@ def test_each_sweedler_representative_is_one_tensor(monkeypatch):
     checks it cost next to nothing."""
     cocycles, seen, spent = sweedler_cocycles(monkeypatch, 8)
     assert seen == [{(3, 2) * k: 1} for k in range(5)]
-    assert [Z.ncols for Z in cocycles.values()] == [1, 0] * 4 + [1]
-    assert all(len(col) == 1 for Z in cocycles.values() for col in Z.cols)
+    assert [len(Z) for Z in cocycles] == [1, 0] * 4 + [1]
+    assert all(len(col) == 1 for Z in cocycles for col in Z)
     assert spent < 0.01
 
 
@@ -620,27 +625,34 @@ def test_abelian_b_prime_ranks_have_the_closed_form(module):
     assert_b_prime_ranks_closed_form(module, 3)
 
 
-def test_lifts_are_the_elementwise_homotopy():
+def test_lifts_are_the_elementwise_homotopy(monkeypatch):
     """On Sweedler/delta through degree 6, each column of Y_n is
     (-1)^(n+1) sigma_(n-1) (1 - lambda_n) z for its HH^n representative z,
-    by the elementwise operators, and b'_n takes it to (1 - lambda_n) z."""
+    by the elementwise operators, and b'_n takes it to (1 - lambda_n) z.
+    The representatives are the tensors iota returns in the report."""
+    seen = recorded_lambda_stage(monkeypatch)
+    cocycles = [[] for _ in range(7)]
+    include = NormalizedModule.inclusion
+
+    def recorded(self, vec):
+        out = include(self, vec)
+        cocycles[len(next(iter(vec)))].append(out)
+        return out
+
+    monkeypatch.setattr(NormalizedModule, "inclusion", recorded)
     delta = sweedler_h4().character("delta")
-    full, norm = HopfCyclicModule(delta), NormalizedModule(delta)
-    b = {n: norm.invariant_part(b_matrix(norm, n), n - 1, n)
-         for n in range(1, 8)}
-    gate = CheckReport("mixed-complex")
-    cocycles = hochschild_cocycles(gate, full, norm, b,
-                                   hochschild_dimensions(b)[0])
-    lifts = cohomology.cocycle_lifts(gate, full, cocycles)
-    assert [Y.ncols for Y in lifts.values()] == [1, 0] * 3 + [1]
+    cohomology_report(delta, 6, "lambda")
+    full = HopfCyclicModule(delta)
+    assert [len(Z) for Z in cocycles] == [1, 0] * 3 + [1]
+    assert [Y.ncols for Y in seen["lifts"]] == [0, 1] * 3
 
     def tensor(col, n):  # a column on the kept tuples of degree n
         kept = full.invariant_index(n)
         return {full.key_of_index(kept[i], n): v for i, v in col.items()}
 
     for n in range(1, 7):
-        for z, y in zip(cocycles[n].cols, lifts[n].cols):
-            z, y = tensor(z, n), tensor(y, n - 1)
+        for z, y in zip(cocycles[n], seen["lifts"][n - 1].cols):
+            y = tensor(y, n - 1)
             minus_z = vec_sub(z, cohomology.signed_cyclic(full, n, z))
             assert y == vec_scale((-1) ** (n + 1),
                                   full.degeneracy(n - 1, n - 1, minus_z)), n
@@ -652,21 +664,24 @@ def test_lifts_are_the_elementwise_homotopy():
 @pytest.mark.parametrize("source", ["sweedler", "qz4-zeta4"])
 @pytest.mark.parametrize("method", ["lambda", "both"])
 def test_no_report_builds_the_top_tau(monkeypatch, source, method):
-    """Neither tau_N nor 1 - lambda_N is built: every cyclic_matrix call,
-    on the full module and on the rebased one B reads, is below degree N,
-    and one_minus_lambda_matrix is called for n < N once each."""
-    degrees, minus = [], []
+    """Neither tau_N nor 1 - lambda_N is built, and no tau twice: each
+    module, the full one and the rebased one B reads, builds tau_n for
+    each n < N exactly once, and one_minus_lambda_matrix is called for
+    n < N once each."""
+    degrees, minus = {}, []
     cyclic_matrix = HopfCyclicModule.cyclic_matrix
     build_minus = cohomology.one_minus_lambda_matrix
     monkeypatch.setattr(HopfCyclicModule, "cyclic_matrix", lambda self, n:
-                        degrees.append(n) or cyclic_matrix(self, n))
+                        degrees.setdefault(id(self), []).append(n)
+                        or cyclic_matrix(self, n))
     monkeypatch.setattr(cohomology, "one_minus_lambda_matrix",
-                        lambda module, n: minus.append(n)
-                        or build_minus(module, n))
+                        lambda *args: minus.append(args[-1])
+                        or build_minus(*args))
     H = (sweedler_h4() if source == "sweedler"
          else load_hopf(str(GOLDENS / "cli" / "qz4-zeta4.json")))
     cohomology_report(H.character("delta"), 4, method)
-    assert degrees and max(degrees) < 4
+    assert len(degrees) == (1 if method == "lambda" else 2)
+    assert all(sorted(built) == [0, 1, 2, 3] for built in degrees.values())
     assert minus == [0, 1, 2, 3]
 
 
@@ -692,8 +707,8 @@ def test_a_wrong_one_minus_lambda_is_refused(monkeypatch):
     matrices before any of them is restricted."""
     build = cohomology.one_minus_lambda_matrix
 
-    def wrong(module, n):
-        matrix = build(module, n)
+    def wrong(tau, n):
+        matrix = build(tau, n)
         if n == 1:
             matrix.cols[2][2] = matrix.cols[2].get(2, 0) + 1
         return matrix
