@@ -71,6 +71,38 @@ def test_relation_suite_counit_sweedler_fails_at_tpow():
     assert failed == ["tpow n=1", "tpow n=2"]
 
 
+_COUNIT_SWEEDLER_TPOW = {
+    1: "check tpow n=1 status=FAIL witness="
+       "((), [(2,)], [((2,), -1)], [((2,), 1)])",
+    2: "check tpow n=2 status=FAIL witness="
+       "((), [(0, 2)], [((0, 2), -1)], [((0, 2), 1)])",
+    3: "check tpow n=3 status=FAIL witness="
+       "((), [(0, 0, 2)], [((0, 0, 2), -1)], [((0, 0, 2), 1)])",
+}
+
+
+@pytest.mark.parametrize("N_max", [2, 3])
+def test_relation_suite_counit_sweedler_report(N_max):
+    """The whole report of the failing counit-Sweedler suite, witnesses
+    included: tau^(n+1) = -id on x in each degree, and every other check
+    passes, in report order."""
+    passing = {2: ["dd n=2", "sd n=0", "sd n=1", "ss n=2", "td n=1",
+                   "td n=2", "td0 n=1", "td0 n=2", "tpow n=0"],
+               3: ["dd n=2", "dd n=3", "sd n=0", "sd n=1", "sd n=2",
+                   "ss n=2", "ss n=3", "td n=1", "td n=2", "td n=3",
+                   "td0 n=1", "td0 n=2", "td0 n=3", "tpow n=0"]}[N_max]
+    after = {2: ["ts n=1", "ts0 n=0", "ts0 n=1"],
+             3: ["ts n=1", "ts n=2", "ts0 n=0", "ts0 n=1", "ts0 n=2"]}[N_max]
+    lines = (["report: cyclic-relations", f"max-degree: {N_max}"]
+             + [f"check {name} status=pass" for name in passing]
+             + [_COUNIT_SWEEDLER_TPOW[n] for n in range(1, N_max + 1)]
+             + [f"check {name} status=pass" for name in after]
+             + [f"summary: pass={len(passing) + len(after)} fail={N_max}"])
+    H = sweedler_h4()
+    report = relation_suite(HopfCyclicModule(H.counit_character()), N_max)
+    assert report.render() == "\n".join(lines)
+
+
 def test_cyclic_power_formula(seed=3):
     rng = random.Random(seed)
     for H, cname in [(cyclic_group_algebra(2), "counit"),
