@@ -19,8 +19,9 @@ unit, which inserts 1 as argument i + 1.
 tau has one elementwise construction, the closed form of tau_n^j
 (``cyclic_power_formula``); ``cyclic`` is its case j = 1.  It is linear in
 a cache: the image of each basis tensor is built once per (j, n, key), and
-each slot product e_k * factor (a basis element or the unit) once per
-module with ``H.mul``; a call adds the cached images into a fresh dict.
+each slot product e_k * factor once per module with ``H.mul``, save at a
+unit factor, whose slot keeps its leg (e_k 1 = e_k); a call adds the
+cached images into a fresh dict.
 For a finite H the matrices are assembled straight from the structure
 constants instead, each by recursion on the degree.  b is the cobar
 differential of the coalgebra H: ``cobar_matrix`` builds b_1 = 0 and
@@ -46,6 +47,12 @@ alone.  The cohomology matrices are built from these.
 automorphism phi_delta is 1, read off the eigenvalue of each digit, and
 ``invariant_part`` restricts a matrix to them (see ``cohomology``).
 
+``relation_suite`` numbers each basis key as it is first reached and forms
+each generator's image of each numbered key once, from the elementwise
+operator (tau's from the closed form, outside the module's cache), as a
+column on the key numbers.  Every word is then a right-to-left chain of
+sparse products of those columns, ``linalg.combine``.
+
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
 presentation every matrix entry is an ``int``.
@@ -61,7 +68,7 @@ import itertools
 from functools import cached_property
 
 from .hopf import coinner_eigenvalues, linear, rebased, vec_add_into, vec_eq
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, combine
 from .reports import CheckReport, first_failure
 
 
@@ -85,10 +92,16 @@ class TensorBasis:
         return itertools.product(self.digits,
                                  repeat=n + self.extra_factors)
 
+    @cached_property
+    def _positions(self):
+        """The position of each digit in ``digits``."""
+        return {k: i for i, k in enumerate(self.digits)}
+
     def key_index(self, key):
-        idx, base, digits = 0, self.base, self.digits
+        idx, positions = 0, self._positions
+        base = len(positions)
         for k in key:
-            idx = idx * base + digits.index(k)
+            idx = idx * base + positions[k]
         return idx
 
     def key_of_index(self, idx, n):
@@ -301,16 +314,32 @@ class HopfCyclicModule(TensorBasis):
 
     def _tau_image(self, j, n, key):
         """tau_n^j of the basis tensor ``key`` in closed form.  A factor is
-        given by its items: a basis key k is ((k, 1),), the unit its own."""
-        unit = tuple(self.hopf.unit_element().items())
+        given by its items: a basis key k is ((k, 1),), the unit its own.
+        A slot whose factor is the unit keeps its leg, as e_k 1 = e_k, so
+        the trailing (x) 1 and a tensor's unit factors cost no product;
+        the unit law holds by construction on U(g), a ``FiniteAlgebra``
+        refuses to be built without it, and ``check_hopf_axioms`` reports
+        it, as the matrix of tau rests on it too.  Every other slot product
+        e_k * factor is formed with one ``H.mul`` per module and read from
+        the module's table of that factor, keyed by k."""
+        H = self.hopf
+        unit = tuple(H.unit_element().items())
         ext = [((k, 1),) for k in key] + [unit]
-        factors = ext[j:] + ext[:j - 1]
+        slots = [None if factor == unit
+                 else (dict(factor), self._slots.setdefault(factor, {}))
+                 for factor in ext[j:] + ext[:j - 1]]
         image = {}
         for h, ch in ext[j - 1]:
             for leg, lc in self._twisted_legs(h, n).items():
                 partial = [((), ch * lc)]
-                for k, factor in zip(leg, factors):
-                    prod = self._slot_product(k, factor)
+                for k, slot in zip(leg, slots):
+                    if slot is None:
+                        partial = [(pk + (k,), pc) for pk, pc in partial]
+                        continue
+                    factor, table = slot
+                    prod = table.get(k)
+                    if prod is None:
+                        prod = table[k] = list(H.mul({k: 1}, factor).items())
                     partial = [(pk + (m,), pc * mc)
                                for pk, pc in partial for m, mc in prod]
                     if not partial:
@@ -324,15 +353,6 @@ class HopfCyclicModule(TensorBasis):
                     else:
                         image.pop(pk, None)
         return image
-
-    def _slot_product(self, k, factor):
-        """e_k times a factor given by its items, as a list of items; one
-        ``H.mul`` per (k, factor) and module."""
-        prod = self._slots.get((k, factor))
-        if prod is None:
-            prod = self._slots[k, factor] = list(
-                self.hopf.mul({k: 1}, dict(factor)).items())
-        return prod
 
     def _twisted_legs(self, k, n):
         """Delta^(n-1) S~(e_k) as a degree-n tensor, computed once per (k, n)
@@ -643,24 +663,88 @@ def apply_word(module, word, t):
     return t
 
 
+class _Lazy(dict):
+    """A dict whose missing value at j is ``build(j)``, stored on first
+    read."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, j):
+        value = self[j] = self.build(j)
+        return value
+
+
 def relation_suite(module, N_max, samples=None):
     """Verify every simplicial and cyclic relation with operators of degree
     <= N_max, as exact equalities on basis tensors (or supplied samples).
 
     ``samples``: optional callable degree -> list of tensors; defaults to the
     module's full basis (finite-dimensional case).
+
+    Words are products of generator columns (see the module docstring); a
+    sample {key: 1} reads its first column as it is.  Every vector is kept
+    free of zeros, so the two sides agree exactly when they are equal
+    dicts.  The witness of a failure is recomputed elementwise.
     """
     report = CheckReport("cyclic-relations", meta={"max-degree": N_max})
     get_samples = samples or module.samples
+    numbers, keys = {}, []
+
+    def number(key):
+        j = numbers.get(key)
+        if j is None:
+            j = numbers[key] = len(keys)
+            keys.append(key)
+        return j
+
+    def generator_columns(gen):
+        kind, _, n = gen
+        if kind == "t" and n and isinstance(module, HopfCyclicModule):
+            def image(key):
+                return module._tau_image(1, n, key)
+        else:
+            def image(key):
+                return apply_generator(module, gen, {key: 1})
+        return _Lazy(lambda j: {number(k): v
+                                for k, v in image(keys[j]).items() if v})
+
+    def numbered_samples(m):
+        out = []
+        for t in get_samples(m):
+            vec = {number(k): c for k, c in t.items() if c}
+            j = next(iter(vec), None)
+            out.append((t, vec, j if vec == {j: 1} else None))
+        return out
+
+    columns = _Lazy(generator_columns)
+    sampled = _Lazy(numbered_samples)
+
+    def evaluate(word, vec, single):
+        """word: the columns of its generators, rightmost first."""
+        if word and single is not None:
+            vec, word = word[0][single], word[1:]
+        for cols in word:
+            vec = combine(cols, vec)
+        return vec
+
+    def cases(items, n):
+        for idx, lhs, rhs in items:
+            left = [columns[gen] for gen in reversed(lhs)]
+            right = [columns[gen] for gen in reversed(rhs)]
+            for t, vec, single in sampled[word_source_degree(lhs, n)]:
+                yield (idx, lhs, rhs, t, evaluate(left, vec, single),
+                       evaluate(right, vec, single))
+
+    def witness(case):
+        idx, lhs, rhs, t, _, _ = case
+        return (idx, sorted(t), sorted(apply_word(module, lhs, t).items()),
+                sorted(apply_word(module, rhs, t).items()))
+
     for (rel, n), items in _relation_instances(N_max):
-        cases = ((idx, t, apply_word(module, lhs, t),
-                  apply_word(module, rhs, t))
-                 for idx, lhs, rhs in items
-                 for t in get_samples(word_source_degree(lhs, n)))
         report.add(f"{rel} n={n}", *first_failure(
-            cases, lambda case: vec_eq(case[2], case[3]),
-            lambda case: (case[0], sorted(case[1]), sorted(case[2].items()),
-                          sorted(case[3].items()))))
+            cases(items, n), lambda case: case[4] == case[5], witness))
     return report
 
 

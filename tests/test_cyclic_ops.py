@@ -14,7 +14,7 @@ from hopfcyclic.cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
 from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
 from hopfcyclic.hopf import (FiniteAlgebra, cyclic_group_algebra,
-                             matrix_algebra, sweedler_h4)
+                             matrix_algebra, sweedler_h4, vec_add_into)
 
 ONE = Fraction(1)
 
@@ -150,12 +150,13 @@ def test_iterated_coproduct_built_once_per_first_factor(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case, products, images", [
-    ("sweedler", 16, 340), ("axb", 112, 541)])
+    ("sweedler", 12, 340), ("axb", 98, 541)])
 def test_tau_slot_products_and_images_built_once(monkeypatch, case,
                                                   products, images):
     """The elementwise tau is linear in cached images: the relation suite
     through degree 4 builds each slot product e_k * factor with one
-    ``H.mul`` and each image tau_n^j(key) once."""
+    ``H.mul`` and each image tau_n^j(key) once.  A slot whose factor is the
+    unit forms no product, as e_k 1 = e_k."""
     mod, suite = _relation_suite_case(case)
     H = mod.hopf
     mul, build = H.mul, HopfCyclicModule._tau_image
@@ -176,6 +177,88 @@ def test_tau_slot_products_and_images_built_once(monkeypatch, case,
     assert suite().ok
     assert len(set(mul_calls)) == len(mul_calls) == products
     assert len(set(image_calls)) == len(image_calls) == images
+
+
+@pytest.mark.parametrize("case, faces, degeneracies, images", [
+    ("sweedler", 398, 1252, 340), ("axb", 522, 986, 541)])
+def test_relation_suite_applies_each_generator_once_per_key(
+        monkeypatch, case, faces, degeneracies, images):
+    """The relation suite through degree 4 applies face, degeneracy and the
+    closed form of tau once per distinct (generator, key), each time to
+    one basis key with coefficient 1, and composes every word from those
+    images."""
+    mod, suite = _relation_suite_case(case)
+    calls = {"face": [], "degeneracy": [], "_tau_image": []}
+
+    def counted(name):
+        op, seen = getattr(HopfCyclicModule, name), calls[name]
+
+        def wrapper(self, i, n, t):
+            (key, c), = t.items()
+            assert c == 1
+            seen.append((i, n, key))
+            return op(self, i, n, t)
+        return wrapper
+
+    def counted_image(self, j, n, key):
+        calls["_tau_image"].append((j, n, key))
+        return build(self, j, n, key)
+
+    build = HopfCyclicModule._tau_image
+    for name in ("face", "degeneracy"):
+        monkeypatch.setattr(HopfCyclicModule, name, counted(name))
+    monkeypatch.setattr(HopfCyclicModule, "_tau_image", counted_image)
+    assert suite().ok
+    for name, count in [("face", faces), ("degeneracy", degeneracies),
+                        ("_tau_image", images)]:
+        assert len(set(calls[name])) == len(calls[name]) == count, name
+
+
+def _linear_extension(op, t):
+    out = {}
+    for key, c in t.items():
+        vec_add_into(out, op({key: 1}), c)
+    return out
+
+
+def _check_linear(mod, n, t):
+    """face, degeneracy and cyclic of t, of degree n, equal the sum of
+    their images of t's keys with t's coefficients."""
+    ops = [lambda v, i=i: mod.face(i, n + 1, v) for i in range(n + 2)]
+    ops += [lambda v, i=i: mod.degeneracy(i, n - 1, v) for i in range(n)]
+    ops.append(lambda v: mod.cyclic(n, v))
+    for op in ops:
+        assert op(t) == _linear_extension(op, t), (n, t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_operators_are_linear_on_axb_samples(seed):
+    """Every ax+b sample of the relation suite that is not a single key
+    with coefficient 1: the suite itself only applies the operators to
+    single keys."""
+    U = EnvelopingAlgebra(ax_plus_b_lie_algebra())
+    mod = HopfCyclicModule(U.modular_character())
+    samples = tensor_samples(U, 4, rng=random.Random(seed))
+    checked = 0
+    for n, ts in samples.items():
+        for t in ts:
+            if len(t) > 1 or 1 not in t.values():
+                _check_linear(mod, n, t)
+                checked += 1
+    assert checked >= 9
+
+
+def test_operators_are_linear_on_sweedler_sums(seed=5):
+    """Random integer sums of Sweedler basis tensors through degree 3."""
+    rng = random.Random(seed)
+    mod = sweedler_module()
+    for n in range(4):
+        keys = list(mod.basis_keys(n))
+        for _ in range(12):
+            t = {}
+            for key in rng.sample(keys, min(3, len(keys))):
+                t[key] = rng.choice([-3, -2, -1, 2, 3])
+            _check_linear(mod, n, t)
 
 
 @pytest.mark.parametrize("case", ["sweedler", "axb"])
