@@ -7,12 +7,13 @@ __version__ = "0.1.0"
 
 from .cohomology import (NotCyclicError, NotMixedComplexError,
                          cohomology_report, mixed_complex_report)
-from .cyclic_ops import CochainCyclicModule, HopfCyclicModule, relation_suite
+from .cyclic_ops import CochainCyclicModule, HopfCyclicModule
 from .fields import CyclotomicField, RationalField
 from .hopf import (BUILTIN_BUILDERS, Character, FiniteHopf, check_hopf_axioms,
                    check_involution, check_twisted_properties,
                    cyclic_group_algebra, function_algebra, group_algebra,
                    sweedler_h4, trivial_hopf)
+from .relations import relation_suite
 
 __all__ = [
     "BUILTIN_BUILDERS", "Character", "CochainCyclicModule", "CyclotomicField",

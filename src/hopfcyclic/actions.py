@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 
 from .cohomology import hochschild_b, signed_cyclic
-from .cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
-                         apply_generator, word_source_degree)
+from .cyclic_ops import CochainCyclicModule, HopfCyclicModule
 from .hopf import (cayley_inverses, evaluate, function_algebra,
                    group_algebra, linear, vec_add_into, vec_eq, vec_scale,
                    vec_sub)
+from .relations import apply_generator, word_source_degree
 from .reports import CheckReport, first_failure
 
 

@@ -19,7 +19,7 @@ import sys
 from . import actions
 from .cohomology import (NotCyclicError, NotMixedComplexError,
                          cohomology_report, require_involution)
-from .cyclic_ops import HopfCyclicModule, relation_suite
+from .cyclic_ops import HopfCyclicModule
 from .enveloping import tensor_samples
 from .hopf import (BUILTIN_BUILDERS, CharacterError, check_hopf_axioms,
                    check_involution, check_twisted_properties)
@@ -27,6 +27,7 @@ from .hopf import (BUILTIN_BUILDERS, CharacterError, check_hopf_axioms,
 from .presentations import (PresentationError, hopf_from_dict,
                             lie_from_dict, load_gamma_input, load_hopf,
                             load_lie, load_pairing_input, _load_json)
+from .relations import relation_suite
 
 
 class _Refused(Exception):

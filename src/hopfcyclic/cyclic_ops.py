@@ -1,5 +1,5 @@
-"""Cyclic-module operators on tensor powers of a Hopf algebra, on algebra
-cochain spaces, and the relation suites tying them together.
+"""Cyclic-module operators on tensor powers of a Hopf algebra and on algebra
+cochain spaces; ``relations`` checks the relations of Lambda among them.
 
 Tensor elements are sparse maps from tuples of basis keys to scalars;
 degree 0 is the ground field with the single basis key ().
@@ -47,12 +47,6 @@ alone.  The cohomology matrices are built from these.
 automorphism phi_delta is 1, read off the eigenvalue of each digit, and
 ``invariant_part`` restricts a matrix to them (see ``cohomology``).
 
-``relation_suite`` numbers each basis key as it is first reached and forms
-each generator's image of each numbered key once, from the elementwise
-operator (tau's from the closed form, outside the module's cache), as a
-column on the key numbers.  Every word is then a right-to-left chain of
-sparse products of those columns, ``linalg.combine``.
-
 The matrices and the elementwise operators read the same structure tables
 and character, whose scalars are canonical (see ``fields``): on an integral
 presentation every matrix entry is an ``int``.
@@ -67,9 +61,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .hopf import coinner_eigenvalues, linear, rebased, vec_add_into, vec_eq
-from .linalg import SparseMatrix, combine
-from .reports import CheckReport, first_failure
+from .hopf import coinner_eigenvalues, linear, rebased, vec_add_into
+from .linalg import SparseMatrix
 
 
 class TensorBasis:
@@ -574,186 +567,3 @@ class CochainCyclicModule(TensorBasis):
         return {key[1:] + (key[0],): c for key, c in phi.items()}
 
     operator_matrix = TensorBasis.operator_matrix  # traced per class
-
-
-# ---------------------------------------------------------------------------
-# relation suites
-
-
-def _relation_instances(N_max):
-    """All relation instances whose operators stay within degree N_max,
-    grouped by (relation_id, degree) in sorted order.
-
-    Each group is ((relation_id, degree), [(index_tuple, lhs_word,
-    rhs_word), ...]) where words are generator sequences applied right to
-    left, each generator a tag ('d'|'s'|'t', index, degree).
-    """
-    grouped = {}
-
-    def add(rel, n, idx, lhs, rhs):
-        grouped.setdefault((rel, n), []).append((idx, lhs, rhs))
-
-    for n in range(2, N_max + 1):
-        for j in range(1, n + 1):
-            for i in range(j):
-                add("dd", n, (i, j),
-                    [("d", j, n), ("d", i, n - 1)],
-                    [("d", i, n), ("d", j - 1, n - 1)])
-    for s in range(2, N_max + 1):
-        for i in range(s - 1):
-            for j in range(i, s - 1):
-                add("ss", s, (i, j),
-                    [("s", j, s - 2), ("s", i, s - 1)],
-                    [("s", i, s - 2), ("s", j + 1, s - 1)])
-    for s in range(0, N_max):
-        for i in range(s + 2):
-            for j in range(s + 1):
-                lhs = [("s", j, s), ("d", i, s + 1)]
-                if i < j:
-                    rhs = [("d", i, s), ("s", j - 1, s - 1)]
-                elif i in (j, j + 1):
-                    rhs = []
-                else:
-                    rhs = [("d", i - 1, s), ("s", j, s - 1)]
-                add("sd", s, (i, j), lhs, rhs)
-    for n in range(1, N_max + 1):
-        for i in range(1, n + 1):
-            add("td", n, (i,),
-                [("t", 0, n), ("d", i, n)],
-                [("d", i - 1, n), ("t", 0, n - 1)])
-        add("td0", n, (0,), [("t", 0, n), ("d", 0, n)], [("d", n, n)])
-    for n in range(0, N_max):
-        for i in range(1, n + 1):
-            add("ts", n, (i,),
-                [("t", 0, n), ("s", i, n)],
-                [("s", i - 1, n), ("t", 0, n + 1)])
-        add("ts0", n, (0,), [("t", 0, n), ("s", 0, n)],
-            [("s", n, n), ("t", 0, n + 1), ("t", 0, n + 1)])
-    for n in range(0, N_max + 1):
-        add("tpow", n, (), [("t", 0, n)] * (n + 1), [])
-    return sorted(grouped.items())
-
-
-def word_source_degree(word, default):
-    """Degree on which a generator word acts (rightmost generator first)."""
-    if not word:
-        return default
-    kind, _, deg = word[-1]
-    if kind == "d":
-        return deg - 1
-    if kind == "s":
-        return deg + 1
-    return deg
-
-
-def apply_generator(module, gen, t):
-    kind, i, n = gen
-    if kind == "d":
-        return module.face(i, n, t)
-    if kind == "s":
-        return module.degeneracy(i, n, t)
-    if kind == "t":
-        return module.cyclic(n, t)
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-def apply_word(module, word, t):
-    for gen in reversed(word):
-        t = apply_generator(module, gen, t)
-    return t
-
-
-class _Lazy(dict):
-    """A dict whose missing value at j is ``build(j)``, stored on first
-    read."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, j):
-        value = self[j] = self.build(j)
-        return value
-
-
-def relation_suite(module, N_max, samples=None):
-    """Verify every simplicial and cyclic relation with operators of degree
-    <= N_max, as exact equalities on basis tensors (or supplied samples).
-
-    ``samples``: optional callable degree -> list of tensors; defaults to the
-    module's full basis (finite-dimensional case).
-
-    Words are products of generator columns (see the module docstring); a
-    sample {key: 1} reads its first column as it is.  Every vector is kept
-    free of zeros, so the two sides agree exactly when they are equal
-    dicts.  The witness of a failure is recomputed elementwise.
-    """
-    report = CheckReport("cyclic-relations", meta={"max-degree": N_max})
-    get_samples = samples or module.samples
-    numbers, keys = {}, []
-
-    def number(key):
-        j = numbers.get(key)
-        if j is None:
-            j = numbers[key] = len(keys)
-            keys.append(key)
-        return j
-
-    def generator_columns(gen):
-        kind, _, n = gen
-        if kind == "t" and n and isinstance(module, HopfCyclicModule):
-            def image(key):
-                return module._tau_image(1, n, key)
-        else:
-            def image(key):
-                return apply_generator(module, gen, {key: 1})
-        return _Lazy(lambda j: {number(k): v
-                                for k, v in image(keys[j]).items() if v})
-
-    def numbered_samples(m):
-        out = []
-        for t in get_samples(m):
-            vec = {number(k): c for k, c in t.items() if c}
-            j = next(iter(vec), None)
-            out.append((t, vec, j if vec == {j: 1} else None))
-        return out
-
-    columns = _Lazy(generator_columns)
-    sampled = _Lazy(numbered_samples)
-
-    def evaluate(word, vec, single):
-        """word: the columns of its generators, rightmost first."""
-        if word and single is not None:
-            vec, word = word[0][single], word[1:]
-        for cols in word:
-            vec = combine(cols, vec)
-        return vec
-
-    def cases(items, n):
-        for idx, lhs, rhs in items:
-            left = [columns[gen] for gen in reversed(lhs)]
-            right = [columns[gen] for gen in reversed(rhs)]
-            for t, vec, single in sampled[word_source_degree(lhs, n)]:
-                yield (idx, lhs, rhs, t, evaluate(left, vec, single),
-                       evaluate(right, vec, single))
-
-    def witness(case):
-        idx, lhs, rhs, t, _, _ = case
-        return (idx, sorted(t), sorted(apply_word(module, lhs, t).items()),
-                sorted(apply_word(module, rhs, t).items()))
-
-    for (rel, n), items in _relation_instances(N_max):
-        report.add(f"{rel} n={n}", *first_failure(
-            cases(items, n), lambda case: case[4] == case[5], witness))
-    return report
-
-
-def check_cyclic_power_formula(module, n, j, tensors):
-    """tau_n^j computed by iteration equals the closed rotation formula."""
-    def agrees(t):
-        lhs = t
-        for _ in range(j):
-            lhs = module.cyclic(n, lhs)
-        return vec_eq(lhs, module.cyclic_power_formula(j, n, t))
-
-    return first_failure(tensors, agrees, lambda t: (n, j, sorted(t)))

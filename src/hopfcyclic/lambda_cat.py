@@ -8,7 +8,7 @@ so the word problem reduces to comparing value lists.
 
 from __future__ import annotations
 
-from .cyclic_ops import _relation_instances, apply_word, word_source_degree
+from .relations import _relation_instances, apply_word, word_source_degree
 from .reports import CheckReport, first_failure
 
 MAX_WORD_LENGTH = 6

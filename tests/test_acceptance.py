@@ -16,8 +16,7 @@ from hopfcyclic import actions as act
 from hopfcyclic.cohomology import (bicomplex_dimensions, cohomology_report,
                                    hochschild_dimensions,
                                    mixed_complex_report)
-from hopfcyclic.cyclic_ops import (HopfCyclicModule,
-                                   check_cyclic_power_formula, relation_suite)
+from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
 from hopfcyclic.fields import CyclotomicField
@@ -26,6 +25,7 @@ from hopfcyclic.hopf import (BUILTIN_BUILDERS, Character, check_involution,
                              sweedler_h4, trivial_hopf)
 from hopfcyclic.lambda_cat import (check_functoriality, cyclic_morphism,
                                    identity_morphism)
+from hopfcyclic.relations import check_cyclic_power_formula, relation_suite
 
 ONE = Fraction(1)
 

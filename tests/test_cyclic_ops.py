@@ -9,12 +9,12 @@ import pytest
 
 from hopfcyclic import cyclic_ops
 from hopfcyclic.cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
-                                   NormalizedModule, TensorBasis,
-                                   check_cyclic_power_formula, relation_suite)
+                                   NormalizedModule, TensorBasis)
 from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
 from hopfcyclic.hopf import (FiniteAlgebra, cyclic_group_algebra,
                              matrix_algebra, sweedler_h4, vec_add_into)
+from hopfcyclic.relations import check_cyclic_power_formula, relation_suite
 
 ONE = Fraction(1)
 

@@ -7,13 +7,13 @@ import pytest
 
 from conftest import DATA
 from hopfcyclic.cohomology import mixed_complex_report
-from hopfcyclic.cyclic_ops import (HopfCyclicModule,
-                                   check_cyclic_power_formula, relation_suite)
+from hopfcyclic.cyclic_ops import HopfCyclicModule
 from hopfcyclic.enveloping import (EnvelopingAlgebra, LieAlgebra,
                                    abelian_lie_algebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
 from hopfcyclic.hopf import linear, vec_add_into, vec_eq
 from hopfcyclic.presentations import load_lie
+from hopfcyclic.relations import check_cyclic_power_formula, relation_suite
 
 ONE = Fraction(1)
 
