@@ -309,17 +309,17 @@ class HopfCyclicModule(TensorBasis):
         """tau_n^j of the basis tensor ``key`` in closed form.  A factor is
         given by its items: a basis key k is ((k, 1),), the unit its own.
         A slot whose factor is the unit keeps its leg, as e_k 1 = e_k, so
-        the trailing (x) 1 and a tensor's unit factors cost no product;
-        the unit law holds by construction on U(g), a ``FiniteAlgebra``
-        refuses to be built without it, and ``check_hopf_axioms`` reports
-        it, as the matrix of tau rests on it too.  Every other slot product
+        the trailing (x) 1 and a tensor's unit factors cost no product.
+        This rests on the unit law, as the matrix of tau does: U(g) holds
+        it by construction, a ``FiniteAlgebra`` refuses to be built without
+        it and ``check_hopf_axioms`` reports it.  Every other slot product
         e_k * factor is formed with one ``H.mul`` per module and read from
         the module's table of that factor, keyed by k."""
         H = self.hopf
         unit = tuple(H.unit_element().items())
         ext = [((k, 1),) for k in key] + [unit]
         slots = [None if factor == unit
-                 else (dict(factor), self._slots.setdefault(factor, {}))
+                 else (factor, self._slots.setdefault(factor, {}))
                  for factor in ext[j:] + ext[:j - 1]]
         image = {}
         for h, ch in ext[j - 1]:
@@ -332,7 +332,8 @@ class HopfCyclicModule(TensorBasis):
                     factor, table = slot
                     prod = table.get(k)
                     if prod is None:
-                        prod = table[k] = list(H.mul({k: 1}, factor).items())
+                        prod = table[k] = list(
+                            H.mul({k: 1}, dict(factor)).items())
                     partial = [(pk + (m,), pc * mc)
                                for pk, pc in partial for m, mc in prod]
                     if not partial:
