@@ -150,10 +150,10 @@ def relation_suite(module, N_max, samples=None):
 
     def generator_columns(gen):
         kind, _, n = gen
-        if kind == "t" and n and isinstance(module, HopfCyclicModule):
-            return _Lazy(lambda j: vector(module._tau_image(1, n, keys[j])))
+        tau = kind == "t" and n and isinstance(module, HopfCyclicModule)
         return _Lazy(lambda j: vector(
-            apply_generator(module, gen, {keys[j]: 1})))
+            module._tau_image(1, n, keys[j]) if tau
+            else apply_generator(module, gen, {keys[j]: 1})))
 
     def numbered_samples(m):
         out = []
