@@ -13,7 +13,7 @@ from hopfcyclic.cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
 from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
 from hopfcyclic.hopf import (FiniteAlgebra, cyclic_group_algebra,
-                             matrix_algebra, sweedler_h4, vec_add_into)
+                             linear, matrix_algebra, sweedler_h4)
 from hopfcyclic.relations import check_cyclic_power_formula, relation_suite
 
 ONE = Fraction(1)
@@ -214,13 +214,6 @@ def test_relation_suite_applies_each_generator_once_per_key(
         assert len(set(calls[name])) == len(calls[name]) == count, name
 
 
-def _linear_extension(op, t):
-    out = {}
-    for key, c in t.items():
-        vec_add_into(out, op({key: 1}), c)
-    return out
-
-
 def _check_linear(mod, n, t):
     """face, degeneracy and cyclic of t, of degree n, equal the sum of
     their images of t's keys with t's coefficients."""
@@ -228,7 +221,7 @@ def _check_linear(mod, n, t):
     ops += [lambda v, i=i: mod.degeneracy(i, n - 1, v) for i in range(n)]
     ops.append(lambda v: mod.cyclic(n, v))
     for op in ops:
-        assert op(t) == _linear_extension(op, t), (n, t)
+        assert op(t) == linear(lambda key: op({key: 1}), t), (n, t)
 
 
 @pytest.mark.parametrize("seed", range(4))
