@@ -103,10 +103,11 @@ def _checker_cases():
                        ["cyclic-relations", "--input", str(DATA / source),
                         "--character", cname, "--max-degree", "3"], code))
     for seed in (0, 1):
-        cases.append((f"cyclic-relations-axb-lie-seed{seed}",
-                      ["cyclic-relations", "--input",
-                       str(DATA / "axb-lie.json"), "--max-degree", "3",
-                       "--seed", str(seed)], 0))
+        for degree, suffix in ((3, ""), (4, "-degree4")):
+            cases.append((f"cyclic-relations-axb-lie{suffix}-seed{seed}",
+                          ["cyclic-relations", "--input",
+                           str(DATA / "axb-lie.json"), "--max-degree",
+                           str(degree), "--seed", str(seed)], 0))
     for stem, source, code in (
             ("translation", DATA / "gamma-translation.json", 0),
             ("point-trace", CLI_GOLDENS / "gamma-point-trace.json", 1),
