@@ -16,30 +16,36 @@ also holds the one degeneracy: sigma_i contracts factor i +
 ``extra_factors`` against the functional a module holds as
 ``contraction``, the counit of H, or on cochains the coefficients of the
 unit, which inserts 1 as argument i + 1.
-tau has one elementwise construction, the closed form of tau_n^j
-(``cyclic_power_formula``); ``cyclic`` is its case j = 1.  It is linear in
-a cache: the image of each basis tensor is built once per (j, n, key), and
-each slot product e_k * factor once per module with ``H.mul``, save at a
-unit factor, whose slot keeps its leg (e_k 1 = e_k); a call adds the
-cached images into a fresh dict.
+tau is a recursion on the degree, elementwise as on matrices: tau_1 e_k =
+S~(e_k), and since Delta^(n-1) = (id^(n-2) (x) Delta) Delta^(n-2) splits
+the last leg (``iterated_comul``), tau_n(x (x) e_s) is tau_(n-1)(x) with
+each last factor e_a replaced by Delta(e_a)(e_s (x) 1).  ``cyclic`` is
+linear in a cache: ``tau_image`` builds the image of each basis tuple, and
+of each prefix the recursion passes through, once from the image of its
+prefix; each table Delta(e_a)(e_s (x) 1) and each product e_p e_s is
+formed once per module (none at a unit e_s, as e_p 1 = e_p); a call adds
+the cached images into a fresh dict.  ``relations.relation_suite`` drives
+``tau_image`` on its own columns.  The closed form of tau_n^j
+(``cyclic_power_formula``: Delta^(n-1) S~ of one factor multiplied
+slotwise against the others) stays at every j, j = 1 included, as the
+oracle of the recursion.
 For a finite H the matrices are assembled straight from the structure
 constants instead, each by recursion on the degree.  b is the cobar
 differential of the coalgebra H: ``cobar_matrix`` builds b_1 = 0 and
 b_(m+1) = b_m (x) 1 + (-1)^m 1^(x)(m-1) (x) D, where D(e_s) = Delta(e_s) -
 1 (x) e_s - e_s (x) 1 is the one d x d table (``TensorBasis.cobar_table``),
 read, like the eigenvalues ``coinner`` of phi_delta, through ``full`` at a
-module's digits.  ``cyclic_matrix`` reads the legs of Delta^(n-1)
-S~(e_k) only at degree 1; from there on each tau_m comes from tau_(m-1)
-through the coproduct and product tables, since Delta^(m-1) =
-(id^(m-2) (x) Delta) Delta^(m-2).  The matrix of tau and the elementwise
-tau, the closed form over those legs, are thus two independent
-constructions.  ``extra_degeneracy_columns`` reads s = sigma_n tau_(n+1)
-off tau_n: a column of tau_n with its last factor multiplied by the last
-factor of the source tuple.  Both recursions map the last factor of a
-column of tau through a table indexed by that factor, in one kernel,
-``last_factor_images``.  b keeps its own loop: b_(m+1)(x (x) e_s) =
-b_m(x) (x) e_s + (-1)^m x (x) D(e_s) is not a map of the last factor
-alone.  The cohomology matrices are built from these.
+module's digits.  ``cyclic_matrix`` runs the recursion of tau on
+matrices: it reads the legs of S~(e_k) at degree 1, and from there on
+each tau_m comes from tau_(m-1) through the coproduct and product tables
+of H, read with its own loops.  ``extra_degeneracy_columns`` reads s =
+sigma_n tau_(n+1) off tau_n: a column of tau_n with its last factor
+multiplied by the last factor of the source tuple.  Both matrix
+recursions map the last factor of a column of tau through a table indexed
+by that factor, in one kernel, ``last_factor_images``, which
+``tau_image`` mirrors on tuple keys.  b keeps its own loop:
+b_(m+1)(x (x) e_s) = b_m(x) (x) e_s + (-1)^m x (x) D(e_s) is not a map of
+the last factor alone.  The cohomology matrices are built from these.
 ``NormalizedModule`` runs the same recursions on the normalized complex
 (ker eps)^(x)n of a rebased module, whose digits leave out one index; its
 ``inclusion`` writes a tensor of N back in the basis of H.
@@ -256,10 +262,13 @@ class HopfCyclicModule(TensorBasis):
         self.hopf = delta.hopf
         self.delta = delta
         self.contraction = self.hopf.counit_basis
+        unit = self.hopf.unit_element()
+        # the basis key of the unit, where the unit is one basis element
+        self._unit = next(iter(unit)) if list(unit.values()) == [1] else None
         self._legs = {}
-        self._images = {}
-        self._slots = {}
-        self._keys = {}  # one tuple per output key, shared by the images
+        self._images = {}  # basis tuple -> its image under tau
+        self._tables = {}  # (a, s) -> Delta(e_a)(e_s (x) 1)
+        self._products = {}  # (p, s) -> e_p e_s
 
     # -- elementwise operators
 
@@ -284,73 +293,124 @@ class HopfCyclicModule(TensorBasis):
     degeneracy = TensorBasis.degeneracy  # traced per class
 
     def cyclic(self, n, t):
-        """tau_n, the closed form of tau_n^j at j = 1.  Identity in degree 0."""
-        return self.cyclic_power_formula(1, n, t)
+        """tau_n, by recursion on the degree (``tau_image``).  Identity in
+        degree 0.  Linear in t: the image of each basis tuple, and of each
+        prefix the recursion passes through, is built once and read from
+        the module's cache."""
+        if n == 0:
+            return dict(t)
+        out = {}
+        for key, c in t.items():
+            vec_add_into(out, self._tau(key), c)
+        return out
+
+    def _tau(self, key):
+        image = self._images.get(key)
+        if image is None:
+            prefix = self._tau(key[:-1]).items() if len(key) > 1 else ()
+            image = self._images[key] = self.tau_image(key, prefix)
+        return image
+
+    def tau_image(self, key, prefix):
+        """tau_n of the basis tuple key, n = len(key) >= 1, as a fresh dict,
+        given ``prefix``, the items of tau_(n-1) of key[:-1].  tau_1 e_k =
+        S~(e_k) (prefix unused).  Since Delta^(n-1) = (id^(n-2) (x) Delta)
+        Delta^(n-2), tau_n(x (x) e_s) is tau_(n-1)(x) with each last factor
+        e_a replaced by Delta(e_a)(e_s (x) 1); the last factor of
+        tau_(n-1)(x) is its last leg times 1, so this rests on the unit
+        law, as the closed form does.  Each table Delta(e_a)(e_s (x) 1) is
+        built once per module (``_last_factor_table``)."""
+        if len(key) == 1:
+            return dict(self._twisted_legs(key[0], 1))
+        s, tables, out = key[-1], self._tables, {}
+        for k, v in prefix:
+            a = k[-1]
+            table = tables.get((a, s))
+            if table is None:
+                table = tables[a, s] = self._last_factor_table(a, s)
+            head = k[:-1]
+            for tail, c in table:
+                r = head + tail
+                w = out.get(r)
+                x = v * c if w is None else w + v * c
+                if x:
+                    out[r] = x
+                else:
+                    del out[r]
+        return out
+
+    def _last_factor_table(self, a, s):
+        """Delta(e_a)(e_s (x) 1) = sum e_a(1) e_s (x) e_a(2) as (pair, c)
+        items; Delta(e_a) itself when e_s is the unit."""
+        coproduct = self.hopf.comul_basis(a)
+        if s == self._unit:
+            return list(coproduct.items())
+        out = {}
+        for (p, q), c in coproduct.items():
+            vec_add_into(out, {(m, q): mc for m, mc in self._product(p, s)},
+                         c)
+        return list(out.items())
+
+    def _product(self, p, s):
+        """e_p e_s as items, formed with one ``H.mul`` per module."""
+        prod = self._products.get((p, s))
+        if prod is None:
+            prod = self._products[p, s] = list(
+                self.hopf.mul({p: 1}, {s: 1}).items())
+        return prod
 
     def cyclic_power_formula(self, j, n, t):
         """tau_n^j for 1 <= j <= n+1 in closed form: Delta^(n-1) S~ of the
         j-th factor of h^1 (x) ... (x) h^n (x) 1, multiplied slotwise against
         the factors after it followed by those before it.  Identity in
-        degree 0.  Linear in t: the image of each basis tensor is built once
-        per (j, n, key) and read from the module's cache."""
+        degree 0.  Nothing is cached but the legs and products it reads: it
+        is the oracle of the recursion ``cyclic``."""
         if not 1 <= j <= n + 1:
             raise IndexError(f"power {j} out of range at degree {n}")
         if n == 0:
             return dict(t)
         out = {}
         for key, c in t.items():
-            image = self._images.get((j, n, key))
-            if image is None:
-                image = self._images[j, n, key] = self._tau_image(j, n, key)
-            vec_add_into(out, image, c)
+            vec_add_into(out, self._tau_image(j, n, key), c)
         return out
 
     def _tau_image(self, j, n, key):
-        """tau_n^j of the basis tensor ``key`` in closed form.  A factor is
-        given by its items: a basis key k is ((k, 1),), the unit its own.
-        A slot whose factor is the unit keeps its leg, as e_k 1 = e_k, so
-        the trailing (x) 1 and a tensor's unit factors cost no product.
-        This rests on the unit law, as the matrix of tau does: U(g) holds
-        it by construction, a ``FiniteAlgebra`` refuses to be built without
-        it and ``check_hopf_axioms`` reports it.  Every other slot product
-        e_k * factor is formed with one ``H.mul`` per module and read from
-        the module's table of that factor, keyed by k."""
-        H = self.hopf
-        unit = tuple(H.unit_element().items())
-        ext = [((k, 1),) for k in key] + [unit]
-        slots = [None if factor == unit
-                 else (factor, self._slots.setdefault(factor, {}))
-                 for factor in ext[j:] + ext[:j - 1]]
+        """tau_n^j of the basis tuple ``key`` in closed form.  The factors
+        are the keys of the tuple followed by None, the unit.  A slot whose
+        factor is the unit keeps its leg, as e_k 1 = e_k, so the trailing
+        (x) 1 and a tensor's unit factors cost no product.  This rests on
+        the unit law, as the recursion does: U(g) holds it by construction,
+        a ``FiniteAlgebra`` refuses to be built without it and
+        ``check_hopf_axioms`` reports it."""
+        ext = list(key) + [None]
+        first, slots = ext[j - 1], ext[j:] + ext[:j - 1]
+        unit = self._unit
         image = {}
-        for h, ch in ext[j - 1]:
+        for h, ch in (self.hopf.unit_element() if first is None
+                      else {first: 1}).items():
             for leg, lc in self._twisted_legs(h, n).items():
                 partial = [((), ch * lc)]
-                for k, slot in zip(leg, slots):
-                    if slot is None:
+                for k, s in zip(leg, slots):
+                    if s is None or s == unit:
                         partial = [(pk + (k,), pc) for pk, pc in partial]
                         continue
-                    factor, table = slot
-                    prod = table.get(k)
-                    if prod is None:
-                        prod = table[k] = list(
-                            H.mul({k: 1}, dict(factor)).items())
-                    partial = [(pk + (m,), pc * mc)
-                               for pk, pc in partial for m, mc in prod]
+                    partial = [(pk + (m,), pc * mc) for pk, pc in partial
+                               for m, mc in self._product(k, s)]
                     if not partial:
                         break
                 for pk, pc in partial:
-                    pk = self._keys.setdefault(pk, pk)
                     w = image.get(pk)
-                    s = pc if w is None else w + pc
-                    if s:
-                        image[pk] = s
+                    x = pc if w is None else w + pc
+                    if x:
+                        image[pk] = x
                     else:
                         image.pop(pk, None)
         return image
 
     def _twisted_legs(self, k, n):
         """Delta^(n-1) S~(e_k) as a degree-n tensor, computed once per (k, n)
-        for the elementwise tau; ``cyclic_matrix`` reads it at n = 1 only."""
+        for the closed form; the recursions of ``cyclic`` and
+        ``cyclic_matrix`` read it at n = 1 only."""
         legs = self._legs.get((k, n))
         if legs is None:
             H = self.hopf

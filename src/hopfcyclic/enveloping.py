@@ -235,11 +235,14 @@ def tensor_samples(algebra, N_max, rng):
     RANDOM_SAMPLES seeded random linear combinations per degree."""
     monos = algebra.monomials_up_to_degree(SAMPLE_DEGREE)
     samples = {}
+    # (tuple, total degree) in lexicographic order, extended one factor a
+    # degree while the total stays within SAMPLE_DEGREE
+    combos = [((), 0)]
     for n in range(N_max + 1):
-        ts = []
-        for combo in itertools.product(monos, repeat=n):
-            if sum(sum(k) for k in combo) <= SAMPLE_DEGREE:
-                ts.append({combo: 1})
+        if n:
+            combos = [(combo + (m,), d + sum(m)) for combo, d in combos
+                      for m in monos if d + sum(m) <= SAMPLE_DEGREE]
+        ts = [{combo: 1} for combo, _ in combos]
         if n >= 1:
             for _ in range(RANDOM_SAMPLES):
                 t = {}

@@ -9,10 +9,11 @@ instance of the simplicial and cyclic relations up to a degree, which
 
 ``relation_suite`` numbers each basis key as it is first reached and forms
 each generator's image of each numbered key once, from the elementwise
-operator (tau's from the closed form ``HopfCyclicModule._tau_image``,
-outside the module's cache of images), as a column on the key numbers.
-Every word is then a right-to-left chain of sparse products of those
-columns, ``linalg.combine``.
+operator, as a column on the key numbers.  On a module of H, tau_n's
+column at x (x) e_s is ``HopfCyclicModule.tau_image`` of the suite's own
+column of tau_(n-1) at x, so the recursion of tau reads no image from the
+module's cache and none is held twice.  Every word is then a right-to-left
+chain of sparse products of those columns, ``linalg.combine``.
 """
 
 from __future__ import annotations
@@ -135,25 +136,44 @@ def relation_suite(module, N_max, samples=None):
     get_samples = samples or module.samples
     numbers, keys = {}, []
 
+    def number(key):
+        """Keys are numbered in the order they are first reached."""
+        j = numbers.get(key)
+        if j is None:
+            j = numbers[key] = len(keys)
+            keys.append(key)
+        return j
+
     def vector(t):
-        """t on key numbers, zeros dropped; keys are numbered in the order
-        they are first reached."""
+        """t on key numbers, zeros dropped."""
         out = {}
         for key, c in t.items():
-            j = numbers.get(key)
-            if j is None:
-                j = numbers[key] = len(keys)
-                keys.append(key)
             if c:
-                out[j] = c
+                j = numbers.get(key)
+                out[number(key) if j is None else j] = c
         return out
+
+    def tau_column(prev, j):
+        """tau_n of key j through ``tau_image``, from prev, this suite's
+        own columns of tau_(n-1) (None at n = 1)."""
+        key = keys[j]
+        prefix = () if prev is None else (
+            (keys[i], v) for i, v in prev[number(key[:-1])].items())
+        return vector(module.tau_image(key, prefix))
+
+    # taus[n]: tau_n's columns, each read from taus[n - 1] and none from
+    # columns, which holds them, so that no reference cycle keeps them
+    taus = [None]
+    if isinstance(module, HopfCyclicModule):
+        for _ in range(N_max):
+            taus.append(_Lazy(lambda j, prev=taus[-1]: tau_column(prev, j)))
 
     def generator_columns(gen):
         kind, _, n = gen
-        tau = kind == "t" and n and isinstance(module, HopfCyclicModule)
+        if kind == "t" and 0 < n < len(taus):
+            return taus[n]
         return _Lazy(lambda j: vector(
-            module._tau_image(1, n, keys[j]) if tau
-            else apply_generator(module, gen, {keys[j]: 1})))
+            apply_generator(module, gen, {keys[j]: 1})))
 
     def numbered_samples(m):
         out = []
@@ -194,7 +214,8 @@ def relation_suite(module, N_max, samples=None):
 
 
 def check_cyclic_power_formula(module, n, j, tensors):
-    """tau_n^j computed by iteration equals the closed rotation formula."""
+    """tau_n^j, the recursion ``cyclic`` iterated j times, equals the
+    closed form ``cyclic_power_formula``, at j = 1 too."""
     def agrees(t):
         lhs = t
         for _ in range(j):

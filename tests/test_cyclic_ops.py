@@ -12,9 +12,13 @@ from hopfcyclic.cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
                                    NormalizedModule, TensorBasis)
 from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
-from hopfcyclic.hopf import (FiniteAlgebra, cyclic_group_algebra,
+from hopfcyclic.hopf import (BUILTIN_BUILDERS, FiniteAlgebra,
+                             cyclic_group_algebra,
                              linear, matrix_algebra, sweedler_h4)
+from hopfcyclic.presentations import load_hopf
 from hopfcyclic.relations import check_cyclic_power_formula, relation_suite
+
+from conftest import DATA
 
 ONE = Fraction(1)
 
@@ -120,6 +124,51 @@ def test_cyclic_power_formula(seed=3):
                     == (True, None), (n, j)
 
 
+_ORACLE_INPUTS = [(name, cname) for name in sorted(BUILTIN_BUILDERS)
+                  for cname in sorted(BUILTIN_BUILDERS[name]().characters)]
+_ORACLE_INPUTS += [(f"{stem}.json", cname) for stem in ("qz2", "sweedler-h4")
+                   for cname in sorted(load_hopf(DATA / f"{stem}.json")
+                                       .characters)]
+
+
+def _assert_tau_is_closed_form(modules, keys_of):
+    """tau_n {key: 1}, by the recursion on a module built by modules(),
+    equals the closed form tau_n^1 on another, for every key of
+    keys_of(n), 1 <= n <= 4."""
+    recursion, closed = modules(), modules()
+    for n in range(1, 5):
+        for key in keys_of(n):
+            assert recursion.cyclic(n, {key: 1}) == \
+                closed.cyclic_power_formula(1, n, {key: 1}), (n, key)
+
+
+@pytest.mark.parametrize("source, cname", _ORACLE_INPUTS,
+                         ids=[f"{s}-{c}" for s, c in _ORACLE_INPUTS])
+def test_recursive_tau_is_the_closed_form(source, cname):
+    """On every basis tensor through degree 4 of every builtin and data
+    presentation, with each of its characters (on Sweedler/counit tau^(n+1)
+    is not the identity, so tpow does not pin tau there)."""
+    def module():
+        H = BUILTIN_BUILDERS[source]() if source in BUILTIN_BUILDERS \
+            else load_hopf(DATA / source)
+        return HopfCyclicModule(H.character(cname))
+
+    _assert_tau_is_closed_form(module, lambda n: module().basis_keys(n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recursive_tau_is_the_closed_form_on_axb_samples(seed):
+    """On every key of the ax+b samples of the relation suite through
+    degree 4."""
+    def module():
+        return HopfCyclicModule(
+            EnvelopingAlgebra(ax_plus_b_lie_algebra()).modular_character())
+
+    samples = tensor_samples(module().hopf, 4, rng=random.Random(seed))
+    _assert_tau_is_closed_form(
+        module, lambda n: sorted({key for t in samples[n] for key in t}))
+
+
 def _relation_suite_case(case):
     """The module, samples and relation suite of the call-count tests."""
     if case == "sweedler":
@@ -133,9 +182,10 @@ def _relation_suite_case(case):
 
 @pytest.mark.parametrize("case", ["sweedler", "axb"])
 def test_iterated_coproduct_built_once_per_first_factor(monkeypatch, case):
-    """tau reads Delta^(n-1) S~(e_k) from the module's cache: the relation
-    suite through degree 4 builds it once per (k, n), 4 x 4 on Sweedler and
-    39 times on the ax+b samples of seed 0."""
+    """tau_1 reads S~(e_k) from the module's cache, and tau_n, n > 1, comes
+    from tau_(n-1) with no Delta^(n-1) expanded: the relation suite through
+    degree 4 calls ``iterated_comul`` once per k, at n = 1 only, 4 times on
+    Sweedler and 14 times on the ax+b samples of seed 0."""
     calls = []
     build = cyclic_ops.iterated_comul
 
@@ -146,21 +196,25 @@ def test_iterated_coproduct_built_once_per_first_factor(monkeypatch, case):
     monkeypatch.setattr(cyclic_ops, "iterated_comul", counted)
     _, suite = _relation_suite_case(case)
     assert suite().ok
-    assert len(set(calls)) == len(calls) == {"sweedler": 16, "axb": 39}[case]
+    assert {n for _, n in calls} == {1}
+    assert len(set(calls)) == len(calls) == {"sweedler": 4, "axb": 14}[case]
 
 
 @pytest.mark.parametrize("case, products, images", [
-    ("sweedler", 12, 340), ("axb", 98, 541)])
+    ("sweedler", 12, 340), ("axb", 98, 717)])
 def test_tau_slot_products_and_images_built_once(monkeypatch, case,
                                                   products, images):
-    """The elementwise tau is linear in cached images: the relation suite
-    through degree 4 builds each slot product e_k * factor with one
-    ``H.mul`` and each image tau_n^j(key) once.  A slot whose factor is the
-    unit forms no product, as e_k 1 = e_k."""
+    """The relation suite through degree 4 builds each tau image once per
+    key, prefixes of the recursion included, each last-factor table
+    Delta(e_a)(e_s (x) 1) once per (a, s) (16 on Sweedler, 112 on ax+b)
+    and each product e_p e_s with one ``H.mul`` per pair.  A table whose
+    e_s is the unit forms no product, as e_p 1 = e_p."""
     mod, suite = _relation_suite_case(case)
     H = mod.hopf
-    mul, build = H.mul, HopfCyclicModule._tau_image
-    mul_calls, image_calls = [], []
+    mul = H.mul
+    build, table = HopfCyclicModule.tau_image, \
+        HopfCyclicModule._last_factor_table
+    mul_calls, image_calls, table_calls = [], [], []
 
     def counted_mul(a, b):
         if sys._getframe(1).f_globals["__name__"] == cyclic_ops.__name__:
@@ -168,27 +222,36 @@ def test_tau_slot_products_and_images_built_once(monkeypatch, case,
                               tuple(sorted(b.items()))))
         return mul(a, b)
 
-    def counted_build(self, j, n, key):
-        image_calls.append((j, n, key))
-        return build(self, j, n, key)
+    def counted_build(self, key, prefix):
+        image_calls.append(key)
+        return build(self, key, prefix)
+
+    def counted_table(self, a, s):
+        table_calls.append((a, s))
+        return table(self, a, s)
 
     monkeypatch.setattr(H, "mul", counted_mul)
-    monkeypatch.setattr(HopfCyclicModule, "_tau_image", counted_build)
+    monkeypatch.setattr(HopfCyclicModule, "tau_image", counted_build)
+    monkeypatch.setattr(HopfCyclicModule, "_last_factor_table",
+                        counted_table)
     assert suite().ok
     assert len(set(mul_calls)) == len(mul_calls) == products
     assert len(set(image_calls)) == len(image_calls) == images
+    assert len(set(table_calls)) == len(table_calls) == \
+        {"sweedler": 16, "axb": 112}[case]
 
 
 @pytest.mark.parametrize("case, faces, degeneracies, images", [
-    ("sweedler", 398, 1252, 340), ("axb", 522, 986, 541)])
+    ("sweedler", 398, 1252, 340), ("axb", 522, 986, 717)])
 def test_relation_suite_applies_each_generator_once_per_key(
         monkeypatch, case, faces, degeneracies, images):
-    """The relation suite through degree 4 applies face, degeneracy and the
-    closed form of tau once per distinct (generator, key), each time to
-    one basis key with coefficient 1, and composes every word from those
-    images."""
+    """The relation suite through degree 4 applies face and degeneracy
+    once per distinct (generator, key), each time to one basis key with
+    coefficient 1, builds tau's image of each key once (``tau_image``,
+    the prefixes its recursion reads included), and composes every word
+    from those images."""
     mod, suite = _relation_suite_case(case)
-    calls = {"face": [], "degeneracy": [], "_tau_image": []}
+    calls = {"face": [], "degeneracy": [], "tau_image": []}
 
     def counted(name):
         op, seen = getattr(HopfCyclicModule, name), calls[name]
@@ -200,17 +263,17 @@ def test_relation_suite_applies_each_generator_once_per_key(
             return op(self, i, n, t)
         return wrapper
 
-    def counted_image(self, j, n, key):
-        calls["_tau_image"].append((j, n, key))
-        return build(self, j, n, key)
+    def counted_image(self, key, prefix):
+        calls["tau_image"].append(key)
+        return build(self, key, prefix)
 
-    build = HopfCyclicModule._tau_image
+    build = HopfCyclicModule.tau_image
     for name in ("face", "degeneracy"):
         monkeypatch.setattr(HopfCyclicModule, name, counted(name))
-    monkeypatch.setattr(HopfCyclicModule, "_tau_image", counted_image)
+    monkeypatch.setattr(HopfCyclicModule, "tau_image", counted_image)
     assert suite().ok
     for name, count in [("face", faces), ("degeneracy", degeneracies),
-                        ("_tau_image", images)]:
+                        ("tau_image", images)]:
         assert len(set(calls[name])) == len(calls[name]) == count, name
 
 

@@ -120,8 +120,8 @@ def test_relation_suite_on_samples(seed=2):
 
 
 def test_cyclic_power_formula_on_samples(seed=2):
-    """The closed form of tau^j, the only tau U(g) has, against tau
-    iterated j times."""
+    """The closed form of tau^j against the recursion of tau iterated j
+    times, j = 1 included."""
     U = axb()
     module = HopfCyclicModule(U.modular_character())
     samples = tensor_samples(U, 3, rng=random.Random(seed))
