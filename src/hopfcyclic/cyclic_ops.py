@@ -37,8 +37,8 @@ b_(m+1) = b_m (x) 1 + (-1)^m 1^(x)(m-1) (x) D, where D(e_s) = Delta(e_s) -
 read, like the eigenvalues ``coinner`` of phi_delta, through ``full`` at a
 module's digits.  ``cyclic_matrix`` runs the recursion of tau on
 matrices: it reads the legs of S~(e_k) at degree 1, and from there on
-each tau_m comes from tau_(m-1) through the coproduct and product tables
-of H, read with its own loops.  ``extra_degeneracy_columns`` reads s =
+each tau_m comes from tau_(m-1) through the same tables Delta(e_a)(e_s
+(x) 1), on indices.  ``extra_degeneracy_columns`` reads s =
 sigma_n tau_(n+1) off tau_n: a column of tau_n with its last factor
 multiplied by the last factor of the source tuple.  Both matrix
 recursions map the last factor of a column of tau through a table indexed
@@ -463,10 +463,11 @@ class HopfCyclicModule(TensorBasis):
 
         tau_1 e_k = S~(e_k) 1.  Since Delta^(m-1) = (id^(m-2) (x) Delta)
         Delta^(m-2), tau_m of the basis tuple (x, s) is tau_(m-1) e_x with
-        its last factor e_a replaced by Delta(e_a)(e_s (x) 1), which is
-        phi[s][a] = sum e_a(1) e_s (x) e_a(2); the unit axiom e_a 1 = e_a,
-        checked by ``check_hopf_axioms``, makes this exact.  Only tau_(m-1)
-        is held while tau_m is built."""
+        its last factor e_a replaced by Delta(e_a)(e_s (x) 1), phi[s][a],
+        the table of the elementwise tau (``_last_factor_table``) on
+        indices; the unit axiom e_a 1 = e_a, checked by
+        ``check_hopf_axioms``, makes this exact.  Only tau_(m-1) is held
+        while tau_m is built."""
         if n == 0:
             return SparseMatrix.identity(1)
         H = self.hopf
@@ -474,16 +475,8 @@ class HopfCyclicModule(TensorBasis):
         unit = H.unit_element()
         cols = [H.mul({a: c for (a,), c in self._twisted_legs(k, 1).items()},
                       unit) for k in range(d)]
-        phi = []
-        for s in range(d):
-            row = []
-            for a in range(d):
-                image = {}
-                for (p, q), c in H.comul_basis(a).items():
-                    vec_add_into(image, {m * d + q: mc for m, mc
-                                         in H.mul_basis(p, s).items()}, c)
-                row.append(list(image.items()))
-            phi.append(row)
+        phi = [[[(m * d + q, c) for (m, q), c in self._last_factor_table(a, s)]
+                for a in range(d)] for s in range(d)]
         for _ in range(2, n + 1):
             cols = list(last_factor_images(((col, phi) for col in cols),
                                            d, d * d))

@@ -119,13 +119,13 @@ def test_B_matrix_builds_tau_n_only(cls, monkeypatch):
 
 @pytest.mark.parametrize("case", ["sweedler-delta", "qz4-zeta4-delta"])
 def test_cyclic_matrix_recursion_beyond_top(case):
-    """cyclic_matrix builds tau_n from tau_(n-1); the elementwise tau is
-    the closed form over the legs of Delta^(n-1) S~, so the two agree only
-    if the recursion holds at every degree it passes through."""
+    """cyclic_matrix builds tau_n from tau_(n-1); the closed form of tau
+    reads the legs of Delta^(n-1) S~, so the two agree only if the
+    recursion holds at every degree it passes through."""
     module = dict(CASES)[case]
     for n in (4, 5):
         assert module.cyclic_matrix(n) == module.operator_matrix(
-            lambda t: module.cyclic(n, t), n, n), n
+            lambda t: module.cyclic_power_formula(1, n, t), n, n), n
 
 
 @pytest.mark.parametrize("case", ["sweedler-delta", "qz4-zeta4-delta"])

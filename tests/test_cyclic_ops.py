@@ -7,18 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import DATA
 from hopfcyclic import cyclic_ops
 from hopfcyclic.cyclic_ops import (CochainCyclicModule, HopfCyclicModule,
                                    NormalizedModule, TensorBasis)
 from hopfcyclic.enveloping import (EnvelopingAlgebra, ax_plus_b_lie_algebra,
                                    tensor_samples)
 from hopfcyclic.hopf import (BUILTIN_BUILDERS, FiniteAlgebra,
-                             cyclic_group_algebra,
-                             linear, matrix_algebra, sweedler_h4)
+                             cyclic_group_algebra, linear, matrix_algebra,
+                             sweedler_h4)
 from hopfcyclic.presentations import load_hopf
 from hopfcyclic.relations import check_cyclic_power_formula, relation_suite
-
-from conftest import DATA
 
 ONE = Fraction(1)
 
