@@ -13,6 +13,7 @@ failed or the input was refused (the refusal goes where the report would),
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -145,7 +146,9 @@ def cmd_gamma_check(args):
     return report.render(), report.ok
 
 
+@functools.cache
 def build_parser():
+    """The one parser of every ``main`` call, built on the first."""
     parser = argparse.ArgumentParser(
         prog="hopfcyclic",
         description="Exact checks and cohomology of cyclic modules "

@@ -36,11 +36,13 @@ complex of matrices serves them; the lambda stage takes 1 - lambda_n,
 b'_n and the lifts Y_(n+1) from a generator, one degree at a time.  The
 checks form each product exactly, one column at a time, and stop at the
 first column that is not zero; no product matrix is stored.  Under every
-method the report builds the normalized b_1..b_(N+1), which gives HH, and
-under 'lambda' and 'both' the full b_1..b_N, whose b'_n and 1 - lambda_n
-for n < N give HC(lambda); it checks b^2 = 0 on both.  The full b_(N+1),
-larger than any other matrix, is never built, and the full b_N serves
-b^2 = 0 alone.
+method the report builds the normalized b_1..b_(N+1), one elimination of
+each giving HH and the HH representatives (``hochschild_dimensions``),
+and under 'lambda' and 'both' the full b_1..b_N, whose b'_n and 1 -
+lambda_n for n < N give HC(lambda); it checks b^2 = 0 on both.  The full
+b_(N+1), larger than any other matrix, is never built, and the full b_N
+serves b^2 = 0 alone.  A count of representatives other than HH^n, n <
+N, refuses the report with the check 'HH representatives n=n'.
 After HH and HC(lambda) it keeps only the normalized b_1..b_N, builds B,
 checks B^2 = 0 and bB + Bb = 0 on them and computes the bicomplex
 dimensions from those same matrices.  No rank is computed after a failed
@@ -54,8 +56,7 @@ complex, the rank of b_(n+1) on ker A_n is rank b_(n+1) + rank(A_n on
 Z^n) - rank A_n.  The inclusion iota of the normalized complex, f_i ->
 e_i - eps(e_i) 1, is a quasi-isomorphism (Loday, 2.1), so Z^n is im b_n
 plus iota of HH^n representatives of the normalized complex
-(``hochschild_representatives``): kernel vectors of the normalized
-b_(n+1) on a complement of its im b_n.  Each is checked as a cocycle of
+(``hochschild_dimensions``).  Each is checked as a cocycle of
 the full module with the elementwise hochschild_b, in place of the
 b_(N+1) b_N = 0 check that would need b_(N+1).  For S_n = [b_n | Z_n],
 rank(A_n on Z^n) = rank(A_n S_n) =: rho_n and dim Z^n = rank b_n + HH^n,
@@ -302,18 +303,31 @@ class ComplexReport:
         return " ".join(pairs) if pairs else None
 
 
-def _homology_dims(sizes, ranks):
-    """dim ker d_n - dim im d_(n-1) = size_n - rank d_n - rank d_(n-1)."""
-    return [size - ranks[n] - (ranks[n - 1] if n else 0)
-            for n, size in enumerate(sizes)]
-
-
 def hochschild_dimensions(b):
-    """HH^n = ker(b: C^n -> C^n+1) / im(b: C^n-1 -> C^n) for n <= N, given
-    b = {n: b_n} for 1 <= n <= N+1, dim C^n the columns of b_(n+1)."""
-    ranks = [b[n + 1].rank() for n in range(len(b))]
-    sizes = [b[n + 1].ncols for n in range(len(b))]
-    return _homology_dims(sizes, ranks), ranks
+    """(hh, ranks, reps) for b = {n: b_n}, 1 <= n <= N+1, dim C^n the
+    columns of b_(n+1): HH^n for n <= N, ranks[n] = rank b_(n+1), and
+    reps[n] the HH^n representatives, dicts on the columns of b_(n+1).
+    Eliminating the columns of b_n (``stacked_ranks`` of its transpose)
+    gives rank b_n and leads at one coordinate per dimension of im b_n;
+    the others span a complement W of im b_n, so ker b_(n+1) = im b_n +
+    (ker b_(n+1) meet W), and the kernel_basis of b_(n+1) on the columns of
+    W is HH^n representatives.  As b_(n+1) b_n = 0, rank b_(n+1) =
+    rank(b_(n+1) on W) (Loday, Cyclic Homology, 2.1): HH^n = dim C^n -
+    rank b_n - rank b_(n+1) from the column ranks for n < N, and HH^N is
+    the number of representatives of degree N."""
+    col_ranks, reps = [0], []  # rank b_n, with b_0 = 0
+    for n in range(len(b)):
+        image = {}
+        if n:
+            col_ranks += stacked_ranks([b[n].transpose()], image)
+        free = [j for j in range(b[n + 1].ncols) if j not in image]
+        # b_(n+1) on the columns of W shares their dicts, which no one writes
+        reps.append([{free[j]: v for j, v in z.items()} for z in
+                     SparseMatrix.from_columns([b[n + 1].cols[j] for j in free],
+                                               b[n + 1].nrows).kernel_basis()])
+    ranks = col_ranks[1:] + [len(free) - len(reps[-1])]
+    hh = [b[n + 1].ncols - ranks[n] - col_ranks[n] for n in range(len(b))]
+    return hh, ranks, reps
 
 
 def lambda_complex_dimensions(hh0, stages):
@@ -362,32 +376,13 @@ def lambda_complex_dimensions(hh0, stages):
     return dims
 
 
-def hochschild_representatives(gate, full, norm, b, n, count):
-    """iota of count = HH^n representatives of the normalized complex, as
-    dicts on the full module's basis indices, b = {n: b_n} (1 <= n <= N+1)
-    being the normalized b on its kept tuples.  An elimination of the
-    columns of b_n (``stacked_ranks``) leads at one coordinate per
-    dimension of im b_n; the other coordinates span a complement W of im
-    b_n, so ker b_(n+1) = im b_n + (ker b_(n+1) meet W), and the kernel
-    vectors of b_(n+1) on the columns of W are cocycles independent modulo
-    im b_n, exactly HH^n of them.  ``norm.inclusion``
-    takes each to the full module, where the elementwise hochschild_b
-    checks that it is a cocycle.  A count other than HH^n, a
-    representative that is not a cocycle or one with an entry outside the
-    tuples ``full.invariant_index`` keeps adds a failed check to gate,
-    with the lowest tuple of N in the representative as the witness, and
-    raises NotMixedComplexError."""
-    image = {}
-    if n:
-        stacked_ranks([b[n].transpose()], image)
-    free = [j for j in range(b[n + 1].ncols) if j not in image]
-    # b_(n+1) on the columns of W shares their dicts, which no one writes
-    reps = [{free[j]: v for j, v in z.items()} for z in
-            SparseMatrix.from_columns([b[n + 1].cols[j] for j in free],
-                                      b[n + 1].nrows).kernel_basis()]
-    if len(reps) != count:
-        _refuse(gate, f"HH representatives n={n}",
-                ("found", [len(reps), count]))
+def hochschild_representatives(gate, full, norm, n, reps):
+    """``norm.inclusion`` of reps, the HH^n representatives of the
+    normalized complex on its kept tuples, as dicts on the full module's
+    basis indices; the elementwise hochschild_b checks each image.  One that
+    is not a cocycle, or has an entry outside the tuples
+    ``full.invariant_index`` keeps, refuses the report (``_refuse``) with
+    the lowest tuple of N in the representative as the witness."""
     kept = norm.invariant_index(n)
 
     def key_of(j):  # the tuple of N at kept column j
@@ -444,8 +439,8 @@ def bicomplex_dimensions(b, B):
         return SparseMatrix.from_columns(cols, nrows)
 
     ranks = [total_matrix(n).rank() for n in range(N_max)]
-    sizes = [offsets(n)[1] for n in range(N_max)]
-    dims = _homology_dims(sizes, ranks) + [None]
+    dims = [offsets(n)[1] - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(N_max)] + [None]
     flags = [n >= N_max - 1 for n in range(N_max + 1)]
     return dims, flags
 
@@ -480,16 +475,20 @@ def cohomology_report(delta, N_max, method="both"):
         del b[N_max + 1]  # the B checks read the whole b_1..b_N only
         if method == "lambda":
             del b
-        hh = hochschild_dimensions(norm_b)[0]
+        hh, _, reps = hochschild_dimensions(norm_b)
+        del norm_b[N_max + 1]  # only HH and the representatives read it
+        for n in range(N_max):  # two eliminations of b_(n+1) agree
+            if len(reps[n]) != hh[n]:
+                _refuse(gate, f"HH representatives n={n}",
+                        ("found", [len(reps[n]), hh[n]]))
         b_ranks = [0]  # rank b_(n+1) = dim C^n - HH^n - rank b_n
         for dim, h in zip(dims, hh):
             b_ranks.append(dim - h - b_ranks[-1])
         if method != "bB":
             full_b.pop(N_max, None)  # the top b serves b^2 = 0 alone
             hc_lambda = lambda_complex_dimensions(hh[0], _lambda_stages(
-                gate, full, norm, norm_b, hh, full_b))
+                gate, full, norm, reps, full_b))
             del full_b
-        del norm_b[N_max + 1]  # only HH and the representatives read it
     if method != "lambda":
         B = {n: B_matrix(norm, n) for n in range(N_max)}
         check_B_relations(gate, norm, b, B)
@@ -505,26 +504,26 @@ def cohomology_report(delta, N_max, method="both"):
         "HC_lambda": hc_lambda, "HC_bB": hc_bB}, flags)
 
 
-def _lambda_stages(gate, full, norm, norm_b, hh, b):
+def _lambda_stages(gate, full, norm, reps, b):
     """(A_m, b'_m, Y_(m+1)) for m = 0..N-1 on the kept tuples, A_m = 1 -
-    lambda_m, from the normalized b on its kept tuples and its HH, which
-    give the representatives (``hochschild_representatives``; those of
-    HH^0, lifted to no row, first), and b = {m: b_m}, the whole full
-    b_1..b_(N-1), which it empties.  tau_m is built once, A_m and Y_(m+1)
-    (``_lifts``) are read off it, and it is dropped before b'_m is built.
+    lambda_m, from reps, the HH^n representatives of the normalized complex
+    on its kept tuples (n <= N), which ``hochschild_representatives`` takes
+    to the full module (those of HH^0, lifted to no row, first), and b =
+    {m: b_m}, the whole full b_1..b_(N-1), which it empties.  tau_m is
+    built once, A_m and Y_(m+1) (``_lifts``) are read off it, and it is
+    dropped before b'_m is built.
     Before A_m and b'_m are restricted, A_m b_m = b'_m A_(m-1) is checked
     on the whole matrices, column by column; the first column where the
     two sides differ refuses the report with the check 'lambda-b n=m' and
     that column's tuple as the witness.  Only the whole A_(m-1) is held
     from one degree to the next, and not past the top degree."""
-    hochschild_representatives(gate, full, norm, norm_b, 0, hh[0])
+    hochschild_representatives(gate, full, norm, 0, reps[0])
     previous = None
-    for m in range(len(hh) - 1):
-        reps = hochschild_representatives(gate, full, norm, norm_b, m + 1,
-                                          hh[m + 1])
+    for m in range(len(reps) - 1):
+        Z = hochschild_representatives(gate, full, norm, m + 1, reps[m + 1])
         tau = full.cyclic_matrix(m)
         A = one_minus_lambda_matrix(tau, m)
-        Y = _lifts(gate, full, tau, reps, m)
+        Y = _lifts(gate, full, tau, Z, m)
         del tau  # not held while b'_m is built
         if m:
             b_m = b.pop(m)
@@ -539,7 +538,7 @@ def _lambda_stages(gate, full, norm, norm_b, hh, b):
         else:
             b_prime = SparseMatrix(1, 0)
         # the whole A_m serves the check at m+1 alone: the top one is dropped
-        previous = A if m + 2 < len(hh) else None
+        previous = A if m + 2 < len(reps) else None
         A = _invariant(gate, full, "1-lambda", A, m, m)
         yield A, b_prime, Y
         del A  # not held while the next one is built

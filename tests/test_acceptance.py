@@ -134,7 +134,7 @@ def test_criterion_6_trivial_dimensions():
     H = trivial_hopf()
     module = HopfCyclicModule(H.counit_character())
     b, _ = differentials(module, 4)
-    hh, b_ranks = hochschild_dimensions(b)
+    hh, b_ranks, _ = hochschild_dimensions(b)
     report = cohomology_report(module.delta, 4, method="lambda")
     hc = report.columns["HC_lambda"]
     took = time.time() - start

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, report output."""
 
+import argparse
 import ast
 import collections
 import json
@@ -7,7 +8,7 @@ import shlex
 
 import pytest
 
-from conftest import PKG_ROOT
+from conftest import GOLDENS, PKG_ROOT
 from hopfcyclic import cohomology, linalg, presentations
 from hopfcyclic.cli import main
 from hopfcyclic.cyclic_ops import NormalizedModule
@@ -135,6 +136,32 @@ def test_cohomology_deterministic(capsys):
     _, out1 = run(capsys, "cohomology", "--input", "qz2", "--max-degree", "3")
     _, out2 = run(capsys, "cohomology", "--input", "qz2", "--max-degree", "3")
     assert out1 == out2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """Three main calls, two commands and two methods (the last one the
+    default), give their pinned reports and construct at most one
+    top-level ArgumentParser between them: only a first call in the
+    process builds it, and no call's options leak into the next."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "hopfcyclic":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cohomology_argv = ["cohomology", "--input", "sweedler", "--character",
+                       "delta", "--max-degree", "4"]
+    for argv, golden in [
+            (cohomology_argv + ["--method", "bB"], "sweedler-delta-bB"),
+            (["cyclic-relations", "--input", "sweedler", "--character",
+              "delta", "--max-degree", "3"], "cyclic-relations-sweedler-delta"),
+            (cohomology_argv, "sweedler-delta-both")]:
+        assert run(capsys, *argv) == (0, (GOLDENS / "cli" / f"{golden}.txt")
+                                      .read_text(encoding="utf-8"))
+    assert len(built) <= 1
 
 
 def test_output_flag(capsys, tmp_path):

@@ -48,7 +48,7 @@ def module_of(builder, cname):
 def test_trivial_dimensions():
     H, delta, module = module_of(trivial_hopf, "counit")
     b, _ = differentials(module, 4)
-    hh, ranks = hochschild_dimensions(b)
+    hh, ranks, _ = hochschild_dimensions(b)
     assert hh == [1, 0, 0, 0, 0]
     report = cohomology_report(delta, 4, method="lambda")
     assert report.columns["HH"] == hh
@@ -62,7 +62,7 @@ def test_lambda_dimensions_match_goldens(name, builder, cname):
     _, delta, module = module_of(builder, cname)
     golden = load_golden(name)
     b, _ = differentials(module, 4)
-    hh, ranks = hochschild_dimensions(b)
+    hh, ranks, _ = hochschild_dimensions(b)
     assert hh == golden["HH"]
     report = cohomology_report(delta, 4, method="lambda")
     assert report.columns["HH"] == hh
@@ -92,6 +92,39 @@ def test_oracle_agrees_with_package_on_sweedler():
     assert report.columns["HC_lambda"] == hc_oracle
 
 
+def cyclic_function_algebra(n):
+    """k^Z_n, the functions on the cyclic group of order n."""
+    return function_algebra([f"g{k}" for k in range(n)],
+                            [[(i + j) % n for j in range(n)]
+                             for i in range(n)])
+
+
+@pytest.mark.parametrize("name,builder,cname,top", [
+    case + (3,) for case in CASES] + [
+    ("k^Z3", lambda: cyclic_function_algebra(3), "counit", 3),
+    ("k^Z4", lambda: cyclic_function_algebra(4), "counit", 2)],
+    ids=[case[0] for case in CASES] + ["k^Z3", "k^Z4"])
+def test_one_pass_equals_the_row_ranks_and_the_dense_oracle(name, builder,
+                                                            cname, top):
+    """hochschild_dimensions eliminates each normalized b_n once, on its
+    columns, and b_(n+1) once on the rest; on the whole normalized
+    b_1..b_(N+1) and on their kept tuples, for every N <= top (so
+    Sweedler's HH^2 = 1 is read both below and at the top degree), its
+    ranks are those of the row eliminations (``SparseMatrix.rank``), and
+    its HH, the count of its representatives, is the dense oracle's on the
+    full complex."""
+    H, delta, _ = module_of(builder, cname)
+    hh_oracle = oracle_dimensions(H, list(delta.values), top)[0]
+    norm = NormalizedModule(delta)
+    whole = {n: b_matrix(norm, n) for n in range(1, top + 2)}
+    kept = {n: norm.invariant_part(m, n - 1, n) for n, m in whole.items()}
+    for b, N in itertools.product((whole, kept), range(1, top + 1)):
+        hh, ranks, reps = hochschild_dimensions(
+            {n: b[n] for n in range(1, N + 2)})
+        assert ranks == [b[n].rank() for n in range(1, N + 2)], N
+        assert hh == hh_oracle[:N + 1] == [len(z) for z in reps], N
+
+
 def test_dimensions_read_sizes_off_the_matrices():
     """A hand-built integer complex with no module behind it and B = 0.
     The total complex is then a sum of shifted copies of (C, b), so HC^n =
@@ -104,7 +137,7 @@ def test_dimensions_read_sizes_off_the_matrices():
                4: {(2, 0): 1}, 5: {(0, 0): 5, (0, 1): 5}}
     b = {n: SparseMatrix(sizes[n], sizes[n - 1], e)
          for n, e in entries.items()}
-    hh, ranks = hochschild_dimensions(b)
+    hh, ranks, _ = hochschild_dimensions(b)
     assert (hh, ranks) == ([1, 1, 1, 0, 1], [0, 1, 1, 1, 1])
     B = {n: SparseMatrix(sizes[n], sizes[n + 1]) for n in range(4)}
     dims, flags = bicomplex_dimensions({n: b[n] for n in range(1, 5)}, B)
@@ -331,7 +364,7 @@ def test_report_equals_the_unrestricted_dimensions():
     _, delta, full = module_of(sweedler_h4, "delta")
     norm = NormalizedModule(delta)
     b = {n: b_matrix(full, n) for n in range(1, 7)}
-    hh, ranks = hochschild_dimensions(b)
+    hh, ranks, _ = hochschild_dimensions(b)
     hc_lambda = stacked_lambda_dimensions(
         b, [minus_lambda(full, n) for n in range(6)])
     hc_bB, flags = bicomplex_dimensions(*differentials(norm, 5))
@@ -504,9 +537,10 @@ def test_a_wrong_inclusion_is_refused(monkeypatch):
 
 def sweedler_cocycles(monkeypatch, N_max):
     """hochschild_representatives on Sweedler/delta in each degree n <=
-    N_max, as the report calls it, with the normalized tensors iota gets
-    recorded; returns (the representatives by degree, those tensors, the
-    seconds spent in hochschild_b)."""
+    N_max, of the representatives hochschild_dimensions finds, as the
+    report calls them, with the normalized tensors iota gets recorded;
+    returns (the representatives by degree, those tensors, the seconds
+    spent in hochschild_b)."""
     delta = sweedler_h4().character("delta")
     full, norm = HopfCyclicModule(delta), NormalizedModule(delta)
     b = {n: norm.invariant_part(b_matrix(norm, n), n - 1, n)
@@ -528,8 +562,8 @@ def sweedler_cocycles(monkeypatch, N_max):
     monkeypatch.setattr(NormalizedModule, "inclusion", recorded)
     monkeypatch.setattr(cohomology, "hochschild_b", timed)
     gate = CheckReport("mixed-complex")
-    cocycles = [hochschild_representatives(gate, full, norm, b, n, count)
-                for n, count in enumerate(hochschild_dimensions(b)[0])]
+    cocycles = [hochschild_representatives(gate, full, norm, n, reps)
+                for n, reps in enumerate(hochschild_dimensions(b)[2])]
     assert gate.entries == []
     return cocycles, seen, spent[0]
 
@@ -561,6 +595,54 @@ def test_a_representative_outside_the_kept_tuples_is_refused(monkeypatch):
         cohomology_report(sweedler_h4().character("delta"), 3, "lambda")
     assert caught.value.report.failures() == [
         ("phi-invariant iota n=2", ("outside phi = 1", [(3, 2)]))]
+
+
+def test_report_eliminates_each_normalized_b_once(monkeypatch):
+    """A Sweedler/delta degree-4 'both' report ranks no b_n: the 4 calls of
+    SparseMatrix.rank are the total matrices of bicomplex_dimensions.  It
+    eliminates the columns of each kept normalized b_n, n = 1..4, once (a
+    one-block stacked_ranks of the transpose; the lambda stage's stacks
+    have two blocks) and each b_(n+1), n = 0..4, once on the columns W_n
+    where that elimination found no pivot (kernel_basis)."""
+    delta = sweedler_h4().character("delta")
+    norm = NormalizedModule(delta)
+    b = {n: norm.invariant_part(b_matrix(norm, n), n - 1, n)
+         for n in range(1, 6)}
+    free = [b[n + 1].ncols - (b[n].rank() if n else 0) for n in range(5)]
+    ranked, stacked, kernels, inside = [], [], [], []
+    rank, kernel = SparseMatrix.rank, SparseMatrix.kernel_basis
+    stack, bicomplex = cohomology.stacked_ranks, bicomplex_dimensions
+
+    def counted_rank(self):
+        ranked.append(bool(inside))
+        return rank(self)
+
+    def counted_kernel(self):
+        kernels.append((self.nrows, self.ncols))
+        return kernel(self)
+
+    def counted_stack(blocks, pivots=None):
+        stacked.append([(m.nrows, m.ncols) for m in blocks])
+        return stack(blocks, pivots)
+
+    def counted_bicomplex(*args):
+        inside.append(True)
+        try:
+            return bicomplex(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(SparseMatrix, "rank", counted_rank)
+    monkeypatch.setattr(SparseMatrix, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(cohomology, "stacked_ranks", counted_stack)
+    monkeypatch.setattr(cohomology, "bicomplex_dimensions",
+                        counted_bicomplex)
+    cohomology_report(delta, 4, method="both")
+    assert ranked == [True] * 4
+    assert [shapes for shapes in stacked if len(shapes) == 1] == [
+        [(b[n].ncols, b[n].nrows)] for n in range(1, 5)]
+    assert [len(shapes) for shapes in stacked].count(2) == 4
+    assert kernels == [(b[n + 1].nrows, free[n]) for n in range(5)]
 
 
 def test_a_missing_representative_is_refused(monkeypatch):

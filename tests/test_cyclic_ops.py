@@ -199,60 +199,25 @@ def test_iterated_coproduct_built_once_per_first_factor(monkeypatch, case):
     assert len(set(calls)) == len(calls) == {"sweedler": 4, "axb": 14}[case]
 
 
-@pytest.mark.parametrize("case, products, images", [
-    ("sweedler", 12, 340), ("axb", 98, 717)])
-def test_tau_slot_products_and_images_built_once(monkeypatch, case,
-                                                  products, images):
-    """The relation suite through degree 4 builds each tau image once per
-    key, prefixes of the recursion included, each last-factor table
-    Delta(e_a)(e_s (x) 1) once per (a, s) (16 on Sweedler, 112 on ax+b)
-    and each product e_p e_s with one ``H.mul`` per pair.  A table whose
-    e_s is the unit forms no product, as e_p 1 = e_p."""
+@pytest.mark.parametrize("case, counts", [
+    ("sweedler", {"tau_image": 340, "_last_factor_table": 16, "mul": 12,
+                  "face": 398, "degeneracy": 1252}),
+    ("axb", {"tau_image": 717, "_last_factor_table": 112, "mul": 98,
+             "face": 522, "degeneracy": 986})], ids=["sweedler", "axb"])
+def test_relation_suite_builds_each_image_and_generator_once(
+        monkeypatch, case, counts):
+    """One relation suite through degree 4 builds each tau image once per
+    key, prefixes of the recursion included (``tau_image``), each
+    last-factor table Delta(e_a)(e_s (x) 1) once per (a, s), each product
+    e_p e_s with one ``H.mul`` per pair (a table whose e_s is the unit
+    forms none, as e_p 1 = e_p), and applies face and degeneracy once per
+    distinct (generator, key), each time to one basis key with coefficient
+    1; every word is composed from those images."""
     mod, suite = _relation_suite_case(case)
     H = mod.hopf
-    mul = H.mul
-    build, table = HopfCyclicModule.tau_image, \
-        HopfCyclicModule._last_factor_table
-    mul_calls, image_calls, table_calls = [], [], []
+    calls = {name: [] for name in counts}
 
-    def counted_mul(a, b):
-        if sys._getframe(1).f_globals["__name__"] == cyclic_ops.__name__:
-            mul_calls.append((tuple(sorted(a.items())),
-                              tuple(sorted(b.items()))))
-        return mul(a, b)
-
-    def counted_build(self, key, prefix):
-        image_calls.append(key)
-        return build(self, key, prefix)
-
-    def counted_table(self, a, s):
-        table_calls.append((a, s))
-        return table(self, a, s)
-
-    monkeypatch.setattr(H, "mul", counted_mul)
-    monkeypatch.setattr(HopfCyclicModule, "tau_image", counted_build)
-    monkeypatch.setattr(HopfCyclicModule, "_last_factor_table",
-                        counted_table)
-    assert suite().ok
-    assert len(set(mul_calls)) == len(mul_calls) == products
-    assert len(set(image_calls)) == len(image_calls) == images
-    assert len(set(table_calls)) == len(table_calls) == \
-        {"sweedler": 16, "axb": 112}[case]
-
-
-@pytest.mark.parametrize("case, faces, degeneracies, images", [
-    ("sweedler", 398, 1252, 340), ("axb", 522, 986, 717)])
-def test_relation_suite_applies_each_generator_once_per_key(
-        monkeypatch, case, faces, degeneracies, images):
-    """The relation suite through degree 4 applies face and degeneracy
-    once per distinct (generator, key), each time to one basis key with
-    coefficient 1, builds tau's image of each key once (``tau_image``,
-    the prefixes its recursion reads included), and composes every word
-    from those images."""
-    mod, suite = _relation_suite_case(case)
-    calls = {"face": [], "degeneracy": [], "tau_image": []}
-
-    def counted(name):
+    def counted_generator(name):
         op, seen = getattr(HopfCyclicModule, name), calls[name]
 
         def wrapper(self, i, n, t):
@@ -262,17 +227,29 @@ def test_relation_suite_applies_each_generator_once_per_key(
             return op(self, i, n, t)
         return wrapper
 
-    def counted_image(self, key, prefix):
-        calls["tau_image"].append(key)
-        return build(self, key, prefix)
+    def counted_method(name):
+        op, seen = getattr(HopfCyclicModule, name), calls[name]
 
-    build = HopfCyclicModule.tau_image
+        def wrapper(self, *args):
+            seen.append(args[:1] if name == "tau_image" else args)
+            return op(self, *args)
+        return wrapper
+
+    mul = H.mul
+
+    def counted_mul(a, b):
+        if sys._getframe(1).f_globals["__name__"] == cyclic_ops.__name__:
+            calls["mul"].append((tuple(sorted(a.items())),
+                                 tuple(sorted(b.items()))))
+        return mul(a, b)
+
     for name in ("face", "degeneracy"):
-        monkeypatch.setattr(HopfCyclicModule, name, counted(name))
-    monkeypatch.setattr(HopfCyclicModule, "tau_image", counted_image)
+        monkeypatch.setattr(HopfCyclicModule, name, counted_generator(name))
+    for name in ("tau_image", "_last_factor_table"):
+        monkeypatch.setattr(HopfCyclicModule, name, counted_method(name))
+    monkeypatch.setattr(H, "mul", counted_mul)
     assert suite().ok
-    for name, count in [("face", faces), ("degeneracy", degeneracies),
-                        ("tau_image", images)]:
+    for name, count in counts.items():
         assert len(set(calls[name])) == len(calls[name]) == count, name
 
 
