@@ -1,5 +1,6 @@
 """The cyclic module of a Hopf algebra and of an algebra's cochains."""
 
+import functools
 import itertools
 import random
 import sys
@@ -199,23 +200,18 @@ def test_iterated_coproduct_built_once_per_first_factor(monkeypatch, case):
     assert len(set(calls)) == len(calls) == {"sweedler": 4, "axb": 14}[case]
 
 
-@pytest.mark.parametrize("case, counts", [
-    ("sweedler", {"tau_image": 340, "_last_factor_table": 16, "mul": 12,
-                  "face": 398, "degeneracy": 1252}),
-    ("axb", {"tau_image": 717, "_last_factor_table": 112, "mul": 98,
-             "face": 522, "degeneracy": 986})], ids=["sweedler", "axb"])
-def test_relation_suite_builds_each_image_and_generator_once(
-        monkeypatch, case, counts):
-    """One relation suite through degree 4 builds each tau image once per
-    key, prefixes of the recursion included (``tau_image``), each
-    last-factor table Delta(e_a)(e_s (x) 1) once per (a, s), each product
-    e_p e_s with one ``H.mul`` per pair (a table whose e_s is the unit
-    forms none, as e_p 1 = e_p), and applies face and degeneracy once per
-    distinct (generator, key), each time to one basis key with coefficient
-    1; every word is composed from those images."""
+@functools.cache
+def _counted_relation_suite(case):
+    """The calls of one relation suite through degree 4, run once per case
+    and shared by the count tests below: each tau image (``tau_image``,
+    prefixes of the recursion included), each last-factor table
+    Delta(e_a)(e_s (x) 1) (``_last_factor_table``), each product e_p e_s
+    formed in ``cyclic_ops`` (``mul``), and each face and degeneracy, which
+    must be applied to one basis key with coefficient 1."""
     mod, suite = _relation_suite_case(case)
     H = mod.hopf
-    calls = {name: [] for name in counts}
+    calls = {name: [] for name in ("tau_image", "_last_factor_table", "mul",
+                                   "face", "degeneracy")}
 
     def counted_generator(name):
         op, seen = getattr(HopfCyclicModule, name), calls[name]
@@ -243,14 +239,44 @@ def test_relation_suite_builds_each_image_and_generator_once(
                                  tuple(sorted(b.items()))))
         return mul(a, b)
 
-    for name in ("face", "degeneracy"):
-        monkeypatch.setattr(HopfCyclicModule, name, counted_generator(name))
-    for name in ("tau_image", "_last_factor_table"):
-        monkeypatch.setattr(HopfCyclicModule, name, counted_method(name))
-    monkeypatch.setattr(H, "mul", counted_mul)
-    assert suite().ok
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("face", "degeneracy"):
+            mp.setattr(HopfCyclicModule, name, counted_generator(name))
+        for name in ("tau_image", "_last_factor_table"):
+            mp.setattr(HopfCyclicModule, name, counted_method(name))
+        mp.setattr(H, "mul", counted_mul)
+        assert suite().ok
+    return calls
+
+
+def _assert_built_once(case, counts):
+    calls = _counted_relation_suite(case)
     for name, count in counts.items():
         assert len(set(calls[name])) == len(calls[name]) == count, name
+
+
+@pytest.mark.parametrize("case, products, images", [
+    ("sweedler", 12, 340), ("axb", 98, 717)])
+def test_tau_slot_products_and_images_built_once(case, products, images):
+    """The relation suite through degree 4 builds each tau image once per
+    key, prefixes of the recursion included, each last-factor table
+    Delta(e_a)(e_s (x) 1) once per (a, s) (16 on Sweedler, 112 on ax+b)
+    and each product e_p e_s with one ``H.mul`` per pair.  A table whose
+    e_s is the unit forms no product, as e_p 1 = e_p."""
+    _assert_built_once(case, {
+        "tau_image": images, "mul": products,
+        "_last_factor_table": {"sweedler": 16, "axb": 112}[case]})
+
+
+@pytest.mark.parametrize("case, faces, degeneracies, images", [
+    ("sweedler", 398, 1252, 340), ("axb", 522, 986, 717)])
+def test_relation_suite_applies_each_generator_once_per_key(
+        case, faces, degeneracies, images):
+    """The same suite run applies face and degeneracy once per distinct
+    (generator, key), each time to one basis key with coefficient 1, and
+    composes every word from the tau images counted above."""
+    _assert_built_once(case, {"face": faces, "degeneracy": degeneracies,
+                              "tau_image": images})
 
 
 def _check_linear(mod, n, t):
