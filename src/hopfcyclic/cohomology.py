@@ -307,9 +307,9 @@ def hochschild_dimensions(b):
     """(hh, ranks, reps) for b = {n: b_n}, 1 <= n <= N+1, dim C^n the
     columns of b_(n+1): HH^n for n <= N, ranks[n] = rank b_(n+1), and
     reps[n] the HH^n representatives, dicts on the columns of b_(n+1).
-    Eliminating the columns of b_n (``stacked_ranks`` of its transpose)
-    gives rank b_n and leads at one coordinate per dimension of im b_n;
-    the others span a complement W of im b_n, so ker b_(n+1) = im b_n +
+    Eliminating the columns of b_n as built (``stacked_ranks``) gives
+    rank b_n and leads at one coordinate per dimension of im b_n; the
+    others span a complement W of im b_n, so ker b_(n+1) = im b_n +
     (ker b_(n+1) meet W), and the kernel_basis of b_(n+1) on the columns of
     W is HH^n representatives.  As b_(n+1) b_n = 0, rank b_(n+1) =
     rank(b_(n+1) on W) (Loday, Cyclic Homology, 2.1): HH^n = dim C^n -
@@ -319,7 +319,7 @@ def hochschild_dimensions(b):
     for n in range(len(b)):
         image = {}
         if n:
-            col_ranks += stacked_ranks([b[n].transpose()], image)
+            col_ranks += stacked_ranks([b[n]], image)
         free = [j for j in range(b[n + 1].ncols) if j not in image]
         # b_(n+1) on the columns of W shares their dicts, which no one writes
         reps.append([{free[j]: v for j, v in z.items()} for z in
@@ -344,10 +344,11 @@ def lambda_complex_dimensions(hh0, stages):
     A_n z = b'_n Y z, and with A_n b_n = b'_n A_(n-1) the columns of A_n S_n
     are b'_n [A_(n-1) | Y_n].  b' is exact, so rank(b'_n M) = rank [M |
     b'_(n-1)] - rank b'_(n-1), and rank b'_m = dim C^(m-1) - rank b'_(m-1)
-    needs no elimination.  One ``stacked_ranks`` of the columns per
-    degree gives rank A_(n-1) (its first block) and the stacked rank, so
-    HC^n = HH^n - rho_n + rank A_(n-1) - rho_(n-1), with rho_0 = 0 as A_0 =
-    0.  No A_N and no matrix on the rows of degree N is read.
+    needs no elimination.  One ``stacked_ranks`` per degree, of the
+    columns of A_(n-1) and then of [Y_n | b'_(n-1)] as built, gives rank
+    A_(n-1) (its first block) and the stacked rank, so HC^n = HH^n - rho_n
+    + rank A_(n-1) - rho_(n-1), with rho_0 = 0 as A_0 = 0.  No A_N and no
+    matrix on the rows of degree N is read.
 
     The homotopy holds at every degree exactly when (id (x) eps)D(e_s) =
     -eps(e_s) 1 for every s and eps(1) = 1, D the cobar table: b is the
@@ -367,9 +368,8 @@ def lambda_complex_dimensions(hh0, stages):
     rho = rank_b_prime = 0
     for A, b_prime, Y in stages:
         rank_b_prime = b_prime.ncols - rank_b_prime  # of b'_(n-1)
-        rank_A, stacked = stacked_ranks([
-            A.transpose(), SparseMatrix.from_columns(
-                chain(Y.cols, b_prime.cols), A.nrows).transpose()])
+        rank_A, stacked = stacked_ranks([A, SparseMatrix.from_columns(
+            chain(Y.cols, b_prime.cols), A.nrows)])
         del A  # not held while the next one is built
         below, rho = rank_A - rho, stacked - rank_b_prime
         dims.append(Y.ncols - rho + below)

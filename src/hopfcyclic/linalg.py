@@ -13,32 +13,27 @@ mixed-complex gate), the cohomology code's B assembly and its check of
 accumulates into one dict in its own loop, with no helper call per
 column; it tests each vector entry once for the coefficient 1, whose
 column it adds without multiplying, since on ``Cyclotomic`` scalars that
-test is a method call.  Rank and kernel share
-one exact sparse Gaussian elimination on the rows, _echelon, which takes
-each row out of its list as it reduces it.  The kernel basis is read off
-the reduced row echelon form, which is unique, so it does not depend on
-the order in which the elimination finds its pivots.
+test is a method call.
 
-stacked_ranks ranks [M_1], [M_1; M_2], ... in one elimination, and rank
-is its one-matrix case; a pivots dict carries an elimination from one
-call to the next.  ``cohomology.hochschild_dimensions`` is the package's
-consumer of kernel_basis: it eliminates the columns of each b_n once, as
-the rows of the transpose, for rank b_n, and takes the HH^n
-representatives from the kernel_basis of b_(n+1) on the columns where it
-has no pivot; rank serves the total complex of the (b, B)-bicomplex alone.
-``cohomology.lambda_complex_dimensions`` stacks columns the same way,
-those of 1 - lambda_(n-1) and then those of [Y_n | b'_(n-1)].
+One exact sparse Gaussian elimination, _echelon, serves both
+orientations.  stacked_ranks feeds it the columns of [M_1 | M_2 | ...] as
+``cohomology``'s HH and HC(lambda) stages build them, copying each only as
+it is taken, so no matrix is changed or copied whole; rank (the total
+complex alone) and kernel_basis feed it the rows, ``row_dicts``.  No
+matrix is transposed.  The kernel basis is read off the reduced row
+echelon form, which is unique, so it does not depend on the order in
+which the elimination finds its pivots.
 
 Entries are scalars in the canonical form of ``fields``, so the cohomology
 matrices of an integral presentation are all ``int``.  The only division
-is ``scalar_inv`` of a pivot that leads with neither 1 nor -1 (a row
+is ``scalar_inv`` of a pivot that leads with neither 1 nor -1 (a vector
 leading with 1 is kept as it is, one leading with -1 is negated), and
-``_echelon`` defers such a row until the other rows are in, so integral
-rows stay integral as long as they can.  ``stacked_ranks`` sorts each
-matrix's rows by leading column and length (a static Markowitz order),
-which cuts fill-in and leaves the rank unchanged.  ``kernel_basis`` keeps
-the given order and pivots on the lowest column, so its vectors are those
-of the reduced row echelon form.
+``_echelon`` defers such a vector until the others are in, so integral
+vectors stay integral as long as they can.  stacked_ranks and rank take
+each matrix's vectors by lowest index and then fewest entries (a static
+Markowitz order), which cuts fill-in and leaves the rank unchanged.
+``kernel_basis`` keeps the given order and pivots on the lowest column, so
+its vectors are those of the reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -102,9 +97,6 @@ class SparseMatrix:
         nnz = sum(map(len, self.cols))
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={nnz})"
 
-    def transpose(self):
-        return SparseMatrix.from_columns(self.row_dicts(), self.ncols)
-
     def row_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
         for c, col in enumerate(self.cols):
@@ -119,14 +111,14 @@ class SparseMatrix:
             (combine(self.cols, col) for col in other.cols), self.nrows)
 
     def rank(self):
-        """Rank: the one-matrix case of stacked_ranks."""
-        return stacked_ranks([self])[0]
+        """Rank, by eliminating the rows in the order of stacked_ranks."""
+        return len(_echelon(_markowitz(self.row_dicts()), {}))
 
     def kernel_basis(self):
         """Exact basis of the right kernel, as sparse column dicts: one
         vector per free column of the reduced row echelon form, which is 1
         at that column."""
-        pivots = _echelon(self.row_dicts(), {}, reduced=True)
+        pivots = _echelon(_drain(self.row_dicts()), {}, reduced=True)
         basis = {free: {free: 1} for free in range(self.ncols)
                  if free not in pivots}
         for col in sorted(pivots):
@@ -195,45 +187,52 @@ def first_nonzero_column(*products):
 
 
 def stacked_ranks(blocks, pivots=None):
-    """[rank M_1, rank [M_1; M_2], ...] for the list blocks of matrices
-    with the same columns: each matrix's rows are reduced against the pivot
-    rows of those before it, in a static order, by leading column and then
-    shortest first (Markowitz's row count).  blocks is emptied as it goes,
-    so a matrix nothing else holds is freed once its rows are copied.  A
-    pivots dict, empty at first, carries the stack from one call to the
-    next; the ranks then count the rows of the earlier calls too."""
-    if len({matrix.ncols for matrix in blocks}) > 1:
-        raise ValueError("stacked matrices differ in their number of columns")
+    """[rank M_1, rank [M_1 | M_2], ...] for the list blocks of matrices
+    with the same rows: each matrix's columns are reduced against the pivot
+    columns of those before it, in a static order, by lowest row and then
+    fewest entries (Markowitz's column count).  A column is copied only as
+    the elimination takes it, so no block is changed.  A pivots dict,
+    empty at first and keyed by each pivot column's lowest row, carries the
+    stack from one call to the next; the ranks then count the columns of
+    the earlier calls too."""
+    if len({matrix.nrows for matrix in blocks}) > 1:
+        raise ValueError("stacked matrices differ in their number of rows")
     pivots = {} if pivots is None else pivots
     ranks = []
-    blocks.reverse()
-    while blocks:
-        rows = [row for row in blocks.pop().row_dicts() if row]
-        rows.sort(key=lambda row: (min(row), len(row)))
-        _echelon(rows, pivots)
+    for matrix in blocks:
+        _echelon(map(dict, _markowitz(matrix.cols)), pivots)
         ranks.append(len(pivots))
     return ranks
 
 
+def _markowitz(vectors):
+    """The nonzero vectors, each taken out of the list as it is yielded,
+    by lowest index and then fewest entries; equal keys keep their order."""
+    order = [vec for vec in vectors if vec]
+    order.sort(key=lambda vec: (min(vec), len(vec)))
+    return _drain(order)
+
+
 def _echelon(rows, pivots, reduced=False):
-    """Row echelon form of the sparse rows (dicts col -> scalar) of the list
-    rows, continuing the pivot rows of the dict pivots, which it extends.
+    """Row echelon form of the sparse rows (dicts col -> scalar) that the
+    iterable rows yields, continuing the pivot rows of the dict pivots,
+    which it extends; fed columns, it gives the column echelon form.
 
     Returns {pivot column: rest of its row}, the row scaled so that its
     pivot, which is its lowest column and is not stored, is 1.  Each row in
-    turn is taken out of rows and reduced against the pivot rows found so
-    far; what is left of it becomes a new pivot row, and a row that
-    vanishes is freed at once.  A row left with a leading entry other than 1
-    or -1 is set aside and reduced again after all the others: by then it
-    often leads with a unit or vanishes, and a unit pivot keeps integral
-    rows integral where a pivot of 2 would put Fractions into every row
-    reduced against it.  The pivot columns, and so the rank, do not depend
-    on the order.  With reduced=True, back-substitution also clears every
-    pivot column from the other rows, giving the reduced row echelon form,
-    which the row space alone determines.
+    turn is reduced in place against the pivot rows found so far; what is
+    left of it becomes a new pivot row, and a row that vanishes is freed at
+    once.  A row left with a leading entry other than 1 or -1 is set aside
+    and reduced again after all the others: by then it often leads with a
+    unit or vanishes, and a unit pivot keeps integral rows integral where a
+    pivot of 2 would put Fractions into every row reduced against it.  The
+    pivot columns, and so the rank, do not depend on the order.  With
+    reduced=True, back-substitution also clears every pivot column from
+    the other rows, giving the reduced row echelon form, which the row
+    space alone determines.
     """
     deferred = []
-    for row in _drain(rows):
+    for row in rows:
         _insert(row, pivots, deferred)
     for row in _drain(deferred):
         _insert(row, pivots, None)

@@ -6,7 +6,7 @@ from hopfcyclic import cohomology
 from hopfcyclic.cohomology import (B_matrix, b_matrix,
                                    one_minus_lambda_matrix)
 from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
-from hopfcyclic.linalg import stacked_ranks
+from hopfcyclic.linalg import SparseMatrix, stacked_ranks
 
 PKG_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = PKG_ROOT / "data"
@@ -44,14 +44,21 @@ def stacked_lambda_dimensions(b, minus):
     """HC(lambda) by the stacked formula, the oracle of the lambda stage:
     for A = 1 - lambda_n and K = ker A, rank(b_(n+1) on K) = rank [b_(n+1);
     A] - rank A and dim K = A.ncols - rank A, given the whole b = {n: b_n}
-    for 1 <= n <= N+1 and minus = [A_0, ..., A_N]."""
+    for 1 <= n <= N+1 and minus = [A_0, ..., A_N].  stacked_ranks reduces
+    columns, so it is given the transposes: [b^T | A^T] is the row stack."""
     kernel_dims, image_ranks = [], []
     for n, A in enumerate(minus):
         rank_A = A.rank()
         kernel_dims.append(A.ncols - rank_A)
-        image_ranks.append(stacked_ranks([b[n + 1], A])[1] - rank_A)
+        image_ranks.append(stacked_ranks(
+            [transpose(b[n + 1]), transpose(A)])[1] - rank_A)
     return [size - image_ranks[n] - (image_ranks[n - 1] if n else 0)
             for n, size in enumerate(kernel_dims)]
+
+
+def transpose(m):
+    """m^T, built from the rows of m."""
+    return SparseMatrix.from_columns(m.row_dicts(), m.ncols)
 
 
 def minus_lambda(module, n):

@@ -1,6 +1,7 @@
 """Cohomology dimensions and the mixed-complex identities."""
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -601,8 +602,8 @@ def test_report_eliminates_each_normalized_b_once(monkeypatch):
     """A Sweedler/delta degree-4 'both' report ranks no b_n: the 4 calls of
     SparseMatrix.rank are the total matrices of bicomplex_dimensions.  It
     eliminates the columns of each kept normalized b_n, n = 1..4, once (a
-    one-block stacked_ranks of the transpose; the lambda stage's stacks
-    have two blocks) and each b_(n+1), n = 0..4, once on the columns W_n
+    one-block stacked_ranks of b_n itself; the lambda stage's stacks have
+    two blocks) and each b_(n+1), n = 0..4, once on the columns W_n
     where that elimination found no pivot (kernel_basis)."""
     delta = sweedler_h4().character("delta")
     norm = NormalizedModule(delta)
@@ -640,9 +641,26 @@ def test_report_eliminates_each_normalized_b_once(monkeypatch):
     cohomology_report(delta, 4, method="both")
     assert ranked == [True] * 4
     assert [shapes for shapes in stacked if len(shapes) == 1] == [
-        [(b[n].ncols, b[n].nrows)] for n in range(1, 5)]
+        [(b[n].nrows, b[n].ncols)] for n in range(1, 5)]
     assert [len(shapes) for shapes in stacked].count(2) == 4
     assert kernels == [(b[n + 1].nrows, free[n]) for n in range(5)]
+
+
+def test_report_copies_rows_only_for_rank_and_kernel_basis(monkeypatch):
+    """A Sweedler/delta degree-4 'both' report builds the rows of a matrix
+    (SparseMatrix.row_dicts) 9 times: once for each of the 4 total matrices
+    SparseMatrix.rank eliminates and each of the 5 kernel_basis calls.
+    stacked_ranks eliminates columns, so no matrix is transposed for it."""
+    callers = []
+    row_dicts = SparseMatrix.row_dicts
+
+    def counted_row_dicts(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return row_dicts(self)
+
+    monkeypatch.setattr(SparseMatrix, "row_dicts", counted_row_dicts)
+    cohomology_report(sweedler_h4().character("delta"), 4, method="both")
+    assert sorted(callers) == ["kernel_basis"] * 5 + ["rank"] * 4
 
 
 def test_a_missing_representative_is_refused(monkeypatch):

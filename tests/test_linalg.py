@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import transpose
 from dense_oracle import dense_kernel, dense_product, dense_rank
 from hopfcyclic.cyclic_ops import HopfCyclicModule, NormalizedModule
 from hopfcyclic.fields import CyclotomicField, RationalField
@@ -91,12 +92,13 @@ def test_kernel_dimension_matches_dense_oracle():
 
 
 def test_transpose_rank():
+    # rank eliminates rows and stacked_ranks columns, through one _echelon
     for field in FIELDS:
         rng = random.Random(23)
         for _ in range(15):
             m = random_sparse(rng, field, rng.randrange(1, 8),
                               rng.randrange(1, 8))
-            assert m.rank() == m.transpose().rank()
+            assert m.rank() == stacked_ranks([m])[0] == transpose(m).rank()
 
 
 def test_matmul_and_identity():
@@ -347,26 +349,48 @@ def stacked_pairs(draw):
 @given(stacked_pairs())
 def test_stacked_ranks_give_the_rank_of_b_on_ker_A(case):
     # ker [b; A] = ker b meet ker A, so
-    # rank(b on ker A) = rank [b; A] - rank A
+    # rank(b on ker A) = rank [b; A] - rank A; stacked_ranks reduces
+    # columns, so [b^T | A^T] is the row stack
     b, A = case
     dense_b, dense_A = to_dense(b), to_dense(A)
     kernel = dense_kernel(dense_A, A.ncols)
     on_kernel = dense_product(
         dense_b, [list(row) for row in zip(*kernel)] or
         [[] for _ in range(b.ncols)], len(kernel))
-    rank_b, rank_stacked = stacked_ranks([b, A])
+    b_t, A_t = transpose(b), transpose(A)
+    rank_b, rank_stacked = stacked_ranks([b_t, A_t])
     assert rank_b == dense_rank(dense_b) == b.rank()
     assert rank_stacked == dense_rank(dense_b + dense_A)
     assert rank_stacked - A.rank() == dense_rank(on_kernel)
     # a second call with the same pivots continues the stack
     pivots = {}
-    assert stacked_ranks([b], pivots) + stacked_ranks([A], pivots) == \
+    assert stacked_ranks([b_t], pivots) + stacked_ranks([A_t], pivots) == \
         [rank_b, rank_stacked]
 
 
-def test_stacked_ranks_refuse_a_column_mismatch():
+@settings(max_examples=150, deadline=None)
+@given(stacked_pairs())
+def test_stacked_ranks_reduce_columns_and_change_no_block(case):
+    """[rank M_1, rank [M_1 | M_2]] for M_1 = b^T and M_2 = A^T, which share
+    their rows, whether the stack is one call or two sharing a pivots dict;
+    the columns are copied as they are taken, never reduced in place."""
+    first, second = (transpose(m) for m in case)
+    before = [[dict(col) for col in m.cols] for m in (first, second)]
+    dense_first, dense_second = to_dense(first), to_dense(second)
+    ranks = [dense_rank(dense_first),
+             dense_rank([left + right for left, right
+                         in zip(dense_first, dense_second)])]
+    assert stacked_ranks([first, second]) == ranks
+    assert [first.cols, second.cols] == before
+    pivots = {}
+    assert stacked_ranks([first], pivots) + \
+        stacked_ranks([second], pivots) == ranks
+    assert [first.cols, second.cols] == before
+
+
+def test_stacked_ranks_refuse_a_row_mismatch():
     with pytest.raises(ValueError):
-        stacked_ranks([SparseMatrix(2, 3), SparseMatrix(2, 2)])
+        stacked_ranks([SparseMatrix(3, 2), SparseMatrix(2, 2)])
 
 
 def _counted_scalar_inv(monkeypatch):
